@@ -4,9 +4,13 @@
 //! the Table 1 popularity/size coupling gives the front real reuse to
 //! absorb. A second group replays the two-tier stack across 1/2/4/8
 //! event-loop shards with the global budget partitioned by file
-//! residency. Guards the `CachePolicy` dispatch, the per-tier promote
-//! path and the sharded build/merge; `scripts/bench_diff.py` diffs the
-//! means against `BENCH_BASELINE.json`.
+//! residency. A third group drives the tier walk alone over a miss storm:
+//! a Zipf stream over the full 40k-file quick catalog, far larger than
+//! both tiers, so nearly every access misses and evicts in each tier (the
+//! regime of the overloaded diurnal replay). Guards the `CachePolicy`
+//! dispatch, the per-tier promote and evict paths and the sharded
+//! build/merge; `scripts/bench_diff.py` diffs the means against
+//! `BENCH_BASELINE.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use spindown_core::PolicyChoice;
@@ -15,11 +19,13 @@ use spindown_sim::config::{SimConfig, ThresholdPolicy};
 use spindown_sim::engine::Simulator;
 use spindown_sim::hierarchy::CacheChoice;
 use spindown_sim::metrics::MetricsMode;
-use spindown_workload::{FileCatalog, Trace};
+use spindown_workload::{FileCatalog, FileId, Trace};
 use std::hint::black_box;
 
 const FILES: usize = 512;
 const DISKS: usize = 8;
+/// The quick-scale catalog size the CLI and the replay benchmark use.
+const MISS_STORM_FILES: usize = 40_000;
 
 fn fixture() -> (FileCatalog, Assignment) {
     let catalog = FileCatalog::paper_table1(FILES, 7);
@@ -99,6 +105,46 @@ fn bench(c: &mut Criterion) {
         );
     }
     sharded_group.finish();
+
+    // The miss path in isolation: `CacheHierarchy::access` over a stream
+    // whose catalog (~40k files) dwarfs the 2 GB + 16 GB stack, so almost
+    // every access misses both tiers and evicts from both. No engine runs,
+    // so the row is the tier walk's own cost.
+    let big = FileCatalog::paper_table1(MISS_STORM_FILES, 7);
+    let storm: Vec<(FileId, u64)> = Trace::poisson(&big, 40.0, 12_500.0, 778)
+        .requests()
+        .iter()
+        .map(|r| (r.file, big.file(r.file).size_bytes))
+        .collect();
+    let stack = CacheChoice::parse("lru:2+lru:16")
+        .expect("valid cache spec")
+        .hierarchy()
+        .expect("a cached choice has a hierarchy");
+    let mut storm_group = c.benchmark_group("cache_hierarchy/miss_storm");
+    storm_group.sample_size(10);
+    storm_group.throughput(Throughput::Elements(storm.len() as u64));
+    storm_group.bench_function("lru2_lru16", |b| {
+        b.iter(|| {
+            let mut h = stack.build(1);
+            let mut hits = 0u64;
+            for &(file, size) in black_box(&storm) {
+                hits += u64::from(h.access(file, size).is_some());
+            }
+            black_box((hits, h.aggregate_stats()))
+        })
+    });
+    storm_group.finish();
+    let mut h = stack.build(1);
+    for &(file, size) in &storm {
+        h.access(file, size);
+    }
+    let stats = h.aggregate_stats();
+    println!(
+        "cache_hierarchy/traffic/miss_storm: {} accesses, hit ratio {:.4}, {:.1} GB evicted",
+        storm.len(),
+        stats.hit_ratio(),
+        stats.evicted_bytes as f64 / 1e9,
+    );
 
     // One-shot hit-ratio report so `cargo bench` records the absorption
     // story alongside the timing story (the tier walk only earns its cost

@@ -66,6 +66,7 @@ use spindown_experiments::{
     bounds_exp, fig23, fig4, fig56, joint_exp, replay, sensitivity, shootout, tables, vsweep,
     Figure, Scale,
 };
+use spindown_sim::SimError;
 
 fn usage() -> &'static str {
     "usage: experiments [--quick] [--out DIR] [--discipline fifo|sjf|sjf:SECONDS|elevator]\n\
@@ -290,12 +291,20 @@ fn main() -> ExitCode {
             "vsweep" => vec![vsweep::vsweep(scale)],
             "bounds" => vec![bounds_exp::bounds(scale)],
             "sensitivity" => vec![sensitivity::sensitivity(scale)],
-            "shootout" => vec![shootout::shootout_with_faults(
-                scale,
-                discipline,
-                ladder,
-                (!faults.is_none()).then(|| faults.clone()),
-            )],
+            "shootout" => {
+                // The shootout's fleet is fixed by the scale, so a clause
+                // naming a disk outside it is rejected before any run.
+                if let Err(e) = SimError::check_fault_disks(&faults.plan(), scale.fleet()) {
+                    eprintln!("shootout failed: {e}");
+                    return ExitCode::FAILURE;
+                }
+                vec![shootout::shootout_with_faults(
+                    scale,
+                    discipline,
+                    ladder,
+                    (!faults.is_none()).then(|| faults.clone()),
+                )]
+            }
             "joint" => vec![joint_exp::joint(scale)],
             "replay" => {
                 match replay::replay(

@@ -9,19 +9,25 @@
 //! observed hit ratio, 5.6%, for its workload).
 //!
 //! Three implementations:
-//! - [`LruCache`] — the original §5.1 policy, unchanged (the trait impl
-//!   delegates to the same inherent methods, pinned bit-identical by
-//!   `tests/cache_equivalence.rs`).
+//! - [`LruCache`] — the original §5.1 policy (the trait impl delegates to
+//!   the same inherent methods, pinned bit-identical by
+//!   `tests/cache_equivalence.rs`), `O(1)` per access and per eviction.
 //! - [`SegmentedLru`] — probation/protected segments with a configurable
 //!   byte split; one hit promotes, so scan traffic cannot flush the
 //!   protected working set. A 0% protected split degenerates to exact LRU.
+//!   `O(1)` per access, plus `O(1)` per demotion or eviction.
 //! - [`LfuCache`] — frequency-stamped eviction (evict the lowest
 //!   `(frequency, recency)` pair) in `O(log n)` per access.
+//!
+//! LRU and both SLRU segments share one kernel, a slab-backed doubly
+//! linked recency list indexed by file id.
 
 use std::collections::{BTreeMap, HashMap};
 
 use serde::{Deserialize, Serialize};
 use spindown_workload::FileId;
+
+use crate::idhash::IdMap;
 
 /// A byte-budget whole-file replacement policy: one cache tier's brain.
 ///
@@ -93,16 +99,150 @@ impl CacheStats {
     }
 }
 
-/// Byte-capacity LRU over whole files.
+/// Slot index meaning "no node": the list's ends and the free list's tail.
+const NIL: u32 = u32::MAX;
+
+/// One resident file in a [`RecencyList`] slab slot. While the slot is on
+/// the free list, `next` links to the next free slot and the rest is stale.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    file: FileId,
+    size: u64,
+    prev: u32,
+    next: u32,
+}
+
+/// A recency-ordered byte-budget set of whole files with `O(1)` touch,
+/// insert, remove and evict: the kernel of [`LruCache`] and of both
+/// [`SegmentedLru`] segments.
 ///
-/// Recency is tracked with a monotone stamp per entry plus an ordered index
-/// from stamp to file, giving `O(log n)` accesses without unsafe code.
+/// Nodes live in a `Vec` slab threaded into a doubly linked list (head =
+/// most recent, tail = least recent); freed slots are recycled through an
+/// intrusive free list, and an [`IdMap`] maps each file to its slot. The
+/// list orders entries by their last touch, which is all LRU eviction
+/// needs.
+#[derive(Debug)]
+struct RecencyList {
+    nodes: Vec<Node>,
+    index: IdMap<FileId, u32>,
+    head: u32,
+    tail: u32,
+    free: u32,
+    resident: u64,
+}
+
+impl RecencyList {
+    fn new() -> Self {
+        RecencyList {
+            nodes: Vec::new(),
+            index: IdMap::default(),
+            head: NIL,
+            tail: NIL,
+            free: NIL,
+            resident: 0,
+        }
+    }
+
+    fn contains(&self, file: FileId) -> bool {
+        self.index.contains_key(&file)
+    }
+
+    fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// If `file` is resident, make it the most recent and return its size.
+    fn touch(&mut self, file: FileId) -> Option<u64> {
+        let slot = *self.index.get(&file)?;
+        if slot != self.head {
+            self.unlink(slot);
+            self.link_front(slot);
+        }
+        Some(self.nodes[slot as usize].size)
+    }
+
+    /// Insert an absent `file` as the most recent entry.
+    fn push_front(&mut self, file: FileId, size: u64) {
+        let node = Node {
+            file,
+            size,
+            prev: NIL,
+            next: NIL,
+        };
+        let slot = if self.free == NIL {
+            self.nodes.push(node);
+            u32::try_from(self.nodes.len() - 1).expect("cache holds fewer than 2^32 files")
+        } else {
+            let slot = self.free;
+            self.free = self.nodes[slot as usize].next;
+            self.nodes[slot as usize] = node;
+            slot
+        };
+        self.link_front(slot);
+        self.index.insert(file, slot);
+        self.resident += size;
+    }
+
+    /// Remove and return the least-recent entry as `(file, size)`.
+    fn pop_back(&mut self) -> (FileId, u64) {
+        assert!(self.tail != NIL, "eviction requested from an empty cache");
+        let Node { file, size, .. } = self.nodes[self.tail as usize];
+        self.remove(file);
+        (file, size)
+    }
+
+    /// Remove a resident `file`, returning its size.
+    fn remove(&mut self, file: FileId) -> u64 {
+        let slot = self.index.remove(&file).expect("entry resident");
+        self.unlink(slot);
+        let node = &mut self.nodes[slot as usize];
+        node.next = self.free;
+        self.free = slot;
+        self.resident -= node.size;
+        node.size
+    }
+
+    /// Drop every entry, keeping the slab's and index's allocations.
+    fn clear(&mut self) {
+        self.nodes.clear();
+        self.index.clear();
+        self.head = NIL;
+        self.tail = NIL;
+        self.free = NIL;
+        self.resident = 0;
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let Node { prev, next, .. } = self.nodes[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.nodes[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.nodes[n as usize].prev = prev,
+        }
+    }
+
+    fn link_front(&mut self, slot: u32) {
+        let old_head = self.head;
+        let node = &mut self.nodes[slot as usize];
+        node.prev = NIL;
+        node.next = old_head;
+        match old_head {
+            NIL => self.tail = slot,
+            h => self.nodes[h as usize].prev = slot,
+        }
+        self.head = slot;
+    }
+}
+
+/// Byte-capacity LRU over whole files, `O(1)` per access and per eviction
+/// (one [`RecencyList`]).
 #[derive(Debug)]
 pub struct LruCache {
     capacity_bytes: u64,
-    entries: HashMap<FileId, (u64, u64)>, // file -> (size, stamp)
-    by_stamp: std::collections::BTreeMap<u64, FileId>,
-    next_stamp: u64,
+    list: RecencyList,
     stats: CacheStats,
 }
 
@@ -111,9 +251,7 @@ impl LruCache {
     pub fn new(capacity_bytes: u64) -> Self {
         LruCache {
             capacity_bytes,
-            entries: HashMap::new(),
-            by_stamp: std::collections::BTreeMap::new(),
-            next_stamp: 0,
+            list: RecencyList::new(),
             stats: CacheStats::default(),
         }
     }
@@ -122,12 +260,8 @@ impl LruCache {
     /// file is admitted (evicting least-recently-used files as needed)
     /// unless it exceeds the whole budget.
     pub fn access(&mut self, file: FileId, size_bytes: u64) -> bool {
-        if let Some(&(size, stamp)) = self.entries.get(&file) {
+        if let Some(size) = self.list.touch(file) {
             debug_assert_eq!(size, size_bytes, "file size changed between accesses");
-            self.by_stamp.remove(&stamp);
-            let new_stamp = self.bump();
-            self.by_stamp.insert(new_stamp, file);
-            self.entries.insert(file, (size, new_stamp));
             self.stats.hits += 1;
             return true;
         }
@@ -136,29 +270,28 @@ impl LruCache {
             self.stats.oversize_rejections += 1;
             return false;
         }
-        while self.stats.resident_bytes + size_bytes > self.capacity_bytes {
-            self.evict_lru();
+        while self.list.resident + size_bytes > self.capacity_bytes {
+            let (_, size) = self.list.pop_back();
+            self.stats.evicted_bytes += size;
         }
-        let stamp = self.bump();
-        self.entries.insert(file, (size_bytes, stamp));
-        self.by_stamp.insert(stamp, file);
-        self.stats.resident_bytes += size_bytes;
+        self.list.push_front(file, size_bytes);
+        self.stats.resident_bytes = self.list.resident;
         false
     }
 
     /// Whether `file` is resident (no recency update, no stats update).
     pub fn contains(&self, file: FileId) -> bool {
-        self.entries.contains_key(&file)
+        self.list.contains(file)
     }
 
     /// Number of resident files.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.list.len()
     }
 
     /// True when nothing is resident.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// The running statistics.
@@ -171,26 +304,7 @@ impl LruCache {
     pub fn flush(&mut self) {
         self.stats.evicted_bytes += self.stats.resident_bytes;
         self.stats.resident_bytes = 0;
-        self.entries.clear();
-        self.by_stamp.clear();
-    }
-
-    fn bump(&mut self) -> u64 {
-        let s = self.next_stamp;
-        self.next_stamp += 1;
-        s
-    }
-
-    fn evict_lru(&mut self) {
-        let (&stamp, &file) = self
-            .by_stamp
-            .iter()
-            .next()
-            .expect("eviction requested from empty cache");
-        self.by_stamp.remove(&stamp);
-        let (size, _) = self.entries.remove(&file).expect("index consistent");
-        self.stats.resident_bytes -= size;
-        self.stats.evicted_bytes += size;
+        self.list.clear();
     }
 }
 
@@ -212,56 +326,13 @@ impl CachePolicy for LruCache {
     }
 }
 
-/// One recency-ordered byte-budget segment: the building block both
-/// [`SegmentedLru`] segments share. Stamps come from the owner so recency
-/// is globally ordered across segments.
-#[derive(Debug, Default)]
-struct Segment {
-    entries: HashMap<FileId, (u64, u64)>, // file -> (size, stamp)
-    by_stamp: BTreeMap<u64, FileId>,
-    resident: u64,
-}
-
-impl Segment {
-    fn refresh(&mut self, file: FileId, stamp: u64) {
-        let (size, old) = self.entries[&file];
-        self.by_stamp.remove(&old);
-        self.by_stamp.insert(stamp, file);
-        self.entries.insert(file, (size, stamp));
-    }
-
-    fn insert(&mut self, file: FileId, size: u64, stamp: u64) {
-        self.entries.insert(file, (size, stamp));
-        self.by_stamp.insert(stamp, file);
-        self.resident += size;
-    }
-
-    /// Remove and return the least-recent entry as `(file, size)`.
-    fn pop_lru(&mut self) -> (FileId, u64) {
-        let (&stamp, &file) = self
-            .by_stamp
-            .iter()
-            .next()
-            .expect("eviction requested from empty segment");
-        self.by_stamp.remove(&stamp);
-        let (size, _) = self.entries.remove(&file).expect("index consistent");
-        self.resident -= size;
-        (file, size)
-    }
-
-    fn remove(&mut self, file: FileId) -> u64 {
-        let (size, stamp) = self.entries.remove(&file).expect("entry resident");
-        self.by_stamp.remove(&stamp);
-        self.resident -= size;
-        size
-    }
-}
-
 /// Segmented LRU: misses land in a **probation** segment, a hit while on
 /// probation promotes to a **protected** segment, and protected overflow
 /// demotes back to probation (most-recent end) rather than straight out of
 /// the cache — so one burst of single-touch scan traffic can evict at most
-/// the probation segment, never the proven working set.
+/// the probation segment, never the proven working set. Each segment is
+/// one [`RecencyList`] (recency is never compared across segments), so
+/// every access is `O(1)` plus `O(1)` per demotion or eviction.
 ///
 /// `protected_pct` splits the byte budget: `protected = budget·pct/100`,
 /// probation gets the rest. At `protected_pct = 0` promotion is a no-op
@@ -276,9 +347,8 @@ impl Segment {
 pub struct SegmentedLru {
     probation_capacity: u64,
     protected_capacity: u64,
-    probation: Segment,
-    protected: Segment,
-    next_stamp: u64,
+    probation: RecencyList,
+    protected: RecencyList,
     stats: CacheStats,
 }
 
@@ -291,22 +361,16 @@ impl SegmentedLru {
         SegmentedLru {
             probation_capacity: capacity_bytes - protected_capacity,
             protected_capacity,
-            probation: Segment::default(),
-            protected: Segment::default(),
-            next_stamp: 0,
+            probation: RecencyList::new(),
+            protected: RecencyList::new(),
             stats: CacheStats::default(),
         }
     }
 
-    fn bump(&mut self) -> u64 {
-        let s = self.next_stamp;
-        self.next_stamp += 1;
-        s
-    }
-
-    fn evict_probation_overflow(&mut self) {
-        while self.probation.resident > self.probation_capacity {
-            let (_, size) = self.probation.pop_lru();
+    /// Evict from the probation tail until `incoming` more bytes fit.
+    fn make_room_in_probation(&mut self, incoming: u64) {
+        while self.probation.resident + incoming > self.probation_capacity {
+            let (_, size) = self.probation.pop_back();
             self.stats.evicted_bytes += size;
             self.stats.resident_bytes -= size;
         }
@@ -315,32 +379,28 @@ impl SegmentedLru {
 
 impl CachePolicy for SegmentedLru {
     fn access(&mut self, file: FileId, size_bytes: u64) -> bool {
-        if self.protected.entries.contains_key(&file) {
-            let stamp = self.bump();
-            self.protected.refresh(file, stamp);
+        if self.protected.touch(file).is_some() {
             self.stats.hits += 1;
             return true;
         }
-        if self.probation.entries.contains_key(&file) {
+        if self.probation.contains(file) {
             self.stats.hits += 1;
-            let stamp = self.bump();
             if size_bytes > self.protected_capacity {
                 // Promotion impossible (protected_pct = 0, or the file is
                 // bigger than the protected segment): LRU refresh in place.
-                self.probation.refresh(file, stamp);
+                self.probation.touch(file);
                 return true;
             }
             let size = self.probation.remove(file);
-            self.protected.insert(file, size, stamp);
+            self.protected.push_front(file, size);
             // Demote protected overflow to the recent end of probation —
             // still resident, so no eviction is counted yet …
             while self.protected.resident > self.protected_capacity {
-                let (demoted, dsize) = self.protected.pop_lru();
-                let dstamp = self.bump();
-                self.probation.insert(demoted, dsize, dstamp);
+                let (demoted, dsize) = self.protected.pop_back();
+                self.probation.push_front(demoted, dsize);
             }
             // … but the demotion may overflow probation, and *that* evicts.
-            self.evict_probation_overflow();
+            self.make_room_in_probation(0);
             return true;
         }
         self.stats.misses += 1;
@@ -348,23 +408,18 @@ impl CachePolicy for SegmentedLru {
             self.stats.oversize_rejections += 1;
             return false;
         }
-        while self.probation.resident + size_bytes > self.probation_capacity {
-            let (_, size) = self.probation.pop_lru();
-            self.stats.evicted_bytes += size;
-            self.stats.resident_bytes -= size;
-        }
-        let stamp = self.bump();
-        self.probation.insert(file, size_bytes, stamp);
+        self.make_room_in_probation(size_bytes);
+        self.probation.push_front(file, size_bytes);
         self.stats.resident_bytes += size_bytes;
         false
     }
 
     fn contains(&self, file: FileId) -> bool {
-        self.probation.entries.contains_key(&file) || self.protected.entries.contains_key(&file)
+        self.probation.contains(file) || self.protected.contains(file)
     }
 
     fn len(&self) -> usize {
-        self.probation.entries.len() + self.protected.entries.len()
+        self.probation.len() + self.protected.len()
     }
 
     fn stats(&self) -> CacheStats {
@@ -374,11 +429,8 @@ impl CachePolicy for SegmentedLru {
     fn flush(&mut self) {
         self.stats.evicted_bytes += self.stats.resident_bytes;
         self.stats.resident_bytes = 0;
-        for seg in [&mut self.probation, &mut self.protected] {
-            seg.entries.clear();
-            seg.by_stamp.clear();
-            seg.resident = 0;
-        }
+        self.probation.clear();
+        self.protected.clear();
     }
 }
 

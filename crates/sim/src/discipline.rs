@@ -24,35 +24,11 @@
 //!   average seek, amortising head positioning across the pass.
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, HashSet, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::{BinaryHeap, VecDeque};
 
 use serde::{Deserialize, Serialize};
 
-/// A multiply-shift hasher for the queue's `u64` sequence numbers: seqs are
-/// unique and dense, so SipHash's DoS resistance buys nothing here while
-/// its latency shows up on every SJF pop (the set is touched once or twice
-/// per pop on the hot path).
-#[derive(Debug, Default)]
-pub struct SeqHasher(u64);
-
-impl Hasher for SeqHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("seq sets only hash u64 keys");
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        // Fibonacci multiplicative hashing: one multiply spreads the dense
-        // low bits across the table's bucket-index bits.
-        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-type SeqSet = HashSet<u64, BuildHasherDefault<SeqHasher>>;
+use crate::idhash::IdSet;
 
 /// Fraction of the average seek paid by requests served inside an elevator
 /// batch after the first: consecutive stops of one sweep are near-sequential
@@ -225,7 +201,7 @@ pub struct RequestQueue {
     size_heap: BinaryHeap<Reverse<BySize>>,
     /// SJF heap mode only: seqs served through the heap whose deque copy
     /// is stale and must be skipped when it reaches the front.
-    served: SeqSet,
+    served: IdSet<u64>,
     /// True once the queue has grown past [`SJF_HEAP_THRESHOLD`] and the
     /// heap structures are engaged; reset when the queue drains empty.
     heap_active: bool,
@@ -245,7 +221,7 @@ impl RequestQueue {
             discipline,
             entries: VecDeque::new(),
             size_heap: BinaryHeap::new(),
-            served: SeqSet::default(),
+            served: IdSet::default(),
             heap_active: false,
             live: 0,
             next_seq: 0,

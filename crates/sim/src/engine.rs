@@ -78,7 +78,9 @@
 use spindown_disk::state::TransitionError;
 use spindown_packing::Assignment;
 use spindown_workload::trace::TraceIoError;
-use spindown_workload::{FileCatalog, FileId, InMemorySource, Request, Trace, TraceSource};
+use spindown_workload::{
+    FaultPlan, FileCatalog, FileId, InMemorySource, Request, Trace, TraceSource,
+};
 
 use crate::actor::{DiskActor, Phase};
 use crate::complog::{CompletionOut, CompletionSink, CompletionWriter};
@@ -116,6 +118,15 @@ pub enum SimError {
     /// The streamed completion log could not be written (file creation or
     /// flush failure).
     CompletionLogIo(std::io::Error),
+    /// A fault clause targets a disk the fleet does not have.
+    FaultDiskOutOfRange {
+        /// The offending clause, as the spec grammar spells it.
+        clause: String,
+        /// The disk the clause names.
+        disk: usize,
+        /// Disks in the (global) fleet.
+        fleet: usize,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -132,11 +143,36 @@ impl std::fmt::Display for SimError {
                 "both `cache` and `cache_hierarchy` are set; configure one"
             ),
             SimError::CompletionLogIo(e) => write!(f, "completion log I/O failed: {e}"),
+            SimError::FaultDiskOutOfRange {
+                clause,
+                disk,
+                fleet,
+            } => write!(
+                f,
+                "fault clause `{clause}` targets disk {disk}, but the fleet has {fleet} \
+                 disks (d0..d{})",
+                fleet.saturating_sub(1)
+            ),
         }
     }
 }
 
 impl std::error::Error for SimError {}
+
+impl SimError {
+    /// [`SimError::FaultDiskOutOfRange`] for the first crash or fail-slow
+    /// clause of `plan` naming a disk outside a fleet of `fleet` disks.
+    pub fn check_fault_disks(plan: &FaultPlan, fleet: usize) -> Result<(), SimError> {
+        match plan.disk_out_of_range(fleet) {
+            None => Ok(()),
+            Some((clause, disk)) => Err(SimError::FaultDiskOutOfRange {
+                clause,
+                disk,
+                fleet,
+            }),
+        }
+    }
+}
 
 impl From<std::io::Error> for SimError {
     fn from(e: std::io::Error) -> Self {
@@ -542,6 +578,7 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
         if cfg.cache.is_some() && cfg.cache_hierarchy.is_some() {
             return Err(SimError::ConflictingCacheConfig);
         }
+        SimError::check_fault_disks(&cfg.faults, global_fleet)?;
         let cache = match cfg.effective_cache_hierarchy() {
             None => CacheFront::None,
             Some(h) => match h.scope {
@@ -2156,6 +2193,41 @@ mod fault_tests {
             report.response_quantile(1.0)
         );
         assert!(a.availability < 1.0);
+    }
+
+    /// A crash or fail-slow clause naming a disk the fleet does not have
+    /// is a typed error naming the clause, the disk and the fleet size —
+    /// on the solo and the sharded path alike — never a silently dropped
+    /// clause. The fleet's last disk is still accepted.
+    #[test]
+    fn fault_clause_on_a_missing_disk_is_a_typed_error() {
+        let cat = catalog(2, 72 * MB);
+        let tr = trace(&[(5.0, 0), (6.0, 1)], 100.0);
+        for spec in ["crash@t=1:d2", "failslow:d7:x4@0..10"] {
+            for shards in [1, 2] {
+                let mut cfg = SimConfig::paper_default().with_shards(shards);
+                cfg.faults = FaultPlan::parse(spec).unwrap();
+                let err = Simulator::run(&cat, &tr, &assignment(&[0, 1]), &cfg).unwrap_err();
+                let msg = err.to_string();
+                match err {
+                    SimError::FaultDiskOutOfRange {
+                        clause,
+                        disk,
+                        fleet,
+                    } => {
+                        assert_eq!(clause, spec);
+                        assert_eq!(fleet, 2);
+                        assert!(disk >= 2);
+                    }
+                    other => panic!("S={shards} {spec}: unexpected error {other}"),
+                }
+                assert!(msg.contains(spec) && msg.contains("2 disks"), "{msg}");
+            }
+        }
+        let mut cfg = SimConfig::paper_default();
+        cfg.faults = FaultPlan::parse("crash@t=1:d1").unwrap();
+        let report = Simulator::run(&cat, &tr, &assignment(&[0, 1]), &cfg).unwrap();
+        assert_eq!(report.availability.unwrap().crashes, 1);
     }
 
     /// The no-fault configuration leaves no availability stats and the

@@ -25,12 +25,11 @@
 //! `Option` check, so the no-fault replay executes the identical sequence
 //! of floating-point operations it did before fault injection existed.
 
-use std::collections::HashMap;
-
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use spindown_workload::FaultPlan;
 
+use crate::idhash::IdMap;
 use crate::metrics::{AvailabilityStats, MetricsMode, ResponseStats};
 
 /// Per-disk seed spread: the same golden-ratio multiplier the stochastic
@@ -86,7 +85,7 @@ pub(crate) struct FaultRuntime {
     pub current_scaled: Vec<bool>,
     /// Transient-retry attempts per in-flight request, keyed by trace
     /// index (entries are dropped on completion or budget exhaustion).
-    pub attempts: Vec<HashMap<usize, u32>>,
+    pub attempts: Vec<IdMap<usize, u32>>,
     /// Requests waiting out a transient backoff, per disk.
     pub pending_retries: Vec<Vec<PendingRetry>>,
     /// Degraded-mode response collectors, one per local disk, merged in
@@ -129,13 +128,13 @@ impl FaultRuntime {
                 )
             })
             .collect();
+        // The engine rejects clauses naming disks outside the global fleet
+        // before building this runtime (`SimError::FaultDiskOutOfRange`),
+        // so every clause this shard owns lands on one of its local disks.
         let mut crash_times = vec![Vec::new(); fleet];
         for c in &plan.crashes {
-            if fleet > 0 && c.disk % stride == shard {
-                let local = c.disk / stride;
-                if local < fleet {
-                    crash_times[local].push(c.at_s);
-                }
+            if c.disk % stride == shard {
+                crash_times[c.disk / stride].push(c.at_s);
             }
         }
         for times in &mut crash_times {
@@ -143,11 +142,8 @@ impl FaultRuntime {
         }
         let mut failslow = vec![Vec::new(); fleet];
         for f in &plan.failslow {
-            if fleet > 0 && f.disk % stride == shard {
-                let local = f.disk / stride;
-                if local < fleet {
-                    failslow[local].push((f.factor, f.from_s, f.to_s));
-                }
+            if f.disk % stride == shard {
+                failslow[f.disk / stride].push((f.factor, f.from_s, f.to_s));
             }
         }
         FaultRuntime {
@@ -164,7 +160,7 @@ impl FaultRuntime {
             wake_hold_until: vec![0.0; fleet],
             last_repair: vec![0.0; fleet],
             current_scaled: vec![false; fleet],
-            attempts: vec![HashMap::new(); fleet],
+            attempts: vec![IdMap::default(); fleet],
             pending_retries: vec![Vec::new(); fleet],
             degraded: vec![ResponseStats::with_mode(mode); fleet],
             arrivals: 0,

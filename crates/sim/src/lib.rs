@@ -47,6 +47,9 @@
 //!   transient I/O retries with capped exponential backoff, wake
 //!   failures, fail-slow windows and watermark load shedding, surfaced as
 //!   [`metrics::AvailabilityStats`] on the report.
+//! - `idhash` (internal) — the one multiplicative hasher for the dense
+//!   integer keys of the hot paths (queue sequence numbers, cache file
+//!   indices, fault retry ledgers).
 //! - [`engine`] — the [`engine::Simulator`] main loop (streamed arrivals by
 //!   default: O(disks) peak event-queue size).
 //! - `shard` (internal) — the sharded parallel replay driver behind
@@ -112,6 +115,7 @@ pub mod engine;
 pub mod event;
 mod fault;
 pub mod hierarchy;
+mod idhash;
 pub mod metrics;
 pub mod policy;
 mod shard;

@@ -52,7 +52,22 @@ pub struct FailSlowSpec {
     pub to_s: f64,
 }
 
+impl CrashSpec {
+    /// The clause as the spec grammar spells it (`crash@t=T:dN`).
+    pub fn clause(&self) -> String {
+        format!("crash@t={}:d{}", self.at_s, self.disk)
+    }
+}
+
 impl FailSlowSpec {
+    /// The clause as the spec grammar spells it (`failslow:dN:xF@A..B`).
+    pub fn clause(&self) -> String {
+        format!(
+            "failslow:d{}:x{}@{}..{}",
+            self.disk, self.factor, self.from_s, self.to_s
+        )
+    }
+
     /// Whether a dispatch at `t` on this spec's disk falls in the window.
     pub fn covers(&self, t: f64) -> bool {
         t >= self.from_s && t < self.to_s
@@ -197,18 +212,11 @@ impl FaultPlan {
         }
         let defaults = FaultPlan::none();
         let mut clauses: Vec<String> = Vec::new();
-        for c in &self.crashes {
-            clauses.push(format!("crash@t={}:d{}", c.at_s, c.disk));
-        }
+        clauses.extend(self.crashes.iter().map(CrashSpec::clause));
         if self.transient_p > 0.0 {
             clauses.push(format!("transient:p={}", self.transient_p));
         }
-        for f in &self.failslow {
-            clauses.push(format!(
-                "failslow:d{}:x{}@{}..{}",
-                f.disk, f.factor, f.from_s, f.to_s
-            ));
-        }
+        clauses.extend(self.failslow.iter().map(FailSlowSpec::clause));
         if self.wakefail_p > 0.0 {
             clauses.push(format!("wakefail:p={}", self.wakefail_p));
         }
@@ -228,6 +236,18 @@ impl FaultPlan {
             clauses.push(format!("seed={}", self.seed));
         }
         clauses.join(" | ")
+    }
+
+    /// The first clause naming a disk outside a fleet of `fleet` disks, as
+    /// `(clause, disk)` — crashes before fail-slow windows, each in spec
+    /// order. `None` when every disk-targeted clause fits the fleet.
+    pub fn disk_out_of_range(&self, fleet: usize) -> Option<(String, usize)> {
+        let crashes = self.crashes.iter().map(|c| (c.disk, c.clause()));
+        let slow = self.failslow.iter().map(|f| (f.disk, f.clause()));
+        crashes
+            .chain(slow)
+            .find(|&(disk, _)| disk >= fleet)
+            .map(|(disk, clause)| (clause, disk))
     }
 
     /// The backoff before retry attempt `attempt` (0-based): a capped
@@ -332,6 +352,28 @@ mod tests {
             let p = FaultPlan::parse(spec).unwrap();
             assert_eq!(FaultPlan::parse(&p.label()).unwrap(), p, "spec {spec:?}");
         }
+    }
+
+    #[test]
+    fn disk_out_of_range_names_the_first_offending_clause() {
+        let p = FaultPlan::parse("crash@t=5:d2 | failslow:d9:x2@0..10 | crash@t=1:d12").unwrap();
+        assert_eq!(p.disk_out_of_range(13), None);
+        assert_eq!(
+            p.disk_out_of_range(10),
+            Some(("crash@t=1:d12".to_owned(), 12)),
+            "crashes are checked before fail-slow windows"
+        );
+        assert_eq!(
+            p.disk_out_of_range(9),
+            Some(("crash@t=1:d12".to_owned(), 12))
+        );
+        let slow = FaultPlan::parse("failslow:d9:x2@0..10").unwrap();
+        assert_eq!(
+            slow.disk_out_of_range(9),
+            Some(("failslow:d9:x2@0..10".to_owned(), 9)),
+            "disk ids are 0-based: d9 needs 10 disks"
+        );
+        assert_eq!(FaultPlan::none().disk_out_of_range(0), None);
     }
 
     #[test]

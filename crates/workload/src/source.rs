@@ -262,32 +262,15 @@ impl<R: BufRead> CsvTraceSource<R> {
             if text.is_empty() || (self.lineno == 1 && text.starts_with("time")) {
                 continue;
             }
-            let mut parts = text.split(',');
-            let (Some(t), Some(f)) = (parts.next(), parts.next()) else {
-                return Err(TraceIoError::Malformed(self.lineno, text.to_owned()));
-            };
-            let time: f64 = t
-                .trim()
-                .parse()
-                .map_err(|_| TraceIoError::Malformed(self.lineno, text.to_owned()))?;
-            let id: u32 = f
-                .trim()
-                .parse()
-                .map_err(|_| TraceIoError::Malformed(self.lineno, text.to_owned()))?;
-            if !time.is_finite() || time < 0.0 {
-                return Err(TraceIoError::Malformed(self.lineno, text.to_owned()));
-            }
-            if time > self.horizon {
+            let request = crate::trace::parse_row(text, self.lineno)?;
+            if request.time > self.horizon {
                 return Err(TraceIoError::BeyondHorizon(self.lineno));
             }
-            if time < self.last_time {
+            if request.time < self.last_time {
                 return Err(TraceIoError::OutOfOrder(self.lineno));
             }
-            self.last_time = time;
-            self.pending = Some(Request {
-                time,
-                file: crate::catalog::FileId(id),
-            });
+            self.last_time = request.time;
+            self.pending = Some(request);
         }
         Ok(())
     }

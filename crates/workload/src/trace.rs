@@ -32,6 +32,31 @@ pub struct Trace {
     horizon: f64,
 }
 
+/// Latest request time a CSV trace may carry: 2⁴⁰ s (≈ 34 800 years), the
+/// top octave of the response-time histogram. Later times are rejected as
+/// malformed rows, not replayed into absurd energy totals.
+pub const MAX_TRACE_TIME_S: f64 = (1u64 << 40) as f64;
+
+/// Parse one non-empty, non-header CSV row `time_s,file_id` found at
+/// 1-based `line`. The time must lie in `[0, MAX_TRACE_TIME_S]`, which
+/// also rejects the `nan`, `inf` and `-5` that parse as `f64`.
+pub(crate) fn parse_row(text: &str, line: usize) -> Result<Request, TraceIoError> {
+    let malformed = || TraceIoError::Malformed(line, text.to_owned());
+    let mut parts = text.split(',');
+    let (Some(t), Some(f)) = (parts.next(), parts.next()) else {
+        return Err(malformed());
+    };
+    let time: f64 = t.trim().parse().map_err(|_| malformed())?;
+    let id: u32 = f.trim().parse().map_err(|_| malformed())?;
+    if !(0.0..=MAX_TRACE_TIME_S).contains(&time) {
+        return Err(malformed());
+    }
+    Ok(Request {
+        time,
+        file: FileId(id),
+    })
+}
+
 /// Errors from trace parsing.
 #[derive(Debug)]
 pub enum TraceIoError {
@@ -286,33 +311,11 @@ impl Trace {
             if text.is_empty() || (lineno == 0 && text.starts_with("time")) {
                 continue;
             }
-            let mut parts = text.split(',');
-            let (Some(t), Some(f)) = (parts.next(), parts.next()) else {
-                return Err(TraceIoError::Malformed(lineno + 1, text.to_owned()));
-            };
-            let time: f64 = t
-                .trim()
-                .parse()
-                .map_err(|_| TraceIoError::Malformed(lineno + 1, text.to_owned()))?;
-            let id: u32 = f
-                .trim()
-                .parse()
-                .map_err(|_| TraceIoError::Malformed(lineno + 1, text.to_owned()))?;
-            // `"nan"` and `"-5"` both parse as f64, so they slip past the
-            // parse error above — reject them here as malformed rather than
-            // letting them reach the `Trace::new` ordering asserts.
-            if !time.is_finite() || time < 0.0 {
-                return Err(TraceIoError::Malformed(lineno + 1, text.to_owned()));
+            let request = parse_row(text, lineno + 1)?;
+            if requests.last().is_some_and(|prev| request.time < prev.time) {
+                return Err(TraceIoError::OutOfOrder(lineno + 1));
             }
-            if let Some(prev) = requests.last() {
-                if time < prev.time {
-                    return Err(TraceIoError::OutOfOrder(lineno + 1));
-                }
-            }
-            requests.push(Request {
-                time,
-                file: FileId(id),
-            });
+            requests.push(request);
         }
         let last = requests.last().map(|r| r.time).unwrap_or(0.0);
         Ok(Trace::new(requests, horizon.unwrap_or(last).max(last)))

@@ -10,7 +10,7 @@ use std::io::BufReader;
 use std::path::PathBuf;
 
 use spindown_workload::source::{CsvTraceSource, TraceSource};
-use spindown_workload::trace::TraceIoError;
+use spindown_workload::trace::{TraceIoError, MAX_TRACE_TIME_S};
 use spindown_workload::Trace;
 
 fn fixture(name: &str) -> PathBuf {
@@ -98,6 +98,18 @@ fn nan_time_is_malformed_at_its_line() {
 #[test]
 fn negative_time_is_malformed_at_its_line() {
     assert_malformed_both("negative_time.csv", 3, "-5.0,4");
+}
+
+#[test]
+fn time_past_the_bound_is_malformed_at_its_line() {
+    // 1e300 s is finite and in order; only the `MAX_TRACE_TIME_S` bound
+    // (the histogram's 2⁴⁰ s top octave) keeps it out of the replay.
+    assert_malformed_both("huge_time.csv", 3, "1e300,4");
+    // The bound itself is a valid time; the next float past it is not.
+    let at = |t: f64| Trace::read_csv(format!("{t},0\n").as_bytes(), None);
+    assert_eq!(at(MAX_TRACE_TIME_S).unwrap().horizon(), MAX_TRACE_TIME_S);
+    let past = f64::from_bits(MAX_TRACE_TIME_S.to_bits() + 1);
+    assert!(matches!(at(past), Err(TraceIoError::Malformed(1, _))));
 }
 
 #[test]

@@ -6,7 +6,10 @@
 //!   always equal the sizes of exactly the files `contains` reports;
 //! - `hits + misses` equals the number of `access` calls (oversize
 //!   rejections are misses, never a third category);
-//! - LRU agrees access-by-access with a naive `Vec` reference model;
+//! - LRU agrees access-by-access with a naive `Vec` reference model,
+//!   flushes and long eviction runs included;
+//! - segmented LRU at 20/50/80% protected splits agrees access-by-access
+//!   with a naive two-`Vec` probation/protected reference;
 //! - segmented LRU with a 0% protected split *is* LRU, bit for bit;
 //! - a strictly larger LRU cache never hits less on the same sequence
 //!   (the stack-inclusion property — exact for uniform file sizes), and
@@ -19,7 +22,7 @@
 //! generators draw a size vector once and an id sequence separately.
 
 use proptest::prelude::*;
-use spindown::sim::cache::{CachePolicy, LfuCache, LruCache, SegmentedLru};
+use spindown::sim::cache::{CachePolicy, CacheStats, LfuCache, LruCache, SegmentedLru};
 use spindown::workload::catalog::FileId;
 use spindown::workload::{FileCatalog, Trace};
 
@@ -39,6 +42,95 @@ fn replay(cache: &mut dyn CachePolicy, ids: &[u32], sizes: &[u64]) -> Vec<bool> 
     ids.iter()
         .map(|&id| cache.access(FileId(id), sizes[id as usize]))
         .collect()
+}
+
+/// Naive segmented-LRU reference: two recency-ordered `Vec`s (front =
+/// least recent) and linear scans everywhere, written from the policy's
+/// definition rather than from the implementation.
+struct NaiveSlru {
+    probation: Vec<(u32, u64)>,
+    protected: Vec<(u32, u64)>,
+    probation_capacity: u64,
+    protected_capacity: u64,
+    stats: CacheStats,
+}
+
+impl NaiveSlru {
+    fn new(capacity: u64, pct: u8) -> Self {
+        let protected_capacity = (u128::from(capacity) * u128::from(pct) / 100) as u64;
+        NaiveSlru {
+            probation: Vec::new(),
+            protected: Vec::new(),
+            probation_capacity: capacity - protected_capacity,
+            protected_capacity,
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn bytes(segment: &[(u32, u64)]) -> u64 {
+        segment.iter().map(|&(_, s)| s).sum()
+    }
+
+    fn evict_probation_until(&mut self, incoming: u64) {
+        while Self::bytes(&self.probation) + incoming > self.probation_capacity {
+            let (_, s) = self.probation.remove(0);
+            self.stats.evicted_bytes += s;
+        }
+    }
+
+    fn access(&mut self, id: u32, size: u64) -> bool {
+        if let Some(p) = self.protected.iter().position(|&(i, _)| i == id) {
+            let e = self.protected.remove(p);
+            self.protected.push(e);
+            self.stats.hits += 1;
+            return true;
+        }
+        let hit = if let Some(p) = self.probation.iter().position(|&(i, _)| i == id) {
+            self.stats.hits += 1;
+            let e = self.probation.remove(p);
+            if size > self.protected_capacity {
+                // Too big to promote: refresh in place.
+                self.probation.push(e);
+            } else {
+                self.protected.push(e);
+                while Self::bytes(&self.protected) > self.protected_capacity {
+                    let demoted = self.protected.remove(0);
+                    self.probation.push(demoted);
+                }
+                self.evict_probation_until(0);
+            }
+            true
+        } else {
+            self.stats.misses += 1;
+            if size > self.probation_capacity {
+                self.stats.oversize_rejections += 1;
+                return false;
+            }
+            self.evict_probation_until(size);
+            self.probation.push((id, size));
+            false
+        };
+        self.stats.resident_bytes = Self::bytes(&self.probation) + Self::bytes(&self.protected);
+        hit
+    }
+
+    fn flush(&mut self) {
+        self.stats.evicted_bytes += self.stats.resident_bytes;
+        self.stats.resident_bytes = 0;
+        self.probation.clear();
+        self.protected.clear();
+    }
+
+    fn contains(&self, id: u32) -> bool {
+        self.probation
+            .iter()
+            .chain(&self.protected)
+            .any(|&(i, _)| i == id)
+    }
+
+    fn len(&self) -> usize {
+        self.probation.len() + self.protected.len()
+    }
 }
 
 proptest! {
@@ -100,38 +192,96 @@ proptest! {
     }
 
     // Invariant 3: LRU is observationally equal to the obvious reference
-    // — a recency-ordered Vec (front = least recent) — on every sequence.
+    // — a recency-ordered Vec (front = least recent) — on every sequence,
+    // including flushes and long eviction runs (a catalog much wider than
+    // the budget), so recycled slab slots are checked against `contains`,
+    // `len` and the resident-byte counter after every operation.
     #[test]
     fn lru_matches_the_naive_vec_reference(
         capacity in 1u64..100,
-        sizes in prop::collection::vec(1u64..120, 24..25),
-        ids in prop::collection::vec(0u32..24, 0..400),
+        sizes in prop::collection::vec(1u64..120, 48..49),
+        ops in prop::collection::vec(0u32..50, 0..1500),
     ) {
         let mut ours = LruCache::new(capacity);
         let mut reference: Vec<(u32, u64)> = Vec::new();
-        for &id in &ids {
-            let size = sizes[id as usize];
-            let got = ours.access(FileId(id), size);
-            let expected = if let Some(p) = reference.iter().position(|&(i, _)| i == id) {
-                let e = reference.remove(p);
-                reference.push(e);
-                true
-            } else if size > capacity {
-                false
+        for &op in &ops {
+            if op >= 48 {
+                // Two of the 50 op codes flush: about one op in 25.
+                ours.flush();
+                reference.clear();
             } else {
-                let mut resident: u64 = reference.iter().map(|&(_, s)| s).sum();
-                while resident + size > capacity {
-                    let (_, s) = reference.remove(0);
-                    resident -= s;
-                }
-                reference.push((id, size));
-                false
-            };
-            prop_assert_eq!(got, expected, "divergence on file {}", id);
+                let id = op;
+                let size = sizes[id as usize];
+                let got = ours.access(FileId(id), size);
+                let expected = if let Some(p) = reference.iter().position(|&(i, _)| i == id) {
+                    let e = reference.remove(p);
+                    reference.push(e);
+                    true
+                } else if size > capacity {
+                    false
+                } else {
+                    let mut resident: u64 = reference.iter().map(|&(_, s)| s).sum();
+                    while resident + size > capacity {
+                        let (_, s) = reference.remove(0);
+                        resident -= s;
+                    }
+                    reference.push((id, size));
+                    false
+                };
+                prop_assert_eq!(got, expected, "divergence on file {}", id);
+            }
             prop_assert_eq!(
                 ours.stats().resident_bytes,
                 reference.iter().map(|&(_, s)| s).sum::<u64>()
             );
+            prop_assert_eq!(ours.len(), reference.len());
+            for id in 0..48u32 {
+                prop_assert_eq!(
+                    ours.contains(FileId(id)),
+                    reference.iter().any(|&(i, _)| i == id),
+                    "residency of file {} after op {}", id, op
+                );
+            }
+        }
+    }
+
+    // Invariant 3b: segmented LRU at nonzero protected splits agrees
+    // access by access with a naive two-Vec reference — promotion on a
+    // probation hit, demotion of protected overflow to the probation MRU
+    // end, eviction only from the probation LRU end — with flushes mixed
+    // in. Every stats field and the resident set are compared after every
+    // operation.
+    #[test]
+    fn slru_matches_the_naive_two_vec_reference(
+        capacity in 1u64..200,
+        sizes in prop::collection::vec(1u64..90, 32..33),
+        ops in prop::collection::vec(0u32..33, 0..800),
+    ) {
+        for pct in [20u8, 50, 80] {
+            let mut ours = SegmentedLru::new(capacity, pct);
+            let mut reference = NaiveSlru::new(capacity, pct);
+            for &op in &ops {
+                if op == 32 {
+                    ours.flush();
+                    reference.flush();
+                } else {
+                    let size = sizes[op as usize];
+                    prop_assert_eq!(
+                        CachePolicy::access(&mut ours, FileId(op), size),
+                        reference.access(op, size),
+                        "divergence on file {} at {}% protected", op, pct
+                    );
+                }
+                prop_assert_eq!(CachePolicy::stats(&ours), reference.stats);
+                prop_assert_eq!(CachePolicy::len(&ours), reference.len());
+                for id in 0..32u32 {
+                    prop_assert_eq!(
+                        CachePolicy::contains(&ours, FileId(id)),
+                        reference.contains(id),
+                        "residency of file {} at {}% protected", id, pct
+                    );
+                }
+            }
         }
     }
 
