@@ -64,7 +64,10 @@ fn round_robin(files: usize, disks: usize) -> Assignment {
 /// Append one case's window rows; `{}` prints the shortest string that
 /// parses back to the same f64, so equal text means equal bits.
 fn render_case(out: &mut String, case: &str, report: &SimReport) {
-    let w = report.windows.as_ref().expect("windowed run carries the series");
+    let w = report
+        .windows
+        .as_ref()
+        .expect("windowed run carries the series");
     for r in &w.rows {
         writeln!(
             out,
