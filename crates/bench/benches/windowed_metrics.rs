@@ -2,8 +2,9 @@
 //! windows off (must cost what the legacy path costs — the collectors are
 //! `None` and every hook is a no-op branch), with 60 s tumbling windows
 //! on (per-window energy/response/backlog accounting on the engine hot
-//! path), and windowed at 4 shards (the per-disk collectors ride the
-//! existing merge). A non-stationary diurnal variant prices the
+//! path, each window closed and folded as the clock passes it), and
+//! windowed at 4 shards (every shard ships its closed-window partials to
+//! the calling thread's fold). A non-stationary diurnal variant prices the
 //! thinned-arrival generator against the homogeneous one. Results are
 //! tracked in BENCHMARKS.md.
 

@@ -67,6 +67,7 @@ use spindown_experiments::{
     Figure, Scale,
 };
 use spindown_sim::SimError;
+use spindown_workload::trace::MAX_TRACE_TIME_S;
 
 fn usage() -> &'static str {
     "usage: experiments [--quick] [--out DIR] [--discipline fifo|sjf|sjf:SECONDS|elevator]\n\
@@ -117,10 +118,10 @@ fn main() -> ExitCode {
                 }
             },
             "--horizon" => match args.next().and_then(|h| h.parse::<f64>().ok()) {
-                Some(h) if h.is_finite() && h >= 0.0 => horizon = Some(h),
+                Some(h) if (0.0..=MAX_TRACE_TIME_S).contains(&h) => horizon = Some(h),
                 _ => {
                     eprintln!(
-                        "--horizon needs a non-negative number of seconds\n{}",
+                        "--horizon needs a number of seconds in [0, {MAX_TRACE_TIME_S}]\n{}",
                         usage()
                     );
                     return ExitCode::FAILURE;

@@ -67,8 +67,8 @@ const SYNTHETIC_RATE: f64 = 4.0;
 ///
 /// Caches and the completion log compose with `shards > 1` (the global
 /// cache partitions its budget by file residency; per-shard logs k-way
-/// merge), and so do windows (per-disk collectors reassemble in global
-/// disk order). The one coupling left — preloaded arrivals — is an error
+/// merge), and so do windows (each closed window folds in global disk
+/// order). The one coupling left — preloaded arrivals — is an error
 /// naming itself, not a silent single-shard fallback.
 #[allow(clippy::too_many_arguments)]
 pub fn replay(
@@ -297,7 +297,7 @@ fn windows_figure(w: &WindowedReport) -> Figure {
         fig.push_row(vals);
     }
     fig.notes.push(format!(
-        "{} windows of {} s; per-disk collectors fold in ascending global \
+        "{} windows of {} s; each closed window folds in ascending global \
          disk order, so the series is bit-identical at any shard count",
         w.rows.len(),
         w.width_s,

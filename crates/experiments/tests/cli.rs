@@ -52,3 +52,58 @@ fn shootout_rejects_a_fault_clause_on_a_missing_disk() {
         "stderr: {stderr}"
     );
 }
+
+/// Run `experiments --quick --out DIR ARGS…` and return (exit code,
+/// stderr, wall time).
+fn run_quick(dir: &str, args: &[&str]) -> (Option<i32>, String, std::time::Duration) {
+    let out_dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(dir);
+    let _ = std::fs::remove_dir_all(&out_dir);
+    let start = std::time::Instant::now();
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["--quick", "--out"])
+        .arg(&out_dir)
+        .args(args)
+        .output()
+        .expect("the experiments binary runs");
+    assert!(!out_dir.join("replay.csv").exists(), "no result on error");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+        start.elapsed(),
+    )
+}
+
+#[test]
+fn replay_rejects_an_impossible_window_count_up_front() {
+    let (code, stderr, took) = run_quick(
+        "cli_window_count",
+        &[
+            "--requests",
+            "1000",
+            "--window",
+            "1",
+            "--horizon",
+            "1e9",
+            "replay",
+        ],
+    );
+    assert_eq!(code, Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("replay failed"), "stderr: {stderr}");
+    assert!(
+        stderr.contains("1000000001 windows"),
+        "names the computed count: {stderr}"
+    );
+    assert!(stderr.contains("1048576"), "names the limit: {stderr}");
+    assert!(took.as_secs() < 30, "rejected up front, took {took:?}");
+}
+
+#[test]
+fn replay_rejects_a_horizon_past_the_trace_time_bound() {
+    let (code, stderr, took) = run_quick(
+        "cli_huge_horizon",
+        &["--requests", "1000", "--horizon", "1e300", "replay"],
+    );
+    assert_eq!(code, Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("--horizon"), "names the flag: {stderr}");
+    assert!(took.as_secs() < 30, "rejected at parse time, took {took:?}");
+}

@@ -9,7 +9,7 @@ use spindown_disk::{DiskSpec, PowerState};
 
 use crate::discipline::{DisciplineChoice, Popped, RequestQueue, ELEVATOR_SEEK_FACTOR};
 use crate::metrics::MetricsMode;
-use crate::windows::DiskWindows;
+use crate::windows::{DiskWindows, WindowPartial};
 
 /// What the disk is doing, from the queueing perspective. Mirrors (and is
 /// asserted against) the state machine's power state. Level-carrying
@@ -163,17 +163,37 @@ impl DiskActor {
         }
     }
 
-    /// Close the window collector at `t_end` — charging the tail interval
-    /// in the final power state and padding to the common series length —
-    /// and hand it back. Call before [`DiskActor::finish`] (which
-    /// consumes the actor). Returns `None` when windows are off.
-    pub fn take_windows(&mut self, t_end: f64) -> Option<DiskWindows> {
-        self.charge_windows(t_end);
-        let mut w = self.windows.take();
-        if let Some(w) = w.as_mut() {
-            w.finish(t_end);
+    /// Retire this disk's oldest open window into `partial`. With
+    /// `charge`, the current power state's energy up to the window's end
+    /// is charged first (the boundary tick); without, the final interval
+    /// was already charged by [`DiskActor::charge_final_window`]. No-op
+    /// with windows off.
+    pub fn close_window(&mut self, charge: bool, partial: &mut WindowPartial) {
+        if let Some(w) = self.windows.as_mut() {
+            let open = charge.then(|| {
+                (
+                    self.machine.state_entered_at(),
+                    power_of(self.machine.spec(), self.machine.state()),
+                )
+            });
+            w.close_into(open, partial);
         }
-        w
+    }
+
+    /// Charge the window collector for the tail interval in the final
+    /// power state, up to `t_end`. Call once, before the run's last
+    /// windows close.
+    pub fn charge_final_window(&mut self, t_end: f64) {
+        self.charge_windows(t_end);
+    }
+
+    /// Most window slots this disk has held open at once (0 with windows
+    /// off).
+    #[cfg(test)]
+    pub(crate) fn peak_open_window_slots(&self) -> usize {
+        self.windows
+            .as_ref()
+            .map_or(0, DiskWindows::peak_open_slots)
     }
 
     /// Current queueing phase.
@@ -403,6 +423,7 @@ impl DiskActor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::windows::{fold_row, is_closed_by, last_window, WindowRow};
     use spindown_disk::{PowerLadder, MB};
 
     fn actor() -> DiskActor {
@@ -520,21 +541,46 @@ mod tests {
         assert!((b.total_seconds() - done).abs() < 1e-9);
     }
 
+    /// Close window `rows.len()` of a single-disk fleet and fold its row.
+    fn close_row(a: &mut DiskActor, charge: bool, width: f64, rows: &mut Vec<WindowRow>) {
+        let mut p = WindowPartial::new(rows.len(), MetricsMode::Exact);
+        a.close_window(charge, &mut p);
+        rows.push(fold_row(width, vec![p]));
+    }
+
     #[test]
     fn windowed_energy_sums_to_the_breakdown_total() {
+        let width = 64.0;
         let mut a = actor();
-        a.enable_windows(64.0, MetricsMode::Exact);
+        a.enable_windows(width, MetricsMode::Exact);
+        let mut rows = Vec::new();
+        // Before each mutation instant, tick the boundary closes the
+        // engine would run; then the final charge and the tail closes.
+        let at = |a: &mut DiskActor, rows: &mut Vec<WindowRow>, t: f64| {
+            while is_closed_by(width, rows.len(), t) {
+                close_row(a, true, width, rows);
+            }
+        };
+        at(&mut a, &mut rows, 0.0);
         let done = a.start_service(0.0, 0, 72 * MB, false).unwrap();
+        at(&mut a, &mut rows, done);
         a.complete_service(done).unwrap();
+        at(&mut a, &mut rows, 100.0);
         let d = a.begin_spin_down(100.0).unwrap();
+        at(&mut a, &mut rows, d);
         a.complete_spin_down(d).unwrap();
+        at(&mut a, &mut rows, 300.0);
         let u = a.begin_spin_up(300.0).unwrap();
+        at(&mut a, &mut rows, u);
         a.complete_spin_up(u).unwrap();
-        let w = a.take_windows(400.0).unwrap();
+        at(&mut a, &mut rows, 400.0);
+        a.charge_final_window(400.0);
+        while rows.len() <= last_window(width, 400.0) {
+            close_row(&mut a, false, width, &mut rows);
+        }
         let b = a.finish(400.0).unwrap();
-        let report = crate::windows::WindowedReport::derive(64.0, vec![w], false);
-        assert_eq!(report.rows.len(), 7);
-        let windowed: f64 = report.rows.iter().map(|r| r.energy_j).sum();
+        assert_eq!(rows.len(), 7);
+        let windowed: f64 = rows.iter().map(|r| r.energy_j).sum();
         assert!(
             (windowed - b.total_joules()).abs() < 1e-9 * b.total_joules().max(1.0),
             "windowed {windowed} vs breakdown {}",

@@ -273,17 +273,12 @@ impl SimConfig {
     }
 
     /// Collect windowed time-series metrics with the given tumbling
-    /// window width (seconds). The engine validates the width; builders
-    /// reject the obvious junk early so a bad CLI flag fails here, not
-    /// mid-run.
-    ///
-    /// # Panics
-    /// If `width_s` is not finite and positive.
+    /// window width (seconds). A run validates the width against its
+    /// horizon before simulating anything: a width that is not finite and
+    /// positive, or that makes more than
+    /// [`MAX_WINDOWS`](crate::windows::MAX_WINDOWS) windows, fails with
+    /// [`SimError::InvalidWindows`](crate::engine::SimError::InvalidWindows).
     pub fn with_windows(mut self, width_s: f64) -> Self {
-        assert!(
-            width_s.is_finite() && width_s > 0.0,
-            "window width must be finite and positive, got {width_s}"
-        );
         self.windows = Some(width_s);
         self
     }
@@ -444,9 +439,63 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "finite and positive")]
-    fn zero_window_width_panics() {
-        let _ = SimConfig::paper_default().with_windows(0.0);
+    fn zero_window_width_is_a_typed_error() {
+        use crate::engine::{SimError, Simulator};
+        use spindown_packing::{Assignment, DiskBin};
+        use spindown_workload::{FileCatalog, Trace};
+        let catalog = FileCatalog::from_parts(vec![1_000_000], vec![1.0]);
+        let trace = Trace::new(Vec::new(), 600.0);
+        let layout = Assignment {
+            disks: vec![DiskBin {
+                items: vec![0],
+                ..Default::default()
+            }],
+        };
+        for (width, windows) in [(0.0, 0), (f64::NAN, 0), (1e-4, 6_000_001)] {
+            let cfg = SimConfig::paper_default().with_windows(width);
+            match Simulator::run(&catalog, &trace, &layout, &cfg) {
+                Err(SimError::InvalidWindows {
+                    windows: got, max, ..
+                }) => {
+                    assert_eq!(got, windows, "width {width}");
+                    assert_eq!(max, crate::windows::MAX_WINDOWS);
+                }
+                other => panic!("width {width}: expected InvalidWindows, got {other:?}"),
+            }
+        }
+        let err = Simulator::run(
+            &catalog,
+            &trace,
+            &layout,
+            &SimConfig::paper_default().with_windows(1e-4),
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("6000001 windows"), "{err}");
+        let fine = SimConfig::paper_default().with_windows(60.0);
+        assert!(Simulator::run(&catalog, &trace, &layout, &fine).is_ok());
+    }
+
+    #[test]
+    fn horizon_past_the_trace_time_bound_is_a_typed_error() {
+        use crate::engine::{SimError, Simulator};
+        use spindown_packing::{Assignment, DiskBin};
+        use spindown_workload::trace::MAX_TRACE_TIME_S;
+        use spindown_workload::{FileCatalog, Trace};
+        let catalog = FileCatalog::from_parts(vec![1_000_000], vec![1.0]);
+        let layout = Assignment {
+            disks: vec![DiskBin {
+                items: vec![0],
+                ..Default::default()
+            }],
+        };
+        let trace = Trace::new(Vec::new(), 1e300);
+        let err = Simulator::run(&catalog, &trace, &layout, &SimConfig::paper_default())
+            .expect_err("a 1e300 s horizon is out of range");
+        assert!(
+            matches!(err, SimError::HorizonOutOfRange { max_s, .. } if max_s == MAX_TRACE_TIME_S),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("1e300"), "{err}");
     }
 
     #[test]

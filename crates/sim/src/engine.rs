@@ -77,7 +77,7 @@
 
 use spindown_disk::state::TransitionError;
 use spindown_packing::Assignment;
-use spindown_workload::trace::TraceIoError;
+use spindown_workload::trace::{TraceIoError, MAX_TRACE_TIME_S};
 use spindown_workload::{
     FaultPlan, FileCatalog, FileId, InMemorySource, Request, Trace, TraceSource,
 };
@@ -90,6 +90,9 @@ use crate::fault::{FaultRuntime, PendingRetry};
 use crate::hierarchy::{CacheHierarchy, CacheScope};
 use crate::metrics::{Completion, MetricsMode, ResponseStats, SimReport};
 use crate::policy::{DescentStep, PowerPolicy, TimeoutPolicy};
+use crate::windows::{
+    last_window, WindowOut, WindowPartial, WindowSeries, WindowedReport, MAX_WINDOWS,
+};
 
 /// Simulation failures.
 #[derive(Debug)]
@@ -127,6 +130,26 @@ pub enum SimError {
         /// Disks in the (global) fleet.
         fleet: usize,
     },
+    /// The window width is not finite and positive, or it cuts the
+    /// horizon into more than [`MAX_WINDOWS`] windows.
+    InvalidWindows {
+        /// The configured window width, seconds.
+        width_s: f64,
+        /// The source's horizon, seconds.
+        horizon_s: f64,
+        /// `floor(horizon / width) + 1` (saturating; 0 for a width that
+        /// is not a positive number).
+        windows: u64,
+        /// The largest window count allowed.
+        max: usize,
+    },
+    /// The source declares a horizon beyond [`MAX_TRACE_TIME_S`].
+    HorizonOutOfRange {
+        /// The declared horizon, seconds.
+        horizon_s: f64,
+        /// The largest horizon allowed, seconds.
+        max_s: f64,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -153,11 +176,47 @@ impl std::fmt::Display for SimError {
                  disks (d0..d{})",
                 fleet.saturating_sub(1)
             ),
+            SimError::InvalidWindows {
+                width_s,
+                horizon_s,
+                windows,
+                max,
+            } => {
+                if width_s.is_finite() && *width_s > 0.0 {
+                    write!(
+                        f,
+                        "window width {width_s} s over a {} s horizon makes {windows} \
+                         windows; at most {max} are allowed",
+                        Seconds(*horizon_s)
+                    )
+                } else {
+                    write!(f, "window width must be finite and positive, got {width_s}")
+                }
+            }
+            SimError::HorizonOutOfRange { horizon_s, max_s } => write!(
+                f,
+                "horizon {} s is beyond the largest supported trace time {max_s} s",
+                Seconds(*horizon_s)
+            ),
         }
     }
 }
 
 impl std::error::Error for SimError {}
+
+/// Seconds for an error message: plain below 10¹⁵, scientific above, so a
+/// `1e300` horizon does not print 301 digits.
+struct Seconds(f64);
+
+impl std::fmt::Display for Seconds {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.0.abs() < 1e15 {
+            write!(f, "{}", self.0)
+        } else {
+            write!(f, "{:e}", self.0)
+        }
+    }
+}
 
 impl SimError {
     /// [`SimError::FaultDiskOutOfRange`] for the first crash or fail-slow
@@ -171,6 +230,41 @@ impl SimError {
                 fleet,
             }),
         }
+    }
+}
+
+impl SimError {
+    /// [`SimError::HorizonOutOfRange`] for a horizon past
+    /// [`MAX_TRACE_TIME_S`] (or not a number).
+    pub fn check_horizon(horizon_s: f64) -> Result<(), SimError> {
+        if horizon_s <= MAX_TRACE_TIME_S {
+            Ok(())
+        } else {
+            Err(SimError::HorizonOutOfRange {
+                horizon_s,
+                max_s: MAX_TRACE_TIME_S,
+            })
+        }
+    }
+
+    /// [`SimError::InvalidWindows`] unless `width_s` is finite and
+    /// positive and cuts `horizon_s` into at most [`MAX_WINDOWS`] windows.
+    pub fn check_windows(width_s: f64, horizon_s: f64) -> Result<(), SimError> {
+        let count = if width_s.is_finite() && width_s > 0.0 {
+            (horizon_s / width_s).floor() + 1.0
+        } else {
+            f64::NAN
+        };
+        if count <= MAX_WINDOWS as f64 {
+            return Ok(());
+        }
+        Err(SimError::InvalidWindows {
+            width_s,
+            horizon_s,
+            // Saturating float-to-int: NaN (a bad width) becomes 0.
+            windows: count as u64,
+            max: MAX_WINDOWS,
+        })
     }
 }
 
@@ -283,6 +377,12 @@ pub struct Simulator<'a, S: TraceSource> {
     /// Live fault-injection state; `None` (no fault plan) keeps every hook
     /// on the bit-identical legacy path.
     fault: Option<FaultRuntime>,
+    /// The window clock, when windows are on.
+    windows: Option<WindowSeries>,
+    /// The instant from which the oldest open window may close;
+    /// `f64::INFINITY` with windows off, so the drive loop's whole
+    /// windows-off cost is one float compare per event.
+    next_close: f64,
 }
 
 impl<'a> Simulator<'a, InMemorySource<'a>> {
@@ -539,6 +639,7 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
             1,
             policy,
             None,
+            None,
         )?;
         let t_end = sim.horizon.max(sim.last_event_time);
         sim.finish_at(t_end)
@@ -560,7 +661,9 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
     /// RNG streams off global ids so fault draws are shard-invariant.
     /// `log_tx`, when given, routes this shard's completion-log stream to
     /// the merger thread instead of a terminal sink (the sharded path —
-    /// the merger owns the sink).
+    /// the merger owns the sink); `window_tx` likewise sends each closed
+    /// window's partial to the sharded driver's fold instead of folding it
+    /// here. Both are dropped once the drive is over.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_drained(
         catalog: &'a FileCatalog,
@@ -574,11 +677,17 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
         stride: usize,
         policy: Box<dyn PowerPolicy>,
         log_tx: Option<std::sync::mpsc::SyncSender<Vec<Completion>>>,
+        window_tx: Option<std::sync::mpsc::Sender<(usize, WindowPartial)>>,
     ) -> Result<Self, SimError> {
         if cfg.cache.is_some() && cfg.cache_hierarchy.is_some() {
             return Err(SimError::ConflictingCacheConfig);
         }
         SimError::check_fault_disks(&cfg.faults, global_fleet)?;
+        let horizon = source.horizon();
+        SimError::check_horizon(horizon)?;
+        if let Some(width) = cfg.windows {
+            SimError::check_windows(width, horizon)?;
+        }
         let cache = match cfg.effective_cache_hierarchy() {
             None => CacheFront::None,
             Some(h) => match h.scope {
@@ -606,7 +715,6 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
             None => CompletionSink::from_mode(&cfg.completion_log)?
                 .map(|sink| CompletionWriter::new(CompletionOut::Sink(sink))),
         };
-        let horizon = source.horizon();
         let mut sim = Simulator {
             catalog,
             source,
@@ -633,15 +741,20 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
             peak_disk_queue: 0,
             fault: (!cfg.faults.is_none())
                 .then(|| FaultRuntime::new(&cfg.faults, fleet, shard, stride, cfg.metrics)),
+            windows: None,
+            next_close: f64::INFINITY,
         };
         if let Some(width) = cfg.windows {
-            assert!(
-                width.is_finite() && width > 0.0,
-                "window width must be finite and positive, got {width}"
-            );
             for a in &mut sim.actors {
                 a.enable_windows(width, cfg.metrics);
             }
+            let out = match window_tx {
+                Some(tx) => WindowOut::Chan(tx),
+                None => WindowOut::Rows(Vec::new()),
+            };
+            let series = WindowSeries::new(width, cfg.metrics, shard, out);
+            sim.next_close = series.next_close();
+            sim.windows = Some(series);
         }
         sim.prime();
         sim.drive()?;
@@ -650,6 +763,10 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
             // sender) before this thread leaves the scope — the merger
             // joins inside the same scope and must see the channel close.
             w.finish()?;
+        }
+        if let Some(ws) = &mut sim.windows {
+            // Likewise drop the window sender so the driver's fold ends.
+            ws.detach();
         }
         Ok(sim)
     }
@@ -788,6 +905,9 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
                 let req = seq.map_or(self.arrived, |s| s as usize);
                 self.arrived += 1;
                 self.last_event_time = self.last_event_time.max(r.time);
+                if r.time >= self.next_close {
+                    self.close_windows(r.time);
+                }
                 self.on_arrival(r.time, req, r)?;
                 continue;
             }
@@ -795,6 +915,9 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
                 break;
             };
             self.last_event_time = self.last_event_time.max(t);
+            if t >= self.next_close {
+                self.close_windows(t);
+            }
             match ev {
                 Event::Arrival { req } => {
                     let r = self
@@ -811,6 +934,69 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
             }
         }
         Ok(())
+    }
+
+    /// Close every window a clock at `t` has passed (see
+    /// [`crate::windows`]): each disk's open power state is charged up to
+    /// the window's end and its slot moves into the window's partial.
+    #[cold]
+    #[inline(never)]
+    fn close_windows(&mut self, t: f64) {
+        let Some(ws) = self.windows.as_mut() else {
+            return;
+        };
+        while ws.due(t) {
+            let mut partial = ws.partial();
+            for a in &mut self.actors {
+                a.close_window(true, &mut partial);
+            }
+            ws.emit(partial);
+        }
+        self.next_close = ws.next_close();
+    }
+
+    /// Close the run's remaining windows at `t_end`: tick every window the
+    /// end instant has passed (one at a time, so no disk opens more than
+    /// a couple of slots), charge every disk's final interval, then retire
+    /// windows through [`last_window`]`(t_end)` — the same count on every
+    /// shard. Returns the engine's window output (`None` with windows off
+    /// or once already closed).
+    fn close_tail_windows(&mut self, t_end: f64) -> Option<WindowOut> {
+        self.close_windows(t_end);
+        let mut ws = self.windows.take()?;
+        self.next_close = f64::INFINITY;
+        for a in &mut self.actors {
+            a.charge_final_window(t_end);
+        }
+        let last = last_window(ws.width_s(), t_end);
+        while ws.front() <= last {
+            let mut partial = ws.partial();
+            for a in &mut self.actors {
+                a.close_window(false, &mut partial);
+            }
+            ws.emit(partial);
+        }
+        Some(ws.into_out())
+    }
+
+    /// Sharded finish, step one: close the tail windows at the common
+    /// `t_end` and hand back their partials for the driver's fold.
+    pub(crate) fn take_tail_partials(&mut self, t_end: f64) -> Vec<WindowPartial> {
+        match self.close_tail_windows(t_end) {
+            Some(WindowOut::Held(partials)) => partials,
+            None => Vec::new(),
+            Some(_) => unreachable!("sharded engines hold their tail partials"),
+        }
+    }
+
+    /// Most window slots any of this engine's disks held open at once.
+    #[cfg(test)]
+    pub(crate) fn peak_open_window_slots(&self) -> usize {
+        self.actors
+            .iter()
+            .map(DiskActor::peak_open_window_slots)
+            .max()
+            .unwrap_or(0)
     }
 
     fn on_arrival(&mut self, t: f64, req: usize, r: Request) -> Result<(), SimError> {
@@ -1280,39 +1466,30 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
             );
             stats
         });
+        // Unsharded, the rows were folded as windows closed; a sharded
+        // engine's tail was already taken by the driver.
+        let windows = match self.close_tail_windows(t_end) {
+            Some(WindowOut::Rows(rows)) => Some(WindowedReport {
+                width_s: self.cfg.windows.expect("rows imply windows"),
+                faulted: availability.is_some(),
+                rows,
+            }),
+            _ => None,
+        };
         let mut fleet = spindown_disk::energy::EnergyBreakdown::default();
         let mut per_disk = Vec::with_capacity(self.actors.len());
         let mut per_disk_served = Vec::with_capacity(self.actors.len());
-        let mut per_disk_windows = self
-            .cfg
-            .windows
-            .map(|_| Vec::with_capacity(self.actors.len()));
         let mut spin_downs = 0;
         let mut spin_ups = 0;
         let disks = self.actors.len();
-        for mut actor in self.actors {
+        for actor in self.actors {
             spin_downs += actor.spin_downs();
             spin_ups += actor.spin_ups();
             per_disk_served.push(actor.served());
-            if let Some(v) = per_disk_windows.as_mut() {
-                v.push(
-                    actor
-                        .take_windows(t_end)
-                        .expect("windows enabled on every actor"),
-                );
-            }
             let b = actor.finish(t_end)?;
             fleet.merge(&b);
             per_disk.push(b);
         }
-        // The windowed series is a pure derivation over the per-disk
-        // collectors in ascending disk order — local order here equals
-        // global order unsharded; the sharded merge re-derives from the
-        // reassembled global order with the same function.
-        let windows = per_disk_windows.map(|pd| {
-            let width = self.cfg.windows.expect("collected only when configured");
-            crate::windows::WindowedReport::derive(width, pd, availability.is_some())
-        });
         let (cache, cache_tiers, per_disk_cache_tiers) = match self.cache {
             CacheFront::None => (None, None, None),
             CacheFront::Global(h) => (Some(h.aggregate_stats()), Some(h.tier_stats()), None),
@@ -1429,6 +1606,67 @@ mod tests {
         let report = Simulator::run(&cat, &tr, &assignment(&[0]), &cfg).unwrap();
         assert_eq!(report.responses.len(), 1);
         assert!((report.response_quantile(1.0) - service_time_72mb()).abs() < 1e-9);
+    }
+
+    /// The golden trace fixture (three disks, two files each), as the
+    /// repository's golden tests replay it.
+    fn golden() -> (FileCatalog, Trace, Assignment) {
+        let sizes = vec![72 * MB, 8 * MB, 300 * MB, 2 * MB, 100 * MB, 50 * MB];
+        let cat = FileCatalog::from_parts(sizes, vec![1.0 / 6.0; 6]);
+        let csv = include_str!("../../../tests/fixtures/golden_trace.csv");
+        let trace = Trace::read_csv(csv.as_bytes(), Some(600.0)).unwrap();
+        (cat, trace, assignment(&[0, 0, 1, 1, 2, 2]))
+    }
+
+    /// Drain a run and report the most window slots any disk held open.
+    fn peak_slots<S: TraceSource>(
+        cat: &FileCatalog,
+        source: S,
+        layout: &Assignment,
+        cfg: &SimConfig,
+    ) -> usize {
+        let fleet = layout.disk_slots();
+        let sim = Simulator::run_drained(
+            cat,
+            source,
+            None,
+            layout.item_to_disk(cat.len()),
+            cfg,
+            fleet,
+            fleet,
+            0,
+            1,
+            Box::new(TimeoutPolicy::from_config(cfg.threshold, &cfg.disk)),
+            None,
+            None,
+        )
+        .unwrap();
+        let peak = sim.peak_open_window_slots();
+        let t_end = sim.source_horizon().max(sim.last_event_time());
+        let report = sim.finish_at(t_end).unwrap();
+        assert!(report.windows.is_some_and(|w| !w.rows.is_empty()));
+        peak
+    }
+
+    #[test]
+    fn windowed_actors_hold_at_most_two_open_slots() {
+        let (cat, trace, layout) = golden();
+        let cfg = SimConfig::paper_default()
+            .with_threshold(ThresholdPolicy::Fixed(20.0))
+            .with_metrics(MetricsMode::Histogram)
+            .with_windows(60.0);
+        let peak = peak_slots(&cat, InMemorySource::new(&trace), &layout, &cfg);
+        assert!((1..=2).contains(&peak), "golden trace: {peak} open slots");
+
+        let cat = catalog(64, 8 * MB);
+        let layout = assignment(&(0..64).map(|f| f % 16).collect::<Vec<_>>());
+        let curve = spindown_workload::RateCurve::diurnal(2.0, 1.5, 200.0);
+        let source = spindown_workload::SyntheticSource::non_stationary(&cat, curve, 600.0, 0xD1A);
+        let cfg = SimConfig::paper_default()
+            .with_metrics(MetricsMode::Histogram)
+            .with_windows(30.0);
+        let peak = peak_slots(&cat, source, &layout, &cfg);
+        assert!((1..=2).contains(&peak), "diurnal: {peak} open slots");
     }
 
     #[test]

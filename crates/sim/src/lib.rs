@@ -40,8 +40,10 @@
 //! - [`metrics`] — response-time statistics and the simulation report.
 //! - [`windows`] — tumbling-window time-series metrics behind
 //!   `SimConfig::with_windows`: per-disk [`windows::DiskWindows`]
-//!   collectors merged in ascending global disk order into a
-//!   [`windows::WindowedReport`], bit-identical at any shard count.
+//!   collectors close each window as the clock passes it, and
+//!   [`windows::fold_row`] folds the closed window in ascending global
+//!   disk order into a [`windows::WindowedReport`] row — O(disks)
+//!   resident, bit-identical at any shard count.
 //! - `fault` (internal) — the seeded deterministic fault injector behind
 //!   `SimConfig::with_faults`: fail-stop crashes with timed repair,
 //!   transient I/O retries with capped exponential backoff, wake

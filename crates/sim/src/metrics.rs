@@ -229,16 +229,52 @@ impl StreamingHistogram {
         ok as f64 / self.count as f64
     }
 
-    /// Merge another histogram into this one (bucket-wise; all histograms
-    /// share one static bucket layout).
+    /// Exact sum of the recorded samples.
+    pub(crate) fn sum(&self) -> f64 {
+        self.sum
+    }
+
+    /// Replace the running sum. The window fold merges the
+    /// order-insensitive parts (counts, min, max) in any order, then
+    /// re-adds the per-disk sums in ascending global disk order and
+    /// installs the result here.
+    pub(crate) fn set_sum(&mut self, sum: f64) {
+        self.sum = sum;
+    }
+
+    /// The bucket range holding every sample, `None` when empty: the
+    /// buckets of the exactly-tracked min and max (the bucket index is
+    /// monotone in the value).
+    fn occupied(&self) -> Option<std::ops::RangeInclusive<usize>> {
+        (self.count > 0).then(|| Self::bucket_index(self.min)..=Self::bucket_index(self.max))
+    }
+
+    /// Empty the histogram, keeping the zeroed bucket array for reuse.
+    pub(crate) fn clear(&mut self) {
+        if let Some(range) = self.occupied() {
+            self.counts[range].fill(0);
+        }
+        self.count = 0;
+        self.sum = 0.0;
+        self.min = 0.0;
+        self.max = 0.0;
+    }
+
+    /// Merge another histogram into this one (bucket-wise over the other's
+    /// occupied range; all histograms share one static bucket layout).
     pub fn merge(&mut self, other: &StreamingHistogram) {
-        if other.count == 0 {
+        let Some(range) = other.occupied() else {
             return;
+        };
+        if self.counts.len() <= *range.end() {
+            self.counts.resize(range.end() + 1, 0);
         }
-        if self.counts.len() < other.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (a, &b) in self.counts.iter_mut().zip(&other.counts) {
+        // Only the occupied range can hold counts: a sparse window
+        // histogram merges in O(its spread), not O(its top bucket).
+        for (a, &b) in self.counts[range.clone()]
+            .iter_mut()
+            .zip(&other.counts[range])
+        {
             *a += b;
         }
         if self.count == 0 {
@@ -447,6 +483,53 @@ impl ResponseStats {
         }
     }
 
+    /// Exact-mode collector over `samples`, kept in the given order.
+    pub(crate) fn from_samples(samples: Vec<f64>) -> Self {
+        ResponseStats {
+            agg: Agg::Exact {
+                samples,
+                sorted: false,
+            },
+        }
+    }
+
+    /// Histogram-mode collector over `h`.
+    pub(crate) fn from_histogram(h: StreamingHistogram) -> Self {
+        ResponseStats { agg: Agg::Hist(h) }
+    }
+
+    /// Empty the collector, keeping its allocation for reuse.
+    pub(crate) fn clear(&mut self) {
+        match &mut self.agg {
+            Agg::Exact { samples, sorted } => {
+                samples.clear();
+                *sorted = false;
+            }
+            Agg::Hist(h) => h.clear(),
+        }
+    }
+
+    /// The histogram behind a histogram-mode collector (`None` in exact
+    /// mode).
+    pub(crate) fn histogram_mut(&mut self) -> Option<&mut StreamingHistogram> {
+        match &mut self.agg {
+            Agg::Hist(h) => Some(h),
+            Agg::Exact { .. } => None,
+        }
+    }
+
+    /// Move the samples out of an exact-mode collector in recording
+    /// order, leaving it empty (empty in histogram mode).
+    pub(crate) fn take_samples(&mut self) -> Vec<f64> {
+        match &mut self.agg {
+            Agg::Exact { samples, sorted } => {
+                *sorted = false;
+                std::mem::take(samples)
+            }
+            Agg::Hist(_) => Vec::new(),
+        }
+    }
+
     /// Merge another collector into this one. Histogram⇐histogram merges
     /// bucket-wise; exact⇐exact concatenates; histogram⇐exact re-records
     /// the samples (lossy, by design). Merging a histogram *into* an exact
@@ -570,9 +653,9 @@ pub struct Completion {
 ///   (counters summed in tier-then-ascending-disk order),
 ///   `per_disk_served`, `peak_disk_queue` (per-disk trajectories are
 ///   shard-invariant, so the cross-shard max is the unsharded value),
-///   `availability`, `windows` (per-disk collectors reassembled in
-///   ascending global-disk order, then re-derived window by window with
-///   the same fold the unsharded finish uses).
+///   `availability`, `windows` (each closed window's per-shard partials
+///   folded in ascending global-disk order, the fold the unsharded
+///   engine applies to its own partial).
 /// - **Per-shard observations (no single-run equivalent):**
 ///   `per_shard_event_peaks` — each shard's own heap peak. The sum is a
 ///   deterministic upper bound on the unsharded peak; the max is the

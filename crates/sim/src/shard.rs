@@ -43,7 +43,12 @@
 //!   integers, so both folds equal the unsharded counters exactly;
 //! - the completion log is emitted in canonical `(time, req)` order by
 //!   both the unsharded writer and the sharded merger — byte-identical
-//!   at every shard count.
+//!   at every shard count;
+//! - windowed rows: each shard closes windows as its own clock passes
+//!   them and sends each closed window's partial to the calling thread,
+//!   which folds window `w` with [`crate::windows::fold_row`] once every
+//!   shard has sent it — the fold the unsharded engine applies to its
+//!   single partial, with the per-disk values in the same global order.
 //!
 //! Merged counters: spin-downs/ups and served counts are exact sums;
 //! `peak_disk_queue` is the cross-shard **max** (each disk's queue
@@ -53,7 +58,7 @@
 //! docs — and the `SimReport` doc section cataloguing exact-vs-bound
 //! merged fields — for the max/sum aggregation trade-off).
 
-use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::mpsc::{channel, sync_channel, Sender, SyncSender};
 
 use spindown_disk::energy::EnergyBreakdown;
 use spindown_workload::shard::{demux, ShardedTraceView};
@@ -65,7 +70,7 @@ use crate::config::SimConfig;
 use crate::engine::{SimError, Simulator};
 use crate::metrics::{AvailabilityStats, Completion, ResponseStats, SimReport};
 use crate::policy::{DescentStep, PowerPolicy};
-use crate::windows::{DiskWindows, WindowedReport};
+use crate::windows::{RowFolder, WindowPartial, WindowedReport};
 
 /// Bounded depth of each shard→merger completion-log channel, in batches
 /// of [`crate::complog::LOG_CHUNK`] — caps the merged log's resident
@@ -218,7 +223,8 @@ where
     P: FnOnce(&[usize]) + Send,
 {
     /// One shard's inputs: (shard index, source, wrapped policy, local
-    /// file map, local fleet size, completion-log channel).
+    /// file map, local fleet size, completion-log channel, window-partial
+    /// channel).
     type ShardJob<Src> = (
         usize,
         Src,
@@ -226,6 +232,7 @@ where
         Vec<usize>,
         usize,
         Option<SyncSender<Vec<Completion>>>,
+        Option<Sender<(usize, WindowPartial)>>,
     );
     /// What the merger thread hands back: the terminal sink plus the
     /// merge heads' peak buffered count (absent when logging is off).
@@ -246,6 +253,13 @@ where
     } else {
         log_txs.resize_with(shards, || None);
     }
+    // Windows: every shard sends each closed window's partial over one
+    // unbounded channel, and this thread folds window `w` once all shards
+    // have sent it. Shards never block on the send, so the channel cannot
+    // deadlock against the bounded demux; the demux's buffer bounds how
+    // far shards drift apart, and with it the partials pending here.
+    let mut folder = cfg.windows.map(|width| RowFolder::new(width, shards));
+    let (win_tx, win_rx) = channel::<(usize, WindowPartial)>();
     let jobs: Vec<ShardJob<Src>> = sources
         .into_iter()
         .zip(log_txs)
@@ -263,9 +277,13 @@ where
                 plan.local_map(file_to_disk, s),
                 plan.shard_fleet(s),
                 log_tx,
+                folder.is_some().then(|| win_tx.clone()),
             )
         })
         .collect();
+    // Only the shards hold senders, so the fold below ends when the last
+    // shard finishes draining (or fails).
+    drop(win_tx);
     let (results, merged_log): (Vec<Result<Simulator<'a, Src>, SimError>>, MergedLog) =
         std::thread::scope(|scope| {
             if let Some(p) = producer {
@@ -280,24 +298,32 @@ where
                 .map(|sink| scope.spawn(move || merge_streams(log_rxs, sink)));
             let handles: Vec<_> = jobs
                 .into_iter()
-                .map(|(s, source, policy, local_map, shard_fleet, log_tx)| {
-                    scope.spawn(move || {
-                        Simulator::run_drained(
-                            catalog,
-                            source,
-                            None,
-                            local_map,
-                            cfg,
-                            shard_fleet,
-                            fleet,
-                            s,
-                            shards,
-                            policy,
-                            log_tx,
-                        )
-                    })
-                })
+                .map(
+                    |(s, source, policy, local_map, shard_fleet, log_tx, window_tx)| {
+                        scope.spawn(move || {
+                            Simulator::run_drained(
+                                catalog,
+                                source,
+                                None,
+                                local_map,
+                                cfg,
+                                shard_fleet,
+                                fleet,
+                                s,
+                                shards,
+                                policy,
+                                log_tx,
+                                window_tx,
+                            )
+                        })
+                    },
+                )
                 .collect();
+            if let Some(folder) = folder.as_mut() {
+                for (s, partial) in win_rx.iter() {
+                    folder.push(s, partial);
+                }
+            }
             let results = handles
                 .into_iter()
                 .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
@@ -316,6 +342,18 @@ where
         acc.max(s.last_event_time())
     });
     let shard_log_peak: usize = sims.iter().map(|s| s.completion_peak()).sum();
+    let windows = folder.map(|mut folder| {
+        for (s, sim) in sims.iter_mut().enumerate() {
+            for partial in sim.take_tail_partials(t_end) {
+                folder.push(s, partial);
+            }
+        }
+        WindowedReport {
+            width_s: cfg.windows.expect("a folder implies windows"),
+            faulted: !cfg.faults.is_none(),
+            rows: folder.finish(),
+        }
+    });
     let mut reports = Vec::with_capacity(shards);
     for sim in sims {
         reports.push(sim.finish_at(t_end)?);
@@ -328,7 +366,7 @@ where
         }
         Some(Err(e)) => return Err(e.into()),
     };
-    Ok(merge_reports(cfg, fleet, shards, reports, log))
+    Ok(merge_reports(cfg, fleet, shards, reports, log, windows))
 }
 
 /// Reassemble per-shard reports into the fleet report, in ascending global
@@ -340,13 +378,13 @@ fn merge_reports(
     shards: usize,
     reports: Vec<SimReport>,
     log: Option<(Option<Vec<Completion>>, CompletionLogSummary)>,
+    windows: Option<WindowedReport>,
 ) -> SimReport {
     struct Parts {
         energy: std::vec::IntoIter<EnergyBreakdown>,
         responses: std::vec::IntoIter<ResponseStats>,
         served: std::vec::IntoIter<u64>,
         cache_rows: Option<std::vec::IntoIter<Vec<CacheStats>>>,
-        windows: Option<std::vec::IntoIter<DiskWindows>>,
     }
     let sim_time_s = reports[0].sim_time_s;
     let mut spin_downs = 0u64;
@@ -410,7 +448,6 @@ fn merge_reports(
             responses: r.per_disk_responses.into_iter(),
             served: r.per_disk_served.into_iter(),
             cache_rows: r.per_disk_cache_tiers.map(Vec::into_iter),
-            windows: r.windows.map(|w| w.per_disk.into_iter()),
         });
     }
     if let Some(a) = availability.as_mut() {
@@ -431,8 +468,6 @@ fn merge_reports(
     let mut per_disk_cache_tiers: Option<Vec<Vec<CacheStats>>> =
         per_disk_scope.then(|| Vec::with_capacity(fleet));
     let mut responses = ResponseStats::with_mode(cfg.metrics);
-    let mut per_disk_windows: Option<Vec<DiskWindows>> =
-        cfg.windows.map(|_| Vec::with_capacity(fleet));
     // Local actor indices ascend with the global disk id within a shard, so
     // popping each shard's vectors front-to-front in global order lands
     // every per-disk entry at its global index.
@@ -441,15 +476,6 @@ fn merge_reports(
         let e = p.energy.next().expect("shard simulated its disk");
         let r = p.responses.next().expect("shard simulated its disk");
         let s = p.served.next().expect("shard simulated its disk");
-        if let Some(pd) = per_disk_windows.as_mut() {
-            pd.push(
-                p.windows
-                    .as_mut()
-                    .expect("windows collected on every shard")
-                    .next()
-                    .expect("shard collected its disk's windows"),
-            );
-        }
         fleet_energy.merge(&e);
         responses.merge(&r);
         per_disk_energy.push(e);
@@ -485,13 +511,6 @@ fn merge_reports(
         None => (None, None),
         Some((completions, summary)) => (completions, Some(summary)),
     };
-    // The windowed series is re-derived from the reassembled per-disk
-    // collectors with the same ascending-disk-order fold the unsharded
-    // finish uses, so the rows are bit-identical at every shard count.
-    let windows = per_disk_windows.map(|pd| {
-        let width = cfg.windows.expect("collected only when configured");
-        WindowedReport::derive(width, pd, availability.is_some())
-    });
     SimReport {
         sim_time_s,
         energy: fleet_energy,
