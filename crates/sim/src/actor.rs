@@ -109,10 +109,12 @@ impl DiskActor {
     }
 
     /// Charge the window collector for the interval spent in the current
-    /// power state, `[state_entered_at, now)`. Called immediately before
-    /// every state-machine mutation so the windowed energy integral
-    /// covers the timeline exactly once, split across window boundaries.
-    fn charge_windows(&mut self, now: f64) {
+    /// power state, `[state_entered_at, now)`, minus what window closes
+    /// already charged. Called immediately before every state-machine
+    /// mutation, and once at the run's end before the last windows close,
+    /// so the windowed energy integral covers the timeline exactly once,
+    /// split across window boundaries.
+    pub(crate) fn charge_windows(&mut self, now: f64) {
         if let Some(w) = self.windows.as_mut() {
             let from = self.machine.state_entered_at();
             if now > from {
@@ -166,8 +168,8 @@ impl DiskActor {
     /// Retire this disk's oldest open window into `partial`. With
     /// `charge`, the current power state's energy up to the window's end
     /// is charged first (the boundary tick); without, the final interval
-    /// was already charged by [`DiskActor::charge_final_window`]. No-op
-    /// with windows off.
+    /// was already charged by [`DiskActor::charge_windows`]. No-op with
+    /// windows off.
     pub fn close_window(&mut self, charge: bool, partial: &mut WindowPartial) {
         if let Some(w) = self.windows.as_mut() {
             let open = charge.then(|| {
@@ -178,13 +180,6 @@ impl DiskActor {
             });
             w.close_into(open, partial);
         }
-    }
-
-    /// Charge the window collector for the tail interval in the final
-    /// power state, up to `t_end`. Call once, before the run's last
-    /// windows close.
-    pub fn charge_final_window(&mut self, t_end: f64) {
-        self.charge_windows(t_end);
     }
 
     /// Most window slots this disk has held open at once (0 with windows
@@ -574,7 +569,7 @@ mod tests {
         at(&mut a, &mut rows, u);
         a.complete_spin_up(u).unwrap();
         at(&mut a, &mut rows, 400.0);
-        a.charge_final_window(400.0);
+        a.charge_windows(400.0);
         while rows.len() <= last_window(width, 400.0) {
             close_row(&mut a, false, width, &mut rows);
         }

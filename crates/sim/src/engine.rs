@@ -231,9 +231,7 @@ impl SimError {
             }),
         }
     }
-}
 
-impl SimError {
     /// [`SimError::HorizonOutOfRange`] for a horizon past
     /// [`MAX_TRACE_TIME_S`] (or not a number).
     pub fn check_horizon(horizon_s: f64) -> Result<(), SimError> {
@@ -966,7 +964,7 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
         let mut ws = self.windows.take()?;
         self.next_close = f64::INFINITY;
         for a in &mut self.actors {
-            a.charge_final_window(t_end);
+            a.charge_windows(t_end);
         }
         let last = last_window(ws.width_s(), t_end);
         while ws.front() <= last {

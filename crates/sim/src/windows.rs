@@ -320,11 +320,6 @@ impl WindowPartial {
         }
     }
 
-    /// The window this partial belongs to.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
     fn add_disk(&mut self, slot: &mut Slot) {
         match &mut self.responses {
             DiskResponses::Hist { merged, sums } => {
@@ -681,6 +676,46 @@ mod tests {
         assert_eq!(window_of(0.1, t), 42);
         assert!(!is_closed_by(0.1, 42, t));
         assert!(is_closed_by(0.1, 42, 4.31));
+        // 1.7 is window 17 by division, yet window 16 ends just after it.
+        assert_eq!(window_of(0.1, 1.7), 17);
+        assert!(!is_closed_by(0.1, 16, 1.7));
+    }
+
+    /// A disk whose power changes at `changes` (state `i` draws `i + 1`
+    /// W), replayed to `t_end` in `width`-second windows. With `tick`,
+    /// windows close as the clock passes them, before each change; without,
+    /// they all close at the end.
+    fn replay_states(width: f64, changes: &[f64], t_end: f64, tick: bool) -> Vec<WindowRow> {
+        let mode = MetricsMode::Exact;
+        let mut d = DiskWindows::new(width, mode);
+        let mut rows = Vec::new();
+        let mut from = 0.0;
+        for (i, &t) in changes.iter().chain([&t_end]).enumerate() {
+            while tick && is_closed_by(width, rows.len(), t) {
+                let mut p = WindowPartial::new(rows.len(), mode);
+                d.close_into(Some((from, i as f64 + 1.0)), &mut p);
+                rows.push(fold_row(width, vec![p]));
+            }
+            d.add_energy(from, t, i as f64 + 1.0);
+            d.record_completion(t, 0.5);
+            from = t;
+        }
+        while rows.len() <= last_window(width, t_end) {
+            rows.push(close_and_fold(std::slice::from_mut(&mut d), mode));
+        }
+        rows
+    }
+
+    #[test]
+    fn closes_at_sliver_instants_change_no_bits() {
+        // 1.7 is window 17 by division but short of window 16's product
+        // end; 4.3 is window 42 by division but window 43's product
+        // start. Closing as the clock passes must equal closing at the end.
+        let changes = [0.55, 1.7, 1.75, 4.3, 4.35, 5.0];
+        assert_eq!(
+            replay_states(0.1, &changes, 6.0, true),
+            replay_states(0.1, &changes, 6.0, false)
+        );
     }
 
     #[test]
