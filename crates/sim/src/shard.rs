@@ -256,8 +256,9 @@ where
     // Windows: every shard sends each closed window's partial over one
     // unbounded channel, and this thread folds window `w` once all shards
     // have sent it. Shards never block on the send, so the channel cannot
-    // deadlock against the bounded demux; the demux's buffer bounds how
-    // far shards drift apart, and with it the partials pending here.
+    // deadlock against the bounded demux. Partials wait here only while
+    // some shard's clock lags; with a streamed source that feeds every
+    // shard, the demux's bounded buffer bounds that lag.
     let mut folder = cfg.windows.map(|width| RowFolder::new(width, shards));
     let (win_tx, win_rx) = channel::<(usize, WindowPartial)>();
     let jobs: Vec<ShardJob<Src>> = sources
