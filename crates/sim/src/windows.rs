@@ -271,7 +271,7 @@ impl DiskWindows {
 
 /// The per-disk response parts whose merge order matters, one entry per
 /// disk in local order.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum DiskResponses {
     /// Histogram mode: the counts, min and max merged across the shard's
     /// disks (their sum is recomputed by the fold) plus each disk's sum.
@@ -285,7 +285,7 @@ enum DiskResponses {
 
 /// One engine's (one shard's) share of a closed window: what
 /// [`fold_row`] needs from the engine's disks, in local disk order.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct WindowPartial {
     window: usize,
     responses: DiskResponses,
