@@ -660,7 +660,7 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
     /// `log_tx`, when given, routes this shard's completion-log stream to
     /// the merger thread instead of a terminal sink (the sharded path —
     /// the merger owns the sink); `window_tx` likewise sends each closed
-    /// window's partial to the sharded driver's fold instead of folding it
+    /// window's partial to the sharded run's fold instead of folding it
     /// here. Both are dropped once the drive is over.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_drained(
@@ -763,7 +763,7 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
             w.finish()?;
         }
         if let Some(ws) = &mut sim.windows {
-            // Likewise drop the window sender so the driver's fold ends.
+            // Likewise drop the window sender so the sharded fold ends.
             ws.detach();
         }
         Ok(sim)
@@ -978,7 +978,7 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
     }
 
     /// Sharded finish, step one: close the tail windows at the common
-    /// `t_end` and hand back their partials for the driver's fold.
+    /// `t_end` and hand back their partials for the sharded fold.
     pub(crate) fn take_tail_partials(&mut self, t_end: f64) -> Vec<WindowPartial> {
         match self.close_tail_windows(t_end) {
             Some(WindowOut::Held(partials)) => partials,
@@ -1465,7 +1465,7 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
             stats
         });
         // Unsharded, the rows were folded as windows closed; a sharded
-        // engine's tail was already taken by the driver.
+        // engine's tail was already taken by the sharded merge.
         let windows = match self.close_tail_windows(t_end) {
             Some(WindowOut::Rows(rows)) => Some(WindowedReport {
                 width_s: self.cfg.windows.expect("rows imply windows"),

@@ -23,7 +23,7 @@
 //! `i·S + s`) and adds them up. Those are the same float additions, in
 //! the same order, at every shard count, so the rows are bit-identical
 //! whether one engine folds its own partial as it closes (unsharded) or
-//! the sharded driver folds window `w` once every shard has sent its
+//! the sharded run folds window `w` once every shard has sent its
 //! partial.
 //!
 //! ## Window arithmetic
@@ -422,7 +422,7 @@ pub(crate) enum WindowOut {
     Rows(Vec<WindowRow>),
     /// Sharded, while draining: send each partial to the folding thread.
     Chan(Sender<(usize, WindowPartial)>),
-    /// Sharded, after draining: hold the tail partials for the driver.
+    /// Sharded, after draining: hold the tail partials for the merge.
     Held(Vec<WindowPartial>),
 }
 
@@ -488,7 +488,7 @@ impl WindowSeries {
     }
 
     /// Stop sending (the drive is over): later closes are held for the
-    /// driver, and dropping the sender lets the folding thread finish.
+    /// merge, and dropping the sender lets the folding thread finish.
     pub(crate) fn detach(&mut self) {
         if matches!(self.out, WindowOut::Chan(_)) {
             self.out = WindowOut::Held(Vec::new());
@@ -502,7 +502,7 @@ impl WindowSeries {
     }
 }
 
-/// The sharded driver's fold: collects each shard's partials in window
+/// The sharded run's fold: collects each shard's partials in window
 /// order and folds window `w` as soon as every shard has sent it.
 #[derive(Debug)]
 pub(crate) struct RowFolder {
