@@ -19,7 +19,7 @@ use spindown_sim::config::{SimConfig, ThresholdPolicy};
 use spindown_sim::engine::Simulator;
 use spindown_sim::hierarchy::CacheChoice;
 use spindown_sim::metrics::MetricsMode;
-use spindown_workload::{FileCatalog, FileId, Trace};
+use spindown_workload::{FileCatalog, FileId, InMemorySource, Trace};
 use std::hint::black_box;
 
 const FILES: usize = 512;
@@ -61,13 +61,13 @@ fn bench(c: &mut Criterion) {
             .with_cache_hierarchy(cache.hierarchy());
         group.bench_with_input(BenchmarkId::new("replay", id), &cfg, |b, cfg| {
             b.iter(|| {
-                let report = Simulator::run_with_policy(
+                let report = Simulator::replay(
                     &catalog,
-                    &trace,
+                    InMemorySource::new(&trace),
                     &assignment,
                     black_box(cfg),
                     DISKS,
-                    PolicyChoice::break_even().build(&cfg.disk),
+                    |_| PolicyChoice::break_even().build(&cfg.disk),
                 )
                 .unwrap();
                 black_box(report.energy.total_joules())
@@ -154,13 +154,13 @@ fn bench(c: &mut Criterion) {
         let cfg = SimConfig::paper_default()
             .with_metrics(MetricsMode::Histogram)
             .with_cache_hierarchy(cache.hierarchy());
-        let report = Simulator::run_with_policy(
+        let report = Simulator::replay(
             &catalog,
-            &trace,
+            InMemorySource::new(&trace),
             &assignment,
             &cfg,
             DISKS,
-            PolicyChoice::break_even().build(&cfg.disk),
+            |_| PolicyChoice::break_even().build(&cfg.disk),
         )
         .unwrap();
         let stats = report.cache.unwrap_or_default();

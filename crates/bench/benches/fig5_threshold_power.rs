@@ -7,6 +7,7 @@ use spindown_packing::Allocator;
 use spindown_sim::config::{SimConfig, ThresholdPolicy};
 use spindown_sim::engine::Simulator;
 use spindown_workload::nersc::{self, NerscConfig};
+use spindown_workload::InMemorySource;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -26,14 +27,19 @@ fn bench(c: &mut Criterion) {
     let sim = SimConfig::paper_default().with_threshold(ThresholdPolicy::Fixed(1_800.0));
     let never = SimConfig::paper_default().with_threshold(ThresholdPolicy::Never);
     let saving = |assignment| {
-        let e =
-            Simulator::run_with_fleet(&workload.catalog, &workload.trace, assignment, &sim, fleet)
-                .unwrap()
-                .energy
-                .total_joules();
-        let e0 = Simulator::run_with_fleet(
+        let e = Simulator::run_from_source(
             &workload.catalog,
-            &workload.trace,
+            InMemorySource::new(&workload.trace),
+            assignment,
+            &sim,
+            fleet,
+        )
+        .unwrap()
+        .energy
+        .total_joules();
+        let e0 = Simulator::run_from_source(
+            &workload.catalog,
+            InMemorySource::new(&workload.trace),
             assignment,
             &never,
             fleet,
@@ -54,9 +60,9 @@ fn bench(c: &mut Criterion) {
     group.bench_function("nersc_pack_threshold_0_5h", |b| {
         b.iter(|| {
             black_box(
-                Simulator::run_with_fleet(
+                Simulator::run_from_source(
                     &workload.catalog,
-                    &workload.trace,
+                    InMemorySource::new(&workload.trace),
                     &pack.assignment,
                     &sim,
                     fleet,

@@ -7,6 +7,7 @@ use spindown_core::{Planner, PlannerConfig};
 use spindown_sim::config::{SimConfig, ThresholdPolicy};
 use spindown_sim::engine::Simulator;
 use spindown_workload::nersc::{self, NerscConfig};
+use spindown_workload::InMemorySource;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -19,9 +20,9 @@ fn bench(c: &mut Criterion) {
 
     for hours in [0.1, 2.0] {
         let sim = SimConfig::paper_default().with_threshold(ThresholdPolicy::Fixed(hours * 3600.0));
-        let report = Simulator::run_with_fleet(
+        let report = Simulator::run_from_source(
             &workload.catalog,
-            &workload.trace,
+            InMemorySource::new(&workload.trace),
             &pack.assignment,
             &sim,
             fleet,
@@ -43,9 +44,9 @@ fn bench(c: &mut Criterion) {
             |b, sim| {
                 b.iter(|| {
                     black_box(
-                        Simulator::run_with_fleet(
+                        Simulator::run_from_source(
                             &workload.catalog,
-                            &workload.trace,
+                            InMemorySource::new(&workload.trace),
                             &pack.assignment,
                             sim,
                             fleet,

@@ -14,7 +14,7 @@ use spindown_sim::config::SimConfig;
 use spindown_sim::engine::Simulator;
 use spindown_sim::metrics::MetricsMode;
 use spindown_workload::arrivals::BatchConfig;
-use spindown_workload::{FileCatalog, Trace};
+use spindown_workload::{FileCatalog, InMemorySource, Trace};
 use std::hint::black_box;
 
 const FILES: usize = 256;
@@ -57,13 +57,13 @@ fn bench(c: &mut Criterion) {
                 &cfg,
                 |b, cfg| {
                     b.iter(|| {
-                        let report = Simulator::run_with_policy(
+                        let report = Simulator::replay(
                             &catalog,
-                            &bursty,
+                            InMemorySource::new(&bursty),
                             &assignment,
                             black_box(cfg),
                             DISKS,
-                            policy.build(&cfg.disk),
+                            |_| policy.build(&cfg.disk),
                         )
                         .unwrap();
                         black_box(report.spin_downs)
@@ -81,13 +81,13 @@ fn bench(c: &mut Criterion) {
         for policy in [PolicyChoice::break_even(), PolicyChoice::lower_envelope()] {
             let mut cfg = SimConfig::paper_default().with_metrics(MetricsMode::Histogram);
             ladder.apply(&mut cfg.disk);
-            let report = Simulator::run_with_policy(
+            let report = Simulator::replay(
                 &catalog,
-                &bursty,
+                InMemorySource::new(&bursty),
                 &assignment,
                 &cfg,
                 DISKS,
-                policy.build(&cfg.disk),
+                |_| policy.build(&cfg.disk),
             )
             .unwrap();
             println!(

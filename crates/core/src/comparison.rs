@@ -4,7 +4,7 @@
 use serde::{Deserialize, Serialize};
 use spindown_sim::engine::{SimError, Simulator};
 use spindown_sim::metrics::SimReport;
-use spindown_workload::{FileCatalog, Trace};
+use spindown_workload::{FileCatalog, InMemorySource, Trace};
 
 use crate::planner::{Plan, Planner};
 
@@ -63,10 +63,20 @@ pub fn compare(
 ) -> Result<Comparison, SimError> {
     let fleet = fleet.unwrap_or_else(|| candidate.disk_slots().max(reference.disk_slots()));
     let sim = &planner.config().sim;
-    let candidate_report =
-        Simulator::run_with_fleet(catalog, trace, &candidate.assignment, sim, fleet)?;
-    let reference_report =
-        Simulator::run_with_fleet(catalog, trace, &reference.assignment, sim, fleet)?;
+    let candidate_report = Simulator::run_from_source(
+        catalog,
+        InMemorySource::new(trace),
+        &candidate.assignment,
+        sim,
+        fleet,
+    )?;
+    let reference_report = Simulator::run_from_source(
+        catalog,
+        InMemorySource::new(trace),
+        &reference.assignment,
+        sim,
+        fleet,
+    )?;
     Ok(Comparison {
         candidate: candidate_report,
         reference: reference_report,

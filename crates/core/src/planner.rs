@@ -8,7 +8,7 @@ use spindown_sim::config::SimConfig;
 use spindown_sim::engine::{SimError, Simulator};
 use spindown_sim::metrics::SimReport;
 use spindown_sim::policy::PowerPolicy;
-use spindown_workload::{FileCatalog, Trace};
+use spindown_workload::{FileCatalog, InMemorySource, Trace};
 
 use crate::policy::PolicyChoice;
 
@@ -241,9 +241,9 @@ impl Planner {
         trace: &Trace,
         fleet: usize,
     ) -> Result<SimReport, SimError> {
-        Simulator::run_sharded(
+        Simulator::replay(
             catalog,
-            trace,
+            InMemorySource::new(trace),
             &plan.assignment,
             &self.cfg.sim,
             fleet,

@@ -51,7 +51,7 @@ impl PowerState {
     /// The states of the canonical two-state ladder, in the order the
     /// original fixed enum declared them. Kept for two-state table-driven
     /// tests; ladder-aware code should iterate
-    /// [`states_of`](crate::power::states_of) instead, which covers every
+    /// [`states_of`] instead, which covers every
     /// level of an N-level ladder.
     pub const ALL: [PowerState; 6] = [
         PowerState::Active,

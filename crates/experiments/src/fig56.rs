@@ -11,7 +11,7 @@
 
 use spindown_core::{Planner, PlannerConfig, PolicyChoice};
 use spindown_packing::Allocator;
-use spindown_sim::config::CacheConfig;
+use spindown_sim::hierarchy::{CacheChoice, CachePolicyChoice};
 use spindown_workload::nersc::{self, NerscConfig};
 
 use crate::sweep::{policy_cache_grid, run_sweep};
@@ -148,7 +148,15 @@ pub fn study(scale: Scale) -> NerscStudy {
                 AllocKind::Pack => &pack.assignment,
                 AllocKind::Pack4 => &pack4.assignment,
             };
-            let cache = spec.cached.then(CacheConfig::paper_16gb);
+            // §5.1's 16 GB LRU front, or no cache.
+            let cache = if spec.cached {
+                CacheChoice::Flat {
+                    gb: 16,
+                    policy: CachePolicyChoice::Lru,
+                }
+            } else {
+                CacheChoice::None
+            };
             let grid = policy_cache_grid(&policies, &[cache]);
             let reports = run_sweep(
                 &workload.catalog,

@@ -12,8 +12,8 @@
 //!   [`cache_policy_grid`] — the (policy × discipline × ladder × cache)
 //!   grid runner: each grid point names a [`PolicyChoice`] (fixed
 //!   thresholds are policies too), a queue [`DisciplineChoice`], a
-//!   power-state [`LadderChoice`] and an optional cache — the legacy flat
-//!   LRU or a multi-tier [`CacheChoice`] hierarchy — and is simulated
+//!   power-state [`LadderChoice`] and a [`CacheChoice`] hierarchy (the
+//!   paper's flat LRU is `lru:16`) — and is simulated
 //!   against a shared workload/assignment on its own thread.
 //!   Determinism holds because every simulation is seeded by its grid
 //!   point, never by thread scheduling. Grid points aggregate responses in
@@ -31,11 +31,11 @@ use spindown_core::{
     DisciplineChoice, JointError, JointOutcome, JointPlanner, LadderChoice, PolicyChoice,
 };
 use spindown_packing::Assignment;
-use spindown_sim::config::{CacheConfig, SimConfig};
+use spindown_sim::config::SimConfig;
 use spindown_sim::engine::Simulator;
 use spindown_sim::hierarchy::CacheChoice;
 use spindown_sim::metrics::{MetricsMode, SimReport};
-use spindown_workload::{FileCatalog, Trace};
+use spindown_workload::{FileCatalog, InMemorySource, Trace};
 
 /// Order-preserving parallel map over `items`, using up to
 /// `available_parallelism` scoped threads. Results arrive in input order
@@ -96,13 +96,9 @@ pub struct SweepSpec {
     /// The power-state ladder the fleet's drives descend through
     /// (two-state by default — the paper's model).
     pub ladder: LadderChoice,
-    /// Optional LRU cache in front of the dispatcher (the legacy
-    /// single-tier knob; [`SweepSpec::tiers`] supersedes it — setting both
-    /// is a [`spindown_sim::engine::SimError::ConflictingCacheConfig`]).
-    pub cache: Option<CacheConfig>,
-    /// Multi-tier cache hierarchy in front of the dispatcher
-    /// ([`CacheChoice::None`] for no tiers — the grid constructors'
-    /// default).
+    /// Cache hierarchy in front of the dispatcher ([`CacheChoice::None`]
+    /// for no cache — the default of every grid constructor but the cache
+    /// grids).
     pub tiers: CacheChoice,
     /// Response aggregation per grid point. The grid constructors pick
     /// [`MetricsMode::Histogram`] so a full grid holds O(buckets) per cell
@@ -112,7 +108,7 @@ pub struct SweepSpec {
 }
 
 impl SweepSpec {
-    /// Label like `break_even`, `fixed_1800s+lru`, `break_even+sjf_a30s`
+    /// Label like `break_even`, `fixed_1800s+lru:16`, `break_even+sjf_a30s`
     /// or `lower_env+3state` (discipline and ladder are only spelled out
     /// when they differ from the paper's FIFO / two-state defaults).
     pub fn label(&self) -> String {
@@ -123,9 +119,6 @@ impl SweepSpec {
         if self.ladder != LadderChoice::TwoState {
             label = format!("{label}+{}", self.ladder.label());
         }
-        if self.cache.is_some() {
-            label = format!("{label}+lru");
-        }
         if self.tiers != CacheChoice::None {
             label = format!("{label}+{}", self.tiers.label());
         }
@@ -135,19 +128,15 @@ impl SweepSpec {
 
 /// The cross product of policies and cache options (FIFO discipline), in
 /// row-major (policy-outer) order.
-pub fn policy_cache_grid(
-    policies: &[PolicyChoice],
-    caches: &[Option<CacheConfig>],
-) -> Vec<SweepSpec> {
+pub fn policy_cache_grid(policies: &[PolicyChoice], caches: &[CacheChoice]) -> Vec<SweepSpec> {
     policies
         .iter()
         .flat_map(|&policy| {
-            caches.iter().map(move |&cache| SweepSpec {
+            caches.iter().map(move |&tiers| SweepSpec {
                 policy,
                 discipline: DisciplineChoice::Fifo,
                 ladder: LadderChoice::TwoState,
-                cache,
-                tiers: CacheChoice::None,
+                tiers,
                 metrics: MetricsMode::Histogram,
             })
         })
@@ -167,7 +156,6 @@ pub fn policy_discipline_grid(
                 policy,
                 discipline,
                 ladder: LadderChoice::TwoState,
-                cache: None,
                 tiers: CacheChoice::None,
                 metrics: MetricsMode::Histogram,
             })
@@ -185,7 +173,6 @@ pub fn ladder_policy_grid(ladders: &[LadderChoice], policies: &[PolicyChoice]) -
                 policy,
                 discipline: DisciplineChoice::Fifo,
                 ladder,
-                cache: None,
                 tiers: CacheChoice::None,
                 metrics: MetricsMode::Histogram,
             })
@@ -204,7 +191,6 @@ pub fn cache_policy_grid(tiers: &[CacheChoice], policies: &[PolicyChoice]) -> Ve
                 policy,
                 discipline: DisciplineChoice::Fifo,
                 ladder: LadderChoice::TwoState,
-                cache: None,
                 tiers,
                 metrics: MetricsMode::Histogram,
             })
@@ -218,7 +204,7 @@ pub fn cache_policy_grid(tiers: &[CacheChoice], policies: &[PolicyChoice]) -> Ve
 /// `base` is the caller's simulation configuration: the grid only
 /// overrides its own dimensions (ladder, cache, tiers, discipline,
 /// metrics — plus the policy, built per point), so everything else the caller set —
-/// drive model, arrival mode, completion log — survives into every cell.
+/// drive model, completion log — survives into every cell.
 /// Earlier versions rebuilt `SimConfig::paper_default()` internally and
 /// silently discarded such overrides.
 pub fn run_sweep(
@@ -232,16 +218,20 @@ pub fn run_sweep(
     parallel_map(specs, |_, spec| {
         let mut cfg = base.clone();
         spec.ladder.apply(&mut cfg.disk);
-        cfg.cache = spec.cache;
         cfg.cache_hierarchy = spec.tiers.hierarchy();
         cfg.discipline = spec.discipline;
         cfg.metrics = spec.metrics;
         // Ladder-aware policies must see the ladder the run uses: the
         // ladder is applied to the one true spec *before* the policy is
         // built from it.
-        Simulator::run_sharded(catalog, trace, assignment, &cfg, fleet, |_| {
-            spec.policy.build(&cfg.disk)
-        })
+        Simulator::replay(
+            catalog,
+            InMemorySource::new(trace),
+            assignment,
+            &cfg,
+            fleet,
+            |_| spec.policy.build(&cfg.disk),
+        )
         .expect("sweep point simulates")
     })
 }
@@ -402,7 +392,7 @@ mod tests {
             .with_completion_log();
         let grid = policy_cache_grid(
             &[PolicyChoice::never(), PolicyChoice::break_even()],
-            &[None],
+            &[CacheChoice::None],
         );
         let reports = run_sweep(&catalog, &trace, &assignment, &base, 1, &grid);
         for r in &reports {
@@ -421,13 +411,13 @@ mod tests {
     #[test]
     fn grid_is_policy_outer_cross_product() {
         let policies = [PolicyChoice::break_even(), PolicyChoice::never()];
-        let caches = [None, Some(CacheConfig::paper_16gb())];
+        let caches = [CacheChoice::None, CacheChoice::parse("lru:16").unwrap()];
         let grid = policy_cache_grid(&policies, &caches);
         assert_eq!(grid.len(), 4);
         assert_eq!(grid[0].label(), "break_even");
-        assert_eq!(grid[1].label(), "break_even+lru");
+        assert_eq!(grid[1].label(), "break_even+lru:16");
         assert_eq!(grid[2].label(), "never");
-        assert_eq!(grid[3].label(), "never+lru");
+        assert_eq!(grid[3].label(), "never+lru:16");
     }
 
     #[test]
@@ -440,7 +430,7 @@ mod tests {
         assert_eq!(grid[1].label(), "break_even+sjf_a30s");
         assert_eq!(grid[2].label(), "break_even+elevator");
         assert_eq!(grid[3].label(), "never");
-        assert!(grid.iter().all(|s| s.cache.is_none()));
+        assert!(grid.iter().all(|s| s.tiers == CacheChoice::None));
     }
 
     #[test]
@@ -454,7 +444,7 @@ mod tests {
         assert_eq!(grid[1].label(), "lower_env");
         assert_eq!(grid[2].label(), "break_even+3state");
         assert_eq!(grid[3].label(), "lower_env+3state");
-        assert!(grid.iter().all(|s| s.cache.is_none()));
+        assert!(grid.iter().all(|s| s.tiers == CacheChoice::None));
     }
 
     #[test]
@@ -470,9 +460,6 @@ mod tests {
         assert_eq!(grid[1].label(), "never");
         assert_eq!(grid[2].label(), "break_even+lru:16");
         assert_eq!(grid[4].label(), "break_even+lru:2+lru:16");
-        // The hierarchy rides `tiers`; the legacy single-tier knob stays
-        // clear so no cell trips the conflicting-cache-config error.
-        assert!(grid.iter().all(|s| s.cache.is_none()));
         assert_eq!(grid[4].tiers.hierarchy().unwrap().tiers.len(), 2);
     }
 
@@ -545,7 +532,7 @@ mod tests {
                 PolicyChoice::Adaptive { alpha: 0.5 },
                 PolicyChoice::never(),
             ],
-            &[None],
+            &[CacheChoice::None],
         );
         let a = run_sweep(&catalog, &trace, &assignment, &base, 2, &grid);
         let b = run_sweep(&catalog, &trace, &assignment, &base, 2, &grid);

@@ -43,30 +43,17 @@ pub fn vsweep(scale: Scale) -> Figure {
         let plan = planner
             .plan(&workload.catalog, rate)
             .expect("bursty NERSC catalog packs");
-        let fleet = plan.disk_slots();
 
         let sim =
             SimConfig::paper_default().with_threshold(ThresholdPolicy::Fixed(VSWEEP_THRESHOLD_S));
-        let report = Simulator::run_with_fleet(
-            &workload.catalog,
-            &workload.trace,
-            &plan.assignment,
-            &sim,
-            fleet,
-        )
-        .expect("vsweep run succeeds");
+        let report = Simulator::run(&workload.catalog, &workload.trace, &plan.assignment, &sim)
+            .expect("vsweep run succeeds");
 
         let never = SimConfig::paper_default().with_threshold(ThresholdPolicy::Never);
-        let e_never = Simulator::run_with_fleet(
-            &workload.catalog,
-            &workload.trace,
-            &plan.assignment,
-            &never,
-            fleet,
-        )
-        .expect("baseline run succeeds")
-        .energy
-        .total_joules();
+        let e_never = Simulator::run(&workload.catalog, &workload.trace, &plan.assignment, &never)
+            .expect("baseline run succeeds")
+            .energy
+            .total_joules();
 
         vec![
             v as f64,

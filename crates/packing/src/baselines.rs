@@ -118,7 +118,7 @@ pub fn best_fit(instance: &Instance) -> Assignment {
     Assignment { disks: bins }
 }
 
-/// Popular Data Concentration (Pinheiro & Bianchini, the paper's ref [11]):
+/// Popular Data Concentration (Pinheiro & Bianchini, the paper's ref \[11\]):
 /// sort files by load (most popular first) and fill disks *sequentially* —
 /// disk 0 takes the hottest files until either constraint would overflow,
 /// then disk 1, and so on. Unlike first-fit-decreasing it never revisits an

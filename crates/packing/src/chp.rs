@@ -1,4 +1,4 @@
-//! The Chang–Hwang–Park reference algorithm (the paper's citation [3]) with
+//! The Chang–Hwang–Park reference algorithm (the paper's citation \[3\]) with
 //! its original `O(n²)` data structures.
 //!
 //! CHP makes exactly the same packing decisions as `Pack_Disks` — the
@@ -8,7 +8,7 @@
 //! (`O(n)` per eviction) instead of reading a list tail. This module keeps
 //! those costs on purpose so the complexity gap is measurable
 //! (`spindown-bench/benches/packing_scaling.rs`); its output is
-//! property-tested equal to [`crate::pack_disks`].
+//! property-tested equal to [`crate::pack_disks()`].
 
 use crate::assignment::{Assignment, AssignmentBuilder};
 use crate::instance::Instance;
@@ -60,7 +60,7 @@ impl ScanPool {
 }
 
 /// Run the CHP algorithm. Produces the same assignment as
-/// [`crate::pack_disks`] in `O(n²)` time.
+/// [`crate::pack_disks()`] in `O(n²)` time.
 pub fn pack_chp(instance: &Instance) -> Assignment {
     let items = instance.items();
     let rho = instance.rho();

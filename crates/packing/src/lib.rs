@@ -67,7 +67,7 @@ pub enum Allocator {
     BestFit,
     /// Next-fit (single open disk).
     NextFit,
-    /// Popular Data Concentration (Pinheiro & Bianchini, ref [11]):
+    /// Popular Data Concentration (Pinheiro & Bianchini, ref \[11\]):
     /// hottest files first, disks filled sequentially.
     Pdc,
     /// Load-shaping: hot load on the fewest disks, archival mass on

@@ -168,7 +168,7 @@ impl DiskActor {
     /// Retire this disk's oldest open window into `partial`. With
     /// `charge`, the current power state's energy up to the window's end
     /// is charged first (the boundary tick); without, the final interval
-    /// was already charged by [`DiskActor::charge_windows`]. No-op with
+    /// was already charged by `charge_windows`. No-op with
     /// windows off.
     pub fn close_window(&mut self, charge: bool, partial: &mut WindowPartial) {
         if let Some(w) = self.windows.as_mut() {

@@ -238,7 +238,7 @@ impl RecencyList {
 }
 
 /// Byte-capacity LRU over whole files, `O(1)` per access and per eviction
-/// (one [`RecencyList`]).
+/// (one `RecencyList`).
 #[derive(Debug)]
 pub struct LruCache {
     capacity_bytes: u64,
@@ -331,7 +331,7 @@ impl CachePolicy for LruCache {
 /// demotes back to probation (most-recent end) rather than straight out of
 /// the cache — so one burst of single-touch scan traffic can evict at most
 /// the probation segment, never the proven working set. Each segment is
-/// one [`RecencyList`] (recency is never compared across segments), so
+/// one `RecencyList` (recency is never compared across segments), so
 /// every access is `O(1)` plus `O(1)` per demotion or eviction.
 ///
 /// `protected_pct` splits the byte budget: `protected = budget·pct/100`,

@@ -6,16 +6,16 @@
 //! logging was clamped out of the billion-request smoke. This module
 //! replaces the accumulation with a small state machine:
 //!
-//! - [`CompletionWriter`] sits in the engine's completion path. It holds
+//! - `CompletionWriter` sits in the engine's completion path. It holds
 //!   only the current *equal-time run* of completions, sorts each run by
 //!   global request ordinal when time advances, and hands the canonical
-//!   stream to its output — a terminal [`CompletionSink`] in unsharded
+//!   stream to its output — a terminal `CompletionSink` in unsharded
 //!   runs, or a bounded channel toward the merger thread in sharded ones.
-//! - [`merge_streams`] is the merger: a k-way min walk over the per-shard
+//! - `merge_streams` is the merger: a k-way min walk over the per-shard
 //!   channels keyed by `(time_s, req)`. Each shard's stream is already
 //!   canonically sorted, so the walk emits the *globally* sorted stream —
 //!   line-for-line identical to what an unsharded writer produces.
-//! - [`CompletionSink`] materialises the stream per
+//! - `CompletionSink` materialises the stream per
 //!   [`CompletionLogMode`]: an in-memory `Vec` (the legacy surface, for
 //!   tests and small runs), canonical CSV lines to a file, or nothing but
 //!   counters. Every mode folds each canonical line into an FNV-1a 64-bit

@@ -166,7 +166,7 @@ const SJF_HEAP_THRESHOLD: usize = 32;
 /// of discipline.
 ///
 /// Under shortest-job-first the queue is adaptive. Shallow queues (≤
-/// [`SJF_HEAP_THRESHOLD`]) run the original linear `min_by_key` scan —
+/// `SJF_HEAP_THRESHOLD` = 32) run the original linear `min_by_key` scan —
 /// cheapest at the depths a healthy disk sees. The first push beyond the
 /// threshold engages *heap mode*: every entry then lives in two structures
 /// — the arrival-order deque (the aging probe) and a binary min-heap keyed

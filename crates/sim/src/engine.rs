@@ -4,10 +4,10 @@
 //!
 //! ## Semantics (matching §4 of the paper)
 //!
-//! - A request is dispatched to the disk holding its file. If a cache is
-//!   configured — the legacy flat LRU or a multi-tier
-//!   [`CacheHierarchy`](crate::hierarchy::CacheHierarchy) — the whole file
-//!   is looked up first, tier by tier; a hit is served at the hit tier's
+//! - A request is dispatched to the disk holding its file. If a
+//!   [`CacheHierarchy`] is configured (the paper's flat LRU is its
+//!   single-tier case) the whole file is looked up first, tier by tier;
+//!   a hit is served at the hit tier's
 //!   bandwidth without touching the disk (in particular the disk's idle
 //!   clock keeps running — a cache's entire contribution to the power
 //!   model is lengthening idle gaps), and a miss is admitted to every tier
@@ -40,40 +40,40 @@
 //!
 //! ## Arrival scheduling
 //!
-//! By default ([`ArrivalMode::Streamed`]) the engine never materialises
-//! arrivals in the event heap: it keeps a cursor into the time-sorted trace
-//! and, on every step, compares the next arrival against the next scheduled
-//! event, processing whichever is earlier (arrivals win ties — exactly the
-//! order the original preloading produced, since arrivals were scheduled
-//! before any other event and ties break by insertion sequence). The heap
-//! then holds only `PhaseDone`/`SpinDownTimer` entries — O(disks), not
-//! O(requests) — which is what makes multi-million-request replays cheap.
-//! [`ArrivalMode::Preloaded`] retains the original schedule-everything
-//! behaviour for benchmarks; both modes produce bit-identical reports.
+//! Arrivals never enter the event heap. The engine reads them from a
+//! [`TraceSource`] cursor — an in-memory trace, a buffered CSV reader or
+//! a seeded synthetic generator — and on every step compares the next
+//! arrival against the next scheduled event, processing whichever is
+//! earlier; arrivals win ties. The heap holds only `PhaseDone`,
+//! `SpinDownTimer` and fault events — O(disks), not O(requests) — so a
+//! multi-billion-request replay holds O(disks) simulation state (plus
+//! O(buckets) for histogram metrics) instead of the trace itself.
+//! Response times come from the arrival stamp each queue entry carries,
+//! never from indexing back into a materialised request list.
 //!
-//! The arrival cursor itself is a [`TraceSource`]: handing the engine a
-//! `&Trace` reads through an in-memory cursor, while
-//! [`Simulator::run_from_source`] accepts any source — a buffered CSV
-//! reader or a seeded synthetic generator — so a multi-billion-request
-//! replay holds O(disks) simulation state (plus O(buckets) for histogram
-//! metrics) instead of the trace itself. Response times come from the
-//! arrival stamp each queue entry carries, never from indexing back into a
-//! materialised request list.
+//! ## Entry points
+//!
+//! [`Simulator::replay`] is the one implementation: any source, any
+//! fleet, one [`PowerPolicy`] per shard from a factory.
+//! [`Simulator::run_from_source`] is `replay` under the configured
+//! fixed-threshold policy, and [`Simulator::run`] is that over an
+//! in-memory [`Trace`] with the assignment's own fleet.
 //!
 //! ## Sharded replay
 //!
 //! After allocation every disk's request stream is independent, so
-//! `cfg.shards > 1` partitions the fleet by disk id (`disk % shards`),
-//! runs one event loop per shard on its own thread and merges the
-//! per-shard reports — see [`crate::shard`] for the merge rules and the
-//! determinism argument. Global-scope caches shard too: each shard owns
-//! the `shard_fleet / fleet` slice of the configured budget that fronts
-//! its own disks' files, keeping the tier walk lock-free. The completion
-//! log streams through per-shard writers k-way merged by `(time, req)`
-//! ([`crate::complog`]). Only preloaded arrivals still force one shard
-//! (the whole trace lands in one event heap by definition).
-//! Histogram-mode metrics, energy totals, cache statistics and the
-//! completion log are bit-identical at every shard count.
+//! `cfg.shards > 1` partitions the fleet by disk id (`disk % shards`).
+//! One reader thread demultiplexes the source into bounded per-shard
+//! channels, each tagging a request with its ordinal in the whole stream;
+//! every shard runs its own event loop on its own thread, and the
+//! per-shard reports merge in global disk order — see `shard.rs` for the
+//! merge rules and the determinism argument. Global-scope caches shard
+//! too: each shard owns the `shard_fleet / fleet` slice of the configured
+//! budget that fronts its own disks' files, keeping the tier walk
+//! lock-free. The completion log streams through per-shard writers k-way
+//! merged by `(time, req)` ([`crate::complog`]). Histogram-mode metrics,
+//! energy totals, cache statistics, windows and the completion log are
+//! bit-identical at every shard count.
 
 use spindown_disk::state::TransitionError;
 use spindown_packing::Assignment;
@@ -84,7 +84,7 @@ use spindown_workload::{
 
 use crate::actor::{DiskActor, Phase};
 use crate::complog::{CompletionOut, CompletionSink, CompletionWriter};
-use crate::config::{ArrivalMode, SimConfig};
+use crate::config::SimConfig;
 use crate::event::{Event, EventQueue};
 use crate::fault::{FaultRuntime, PendingRetry};
 use crate::hierarchy::{CacheHierarchy, CacheScope};
@@ -114,10 +114,6 @@ pub enum SimError {
     /// The streaming trace source failed mid-replay (I/O error, malformed
     /// or out-of-order row).
     Source(TraceIoError),
-    /// Both the legacy `cache` field and a `cache_hierarchy` were set —
-    /// the configuration is ambiguous (the legacy field *is* a single-tier
-    /// hierarchy; pick one representation).
-    ConflictingCacheConfig,
     /// The streamed completion log could not be written (file creation or
     /// flush failure).
     CompletionLogIo(std::io::Error),
@@ -150,6 +146,18 @@ pub enum SimError {
         /// The largest horizon allowed, seconds.
         max_s: f64,
     },
+    /// A [`PowerPolicy`] answered with a descent delay that is not a
+    /// finite, non-negative number of seconds.
+    InvalidPolicyDelay {
+        /// The policy's [`PowerPolicy::name`].
+        policy: String,
+        /// The (global) disk the policy was consulted for.
+        disk: usize,
+        /// The ladder level the disk had settled at.
+        level: u8,
+        /// The delay the policy returned.
+        rest_s: f64,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -161,10 +169,6 @@ impl std::fmt::Display for SimError {
             }
             SimError::Transition(e) => write!(f, "disk state machine error: {e}"),
             SimError::Source(e) => write!(f, "trace source failed: {e}"),
-            SimError::ConflictingCacheConfig => write!(
-                f,
-                "both `cache` and `cache_hierarchy` are set; configure one"
-            ),
             SimError::CompletionLogIo(e) => write!(f, "completion log I/O failed: {e}"),
             SimError::FaultDiskOutOfRange {
                 clause,
@@ -197,6 +201,16 @@ impl std::fmt::Display for SimError {
                 f,
                 "horizon {} s is beyond the largest supported trace time {max_s} s",
                 Seconds(*horizon_s)
+            ),
+            SimError::InvalidPolicyDelay {
+                policy,
+                disk,
+                level,
+                rest_s,
+            } => write!(
+                f,
+                "policy {policy} returned descent delay {rest_s} s for disk {disk} at level \
+                 {level}; it must be finite and non-negative"
             ),
         }
     }
@@ -320,8 +334,8 @@ struct TimerState {
 enum CacheFront {
     /// No cache configured.
     None,
-    /// One shared hierarchy in front of the dispatcher (the legacy flat
-    /// LRU lowers to a single-tier instance of this).
+    /// One shared hierarchy in front of the dispatcher (the paper's flat
+    /// LRU is a single-tier instance of this).
     Global(CacheHierarchy),
     /// One private slice per *local* disk, each `capacity / global fleet`
     /// of the configured budgets — indexed by actor, so a shard only holds
@@ -329,17 +343,13 @@ enum CacheFront {
     PerDisk(Vec<CacheHierarchy>),
 }
 
-/// The discrete-event simulator, generic over the arrival feed so the
-/// in-memory hot path stays monomorphised (no per-arrival dynamic
-/// dispatch) while CSV readers and synthetic generators plug in through
-/// [`Simulator::run_from_source`].
+/// The discrete-event simulator, generic over the arrival feed so every
+/// source's hot path stays monomorphised (no per-arrival dynamic
+/// dispatch).
 pub struct Simulator<'a, S: TraceSource> {
     catalog: &'a FileCatalog,
     /// The streamed arrival cursor.
     source: S,
-    /// The materialised trace, when there is one — required by (and only
-    /// by) [`ArrivalMode::Preloaded`], whose `Arrival` events index into it.
-    trace: Option<&'a Trace>,
     cfg: &'a SimConfig,
     file_to_disk: Vec<usize>,
     actors: Vec<DiskActor>,
@@ -384,145 +394,29 @@ pub struct Simulator<'a, S: TraceSource> {
 }
 
 impl<'a> Simulator<'a, InMemorySource<'a>> {
-    /// Run a simulation over exactly the disks the assignment uses.
+    /// Replay an in-memory trace over exactly the disks the assignment
+    /// uses, under the fixed-threshold policy `cfg.threshold` — shorthand
+    /// for [`Simulator::run_from_source`] over an [`InMemorySource`] with
+    /// `fleet = assignment.disk_slots()`.
     pub fn run(
         catalog: &'a FileCatalog,
         trace: &'a Trace,
         assignment: &Assignment,
         cfg: &'a SimConfig,
     ) -> Result<SimReport, SimError> {
-        Self::run_with_fleet(catalog, trace, assignment, cfg, assignment.disk_slots())
-    }
-
-    /// Run with an explicit fleet size ≥ the assignment's disk count — the
-    /// paper's synthetic experiments keep 100 disks spinning regardless of
-    /// how many the allocator loaded (the empty ones just go to standby).
-    /// The spin-down policy is the fixed-threshold family configured in
-    /// `cfg.threshold`; use [`Simulator::run_with_policy`] to plug in any
-    /// other [`PowerPolicy`].
-    ///
-    /// A fleet of exactly zero disks is accepted only for an assignment
-    /// using zero slots (and, transitively, an empty trace): the simulation
-    /// then covers no disks and reports `disks == 0` — it no longer rounds
-    /// the fleet up to one silently.
-    pub fn run_with_fleet(
-        catalog: &'a FileCatalog,
-        trace: &'a Trace,
-        assignment: &Assignment,
-        cfg: &'a SimConfig,
-        fleet: usize,
-    ) -> Result<SimReport, SimError> {
-        Self::run_sharded(catalog, trace, assignment, cfg, fleet, |_| {
-            Box::new(TimeoutPolicy::from_config(cfg.threshold, &cfg.disk))
-        })
-    }
-
-    /// Run with a per-shard [`PowerPolicy`] factory, sharding the fleet
-    /// over `cfg.shards` threads (disk `d` → shard `d % shards`; the count
-    /// is clamped to the fleet; global-scope caches and the completion
-    /// log both compose — only preloaded arrivals fall back to one
-    /// shard). `factory(s)` builds shard `s`'s policy instance;
-    /// it is called once per shard in shard order and each instance sees
-    /// *global* disk ids, so per-disk-state policies behave identically at
-    /// any shard count. (Policies sharing randomness *across* disks — e.g.
-    /// one RNG stream consulted fleet-wide — see a different interleaving
-    /// per shard count and are not shard-count-invariant.)
-    ///
-    /// Histogram-mode metrics and all energy totals are bit-identical for
-    /// every shard count; exact-mode quantiles are bit-identical while the
-    /// global mean may differ by float-summation order.
-    pub fn run_sharded(
-        catalog: &'a FileCatalog,
-        trace: &'a Trace,
-        assignment: &Assignment,
-        cfg: &'a SimConfig,
-        fleet: usize,
-        mut factory: impl FnMut(usize) -> Box<dyn PowerPolicy>,
-    ) -> Result<SimReport, SimError> {
-        let shards = crate::shard::effective_shards(cfg, fleet);
-        if shards <= 1 {
-            return Self::run_with_policy(catalog, trace, assignment, cfg, fleet, factory(0));
-        }
-        let required = assignment.disk_slots();
-        if fleet < required {
-            return Err(SimError::FleetTooSmall { required, fleet });
-        }
-        let file_to_disk = assignment.item_to_disk(catalog.len());
-        for r in trace.requests() {
-            if file_to_disk
-                .get(r.file.index())
-                .copied()
-                .unwrap_or(usize::MAX)
-                == usize::MAX
-            {
-                return Err(SimError::UnmappedFile { file: r.file });
-            }
-        }
-        crate::shard::run_partitioned_trace(
-            catalog,
-            trace,
-            &file_to_disk,
-            cfg,
-            fleet,
-            shards,
-            &mut factory,
-        )
-    }
-
-    /// Run with an explicit [`PowerPolicy`]. The policy is consumed: a
-    /// fresh (identically seeded) instance must be built per run, which is
-    /// what makes randomised policies reproducible. Always single-threaded
-    /// (one policy instance cannot be split across shards) — use
-    /// [`Simulator::run_sharded`] with a factory for the sharded path.
-    pub fn run_with_policy(
-        catalog: &'a FileCatalog,
-        trace: &'a Trace,
-        assignment: &Assignment,
-        cfg: &'a SimConfig,
-        fleet: usize,
-        policy: Box<dyn PowerPolicy>,
-    ) -> Result<SimReport, SimError> {
-        // Validate up front that every requested file is mapped — the
-        // materialised trace makes this checkable before any simulation.
-        let file_to_disk = assignment.item_to_disk(catalog.len());
-        for r in trace.requests() {
-            if file_to_disk
-                .get(r.file.index())
-                .copied()
-                .unwrap_or(usize::MAX)
-                == usize::MAX
-            {
-                return Err(SimError::UnmappedFile { file: r.file });
-            }
-        }
-        Simulator::run_impl(
+        Self::run_from_source(
             catalog,
             InMemorySource::new(trace),
-            Some(trace),
-            file_to_disk,
             assignment,
             cfg,
-            fleet,
-            policy,
+            assignment.disk_slots(),
         )
     }
 }
 
 impl<'a, S: TraceSource + Send> Simulator<'a, S> {
-    /// Run with arrivals streamed from any [`TraceSource`] — a CSV file
-    /// reader, a seeded synthetic generator, or an in-memory cursor. The
-    /// spin-down policy is the fixed-threshold family configured in
-    /// `cfg.threshold`.
-    ///
-    /// Unlike [`Simulator::run`], unmapped files surface when their request
-    /// arrives (the stream cannot be pre-validated without materialising
-    /// it). With [`ArrivalMode::Preloaded`] the source *is* materialised
-    /// first — preloading is O(requests) memory by definition.
-    ///
-    /// Honours `cfg.shards`: with more than one (effective) shard the
-    /// source is demultiplexed by a single reader thread into bounded
-    /// per-shard channels — the underlying file or generator is read
-    /// exactly once — and the shards replay concurrently.
+    /// [`Simulator::replay`] under the fixed-threshold policy family
+    /// configured in `cfg.threshold`.
     pub fn run_from_source(
         catalog: &'a FileCatalog,
         source: S,
@@ -530,119 +424,83 @@ impl<'a, S: TraceSource + Send> Simulator<'a, S> {
         cfg: &'a SimConfig,
         fleet: usize,
     ) -> Result<SimReport, SimError> {
-        Self::run_from_source_sharded(catalog, source, assignment, cfg, fleet, |_| {
+        Self::replay(catalog, source, assignment, cfg, fleet, |_| {
             Box::new(TimeoutPolicy::from_config(cfg.threshold, &cfg.disk))
         })
     }
 
-    /// [`Simulator::run_from_source`] with a per-shard [`PowerPolicy`]
-    /// factory — the streaming twin of [`Simulator::run_sharded`], with
-    /// the same shard assignment, fallbacks and determinism guarantees.
-    pub fn run_from_source_sharded(
+    /// Replay the arrivals of `source` — an in-memory cursor, a CSV
+    /// reader or a seeded generator — against `fleet` disks holding the
+    /// files as `assignment` places them. `fleet` may exceed the
+    /// assignment's disk count (the paper's synthetic experiments keep
+    /// 100 disks spinning however many the allocator loaded; the empty
+    /// ones just go to standby); a fleet of zero disks is accepted only
+    /// for an assignment using zero slots.
+    ///
+    /// `policies(s)` builds shard `s`'s [`PowerPolicy`]; it is called once
+    /// per shard, in shard order, on the calling thread, and each instance
+    /// sees *global* disk ids, so per-disk-state policies behave
+    /// identically at any shard count. (Policies sharing randomness
+    /// *across* disks — one RNG stream consulted fleet-wide — see a
+    /// different interleaving per shard count and are not
+    /// shard-count-invariant.) A policy is consumed by its run: a fresh,
+    /// identically seeded instance per run is what makes randomised
+    /// policies reproducible.
+    ///
+    /// With `cfg.shards > 1` (clamped to the fleet) one reader thread
+    /// demultiplexes the source into bounded per-shard channels — the
+    /// source is read exactly once — and the shards replay concurrently
+    /// (see the `shard` module). Histogram-mode metrics, energy totals,
+    /// cache statistics, windows and the completion log are bit-identical
+    /// at every shard count; exact-mode quantiles are bit-identical while
+    /// the global mean may differ by float-summation order.
+    ///
+    /// A request for a file the assignment does not place fails the run
+    /// with [`SimError::UnmappedFile`] when it arrives.
+    pub fn replay(
         catalog: &'a FileCatalog,
         source: S,
         assignment: &Assignment,
         cfg: &'a SimConfig,
         fleet: usize,
-        mut factory: impl FnMut(usize) -> Box<dyn PowerPolicy>,
+        mut policies: impl FnMut(usize) -> Box<dyn PowerPolicy>,
     ) -> Result<SimReport, SimError> {
+        let required = assignment.disk_slots();
+        if fleet < required {
+            return Err(SimError::FleetTooSmall { required, fleet });
+        }
+        let file_to_disk = assignment.item_to_disk(catalog.len());
         let shards = crate::shard::effective_shards(cfg, fleet);
-        if shards <= 1 {
-            return Self::run_from_source_with_policy(
+        if shards > 1 {
+            return crate::shard::replay_sharded(
                 catalog,
                 source,
-                assignment,
+                &file_to_disk,
                 cfg,
                 fleet,
-                factory(0),
+                shards,
+                &mut policies,
             );
-        }
-        let required = assignment.disk_slots();
-        if fleet < required {
-            return Err(SimError::FleetTooSmall { required, fleet });
-        }
-        let file_to_disk = assignment.item_to_disk(catalog.len());
-        crate::shard::run_demuxed_source(
-            catalog,
-            source,
-            &file_to_disk,
-            cfg,
-            fleet,
-            shards,
-            &mut factory,
-        )
-    }
-}
-
-impl<'a, S: TraceSource> Simulator<'a, S> {
-    /// [`Simulator::run_from_source`] with an explicit [`PowerPolicy`].
-    /// Always single-threaded, like [`Simulator::run_with_policy`].
-    pub fn run_from_source_with_policy(
-        catalog: &'a FileCatalog,
-        mut source: S,
-        assignment: &Assignment,
-        cfg: &'a SimConfig,
-        fleet: usize,
-        policy: Box<dyn PowerPolicy>,
-    ) -> Result<SimReport, SimError> {
-        if cfg.arrivals == ArrivalMode::Preloaded {
-            // Preloading schedules every arrival up front, which requires
-            // the materialised request list anyway: drain the source once
-            // and run the in-memory engine over it.
-            let horizon = source.horizon();
-            let mut requests = Vec::new();
-            while let Some(r) = source.next_request()? {
-                requests.push(r);
-            }
-            let trace = Trace::new(requests, horizon);
-            return Simulator::run_with_policy(catalog, &trace, assignment, cfg, fleet, policy);
-        }
-        let file_to_disk = assignment.item_to_disk(catalog.len());
-        Self::run_impl(
-            catalog,
-            source,
-            None,
-            file_to_disk,
-            assignment,
-            cfg,
-            fleet,
-            policy,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_impl(
-        catalog: &'a FileCatalog,
-        source: S,
-        trace: Option<&'a Trace>,
-        file_to_disk: Vec<usize>,
-        assignment: &Assignment,
-        cfg: &'a SimConfig,
-        fleet: usize,
-        policy: Box<dyn PowerPolicy>,
-    ) -> Result<SimReport, SimError> {
-        let required = assignment.disk_slots();
-        if fleet < required {
-            return Err(SimError::FleetTooSmall { required, fleet });
         }
         let sim = Self::run_drained(
             catalog,
             source,
-            trace,
             file_to_disk,
             cfg,
             fleet,
             fleet,
             0,
             1,
-            policy,
+            policies(0),
             None,
             None,
         )?;
         let t_end = sim.horizon.max(sim.last_event_time);
         sim.finish_at(t_end)
     }
+}
 
+impl<'a, S: TraceSource> Simulator<'a, S> {
     /// Construct the simulator, prime it and drive the event loop to
     /// exhaustion, returning the drained simulator *without* finishing it —
     /// the sharded driver needs every shard drained before the common end
@@ -666,7 +524,6 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
     pub(crate) fn run_drained(
         catalog: &'a FileCatalog,
         source: S,
-        trace: Option<&'a Trace>,
         file_to_disk: Vec<usize>,
         cfg: &'a SimConfig,
         fleet: usize,
@@ -677,16 +534,13 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
         log_tx: Option<std::sync::mpsc::SyncSender<Vec<Completion>>>,
         window_tx: Option<std::sync::mpsc::Sender<(usize, WindowPartial)>>,
     ) -> Result<Self, SimError> {
-        if cfg.cache.is_some() && cfg.cache_hierarchy.is_some() {
-            return Err(SimError::ConflictingCacheConfig);
-        }
         SimError::check_fault_disks(&cfg.faults, global_fleet)?;
         let horizon = source.horizon();
         SimError::check_horizon(horizon)?;
         if let Some(width) = cfg.windows {
             SimError::check_windows(width, horizon)?;
         }
-        let cache = match cfg.effective_cache_hierarchy() {
+        let cache = match &cfg.cache_hierarchy {
             None => CacheFront::None,
             Some(h) => match h.scope {
                 // This engine instance fronts `fleet` of the
@@ -716,7 +570,6 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
         let mut sim = Simulator {
             catalog,
             source,
-            trace,
             cfg,
             file_to_disk,
             actors: (0..fleet)
@@ -754,7 +607,7 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
             sim.next_close = series.next_close();
             sim.windows = Some(series);
         }
-        sim.prime();
+        sim.prime()?;
         sim.drive()?;
         if let Some(w) = &mut sim.complog {
             // Flush the writer (and, sharded, drop the merger channel's
@@ -786,20 +639,10 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
         self.complog.as_ref().map_or(0, |w| w.peak_buffered())
     }
 
-    /// Schedule the initial idle timers — and, in preloaded mode, every
-    /// arrival up front.
-    fn prime(&mut self) {
-        if self.cfg.arrivals == ArrivalMode::Preloaded {
-            let trace = self
-                .trace
-                .expect("preloaded mode implies a materialised trace");
-            for (i, r) in trace.requests().iter().enumerate() {
-                self.events.schedule(r.time, Event::Arrival { req: i });
-            }
-            self.arrived = trace.len();
-        }
+    /// Schedule the initial idle timers and the fault plan's crashes.
+    fn prime(&mut self) -> Result<(), SimError> {
         for disk in 0..self.actors.len() {
-            self.arm_timer(disk, 0, 0.0);
+            self.arm_timer(disk, 0, 0.0)?;
         }
         // Scheduled fail-stop crashes (crashes beyond the horizon never
         // happen — end effects must not depend on the drain order).
@@ -817,24 +660,30 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
             }
         }
         self.peak_events = self.peak_events.max(self.events.len());
+        Ok(())
     }
 
     /// Consult the policy for `disk` settling at ladder `level` at time
     /// `t` and arm its next descent deadline, unless the policy holds at
-    /// this level or the deadline would fall beyond the trace horizon.
-    fn arm_timer(&mut self, disk: usize, level: u8, t: f64) {
+    /// this level or the deadline would fall beyond the trace horizon. A
+    /// delay that is not a finite, non-negative number of seconds is
+    /// [`SimError::InvalidPolicyDelay`].
+    fn arm_timer(&mut self, disk: usize, level: u8, t: f64) -> Result<(), SimError> {
         let decision = self.policy.settled(disk, level, t);
         let deepest = self.actors[disk].deepest_level();
         let timer = &mut self.timers[disk];
         let Some(DescentStep { rest_s, to_level }) = decision else {
             timer.deadline = None;
-            return;
+            return Ok(());
         };
-        assert!(
-            rest_s.is_finite() && rest_s >= 0.0,
-            "policy {} returned bad descent delay {rest_s}",
-            self.policy.name()
-        );
+        if !(rest_s.is_finite() && rest_s >= 0.0) {
+            return Err(SimError::InvalidPolicyDelay {
+                policy: self.policy.name(),
+                disk: disk * self.stride + self.shard,
+                level,
+                rest_s,
+            });
+        }
         // Clamp ladder-oblivious targets (DescentStep::DEEPEST) to the
         // drive's ladder; a step that no longer goes anywhere after
         // clamping — the policy answered at the deepest level — means
@@ -842,12 +691,12 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
         let to_level = to_level.min(deepest);
         if to_level <= level {
             timer.deadline = None;
-            return;
+            return Ok(());
         }
         let fire = t + rest_s;
         if fire > self.horizon {
             timer.deadline = None;
-            return;
+            return Ok(());
         }
         timer.deadline = Some(Deadline {
             fire,
@@ -856,6 +705,7 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
             to_level,
         });
         self.ensure_timer_event(disk, fire);
+        Ok(())
     }
 
     /// Guarantee a `SpinDownTimer` heap entry popping no later than `fire`
@@ -875,21 +725,18 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
     }
 
     fn drive(&mut self) -> Result<(), SimError> {
-        let streamed = self.cfg.arrivals == ArrivalMode::Streamed;
         loop {
             self.peak_events = self.peak_events.max(self.events.len());
-            // Streamed arrivals: take the source head whenever it is due no
-            // later than the next scheduled event. Arrivals win ties, which
-            // reproduces the preloaded order (arrivals were scheduled first
-            // and ties break by insertion sequence).
-            let arrival_due = streamed
-                && match self.source.peek_time()? {
-                    Some(ta) => match self.events.peek_time() {
-                        Some(te) => ta <= te,
-                        None => true,
-                    },
-                    None => false,
-                };
+            // Take the source head whenever it is due no later than the
+            // next scheduled event: arrivals win ties, so same-instant
+            // arrivals all queue before any disk event at that instant.
+            let arrival_due = match self.source.peek_time()? {
+                Some(ta) => match self.events.peek_time() {
+                    Some(te) => ta <= te,
+                    None => true,
+                },
+                None => false,
+            };
             if arrival_due {
                 // Sources that know the request's ordinal in the original
                 // (undemuxed) trace report it through `peek_seq`, so
@@ -917,13 +764,6 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
                 self.close_windows(t);
             }
             match ev {
-                Event::Arrival { req } => {
-                    let r = self
-                        .trace
-                        .expect("preloaded arrivals imply a materialised trace")
-                        .requests()[req];
-                    self.on_arrival(t, req, r)?
-                }
                 Event::PhaseDone { disk } => self.on_phase_done(t, disk)?,
                 Event::SpinDownTimer { disk, generation } => self.on_timer(t, disk, generation)?,
                 Event::Crash { disk } => self.on_crash(t, disk)?,
@@ -998,9 +838,6 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
     }
 
     fn on_arrival(&mut self, t: f64, req: usize, r: Request) -> Result<(), SimError> {
-        // Streamed sources cannot be pre-validated; check the mapping here
-        // (a no-op failure-wise for materialised traces, which were
-        // validated up front).
         let disk = match self.file_to_disk.get(r.file.index()).copied() {
             Some(d) if d != usize::MAX => d,
             _ => return Err(SimError::UnmappedFile { file: r.file }),
@@ -1197,7 +1034,7 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
                     }
                 }
                 if self.actors[disk].queue_is_empty() {
-                    self.arm_timer(disk, 0, t);
+                    self.arm_timer(disk, 0, t)?;
                 } else {
                     self.kick(t, disk)?;
                 }
@@ -1237,7 +1074,7 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
                 if self.actors[disk].queue_is_empty() {
                     // Rare: the waiting request was served from elsewhere —
                     // impossible today, but arm the timer for robustness.
-                    self.arm_timer(disk, 0, t);
+                    self.arm_timer(disk, 0, t)?;
                 } else {
                     self.kick(t, disk)?;
                 }
@@ -1277,7 +1114,7 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
                     // Settled at the descent's target: ask the policy for
                     // the next step (multi-state policies may rest here
                     // and descend further later).
-                    self.arm_timer(disk, level, t);
+                    self.arm_timer(disk, level, t)?;
                 }
             }
             other => unreachable!("PhaseDone in phase {other:?}"),
@@ -1403,10 +1240,10 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
         if !self.actors[disk].queue_is_empty() {
             self.kick(t, disk)
         } else {
-            if let Some(level) = self.actors[disk].phase().settled_level() {
-                self.arm_timer(disk, level, t);
+            match self.actors[disk].phase().settled_level() {
+                Some(level) => self.arm_timer(disk, level, t),
+                None => Ok(()),
             }
-            Ok(())
         }
     }
 
@@ -1500,7 +1337,8 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
                 // absorption bit for bit.
                 let depth = self
                     .cfg
-                    .effective_cache_hierarchy()
+                    .cache_hierarchy
+                    .as_ref()
                     .map_or(0, |h| h.tiers.len());
                 let rows: Vec<Vec<crate::cache::CacheStats>> =
                     slices.iter().map(|s| s.tier_stats()).collect();
@@ -1558,7 +1396,8 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CacheConfig, ThresholdPolicy};
+    use crate::config::ThresholdPolicy;
+    use crate::hierarchy::{CacheHierarchyConfig, CachePolicyChoice, CacheTierConfig};
     use spindown_disk::PowerState;
     use spindown_packing::{Assignment, DiskBin};
     use spindown_workload::trace::Request;
@@ -1627,7 +1466,6 @@ mod tests {
         let sim = Simulator::run_drained(
             cat,
             source,
-            None,
             layout.item_to_disk(cat.len()),
             cfg,
             fleet,
@@ -1770,10 +1608,10 @@ mod tests {
         let cat = catalog(1, 100 * MB);
         let cfg = SimConfig::paper_default()
             .with_threshold(ThresholdPolicy::Never)
-            .with_cache(CacheConfig {
-                capacity_bytes: 1_000 * MB,
-                bandwidth_bps: 1.0e9,
-            });
+            .with_cache_hierarchy(Some(CacheHierarchyConfig::single(CacheTierConfig::dram(
+                1_000 * MB,
+                CachePolicyChoice::Lru,
+            ))));
         let tr = trace(&[(0.0, 0), (50.0, 0)], 100.0);
         let report = Simulator::run(&cat, &tr, &assignment(&[0]), &cfg).unwrap();
         let stats = report.cache.unwrap();
@@ -1794,13 +1632,26 @@ mod tests {
         let cat = catalog(1, 10 * MB);
         let cfg = SimConfig::paper_default().with_threshold(ThresholdPolicy::Fixed(10.0));
         let tr = trace(&[(1.0, 0)], 500.0);
-        let report = Simulator::run_with_fleet(&cat, &tr, &assignment(&[0]), &cfg, 5).unwrap();
+        let report =
+            Simulator::run_from_source(&cat, InMemorySource::new(&tr), &assignment(&[0]), &cfg, 5)
+                .unwrap();
         assert_eq!(report.disks, 5);
         // all 5 disks eventually spin down (the loaded one after its service)
         assert_eq!(report.spin_downs, 5);
         assert_eq!(report.spin_ups, 0);
         // standby time dominates
         assert!(report.fleet_seconds_in(PowerState::Standby) > 4.0 * 400.0);
+    }
+
+    /// Run `f` on its own thread and fail the test if it takes longer than
+    /// a minute — a sharded run that loses an error must not hang.
+    fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the run returned")
     }
 
     #[test]
@@ -1818,6 +1669,25 @@ mod tests {
         };
         let err = Simulator::run(&cat, &tr, &a, &cfg).unwrap_err();
         assert!(matches!(err, SimError::UnmappedFile { file } if file == FileId(1)));
+
+        // Files 0–2 sit on disks 0–2; files 3–5 are unplaced. The error
+        // names the first unplaced file in trace order (file 4, not the
+        // lower-numbered file 3 behind it), solo and through shard 0 of
+        // the demux alike, and the sharded run returns instead of waiting
+        // on the failed shard.
+        let reqs = [(0.0, 0), (1.0, 1), (2.0, 2), (3.0, 4), (4.0, 3), (5.0, 1)];
+        for shards in [1, 3] {
+            let err = within_a_minute(move || {
+                let cat = catalog(6, MB);
+                let tr = trace(&reqs, 100.0);
+                let cfg = SimConfig::paper_default().with_shards(shards);
+                Simulator::run(&cat, &tr, &assignment(&[0, 1, 2]), &cfg).unwrap_err()
+            });
+            assert!(
+                matches!(err, SimError::UnmappedFile { file } if file == FileId(4)),
+                "S={shards}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -1826,7 +1696,8 @@ mod tests {
         let tr = trace(&[], 1.0);
         let cfg = SimConfig::paper_default();
         let a = assignment(&[0, 1]);
-        let err = Simulator::run_with_fleet(&cat, &tr, &a, &cfg, 1).unwrap_err();
+        let err =
+            Simulator::run_from_source(&cat, InMemorySource::new(&tr), &a, &cfg, 1).unwrap_err();
         assert!(matches!(
             err,
             SimError::FleetTooSmall {
@@ -1876,7 +1747,7 @@ mod tests {
         assert_eq!(r1.responses, r2.responses);
     }
 
-    /// Reports must agree bit-for-bit across arrival modes.
+    /// Reports that must agree bit for bit.
     fn assert_reports_identical(a: &SimReport, b: &SimReport) {
         assert_eq!(a.sim_time_s, b.sim_time_s);
         assert_eq!(a.energy.total_joules(), b.energy.total_joules());
@@ -1890,48 +1761,6 @@ mod tests {
         for (x, y) in a.per_disk_energy.iter().zip(&b.per_disk_energy) {
             assert_eq!(x.total_joules(), y.total_joules());
         }
-    }
-
-    #[test]
-    fn streamed_and_preloaded_arrivals_are_bit_identical() {
-        let cat = catalog(4, 30 * MB);
-        let tr = Trace::poisson(&cat, 2.0, 500.0, 13);
-        let a = assignment(&[0, 1, 2, 3]);
-        for threshold in [
-            ThresholdPolicy::Never,
-            ThresholdPolicy::BreakEven,
-            ThresholdPolicy::Fixed(5.0),
-            ThresholdPolicy::Fixed(120.0),
-        ] {
-            let streamed = SimConfig::paper_default().with_threshold(threshold);
-            let preloaded = streamed.clone().with_arrival_mode(ArrivalMode::Preloaded);
-            let rs = Simulator::run(&cat, &tr, &a, &streamed).unwrap();
-            let rp = Simulator::run(&cat, &tr, &a, &preloaded).unwrap();
-            assert_reports_identical(&rs, &rp);
-        }
-    }
-
-    #[test]
-    fn streamed_and_preloaded_agree_with_cache_and_ties() {
-        // Simultaneous arrivals (ties) plus a cache exercise the tie-break
-        // rule: arrivals must process before any same-time disk event.
-        let cat = catalog(2, 40 * MB);
-        let tr = trace(&[(0.0, 0), (0.0, 1), (0.0, 0), (30.0, 1), (30.0, 1)], 300.0);
-        let a = assignment(&[0, 1]);
-        let streamed = SimConfig::paper_default()
-            .with_threshold(ThresholdPolicy::Fixed(30.0))
-            .with_cache(CacheConfig {
-                capacity_bytes: 50 * MB,
-                bandwidth_bps: 1.0e9,
-            });
-        let preloaded = streamed.clone().with_arrival_mode(ArrivalMode::Preloaded);
-        let rs = Simulator::run(&cat, &tr, &a, &streamed).unwrap();
-        let rp = Simulator::run(&cat, &tr, &a, &preloaded).unwrap();
-        assert_reports_identical(&rs, &rp);
-        assert_eq!(
-            rs.cache.as_ref().unwrap().hits,
-            rp.cache.as_ref().unwrap().hits
-        );
     }
 
     #[test]
@@ -1951,20 +1780,6 @@ mod tests {
             streamed.disks
         );
         assert_eq!(streamed.per_shard_event_peaks.len(), 1, "one event loop");
-        let preloaded = Simulator::run(
-            &cat,
-            &tr,
-            &a,
-            &cfg.clone().with_arrival_mode(ArrivalMode::Preloaded),
-        )
-        .unwrap();
-        assert!(
-            preloaded.peak_event_queue_max() >= tr.len(),
-            "preloaded peak {} < trace {}",
-            preloaded.peak_event_queue_max(),
-            tr.len()
-        );
-        assert_reports_identical(&streamed, &preloaded);
     }
 
     #[test]
@@ -1973,7 +1788,8 @@ mod tests {
         let tr = Trace::new(vec![], 100.0);
         let cfg = SimConfig::paper_default();
         let empty = Assignment { disks: vec![] };
-        let report = Simulator::run_with_fleet(&cat, &tr, &empty, &cfg, 0).unwrap();
+        let report =
+            Simulator::run_from_source(&cat, InMemorySource::new(&tr), &empty, &cfg, 0).unwrap();
         assert_eq!(report.disks, 0);
         assert_eq!(report.energy.total_joules(), 0.0);
         assert_eq!(report.energy.total_seconds(), 0.0);
@@ -1990,7 +1806,8 @@ mod tests {
         let tr = Trace::new(vec![], 100.0);
         let cfg = SimConfig::paper_default();
         let a = assignment(&[0]);
-        let err = Simulator::run_with_fleet(&cat, &tr, &a, &cfg, 0).unwrap_err();
+        let err =
+            Simulator::run_from_source(&cat, InMemorySource::new(&tr), &a, &cfg, 0).unwrap_err();
         assert!(matches!(
             err,
             SimError::FleetTooSmall {
@@ -2037,17 +1854,19 @@ mod tests {
         let cat = catalog(1, 10 * MB);
         let tr = trace(&[(50.0, 0), (150.0, 0)], 400.0);
         let cfg = SimConfig::paper_default();
-        let report = Simulator::run_with_policy(
+        let report = Simulator::replay(
             &cat,
-            &tr,
+            InMemorySource::new(&tr),
             &assignment(&[0]),
             &cfg,
             1,
-            Box::new(EagerCounter {
-                idles: 0,
-                arrivals: 0,
-                downs: 0,
-            }),
+            |_| {
+                Box::new(EagerCounter {
+                    idles: 0,
+                    arrivals: 0,
+                    downs: 0,
+                })
+            },
         )
         .unwrap();
         // Idle at t=0 → immediate spin-down; both requests find standby,
@@ -2059,21 +1878,67 @@ mod tests {
         assert!(report.response_quantile(0.0) > 15.0);
     }
 
+    /// A policy answering `delay` for global disk 1 and holding elsewhere.
+    struct BadDelay(f64);
+
+    impl crate::policy::PowerPolicy for BadDelay {
+        fn name(&self) -> String {
+            "bad_delay".into()
+        }
+        fn settled(&mut self, disk: usize, _level: u8, _t: f64) -> Option<DescentStep> {
+            (disk == 1).then_some(DescentStep::to_deepest(self.0))
+        }
+    }
+
     #[test]
-    fn run_with_policy_timeout_matches_run_with_fleet() {
+    fn bad_policy_delay_is_a_typed_error() {
+        let cat = catalog(2, 10 * MB);
+        let tr = trace(&[(5.0, 0), (6.0, 1)], 100.0);
+        for delay in [f64::NAN, -1.0, f64::INFINITY] {
+            for shards in [1, 2] {
+                let cfg = SimConfig::paper_default().with_shards(shards);
+                let err = Simulator::replay(
+                    &cat,
+                    InMemorySource::new(&tr),
+                    &assignment(&[0, 1]),
+                    &cfg,
+                    2,
+                    |_| Box::new(BadDelay(delay)),
+                )
+                .unwrap_err();
+                let msg = err.to_string();
+                match err {
+                    SimError::InvalidPolicyDelay {
+                        policy,
+                        disk,
+                        level,
+                        rest_s,
+                    } => {
+                        assert_eq!(policy, "bad_delay");
+                        assert_eq!(disk, 1, "S={shards}: the global disk id");
+                        assert_eq!(level, 0);
+                        assert!(
+                            rest_s.to_bits() == delay.to_bits(),
+                            "S={shards}: {rest_s} vs {delay}"
+                        );
+                    }
+                    other => panic!("S={shards} delay {delay}: unexpected error {other}"),
+                }
+                assert!(msg.contains("bad_delay") && msg.contains("disk 1"), "{msg}");
+            }
+        }
+    }
+
+    #[test]
+    fn replay_with_a_timeout_factory_matches_run() {
         let cat = catalog(3, 20 * MB);
         let tr = Trace::poisson(&cat, 1.0, 400.0, 21);
         let a = assignment(&[0, 1, 2]);
         let cfg = SimConfig::paper_default().with_threshold(ThresholdPolicy::Fixed(40.0));
-        let via_cfg = Simulator::run_with_fleet(&cat, &tr, &a, &cfg, 3).unwrap();
-        let via_policy = Simulator::run_with_policy(
-            &cat,
-            &tr,
-            &a,
-            &cfg,
-            3,
-            Box::new(crate::policy::TimeoutPolicy::fixed(40.0)),
-        )
+        let via_cfg = Simulator::run(&cat, &tr, &a, &cfg).unwrap();
+        let via_policy = Simulator::replay(&cat, InMemorySource::new(&tr), &a, &cfg, 3, |_| {
+            Box::new(crate::policy::TimeoutPolicy::fixed(40.0))
+        })
         .unwrap();
         assert_reports_identical(&via_cfg, &via_policy);
     }
@@ -2177,9 +2042,15 @@ mod tests {
         // 8), would descend to standby at t=38. The request at t=20 finds
         // the disk resting at low-RPM and pays only its (shorter) exit.
         let tr = trace(&[(20.0, 0)], 100.0);
-        let report =
-            Simulator::run_with_policy(&cat, &tr, &assignment(&[0]), &cfg, 1, Box::new(StepDown))
-                .unwrap();
+        let report = Simulator::replay(
+            &cat,
+            InMemorySource::new(&tr),
+            &assignment(&[0]),
+            &cfg,
+            1,
+            |_| Box::new(StepDown),
+        )
+        .unwrap();
         let expected = lad.level(1).exit_time_s + service_time_72mb();
         assert!(
             (report.response_quantile(1.0) - expected).abs() < 1e-9,
@@ -2200,9 +2071,15 @@ mod tests {
         // Request at t=300: by then the disk stepped 0 → 1 (t=5..8) and
         // 1 → 2 (t=38..48); it wakes from standby paying the full exit.
         let tr = trace(&[(300.0, 0)], 400.0);
-        let report =
-            Simulator::run_with_policy(&cat, &tr, &assignment(&[0]), &cfg, 1, Box::new(StepDown))
-                .unwrap();
+        let report = Simulator::replay(
+            &cat,
+            InMemorySource::new(&tr),
+            &assignment(&[0]),
+            &cfg,
+            1,
+            |_| Box::new(StepDown),
+        )
+        .unwrap();
         let expected = lad.level(2).exit_time_s + service_time_72mb();
         assert!(
             (report.response_quantile(1.0) - expected).abs() < 1e-9,

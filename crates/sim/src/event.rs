@@ -10,11 +10,6 @@ use std::collections::BinaryHeap;
 /// The payloads the engine schedules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
-    /// Request `req` (index into the trace) arrives.
-    Arrival {
-        /// Index into the trace's request list.
-        req: usize,
-    },
     /// Disk `disk` finishes its current phase (service, spin-up or
     /// spin-down — the actor knows which).
     PhaseDone {
@@ -139,9 +134,9 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.schedule(5.0, Event::Arrival { req: 0 });
-        q.schedule(1.0, Event::Arrival { req: 1 });
-        q.schedule(3.0, Event::Arrival { req: 2 });
+        q.schedule(5.0, Event::PhaseDone { disk: 0 });
+        q.schedule(1.0, Event::PhaseDone { disk: 1 });
+        q.schedule(3.0, Event::PhaseDone { disk: 2 });
         let order: Vec<f64> = std::iter::from_fn(|| q.pop()).map(|(t, _)| t).collect();
         assert_eq!(order, vec![1.0, 3.0, 5.0]);
     }
@@ -149,12 +144,12 @@ mod tests {
     #[test]
     fn ties_break_by_insertion_order() {
         let mut q = EventQueue::new();
-        q.schedule(2.0, Event::Arrival { req: 10 });
+        q.schedule(2.0, Event::PhaseDone { disk: 10 });
         q.schedule(2.0, Event::PhaseDone { disk: 3 });
-        q.schedule(2.0, Event::Arrival { req: 11 });
-        assert_eq!(q.pop().unwrap().1, Event::Arrival { req: 10 });
+        q.schedule(2.0, Event::PhaseDone { disk: 11 });
+        assert_eq!(q.pop().unwrap().1, Event::PhaseDone { disk: 10 });
         assert_eq!(q.pop().unwrap().1, Event::PhaseDone { disk: 3 });
-        assert_eq!(q.pop().unwrap().1, Event::Arrival { req: 11 });
+        assert_eq!(q.pop().unwrap().1, Event::PhaseDone { disk: 11 });
     }
 
     #[test]
@@ -171,8 +166,8 @@ mod tests {
     fn len_tracks_contents() {
         let mut q = EventQueue::new();
         assert_eq!(q.len(), 0);
-        q.schedule(1.0, Event::Arrival { req: 0 });
-        q.schedule(2.0, Event::Arrival { req: 1 });
+        q.schedule(1.0, Event::PhaseDone { disk: 0 });
+        q.schedule(2.0, Event::PhaseDone { disk: 1 });
         assert_eq!(q.len(), 2);
         q.pop();
         assert_eq!(q.len(), 1);
@@ -182,17 +177,17 @@ mod tests {
     #[should_panic(expected = "bad event time")]
     fn nan_time_rejected() {
         let mut q = EventQueue::new();
-        q.schedule(f64::NAN, Event::Arrival { req: 0 });
+        q.schedule(f64::NAN, Event::PhaseDone { disk: 0 });
     }
 
     #[test]
     fn interleaved_schedule_pop_stays_ordered() {
         let mut q = EventQueue::new();
-        q.schedule(10.0, Event::Arrival { req: 0 });
-        q.schedule(4.0, Event::Arrival { req: 1 });
+        q.schedule(10.0, Event::PhaseDone { disk: 0 });
+        q.schedule(4.0, Event::PhaseDone { disk: 1 });
         assert_eq!(q.pop().unwrap().0, 4.0);
-        q.schedule(6.0, Event::Arrival { req: 2 });
-        q.schedule(5.0, Event::Arrival { req: 3 });
+        q.schedule(6.0, Event::PhaseDone { disk: 2 });
+        q.schedule(5.0, Event::PhaseDone { disk: 3 });
         assert_eq!(q.pop().unwrap().0, 5.0);
         assert_eq!(q.pop().unwrap().0, 6.0);
         assert_eq!(q.pop().unwrap().0, 10.0);

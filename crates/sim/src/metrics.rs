@@ -732,8 +732,8 @@ pub struct SimReport {
     pub per_disk_served: Vec<u64>,
     /// Per-shard peaks of the event heap, in shard order (one entry for
     /// an unsharded run). Each entry is that shard's largest number of
-    /// simultaneously pending events — O(shard disks) under streamed
-    /// arrivals, O(requests) when preloaded. Kept raw rather than
+    /// simultaneously pending events — O(shard disks), since arrivals
+    /// never enter the heap. Kept raw rather than
     /// pre-aggregated: [`Self::peak_event_queue_max`] is the tightest
     /// per-thread bound (what the O(disks) invariants check), while
     /// [`Self::peak_event_queue_sum`] is a deterministic upper bound on

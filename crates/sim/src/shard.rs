@@ -6,16 +6,20 @@
 //! Global disk `d` belongs to shard `d % S` and appears there as local
 //! actor `d / S`; shard `s` therefore simulates `ceil((fleet − s) / S)`
 //! disks and local actor `i` of shard `s` is global disk `i·S + s`. The
-//! arrival stream splits the same way (`spindown_workload::shard`), each
-//! shard's policy instance sees global ids through [`GlobalIds`], and the
-//! shard count is clamped to the fleet so no shard is ever empty.
+//! arrival stream splits the same way: one reader thread drains the
+//! source once through `spindown_workload::demux`, routing each request
+//! — tagged with its ordinal in the whole stream — into its shard's
+//! bounded channel, whether the source is an in-memory trace, a CSV file
+//! or a generator. Each shard's policy instance sees global ids through
+//! [`GlobalIds`], and the shard count is clamped to the fleet so no shard
+//! is ever empty.
 //!
 //! ## Why the merged report is bit-identical
 //!
-//! Outside preloaded arrivals, disks interact through *nothing*: each
-//! disk's service, queueing, power-transition, energy — and, under any
-//! cache scope, cache-slice — trajectory is a function of its own arrival
-//! subsequence, which sharding preserves in order. (A global-scope
+//! Disks interact through *nothing*: each disk's service, queueing,
+//! power-transition, energy — and, under any cache scope, cache-slice —
+//! trajectory is a function of its own arrival subsequence, which
+//! sharding preserves in order. (A global-scope
 //! hierarchy partitions its budget by file residency, so a file's cache
 //! trajectory lives entirely on the shard hosting its disk; the
 //! completion log streams through per-shard writers and a k-way merger —
@@ -61,8 +65,8 @@
 use std::sync::mpsc::{channel, sync_channel, Sender, SyncSender};
 
 use spindown_disk::energy::EnergyBreakdown;
-use spindown_workload::shard::{demux, ShardedTraceView};
-use spindown_workload::{FileCatalog, Trace, TraceSource};
+use spindown_workload::shard::{demux, ShardReceiver};
+use spindown_workload::{FileCatalog, TraceSource};
 
 use crate::cache::CacheStats;
 use crate::complog::{merge_streams, CompletionLogSummary, CompletionSink};
@@ -78,15 +82,8 @@ use crate::windows::{RowFolder, WindowPartial, WindowedReport};
 const LOG_DEPTH: usize = 4;
 
 /// The shard count a run actually uses: `cfg.shards` clamped to at least 1
-/// and at most the fleet (no empty shards), with a forced fallback to 1
-/// only for preloaded arrivals (the materialised-heap legacy mode, which
-/// pushes the whole trace into one event heap). Global-scope caches shard
-/// by partitioned budget and the completion log streams through the k-way
-/// merger, so neither forces a fallback any more.
+/// and at most the fleet (no empty shards).
 pub(crate) fn effective_shards(cfg: &SimConfig, fleet: usize) -> usize {
-    if cfg.shard_fallback().is_some() {
-        return 1;
-    }
     cfg.shards.max(1).min(fleet.max(1))
 }
 
@@ -152,35 +149,13 @@ impl PowerPolicy for GlobalIds {
     }
 }
 
-/// Sharded replay of a materialised trace: zero-copy per-shard views over
-/// the one request slice.
-pub(crate) fn run_partitioned_trace<'a>(
-    catalog: &'a FileCatalog,
-    trace: &'a Trace,
-    file_to_disk: &[usize],
-    cfg: &'a SimConfig,
-    fleet: usize,
-    shards: usize,
-    factory: &mut dyn FnMut(usize) -> Box<dyn PowerPolicy>,
-) -> Result<SimReport, SimError> {
-    let sources: Vec<ShardedTraceView<'_>> = (0..shards)
-        .map(|s| ShardedTraceView::new(trace.requests(), trace.horizon(), file_to_disk, shards, s))
-        .collect();
-    drive_and_merge(
-        catalog,
-        cfg,
-        file_to_disk,
-        fleet,
-        shards,
-        sources,
-        factory,
-        None::<fn(&[usize])>,
-    )
-}
-
-/// Sharded replay of a streaming source: one reader thread demultiplexes
-/// the source into bounded per-shard channels (the file is scanned once).
-pub(crate) fn run_demuxed_source<'a, S: TraceSource + Send>(
+/// Sharded replay of `source`: one reader thread demultiplexes it into
+/// bounded per-shard channels (the source is read once), every shard
+/// drains on its own scoped thread, then all shards finish at the common
+/// end time and their reports merge. Policies are built by `factory` in
+/// shard order on the calling thread, so factory side effects (seed
+/// derivation, logging) are deterministic.
+pub(crate) fn replay_sharded<'a, S: TraceSource + Send>(
     catalog: &'a FileCatalog,
     source: S,
     file_to_disk: &[usize],
@@ -189,45 +164,12 @@ pub(crate) fn run_demuxed_source<'a, S: TraceSource + Send>(
     shards: usize,
     factory: &mut dyn FnMut(usize) -> Box<dyn PowerPolicy>,
 ) -> Result<SimReport, SimError> {
-    let (pump, receivers) = demux(source, shards);
-    drive_and_merge(
-        catalog,
-        cfg,
-        file_to_disk,
-        fleet,
-        shards,
-        receivers,
-        factory,
-        Some(move |map: &[usize]| pump.run(map)),
-    )
-}
-
-/// Drain every shard on its own scoped thread (plus the optional producer
-/// thread feeding them), finish all shards at the common end time, and
-/// merge. Policies are built by `factory` in shard order on the calling
-/// thread, so factory side effects (seed derivation, logging) are
-/// deterministic.
-#[allow(clippy::too_many_arguments)]
-fn drive_and_merge<'a, Src, P>(
-    catalog: &'a FileCatalog,
-    cfg: &'a SimConfig,
-    file_to_disk: &[usize],
-    fleet: usize,
-    shards: usize,
-    sources: Vec<Src>,
-    factory: &mut dyn FnMut(usize) -> Box<dyn PowerPolicy>,
-    producer: Option<P>,
-) -> Result<SimReport, SimError>
-where
-    Src: TraceSource + Send,
-    P: FnOnce(&[usize]) + Send,
-{
     /// One shard's inputs: (shard index, source, wrapped policy, local
     /// file map, local fleet size, completion-log channel, window-partial
     /// channel).
-    type ShardJob<Src> = (
+    type ShardJob = (
         usize,
-        Src,
+        ShardReceiver,
         Box<dyn PowerPolicy>,
         Vec<usize>,
         usize,
@@ -238,6 +180,7 @@ where
     /// merge heads' peak buffered count (absent when logging is off).
     type MergedLog = Option<std::io::Result<(CompletionSink, usize)>>;
     let plan = ShardPlan { shards, fleet };
+    let (pump, receivers) = demux(source, shards);
     // Completion log: the merger thread owns the terminal sink (so e.g.
     // the CSV file is created once, here, not per shard); each shard
     // streams its canonical batches over a bounded channel.
@@ -257,11 +200,11 @@ where
     // unbounded channel, and this thread folds window `w` once all shards
     // have sent it. Shards never block on the send, so the channel cannot
     // deadlock against the bounded demux. Partials wait here only while
-    // some shard's clock lags; with a streamed source that feeds every
-    // shard, the demux's bounded buffer bounds that lag.
+    // some shard's clock lags; while the source feeds every shard, the
+    // demux's bounded buffer bounds that lag.
     let mut folder = cfg.windows.map(|width| RowFolder::new(width, shards));
     let (win_tx, win_rx) = channel::<(usize, WindowPartial)>();
-    let jobs: Vec<ShardJob<Src>> = sources
+    let jobs: Vec<ShardJob> = receivers
         .into_iter()
         .zip(log_txs)
         .enumerate()
@@ -285,54 +228,52 @@ where
     // Only the shards hold senders, so the fold below ends when the last
     // shard finishes draining (or fails).
     drop(win_tx);
-    let (results, merged_log): (Vec<Result<Simulator<'a, Src>, SimError>>, MergedLog) =
-        std::thread::scope(|scope| {
-            if let Some(p) = producer {
-                scope.spawn(move || p(file_to_disk));
+    let (results, merged_log): (
+        Vec<Result<Simulator<'a, ShardReceiver>, SimError>>,
+        MergedLog,
+    ) = std::thread::scope(|scope| {
+        scope.spawn(move || pump.run(file_to_disk));
+        // The merger terminates once every shard's sender is dropped —
+        // `run_drained` drops it on success (writer flush) and on error
+        // (the writer is dropped with the engine), so joining it inside
+        // the scope cannot deadlock.
+        let merger = merger_sink
+            .take()
+            .map(|sink| scope.spawn(move || merge_streams(log_rxs, sink)));
+        let handles: Vec<_> = jobs
+            .into_iter()
+            .map(
+                |(s, source, policy, local_map, shard_fleet, log_tx, window_tx)| {
+                    scope.spawn(move || {
+                        Simulator::run_drained(
+                            catalog,
+                            source,
+                            local_map,
+                            cfg,
+                            shard_fleet,
+                            fleet,
+                            s,
+                            shards,
+                            policy,
+                            log_tx,
+                            window_tx,
+                        )
+                    })
+                },
+            )
+            .collect();
+        if let Some(folder) = folder.as_mut() {
+            for (s, partial) in win_rx.iter() {
+                folder.push(s, partial);
             }
-            // The merger terminates once every shard's sender is dropped —
-            // `run_drained` drops it on success (writer flush) and on error
-            // (the writer is dropped with the engine), so joining it inside
-            // the scope cannot deadlock.
-            let merger = merger_sink
-                .take()
-                .map(|sink| scope.spawn(move || merge_streams(log_rxs, sink)));
-            let handles: Vec<_> = jobs
-                .into_iter()
-                .map(
-                    |(s, source, policy, local_map, shard_fleet, log_tx, window_tx)| {
-                        scope.spawn(move || {
-                            Simulator::run_drained(
-                                catalog,
-                                source,
-                                None,
-                                local_map,
-                                cfg,
-                                shard_fleet,
-                                fleet,
-                                s,
-                                shards,
-                                policy,
-                                log_tx,
-                                window_tx,
-                            )
-                        })
-                    },
-                )
-                .collect();
-            if let Some(folder) = folder.as_mut() {
-                for (s, partial) in win_rx.iter() {
-                    folder.push(s, partial);
-                }
-            }
-            let results = handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect();
-            let merged_log =
-                merger.map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-            (results, merged_log)
-        });
+        }
+        let results = handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect();
+        let merged_log = merger.map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        (results, merged_log)
+    });
     let mut sims = Vec::with_capacity(shards);
     for r in results {
         sims.push(r?);
@@ -537,7 +478,6 @@ fn merge_reports(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ArrivalMode, CacheConfig};
     use crate::hierarchy::{CacheHierarchyConfig, CacheScope};
 
     #[test]
@@ -547,39 +487,28 @@ mod tests {
         assert_eq!(effective_shards(&cfg, 3), 3, "clamped to the fleet");
         assert_eq!(effective_shards(&cfg, 0), 1, "zero fleet runs unsharded");
         assert_eq!(effective_shards(&SimConfig::paper_default(), 8), 1);
-        let cached = cfg.clone().with_cache(CacheConfig::paper_16gb());
-        assert_eq!(
-            effective_shards(&cached, 8),
-            4,
-            "the legacy (global) cache shards by partitioned budget"
-        );
         let global = cfg
             .clone()
-            .with_cache_hierarchy(Some(CacheHierarchyConfig::from_legacy(
-                &CacheConfig::paper_16gb(),
-            )));
+            .with_cache_hierarchy(Some(CacheHierarchyConfig::paper_16gb()));
         assert_eq!(
             effective_shards(&global, 8),
             4,
             "global-scope hierarchies shard by partitioned budget"
         );
         let per_disk = cfg.clone().with_cache_hierarchy(Some(
-            CacheHierarchyConfig::from_legacy(&CacheConfig::paper_16gb())
-                .with_scope(CacheScope::PerDisk),
+            CacheHierarchyConfig::paper_16gb().with_scope(CacheScope::PerDisk),
         ));
         assert_eq!(
             effective_shards(&per_disk, 8),
             4,
             "per-disk slices shard freely"
         );
-        let logged = cfg.clone().with_completion_log();
+        let logged = cfg.with_completion_log();
         assert_eq!(
             effective_shards(&logged, 8),
             4,
             "the completion log streams through the k-way merger"
         );
-        let preloaded = cfg.with_arrival_mode(ArrivalMode::Preloaded);
-        assert_eq!(effective_shards(&preloaded, 8), 1, "preloaded is legacy");
     }
 
     #[test]

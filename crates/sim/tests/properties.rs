@@ -7,12 +7,12 @@ use spindown_disk::mechanics::ServiceTimer;
 use spindown_disk::{DiskSpec, PowerState};
 use spindown_packing::{Assignment, DiskBin};
 use spindown_sim::cache::CacheStats;
-use spindown_sim::config::{ArrivalMode, SimConfig, ThresholdPolicy};
+use spindown_sim::config::{SimConfig, ThresholdPolicy};
 use spindown_sim::discipline::DisciplineChoice;
 use spindown_sim::engine::Simulator;
 use spindown_workload::trace::Request;
 use spindown_workload::FaultPlan;
-use spindown_workload::{FileCatalog, FileId, Trace};
+use spindown_workload::{FileCatalog, FileId, InMemorySource, Trace};
 
 /// A randomized mini-workload: n files (1–6 disks), m requests in [0, 500 s].
 #[derive(Debug, Clone)]
@@ -187,23 +187,6 @@ proptest! {
     }
 
     #[test]
-    fn streamed_arrivals_match_preloaded_bit_for_bit(
-        w in mini_workload(), th in threshold_strategy()
-    ) {
-        let streamed = SimConfig::paper_default().with_threshold(th);
-        let preloaded = streamed.clone().with_arrival_mode(ArrivalMode::Preloaded);
-        let a = Simulator::run(&w.catalog, &w.trace, &w.assignment, &streamed).unwrap();
-        let b = Simulator::run(&w.catalog, &w.trace, &w.assignment, &preloaded).unwrap();
-        prop_assert_eq!(a.energy.total_joules(), b.energy.total_joules());
-        prop_assert_eq!(a.energy.total_seconds(), b.energy.total_seconds());
-        prop_assert_eq!(a.responses, b.responses);
-        prop_assert_eq!(a.spin_downs, b.spin_downs);
-        prop_assert_eq!(a.spin_ups, b.spin_ups);
-        prop_assert_eq!(a.per_disk_served, b.per_disk_served);
-        prop_assert_eq!(a.sim_time_s, b.sim_time_s);
-    }
-
-    #[test]
     fn streamed_peak_event_queue_is_fleet_bound(
         w in mini_workload(), th in threshold_strategy()
     ) {
@@ -334,8 +317,12 @@ proptest! {
     fn fleet_extension_only_adds_idle_or_sleeping_disks(w in mini_workload()) {
         let cfg = SimConfig::paper_default().with_threshold(ThresholdPolicy::BreakEven);
         let base = Simulator::run(&w.catalog, &w.trace, &w.assignment, &cfg).unwrap();
-        let bigger = Simulator::run_with_fleet(
-            &w.catalog, &w.trace, &w.assignment, &cfg, w.assignment.disk_slots() + 3,
+        let bigger = Simulator::run_from_source(
+            &w.catalog,
+            InMemorySource::new(&w.trace),
+            &w.assignment,
+            &cfg,
+            w.assignment.disk_slots() + 3,
         )
         .unwrap();
         // Responses are identical — extra disks never serve anything.

@@ -9,7 +9,7 @@
 //! - average arrival rate 0.044683 /s over 30 days (Poisson count check:
 //!   0.044683 × 2 592 000 ≈ 115 818 ✓);
 //! - mean file size 544 MB ("which incurred about 7.56 sec of service time
-//!   [at] 72 MBps") — bin-level Zipf calibrated to hit this mean exactly in
+//!   \[at\] 72 MBps") — bin-level Zipf calibrated to hit this mean exactly in
 //!   expectation;
 //! - file sizes fall into 80 log-spaced bins whose proportions "decrease
 //!   almost linearly in the log-log scale";

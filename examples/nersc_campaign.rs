@@ -11,8 +11,9 @@
 
 use spindown::core::{Planner, PlannerConfig};
 use spindown::disk::DutyCycleCounter;
-use spindown::sim::config::{CacheConfig, SimConfig, ThresholdPolicy};
+use spindown::sim::config::{SimConfig, ThresholdPolicy};
 use spindown::sim::engine::Simulator;
+use spindown::sim::hierarchy::CacheHierarchyConfig;
 use spindown::workload::nersc::{self, NerscConfig};
 
 fn main() {
@@ -50,13 +51,13 @@ fn main() {
             let mut sim =
                 SimConfig::paper_default().with_threshold(ThresholdPolicy::Fixed(hours * 3600.0));
             if cached {
-                sim = sim.with_cache(CacheConfig::paper_16gb());
+                sim = sim.with_cache_hierarchy(Some(CacheHierarchyConfig::paper_16gb()));
             }
             let report = Simulator::run(&workload.catalog, &workload.trace, &plan.assignment, &sim)
                 .expect("simulate");
             // Normalise against the never-spin-down fleet.
             let mut never = SimConfig::paper_default().with_threshold(ThresholdPolicy::Never);
-            never.cache = sim.cache;
+            never.cache_hierarchy = sim.cache_hierarchy.clone();
             let e_never =
                 Simulator::run(&workload.catalog, &workload.trace, &plan.assignment, &never)
                     .expect("baseline")

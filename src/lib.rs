@@ -38,7 +38,7 @@
 //! idle-period start. Select one through the planner ([`core::PolicyChoice`]
 //! covers the paper's fixed thresholds plus the online randomised
 //! ski-rental and adaptive-predictor policies), or implement the trait and
-//! pass it to [`sim::engine::Simulator::run_with_policy`] directly:
+//! hand a factory for it to [`sim::engine::Simulator::replay`] directly:
 //!
 //! ```
 //! use spindown::core::{Planner, PlannerConfig, PolicyChoice};

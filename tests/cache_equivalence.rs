@@ -2,12 +2,14 @@
 //! through a deliberately tight cache (150 MB — small enough that the
 //! fixture exercises hits, misses, multi-eviction admissions *and* an
 //! oversize rejection of the 300 MB file) was captured from the engine
-//! *before* the `CachePolicy` trait / `CacheHierarchy` refactor. The
-//! legacy `SimConfig::with_cache` path and the single-tier LRU hierarchy
-//! configured through `SimConfig::with_cache_hierarchy` must both land on
-//! this table bit-for-bit (to printed precision): the refactor moved the
-//! LRU behind a trait object and the dispatch behind a tier walk, and
-//! neither move is allowed to be a semantic change.
+//! *before* the `CachePolicy` trait / `CacheHierarchy` refactor, from the
+//! flat LRU that the single-tier LRU hierarchy replaced. That hierarchy,
+//! configured through `SimConfig::with_cache_hierarchy` and replayed
+//! through `Simulator::run` or `Simulator::replay` with an explicit
+//! policy, must land on this table bit-for-bit (to printed precision):
+//! the refactor moved the LRU behind a trait object and the dispatch
+//! behind a tier walk, and neither move is allowed to be a semantic
+//! change.
 //!
 //! ## Updating the fixture (deliberate engine-semantics changes only)
 //!
@@ -30,13 +32,14 @@ use std::io::BufReader;
 use std::path::Path;
 
 use spindown::packing::{Assignment, DiskBin};
-use spindown::sim::config::{CacheConfig, SimConfig, ThresholdPolicy};
+use spindown::sim::config::{SimConfig, ThresholdPolicy};
 use spindown::sim::engine::Simulator;
 use spindown::sim::hierarchy::{
     CacheHierarchyConfig, CachePolicyChoice, CacheScope, CacheTierConfig,
 };
 use spindown::sim::metrics::{MetricsMode, SimReport};
-use spindown::workload::{FileCatalog, Trace};
+use spindown::sim::policy::TimeoutPolicy;
+use spindown::workload::{FileCatalog, InMemorySource, Trace};
 
 const MB: u64 = 1_000_000;
 const TRACE: &str = "tests/fixtures/golden_trace.csv";
@@ -47,11 +50,12 @@ const TOL: f64 = 1e-6;
 /// 150 MB holds a working set but not the whole catalog, and rejects the
 /// 300 MB file outright; 2 GB/s keeps hit latencies distinct from every
 /// disk-service time in the trace.
-fn tight_cache() -> CacheConfig {
-    CacheConfig {
+fn tight_cache() -> CacheHierarchyConfig {
+    CacheHierarchyConfig::single(CacheTierConfig {
         capacity_bytes: 150 * MB,
         bandwidth_bps: 2.0e9,
-    }
+        policy: CachePolicyChoice::Lru,
+    })
 }
 
 /// The golden fixture of `golden_trace.rs`, with the tight cache in front.
@@ -138,13 +142,23 @@ fn assert_matches_fixture(report: &SimReport, context: &str) {
     );
 }
 
-/// The legacy flat-LRU configuration is the fixture's source of truth:
-/// captured before the trait refactor, pinned ever since.
+/// The flat-LRU cache is the fixture's source of truth: captured before
+/// the trait refactor, pinned ever since — here replayed through
+/// `Simulator::replay` with the fixture's timeout policy built explicitly.
 #[test]
 fn legacy_lru_path_matches_the_pre_trait_fixture() {
     let (catalog, assignment, cfg) = fixture();
-    let cfg = cfg.with_cache(tight_cache());
-    let report = Simulator::run(&catalog, &golden_trace(), &assignment, &cfg).expect("simulates");
+    let cfg = cfg.with_cache_hierarchy(Some(tight_cache()));
+    let trace = golden_trace();
+    let report = Simulator::replay(
+        &catalog,
+        InMemorySource::new(&trace),
+        &assignment,
+        &cfg,
+        assignment.disk_slots(),
+        |_| Box::new(TimeoutPolicy::fixed(20.0)),
+    )
+    .expect("simulates");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(Path::new(EXPECTED), render(&report)).expect("fixture writable");
         panic!(
@@ -152,37 +166,22 @@ fn legacy_lru_path_matches_the_pre_trait_fixture() {
              commit it, and rerun without UPDATE_GOLDEN"
         );
     }
-    assert_matches_fixture(&report, "legacy with_cache path");
-    // The legacy flat cache also reports itself as a one-tier hierarchy.
+    assert_matches_fixture(&report, "replay with an explicit policy");
+    // The flat cache reports itself as a one-tier hierarchy.
     assert_eq!(report.cache_tiers, Some(vec![report.cache.unwrap()]));
 }
 
 /// The tentpole pin: a single-tier LRU `CacheHierarchy` configured through
-/// `with_cache_hierarchy` is the *same cache* as the legacy flat LRU — the
-/// trait object, the tier walk and the new recording plumbing change no
-/// observable number on the fixture.
+/// `with_cache_hierarchy` is the *same cache* as the original flat LRU —
+/// the trait object, the tier walk and the new recording plumbing change
+/// no observable number on the fixture.
 #[test]
 fn single_tier_lru_hierarchy_matches_the_legacy_fixture() {
     let (catalog, assignment, cfg) = fixture();
-    let cfg = cfg.with_cache_hierarchy(Some(CacheHierarchyConfig::from_legacy(&tight_cache())));
+    let cfg = cfg.with_cache_hierarchy(Some(tight_cache()));
     let report = Simulator::run(&catalog, &golden_trace(), &assignment, &cfg).expect("simulates");
     assert_matches_fixture(&report, "single-tier hierarchy path");
     assert_eq!(report.cache_tiers, Some(vec![report.cache.unwrap()]));
-}
-
-/// Setting both cache representations is rejected, not silently resolved.
-#[test]
-fn conflicting_cache_configs_are_rejected() {
-    let (catalog, assignment, cfg) = fixture();
-    let cfg = cfg
-        .with_cache(tight_cache())
-        .with_cache_hierarchy(Some(CacheHierarchyConfig::from_legacy(&tight_cache())));
-    let err = Simulator::run(&catalog, &golden_trace(), &assignment, &cfg)
-        .expect_err("ambiguous cache config must fail");
-    assert!(
-        err.to_string().contains("cache"),
-        "typed cache error: {err}"
-    );
 }
 
 /// A hit must not touch the disk: with every re-access served from cache,
@@ -242,7 +241,7 @@ fn two_tier_hierarchy_strictly_beats_its_first_tier_alone() {
         &catalog,
         &golden_trace(),
         &assignment,
-        &cfg.with_cache(tight_cache()),
+        &cfg.with_cache_hierarchy(Some(tight_cache())),
     )
     .expect("simulates");
     let agg = report.cache.unwrap();

@@ -194,22 +194,19 @@ fn golden_trace_table_is_ladder_representation_invariant() {
     }
 }
 
-/// The same fixture replayed with the preloaded arrival mode and an
-/// explicit FIFO discipline must land on the identical table — the
-/// `--ignored` CI smoke lane runs this alongside the 1M-request replay.
+/// The same fixture replayed with an explicit FIFO discipline must land on
+/// the identical table — the `--ignored` CI smoke lane runs this alongside
+/// the 1M-request replay.
 #[test]
 #[ignore = "smoke lane: cargo test -- --ignored"]
-fn golden_trace_table_is_arrival_mode_and_discipline_invariant() {
-    use spindown::sim::config::ArrivalMode;
+fn golden_trace_table_is_discipline_invariant() {
     use spindown::sim::discipline::DisciplineChoice;
     let (catalog, assignment, cfg) = fixture();
     let raw = std::fs::File::open(TRACE).expect("golden trace fixture present");
     let trace = Trace::read_csv(BufReader::new(raw), Some(600.0)).expect("fixture parses");
     let text = std::fs::read_to_string(EXPECTED).expect("golden expected fixture present");
     let expected = parse_expected(&text);
-    let cfg = cfg
-        .with_arrival_mode(ArrivalMode::Preloaded)
-        .with_discipline(DisciplineChoice::Fifo);
+    let cfg = cfg.with_discipline(DisciplineChoice::Fifo);
     let report = Simulator::run(&catalog, &trace, &assignment, &cfg).expect("simulates");
     for (d, exp) in expected.iter().enumerate() {
         assert!((report.per_disk_energy[d].total_joules() - exp.0).abs() < TOL * exp.0.max(1.0));

@@ -16,11 +16,11 @@
 //! 3. **Exact-mode sharding** — quantiles bit-equal (same sample multiset,
 //!    nearest-rank), mean within float-summation slack.
 //! 4. **Degenerate shapes** — more shards than disks, a single-request
-//!    trace, an undersized fleet error, and the one remaining fallback
-//!    (preloaded arrivals force one shard; caches and the completion log
-//!    compose — see also `cached_shard_equivalence`).
+//!    trace and an undersized fleet error; caches and the completion log
+//!    compose (see also `cached_shard_equivalence`).
 //! 5. **Streaming demux** — `run_from_source` over a CSV reader splits the
-//!    stream once and still merges bit-identically.
+//!    stream once and still merges bit-identically, as in-memory traces
+//!    do through the same demux.
 //!
 //! `per_shard_event_peaks` is deliberately *not* compared: each shard
 //! reports its own heap peak, so the vector's length and entries differ
@@ -32,10 +32,11 @@ use std::io::BufReader;
 use spindown::core::{Planner, PlannerConfig};
 use spindown::disk::{DiskSpec, PowerLadder};
 use spindown::packing::{Assignment, DiskBin};
-use spindown::sim::config::{ArrivalMode, CacheConfig, SimConfig, ThresholdPolicy};
+use spindown::sim::config::{SimConfig, ThresholdPolicy};
 use spindown::sim::engine::{SimError, Simulator};
+use spindown::sim::hierarchy::CacheHierarchyConfig;
 use spindown::sim::metrics::{MetricsMode, SimReport};
-use spindown::workload::{CsvTraceSource, FileCatalog, Trace};
+use spindown::workload::{CsvTraceSource, FileCatalog, InMemorySource, Trace};
 
 const MB: u64 = 1_000_000;
 const QS: [f64; 7] = [0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0];
@@ -223,7 +224,7 @@ fn undersized_fleet_stays_an_explicit_error_when_sharded() {
     let tr = Trace::poisson(&cat, 0.5, 100.0, 3);
     let layout = assignment(8, 4);
     let cfg = SimConfig::paper_default().with_shards(4);
-    let err = Simulator::run_sharded(&cat, &tr, &layout, &cfg, 2, |_| {
+    let err = Simulator::replay(&cat, InMemorySource::new(&tr), &layout, &cfg, 2, |_| {
         Box::new(spindown::sim::policy::TimeoutPolicy::fixed(30.0))
     })
     .unwrap_err();
@@ -250,7 +251,7 @@ fn cache_and_completion_log_compose_with_sharding() {
     let variants: [SimConfig; 2] = [
         SimConfig::paper_default()
             .with_metrics(MetricsMode::Histogram)
-            .with_cache(CacheConfig::paper_16gb()),
+            .with_cache_hierarchy(Some(CacheHierarchyConfig::paper_16gb())),
         SimConfig::paper_default()
             .with_metrics(MetricsMode::Histogram)
             .with_completion_log(),
@@ -273,24 +274,6 @@ fn cache_and_completion_log_compose_with_sharding() {
             other => panic!("log summary presence diverged: {other:?}"),
         }
     }
-}
-
-// The one remaining fallback: preloaded arrivals still force one shard,
-// so the sharded config reproduces the unsharded run exactly — down to
-// the single-heap event peak.
-#[test]
-fn preloaded_arrivals_fall_back_to_one_shard() {
-    let cat = catalog(24);
-    let tr = Trace::poisson(&cat, 1.0, 300.0, 99);
-    let layout = assignment(24, 6);
-    let base = SimConfig::paper_default()
-        .with_metrics(MetricsMode::Histogram)
-        .with_arrival_mode(ArrivalMode::Preloaded);
-    let solo = Simulator::run(&cat, &tr, &layout, &base).unwrap();
-    let cfg = base.clone().with_shards(4);
-    let sharded = Simulator::run(&cat, &tr, &layout, &cfg).unwrap();
-    assert_reports_bit_identical(&solo, &sharded, "preloaded fallback");
-    assert_eq!(solo.per_shard_event_peaks, sharded.per_shard_event_peaks);
 }
 
 // Per-disk vectors are indexed by *global* disk id whatever the shard
@@ -349,7 +332,7 @@ fn ski_rental_policy_shards_bit_identically() {
     let spec = DiskSpec::seagate_st3500630as();
     let run = |shards: usize| {
         let cfg = base.clone().with_shards(shards);
-        Simulator::run_sharded(&cat, &tr, &layout, &cfg, 12, |_| {
+        Simulator::replay(&cat, InMemorySource::new(&tr), &layout, &cfg, 12, |_| {
             Box::new(SkiRentalPolicy::for_drive(&spec, 77))
         })
         .unwrap()
@@ -362,7 +345,7 @@ fn ski_rental_policy_shards_bit_identically() {
     }
 }
 
-// The planner/sweep drivers thread `shards` through `run_sharded`, so a
+// The planner/sweep drivers thread `shards` through `replay`, so a
 // planner evaluation is deterministic in the shard count too.
 #[test]
 fn planner_evaluation_is_shard_count_invariant() {
