@@ -6,15 +6,20 @@
 //! same generator replay across 1/2/4/8 shards (the `--shards` scaling
 //! curve — wall clock tracks the host's core count, the report is
 //! bit-identical), and the 10M replay with the streaming completion log
-//! in digest mode (the per-completion canonicalise/hash overhead); a
+//! in digest mode (the per-completion canonicalise/hash overhead) next to
+//! the encode+hash layer alone over 1M precomputed completions; a
 //! one-shot 100M-request replay (10M under `CRITERION_QUICK=1`) records
 //! wall time, throughput and the tracked-structure sizes alongside.
 //! Results are tracked in BENCHMARKS.md.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use rand::rngs::SmallRng;
+use rand::{RngExt, SeedableRng};
 use spindown_packing::{Assignment, DiskBin};
+use spindown_sim::complog::CompletionSink;
 use spindown_sim::config::{SimConfig, ThresholdPolicy};
 use spindown_sim::engine::Simulator;
+use spindown_sim::metrics::Completion;
 use spindown_sim::{CompletionLogMode, MetricsMode, StreamingHistogram};
 use spindown_workload::{CsvTraceSource, FileCatalog, SyntheticSource, Trace};
 use std::hint::black_box;
@@ -157,6 +162,39 @@ fn bench(c: &mut Criterion) {
                     )
                     .unwrap();
                     black_box(report.completion_log.map(|l| l.fnv1a))
+                })
+            },
+        );
+    }
+    // Criterion-timed: the completion log's encode+hash layer alone — 1M
+    // precomputed completion-like records (R = 4/s Poisson times, 100
+    // disks) through a digest-mode sink, with no engine around it.
+    {
+        let mut rng = SmallRng::seed_from_u64(SEED);
+        let mut t = 0.0;
+        let completions: Vec<Completion> = (0..1_000_000)
+            .map(|req| {
+                t += -(1.0 - rng.random::<f64>()).ln() / 4.0;
+                Completion {
+                    req,
+                    disk: req % 100,
+                    time_s: t,
+                }
+            })
+            .collect();
+        group.throughput(Throughput::Elements(completions.len() as u64));
+        group.bench_with_input(
+            BenchmarkId::new("completion_log", "encode_hash_1M"),
+            &completions,
+            |b, completions| {
+                b.iter(|| {
+                    let mut sink = CompletionSink::from_mode(&CompletionLogMode::Digest)
+                        .unwrap()
+                        .unwrap();
+                    for c in black_box(completions) {
+                        sink.emit(c).unwrap();
+                    }
+                    black_box(sink.finish(0).unwrap().1.fnv1a)
                 })
             },
         );

@@ -30,8 +30,10 @@
 //! construction, which is what pins `--shards N` + completion log
 //! bit-identical in `tests/cached_shard_equivalence.rs`.
 //!
-//! Canonical line format: `req,disk,time_s\n` with `f64` shortest
-//! round-trip formatting — deterministic across runs and platforms.
+//! Canonical line format: `req,disk,time_s\n`, `time_s` in the shortest
+//! round-trip form std's `Display` prints — deterministic across runs and
+//! platforms. The sink encodes it in-tree (the `decimal` module) into one
+//! reused buffer, with no allocation per record.
 
 use std::collections::VecDeque;
 use std::fs::File;
@@ -40,6 +42,7 @@ use std::sync::mpsc::{Receiver, SyncSender};
 
 use serde::{Deserialize, Serialize};
 
+use crate::decimal;
 use crate::metrics::Completion;
 
 /// Completions per channel batch on the sharded path (same amortisation
@@ -103,44 +106,46 @@ pub struct CompletionLogSummary {
     pub peak_buffered: usize,
 }
 
-/// The canonical line for one completion.
+/// Append the canonical line for one completion: `req,disk,time_s\n`,
+/// with `time_s` exactly as `format!("{}", time_s)` prints it.
 #[inline]
-fn canonical_line(c: &Completion) -> String {
-    format!("{},{},{}\n", c.req, c.disk, c.time_s)
+fn encode_line(line: &mut Vec<u8>, c: &Completion) {
+    decimal::push_u64(line, c.req as u64);
+    line.push(b',');
+    decimal::push_u64(line, c.disk as u64);
+    line.push(b',');
+    decimal::push_f64(line, c.time_s);
+    line.push(b'\n');
 }
 
-/// Terminal consumer of the canonical stream.
-pub(crate) enum CompletionSink {
-    /// Accumulate the records (legacy surface) while still digesting.
-    Memory {
-        completions: Vec<Completion>,
-        records: u64,
-        bytes: u64,
-        hash: u64,
-    },
-    /// Write canonical lines to a buffered file.
-    Csv {
-        out: BufWriter<File>,
-        records: u64,
-        bytes: u64,
-        hash: u64,
-    },
-    /// Counters and digest only.
-    Digest { records: u64, bytes: u64, hash: u64 },
+/// Where a [`CompletionSink`] puts the canonical bytes.
+enum Store {
+    /// Keep the records (the legacy in-memory surface).
+    Memory(Vec<Completion>),
+    /// Write the lines to a buffered file.
+    Csv(BufWriter<File>),
+    /// Nowhere: counters and digest only.
+    Digest,
+}
+
+/// Terminal consumer of the canonical stream: encodes each completion
+/// into one reused line buffer, counts and digests it, and stores it as
+/// the [`CompletionLogMode`] asks.
+pub struct CompletionSink {
+    store: Store,
+    line: Vec<u8>,
+    records: u64,
+    bytes: u64,
+    hash: u64,
 }
 
 impl CompletionSink {
     /// The sink a mode denotes, or `None` for [`CompletionLogMode::Off`].
     /// Creating the CSV file can fail.
-    pub(crate) fn from_mode(mode: &CompletionLogMode) -> std::io::Result<Option<Self>> {
-        Ok(match mode {
-            CompletionLogMode::Off => None,
-            CompletionLogMode::Memory => Some(CompletionSink::Memory {
-                completions: Vec::new(),
-                records: 0,
-                bytes: 0,
-                hash: FNV_OFFSET,
-            }),
+    pub fn from_mode(mode: &CompletionLogMode) -> std::io::Result<Option<Self>> {
+        let store = match mode {
+            CompletionLogMode::Off => return Ok(None),
+            CompletionLogMode::Memory => Store::Memory(Vec::new()),
             CompletionLogMode::Csv { path } => {
                 // The run may start before the results directory exists
                 // (the experiments driver creates it when it writes the
@@ -150,111 +155,56 @@ impl CompletionSink {
                         std::fs::create_dir_all(parent)?;
                     }
                 }
-                Some(CompletionSink::Csv {
-                    out: BufWriter::new(File::create(path)?),
-                    records: 0,
-                    bytes: 0,
-                    hash: FNV_OFFSET,
-                })
+                Store::Csv(BufWriter::new(File::create(path)?))
             }
-            CompletionLogMode::Digest => Some(CompletionSink::Digest {
-                records: 0,
-                bytes: 0,
-                hash: FNV_OFFSET,
-            }),
-        })
+            CompletionLogMode::Digest => Store::Digest,
+        };
+        Ok(Some(CompletionSink {
+            store,
+            line: Vec::new(),
+            records: 0,
+            bytes: 0,
+            hash: FNV_OFFSET,
+        }))
     }
 
     /// Consume one completion in canonical order.
-    pub(crate) fn emit(&mut self, c: &Completion) -> std::io::Result<()> {
-        let line = canonical_line(c);
-        match self {
-            CompletionSink::Memory {
-                completions,
-                records,
-                bytes,
-                hash,
-            } => {
-                *records += 1;
-                *bytes += line.len() as u64;
-                *hash = fnv1a(*hash, line.as_bytes());
-                completions.push(*c);
-            }
-            CompletionSink::Csv {
-                out,
-                records,
-                bytes,
-                hash,
-            } => {
-                *records += 1;
-                *bytes += line.len() as u64;
-                *hash = fnv1a(*hash, line.as_bytes());
-                out.write_all(line.as_bytes())?;
-            }
-            CompletionSink::Digest {
-                records,
-                bytes,
-                hash,
-            } => {
-                *records += 1;
-                *bytes += line.len() as u64;
-                *hash = fnv1a(*hash, line.as_bytes());
-            }
+    pub fn emit(&mut self, c: &Completion) -> std::io::Result<()> {
+        self.line.clear();
+        encode_line(&mut self.line, c);
+        self.records += 1;
+        self.bytes += self.line.len() as u64;
+        self.hash = fnv1a(self.hash, &self.line);
+        match &mut self.store {
+            Store::Memory(kept) => kept.push(*c),
+            Store::Csv(out) => out.write_all(&self.line)?,
+            Store::Digest => {}
         }
         Ok(())
     }
 
-    /// Flush any file buffer and fold the sink into its report fields.
-    pub(crate) fn finish(
+    /// Flush any file buffer and fold the sink into its report fields:
+    /// the kept records (memory mode only) and the summary, which records
+    /// `peak_buffered` as the stream's peak residency.
+    pub fn finish(
         self,
         peak_buffered: usize,
     ) -> std::io::Result<(Option<Vec<Completion>>, CompletionLogSummary)> {
-        match self {
-            CompletionSink::Memory {
-                completions,
-                records,
-                bytes,
-                hash,
-            } => Ok((
-                Some(completions),
-                CompletionLogSummary {
-                    records,
-                    bytes,
-                    fnv1a: hash,
-                    peak_buffered,
-                },
-            )),
-            CompletionSink::Csv {
-                mut out,
-                records,
-                bytes,
-                hash,
-            } => {
+        let kept = match self.store {
+            Store::Memory(kept) => Some(kept),
+            Store::Csv(mut out) => {
                 out.flush()?;
-                Ok((
-                    None,
-                    CompletionLogSummary {
-                        records,
-                        bytes,
-                        fnv1a: hash,
-                        peak_buffered,
-                    },
-                ))
+                None
             }
-            CompletionSink::Digest {
-                records,
-                bytes,
-                hash,
-            } => Ok((
-                None,
-                CompletionLogSummary {
-                    records,
-                    bytes,
-                    fnv1a: hash,
-                    peak_buffered,
-                },
-            )),
-        }
+            Store::Digest => None,
+        };
+        let summary = CompletionLogSummary {
+            records: self.records,
+            bytes: self.bytes,
+            fnv1a: self.hash,
+            peak_buffered,
+        };
+        Ok((kept, summary))
     }
 }
 
@@ -462,7 +412,7 @@ mod tests {
         assert_eq!(
             summary.bytes,
             got.iter()
-                .map(|x| canonical_line(x).len() as u64)
+                .map(|x| format!("{},{},{}\n", x.req, x.disk, x.time_s).len() as u64)
                 .sum::<u64>()
         );
     }

@@ -24,6 +24,13 @@ pub enum ThresholdPolicy {
 
 impl ThresholdPolicy {
     /// The threshold in seconds for a drive (`None` = never spin down).
+    ///
+    /// # Panics
+    /// If a fixed threshold is negative or not finite;
+    /// [`Simulator::replay`](crate::engine::Simulator::replay) rejects such
+    /// a configuration with
+    /// [`SimError::InvalidThreshold`](crate::engine::SimError::InvalidThreshold)
+    /// before it gets here.
     pub fn threshold_s(&self, spec: &DiskSpec) -> Option<f64> {
         match *self {
             ThresholdPolicy::Fixed(s) => {
@@ -232,9 +239,36 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "bad threshold")]
-    fn negative_threshold_panics() {
-        let _ = ThresholdPolicy::Fixed(-1.0).threshold_s(&DiskSpec::default());
+    fn negative_threshold_is_a_typed_error() {
+        use crate::engine::{SimError, Simulator};
+        use spindown_packing::{Assignment, DiskBin};
+        use spindown_workload::{FileCatalog, FileId, Request, Trace};
+        let catalog = FileCatalog::from_parts(vec![1_000_000], vec![1.0]);
+        let trace = Trace::new(
+            vec![Request {
+                time: 1.0,
+                file: FileId(0),
+            }],
+            600.0,
+        );
+        let layout = Assignment {
+            disks: vec![DiskBin {
+                items: vec![0],
+                ..Default::default()
+            }],
+        };
+        for s in [-1.0, f64::NAN, f64::INFINITY] {
+            let cfg = SimConfig::paper_default().with_threshold(ThresholdPolicy::Fixed(s));
+            match Simulator::run(&catalog, &trace, &layout, &cfg) {
+                Err(e @ SimError::InvalidThreshold { threshold_s }) => {
+                    assert!(threshold_s.to_bits() == s.to_bits(), "{threshold_s} vs {s}");
+                    assert!(e.to_string().contains(&format!("threshold {s} s")), "{e}");
+                }
+                other => panic!("threshold {s}: expected InvalidThreshold, got {other:?}"),
+            }
+        }
+        let cfg = SimConfig::paper_default().with_threshold(ThresholdPolicy::Fixed(0.0));
+        assert!(Simulator::run(&catalog, &trace, &layout, &cfg).is_ok());
     }
 
     #[test]

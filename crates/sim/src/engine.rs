@@ -84,7 +84,7 @@ use spindown_workload::{
 
 use crate::actor::{DiskActor, Phase};
 use crate::complog::{CompletionOut, CompletionSink, CompletionWriter};
-use crate::config::SimConfig;
+use crate::config::{SimConfig, ThresholdPolicy};
 use crate::event::{Event, EventQueue};
 use crate::fault::{FaultRuntime, PendingRetry};
 use crate::hierarchy::{CacheHierarchy, CacheScope};
@@ -158,6 +158,12 @@ pub enum SimError {
         /// The delay the policy returned.
         rest_s: f64,
     },
+    /// A [`ThresholdPolicy::Fixed`] spin-down threshold that is negative
+    /// or not finite.
+    InvalidThreshold {
+        /// The configured threshold, seconds.
+        threshold_s: f64,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -211,6 +217,10 @@ impl std::fmt::Display for SimError {
                 f,
                 "policy {policy} returned descent delay {rest_s} s for disk {disk} at level \
                  {level}; it must be finite and non-negative"
+            ),
+            SimError::InvalidThreshold { threshold_s } => write!(
+                f,
+                "spin-down threshold {threshold_s} s must be finite and non-negative"
             ),
         }
     }
@@ -456,7 +466,9 @@ impl<'a, S: TraceSource + Send> Simulator<'a, S> {
     /// the global mean may differ by float-summation order.
     ///
     /// A request for a file the assignment does not place fails the run
-    /// with [`SimError::UnmappedFile`] when it arrives.
+    /// with [`SimError::UnmappedFile`] when it arrives. A negative or
+    /// non-finite `cfg.threshold` fails it with
+    /// [`SimError::InvalidThreshold`] before any policy is built.
     pub fn replay(
         catalog: &'a FileCatalog,
         source: S,
@@ -465,6 +477,11 @@ impl<'a, S: TraceSource + Send> Simulator<'a, S> {
         fleet: usize,
         mut policies: impl FnMut(usize) -> Box<dyn PowerPolicy>,
     ) -> Result<SimReport, SimError> {
+        if let ThresholdPolicy::Fixed(s) = cfg.threshold {
+            if !(s.is_finite() && s >= 0.0) {
+                return Err(SimError::InvalidThreshold { threshold_s: s });
+            }
+        }
         let required = assignment.disk_slots();
         if fleet < required {
             return Err(SimError::FleetTooSmall { required, fleet });

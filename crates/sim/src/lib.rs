@@ -27,6 +27,9 @@
 //!   ([`complog::CompletionLogMode`]): canonical `(time, req)`-ordered
 //!   records to memory, CSV or a digest, O(buffer) resident and merged
 //!   bit-identically across shards.
+//! - `decimal` (internal) — the log's allocation-free text encoder:
+//!   integers, and `f64` in std `Display`'s shortest round-trip form
+//!   (Ryū with std's half-up tie rule).
 //! - [`config`] — [`config::SimConfig`] and the idleness-threshold
 //!   configuration.
 //! - [`policy`] — the pluggable [`policy::PowerPolicy`] trait and the
@@ -115,6 +118,7 @@ pub mod actor;
 pub mod cache;
 pub mod complog;
 pub mod config;
+mod decimal;
 pub mod discipline;
 pub mod engine;
 pub mod event;

@@ -10,9 +10,23 @@ use spindown_sim::cache::CacheStats;
 use spindown_sim::config::{SimConfig, ThresholdPolicy};
 use spindown_sim::discipline::DisciplineChoice;
 use spindown_sim::engine::Simulator;
+use spindown_sim::metrics::Completion;
 use spindown_workload::trace::Request;
 use spindown_workload::FaultPlan;
 use spindown_workload::{FileCatalog, FileId, InMemorySource, Trace};
+
+/// Byte count and FNV-1a 64 digest of the canonical log text, rendered
+/// with std formatting: the oracle for the simulator's own encoder.
+fn std_rendered_log(records: &[Completion]) -> (u64, u64) {
+    let text: String = records
+        .iter()
+        .map(|c| format!("{},{},{}\n", c.req, c.disk, c.time_s))
+        .collect();
+    let fnv1a = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    (text.len() as u64, fnv1a)
+}
 
 /// A randomized mini-workload: n files (1–6 disks), m requests in [0, 500 s].
 #[derive(Debug, Clone)]
@@ -241,7 +255,8 @@ proptest! {
     // The streaming completion log's k-way merge: per-shard writers each
     // emit their own canonically ordered stream; the merger must weave
     // them back into exactly the unsharded sequence — same records, same
-    // byte count, same FNV-1a digest — for any trace and any shard count.
+    // byte count, same FNV-1a digest — for any trace and any shard count,
+    // and those bytes are the ones std formatting renders.
     #[test]
     fn completion_log_merge_matches_the_unsharded_log(
         w in mini_workload(),
@@ -273,6 +288,11 @@ proptest! {
         prop_assert_eq!(sa.records, sb.records);
         prop_assert_eq!(sa.bytes, sb.bytes);
         prop_assert_eq!(sa.fnv1a, sb.fnv1a);
+        // The in-tree encoder against std formatting: the kept records
+        // rendered with `format!` give the summary's byte count and digest.
+        let (bytes, fnv1a) = std_rendered_log(a);
+        prop_assert_eq!(sa.bytes, bytes, "log bytes vs the std rendering");
+        prop_assert_eq!(sa.fnv1a, fnv1a, "log digest vs the std rendering");
     }
 
     // The merged-report fold for cache counters: absorbing any partition
