@@ -3,7 +3,6 @@
 //!
 //! Analytic companions to the simulator:
 //!
-//! - [`stats`] — streaming moments (Welford) and histograms.
 //! - [`mg1`] — M/G/1 queueing (Pollaczek–Khinchine): predicts per-disk
 //!   response times from the load constraint `L`, giving the analytic side
 //!   of the Figure 4 trade-off curve.
@@ -27,8 +26,6 @@ pub mod mg1;
 pub mod online;
 pub mod regression;
 pub mod ski_rental;
-pub mod stats;
-pub mod tradeoff;
 
 pub use dpm::{
     competitive_ratio, envelope_gap_cost, multi_state_offline_gap_cost, offline_gap_cost,
@@ -36,5 +33,3 @@ pub use dpm::{
 };
 pub use mg1::{mg1_mean_response, mg1_mean_wait, utilisation_for_response};
 pub use online::{AdaptivePolicy, EnvelopeDescentPolicy, LowerEnvelopePolicy, SkiRentalPolicy};
-pub use stats::Welford;
-pub use tradeoff::{knee_index, pareto_front, TradeoffPoint};

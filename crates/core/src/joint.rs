@@ -737,6 +737,25 @@ mod tests {
     }
 
     #[test]
+    fn invalid_fixed_threshold_cell_is_a_typed_error() {
+        let catalog = FileCatalog::paper_table1(200, 0);
+        let trace = Trace::poisson(&catalog, 0.1, 300.0, 9);
+        for s in [-1.0, f64::NAN, f64::INFINITY] {
+            let mut cfg = JointConfig::default_grid();
+            cfg.allocators = vec![Allocator::PackDisks];
+            cfg.policies = vec![PolicyChoice::fixed(s)];
+            cfg.disciplines = vec![DisciplineChoice::Fifo];
+            cfg.ladders = vec![LadderChoice::TwoState];
+            match JointPlanner::new(cfg).search(&catalog, &trace, 0.1) {
+                Err(JointError::Sim(SimError::InvalidThreshold { threshold_s })) => {
+                    assert_eq!(threshold_s.to_bits(), s.to_bits());
+                }
+                other => panic!("threshold {s}: expected InvalidThreshold, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn planner_for_lowers_the_cache_choice_into_the_sim_config() {
         let planner = JointPlanner::new(JointConfig::default_grid());
         let cached = JointCandidate {

@@ -26,8 +26,6 @@ pub mod comparison;
 pub mod joint;
 pub mod planner;
 pub mod policy;
-pub mod reorg;
-pub mod writes;
 
 pub use comparison::{compare, Comparison};
 pub use joint::{
@@ -36,7 +34,6 @@ pub use joint::{
 };
 pub use planner::{Plan, PlanError, Planner, PlannerConfig, ServiceModel};
 pub use policy::PolicyChoice;
-pub use reorg::{plan_reorg, MigrationPlan};
 // Queue disciplines select *how* each disk orders its pending requests,
 // exactly as `PolicyChoice` selects *when* it sleeps; re-exported so
 // planner/sweep callers configure both from one place.
@@ -66,4 +63,3 @@ pub use spindown_workload::FaultPlan;
 // drive and read a non-stationary experiment from one place.
 pub use spindown_sim::windows::{WindowRow, WindowedReport};
 pub use spindown_workload::RateCurve;
-pub use writes::{WriteFit, WritePlacer};

@@ -233,7 +233,9 @@ impl Planner {
         self.evaluate_with_fleet(plan, catalog, trace, plan.disk_slots())
     }
 
-    /// Simulate a plan over a fixed fleet (the paper keeps 100 disks).
+    /// Simulate a plan over a fixed fleet (the paper keeps 100 disks). A
+    /// fixed-threshold policy choice that is negative or not finite fails
+    /// with [`SimError::InvalidThreshold`] before any policy is built.
     pub fn evaluate_with_fleet(
         &self,
         plan: &Plan,
@@ -241,6 +243,9 @@ impl Planner {
         trace: &Trace,
         fleet: usize,
     ) -> Result<SimReport, SimError> {
+        if let PolicyChoice::Threshold(t) = self.policy_choice() {
+            t.check()?;
+        }
         Simulator::replay(
             catalog,
             InMemorySource::new(trace),
@@ -359,6 +364,25 @@ mod tests {
         assert_eq!(a.responses.len(), r_fifo.responses.len());
         assert_eq!(a.responses, b.responses);
         assert_eq!(a.energy.total_joules(), b.energy.total_joules());
+    }
+
+    #[test]
+    fn invalid_fixed_policy_threshold_is_a_typed_error() {
+        let cat = catalog();
+        let trace = Trace::poisson(&cat, 0.2, 300.0, 3);
+        let plan = Planner::new(PlannerConfig::default())
+            .plan(&cat, 0.2)
+            .unwrap();
+        for s in [-1.0, f64::NAN, f64::INFINITY] {
+            let mut cfg = PlannerConfig::default();
+            cfg.policy = Some(PolicyChoice::fixed(s));
+            match Planner::new(cfg).evaluate(&plan, &cat, &trace) {
+                Err(SimError::InvalidThreshold { threshold_s }) => {
+                    assert_eq!(threshold_s.to_bits(), s.to_bits());
+                }
+                other => panic!("threshold {s}: expected InvalidThreshold, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -108,7 +108,7 @@ pub fn spin_down_gain(spec: &DiskSpec, gap_s: f64) -> f64 {
 /// The gap length (seconds) above which [`spin_down_gain`] becomes positive.
 ///
 /// This is the quantity an *offline* optimal power manager thresholds on
-/// (see [`crate::reliability`] and the DPM analysis in `spindown-analysis`).
+/// (see the DPM analysis in `spindown-analysis`).
 /// It differs from [`break_even_threshold`] in that it accounts for the idle
 /// power that would have been drawn during the transition times themselves.
 pub fn offline_break_even_gap(spec: &DiskSpec) -> f64 {

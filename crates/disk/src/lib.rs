@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 //! # spindown-disk
 //!
-//! A hard-disk power, timing and reliability model, built around the disk
+//! A hard-disk power and timing model, built around the disk
 //! characteristics used in Otoo, Rotem & Tsao, *Analysis of Trade-Off Between
 //! Power Saving and Response Time in Disk Storage Systems* (IPPS 2009),
 //! Table 2 (a Seagate ST3500630AS), and the disk power modelling literature it
@@ -24,9 +24,6 @@
 //!   over time.
 //! - [`breakeven`] — the break-even ("idleness threshold") computation; for
 //!   Table 2 it reproduces the paper's 53.3 s.
-//! - [`reliability`] — duty-cycle counters and a start/stop wear model.
-//! - [`zoned`] — multi-zone transfer rates (the §6 "more detailed disk
-//!   modeling" extension).
 //!
 //! All times are in seconds (`f64`), powers in watts, energies in joules and
 //! sizes in bytes unless stated otherwise.
@@ -36,10 +33,8 @@ pub mod energy;
 pub mod ladder;
 pub mod mechanics;
 pub mod power;
-pub mod reliability;
 pub mod spec;
 pub mod state;
-pub mod zoned;
 
 pub use breakeven::{
     break_even_threshold, break_even_threshold_between, envelope_descent_times,
@@ -49,10 +44,8 @@ pub use energy::EnergyAccountant;
 pub use ladder::{LadderChoice, LadderError, PowerLadder, PowerLevel};
 pub use mechanics::{RequestKind, ServiceTimer};
 pub use power::PowerState;
-pub use reliability::DutyCycleCounter;
 pub use spec::{DiskSpec, DiskSpecBuilder, SpecError};
 pub use state::{DiskStateMachine, TransitionError};
-pub use zoned::{Zone, ZonedModel};
 
 /// Bytes in a megabyte (decimal, as used by disk vendors and the paper:
 /// 72 MB/s means 72 × 10⁶ bytes per second).

@@ -6,6 +6,7 @@ use spindown_workload::FaultPlan;
 
 use crate::complog::CompletionLogMode;
 use crate::discipline::DisciplineChoice;
+use crate::engine::SimError;
 use crate::hierarchy::CacheHierarchyConfig;
 use crate::metrics::MetricsMode;
 
@@ -23,14 +24,23 @@ pub enum ThresholdPolicy {
 }
 
 impl ThresholdPolicy {
+    /// Reject a fixed threshold that is negative or not finite with
+    /// [`SimError::InvalidThreshold`]; every other variant is valid.
+    pub fn check(&self) -> Result<(), SimError> {
+        match *self {
+            ThresholdPolicy::Fixed(s) if !(s.is_finite() && s >= 0.0) => {
+                Err(SimError::InvalidThreshold { threshold_s: s })
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// The threshold in seconds for a drive (`None` = never spin down).
     ///
     /// # Panics
-    /// If a fixed threshold is negative or not finite;
-    /// [`Simulator::replay`](crate::engine::Simulator::replay) rejects such
-    /// a configuration with
-    /// [`SimError::InvalidThreshold`](crate::engine::SimError::InvalidThreshold)
-    /// before it gets here.
+    /// If a fixed threshold fails [`ThresholdPolicy::check`];
+    /// [`Simulator::replay`](crate::engine::Simulator::replay) returns that
+    /// error before it gets here.
     pub fn threshold_s(&self, spec: &DiskSpec) -> Option<f64> {
         match *self {
             ThresholdPolicy::Fixed(s) => {
@@ -178,8 +188,8 @@ impl SimConfig {
 
     /// Run the replay sharded over `shards` threads (clamped to at least 1;
     /// the engine further clamps to the fleet size so no shard is empty).
-    /// Merged histogram-mode metrics and energy totals are bit-identical
-    /// for any shard count.
+    /// Merged response metrics (either mode) and energy totals are
+    /// bit-identical for any shard count.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self
@@ -197,7 +207,7 @@ impl SimConfig {
     /// horizon before simulating anything: a width that is not finite and
     /// positive, or that makes more than
     /// [`MAX_WINDOWS`](crate::windows::MAX_WINDOWS) windows, fails with
-    /// [`SimError::InvalidWindows`](crate::engine::SimError::InvalidWindows).
+    /// [`SimError::InvalidWindows`].
     pub fn with_windows(mut self, width_s: f64) -> Self {
         self.windows = Some(width_s);
         self

@@ -84,11 +84,11 @@ use spindown_workload::{
 
 use crate::actor::{DiskActor, Phase};
 use crate::complog::{CompletionOut, CompletionSink, CompletionWriter};
-use crate::config::{SimConfig, ThresholdPolicy};
+use crate::config::SimConfig;
 use crate::event::{Event, EventQueue};
 use crate::fault::{FaultRuntime, PendingRetry};
 use crate::hierarchy::{CacheHierarchy, CacheScope};
-use crate::metrics::{Completion, MetricsMode, ResponseStats, SimReport};
+use crate::metrics::{Completion, ResponseStats, SimReport};
 use crate::policy::{DescentStep, PowerPolicy, TimeoutPolicy};
 use crate::windows::{
     last_window, WindowOut, WindowPartial, WindowSeries, WindowedReport, MAX_WINDOWS,
@@ -158,8 +158,8 @@ pub enum SimError {
         /// The delay the policy returned.
         rest_s: f64,
     },
-    /// A [`ThresholdPolicy::Fixed`] spin-down threshold that is negative
-    /// or not finite.
+    /// A [`ThresholdPolicy::Fixed`](crate::config::ThresholdPolicy::Fixed)
+    /// spin-down threshold that is negative or not finite.
     InvalidThreshold {
         /// The configured threshold, seconds.
         threshold_s: f64,
@@ -366,15 +366,8 @@ pub struct Simulator<'a, S: TraceSource> {
     timers: Vec<TimerState>,
     events: EventQueue,
     cache: CacheFront,
-    /// In exact mode: the live global response collector (disk completions
-    /// and cache hits, recorded in completion order). In histogram mode:
-    /// only cache hits are recorded here live — the global collector is
-    /// *derived* at finish by merging the per-disk collectors in disk
-    /// order, the canonical derivation that makes histogram-mode reports
-    /// bit-identical at every shard count.
-    responses: ResponseStats,
-    /// Whether disk completions record into `responses` live (exact mode).
-    record_global: bool,
+    /// Response samples per local disk, cache hits included; the global
+    /// statistics are merged from these in disk order at finish.
     per_disk_responses: Vec<ResponseStats>,
     /// The completion-log front, when logging is on: canonicalises this
     /// engine's completion stream and forwards it to a terminal sink
@@ -460,10 +453,9 @@ impl<'a, S: TraceSource + Send> Simulator<'a, S> {
     /// With `cfg.shards > 1` (clamped to the fleet) one reader thread
     /// demultiplexes the source into bounded per-shard channels — the
     /// source is read exactly once — and the shards replay concurrently
-    /// (see the `shard` module). Histogram-mode metrics, energy totals,
-    /// cache statistics, windows and the completion log are bit-identical
-    /// at every shard count; exact-mode quantiles are bit-identical while
-    /// the global mean may differ by float-summation order.
+    /// (see the `shard` module). Response statistics in either metrics
+    /// mode, energy totals, cache statistics, windows and the completion
+    /// log are bit-identical at every shard count.
     ///
     /// A request for a file the assignment does not place fails the run
     /// with [`SimError::UnmappedFile`] when it arrives. A negative or
@@ -477,11 +469,7 @@ impl<'a, S: TraceSource + Send> Simulator<'a, S> {
         fleet: usize,
         mut policies: impl FnMut(usize) -> Box<dyn PowerPolicy>,
     ) -> Result<SimReport, SimError> {
-        if let ThresholdPolicy::Fixed(s) = cfg.threshold {
-            if !(s.is_finite() && s >= 0.0) {
-                return Err(SimError::InvalidThreshold { threshold_s: s });
-            }
-        }
+        cfg.threshold.check()?;
         let required = assignment.disk_slots();
         if fleet < required {
             return Err(SimError::FleetTooSmall { required, fleet });
@@ -595,8 +583,6 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
             timers: vec![TimerState::default(); fleet],
             events: EventQueue::new(),
             cache,
-            responses: ResponseStats::with_mode(cfg.metrics),
-            record_global: cfg.metrics == MetricsMode::Exact,
             per_disk_responses: vec![ResponseStats::with_mode(cfg.metrics); fleet],
             complog,
             policy,
@@ -859,9 +845,6 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
             Some(d) if d != usize::MAX => d,
             _ => return Err(SimError::UnmappedFile { file: r.file }),
         };
-        if let Some(f) = &mut self.fault {
-            f.arrivals += 1;
-        }
         let size = self.catalog.file(r.file).size_bytes;
         // A hit returns before the policy or actor hear about the request:
         // served without disk involvement, idle clock untouched.
@@ -871,35 +854,20 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
                 if let Some(latency) = hierarchy.access(r.file, size) {
                     // Hits are attributed to the disk holding the file —
                     // the same recording shape as per-disk slices and
-                    // disk completions — so the histogram-mode global
-                    // statistics (derived from the per-disk collectors
-                    // in disk order) are shard-invariant.
-                    if self.record_global {
-                        self.responses.record(latency);
-                    }
+                    // disk completions — so the global statistics
+                    // (derived from the per-disk collectors in disk
+                    // order) are shard-invariant.
                     self.per_disk_responses[disk].record(latency);
                     self.actors[disk].window_completion(t, latency);
-                    if let Some(f) = &mut self.fault {
-                        f.completed += 1;
-                    }
                     return Ok(());
                 }
             }
             CacheFront::PerDisk(slices) => {
                 if let Some(latency) = slices[disk].access(r.file, size) {
-                    // Per-disk hits belong to the disk's slice: they record
-                    // into the per-disk collector (which the histogram-mode
-                    // finish and the sharded merge both derive the global
-                    // statistics from), plus the live global collector in
-                    // exact mode — mirroring disk completions exactly.
-                    if self.record_global {
-                        self.responses.record(latency);
-                    }
+                    // Per-disk hits belong to the disk's slice and record
+                    // into its collector, exactly as disk completions do.
                     self.per_disk_responses[disk].record(latency);
                     self.actors[disk].window_completion(t, latency);
-                    if let Some(f) = &mut self.fault {
-                        f.completed += 1;
-                    }
                     return Ok(());
                 }
             }
@@ -1015,12 +983,8 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
                     } else {
                         let degraded = f.is_degraded(disk, req, arrival);
                         f.attempts[disk].remove(&req);
-                        f.completed += 1;
                         if degraded {
                             f.degraded[disk].record(t - arrival);
-                        }
-                        if self.record_global {
-                            self.responses.record(t - arrival);
                         }
                         self.per_disk_responses[disk].record(t - arrival);
                         self.actors[disk].window_completion(t, t - arrival);
@@ -1037,9 +1001,6 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
                     }
                 } else {
                     let req = self.actors[disk].complete_service(t)?;
-                    if self.record_global {
-                        self.responses.record(t - arrival);
-                    }
                     self.per_disk_responses[disk].record(t - arrival);
                     self.actors[disk].window_completion(t, t - arrival);
                     if let Some(w) = self.complog.as_mut() {
@@ -1293,20 +1254,26 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
         self.kick(t, disk)
     }
 
-    /// Integrate energy to `t_end` and assemble the report. In histogram
-    /// mode the global response collector is derived here — cache-hit
-    /// collector first, then the per-disk collectors merged in ascending
-    /// disk order — so the global statistics are a pure function of the
-    /// per-disk trajectories, identical however the fleet was sharded.
+    /// Integrate energy to `t_end` and assemble the report. The global
+    /// response collector is derived here by merging the per-disk
+    /// collectors in ascending disk order, so the global statistics are a
+    /// pure function of the per-disk trajectories, identical however the
+    /// fleet was sharded.
     pub(crate) fn finish_at(mut self, t_end: f64) -> Result<SimReport, SimError> {
-        if !self.record_global {
-            for per_disk in &self.per_disk_responses {
-                self.responses.merge(per_disk);
-            }
+        let mut responses = ResponseStats::with_mode(self.cfg.metrics);
+        for per_disk in &self.per_disk_responses {
+            responses.merge(per_disk);
         }
         let availability = self.fault.take().map(|f| {
             let queued: u64 = self.actors.iter().map(|a| a.queue_len() as u64).sum();
-            let stats = f.into_stats(t_end, queued, self.actors.len(), self.cfg.metrics);
+            let stats = f.into_stats(
+                t_end,
+                self.arrived as u64,
+                responses.len() as u64,
+                queued,
+                self.actors.len(),
+                self.cfg.metrics,
+            );
             debug_assert!(
                 stats.conservation_holds(),
                 "fault conservation violated: {} arrivals vs {} completed + {} shed + {} failed + {} in-flight",
@@ -1391,7 +1358,7 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
             sim_time_s: t_end,
             energy: fleet,
             per_disk_energy: per_disk,
-            responses: self.responses,
+            responses,
             per_disk_responses: self.per_disk_responses,
             completions,
             completion_log,
@@ -1415,6 +1382,7 @@ mod tests {
     use super::*;
     use crate::config::ThresholdPolicy;
     use crate::hierarchy::{CacheHierarchyConfig, CachePolicyChoice, CacheTierConfig};
+    use crate::metrics::MetricsMode;
     use spindown_disk::PowerState;
     use spindown_packing::{Assignment, DiskBin};
     use spindown_workload::trace::Request;

@@ -91,10 +91,6 @@ pub(crate) struct FaultRuntime {
     /// Degraded-mode response collectors, one per local disk, merged in
     /// global disk order at finish so the statistic is shard-stable.
     pub degraded: Vec<ResponseStats>,
-    /// Counter: requests that arrived (mapped), including cache hits.
-    pub arrivals: u64,
-    /// Counter: completions (cache hits included).
-    pub completed: u64,
     /// Counter: transient retries performed.
     pub retried: u64,
     /// Counter: requests shed at admission.
@@ -163,8 +159,6 @@ impl FaultRuntime {
             attempts: vec![IdMap::default(); fleet],
             pending_retries: vec![Vec::new(); fleet],
             degraded: vec![ResponseStats::with_mode(mode); fleet],
-            arrivals: 0,
-            completed: 0,
             retried: 0,
             shed: 0,
             failed: 0,
@@ -218,13 +212,17 @@ impl FaultRuntime {
         self.pending_retries.iter().map(|v| v.len() as u64).sum()
     }
 
-    /// Assemble the availability block at `t_end`. `queued` counts
-    /// requests still sitting in disk queues (a crashed-and-never-repaired
-    /// disk keeps its backlog). The caller merges shard blocks and then
-    /// recomputes the availability fraction over the global fleet.
+    /// Assemble the availability block at `t_end`. `arrivals` and
+    /// `completed` are the engine's own counts (requests consumed, response
+    /// samples recorded); `queued` counts requests still sitting in disk
+    /// queues (a crashed-and-never-repaired disk keeps its backlog). The
+    /// caller merges shard blocks and then recomputes the availability
+    /// fraction over the global fleet.
     pub fn into_stats(
         mut self,
         t_end: f64,
+        arrivals: u64,
+        completed: u64,
         queued: u64,
         disks: usize,
         mode: MetricsMode,
@@ -245,8 +243,8 @@ impl FaultRuntime {
         let in_flight = queued + self.pending_retry_count();
         self.pending_retries.clear();
         let mut stats = AvailabilityStats {
-            arrivals: self.arrivals,
-            completed: self.completed,
+            arrivals,
+            completed,
             retried: self.retried,
             shed: self.shed,
             failed: self.failed,
@@ -326,8 +324,6 @@ mod tests {
     fn into_stats_accounts_open_outages_and_in_flight() {
         let p = plan("crash@t=100:d0 | mttr=300");
         let mut rt = FaultRuntime::new(&p, 2, 0, 1, MetricsMode::Exact);
-        rt.arrivals = 10;
-        rt.completed = 6;
         rt.shed = 1;
         rt.failed = 1;
         rt.down[0] = true;
@@ -340,7 +336,8 @@ mod tests {
             arrival: 400.0,
             pos: 0,
         });
-        let stats = rt.into_stats(400.0, 1, 2, MetricsMode::Exact);
+        let stats = rt.into_stats(400.0, 10, 6, 1, 2, MetricsMode::Exact);
+        assert_eq!((stats.arrivals, stats.completed), (10, 6));
         assert_eq!(stats.per_disk_downtime_s, vec![300.0, 50.0]);
         assert_eq!(stats.in_flight, 2, "one queued + one pending retry");
         assert!(stats.conservation_holds());

@@ -646,8 +646,8 @@ pub struct Completion {
 ///
 /// - **Exact (bit-identical at every shard count):** `sim_time_s`,
 ///   `energy` and `per_disk_energy` (summed in ascending global-disk
-///   order), `responses` in histogram mode (canonical per-disk merge) and
-///   exact mode (canonical concatenation), `per_disk_responses`,
+///   order), `responses` (merged from the per-disk collectors in
+///   ascending disk order in both metrics modes), `per_disk_responses`,
 ///   `completions` / `completion_log` (canonical `(time, req)` order),
 ///   `spin_downs`/`spin_ups`, `cache`/`cache_tiers`/`per_disk_cache_tiers`
 ///   (counters summed in tier-then-ascending-disk order),
@@ -673,13 +673,10 @@ pub struct SimReport {
     /// Per-disk energy, in disk order.
     pub per_disk_energy: Vec<EnergyBreakdown>,
     /// Response-time samples for requests served by disks *and* the cache,
-    /// aggregated per `SimConfig::metrics`. In histogram mode this is
-    /// derived at finish by merging the cache-hit collector and then the
-    /// per-disk collectors in ascending disk order — a canonical order
-    /// that makes the global statistics bit-identical at every shard
-    /// count. In exact mode the samples are recorded live in completion
-    /// order (sharded exact runs concatenate per-disk samples in disk
-    /// order instead: same multiset, bit-identical quantiles).
+    /// aggregated per `SimConfig::metrics`, derived at finish by merging
+    /// the per-disk collectors in ascending disk order — a canonical
+    /// order that makes the global statistics bit-identical at every
+    /// shard count in both metrics modes.
     pub responses: ResponseStats,
     /// Response-time samples per disk, in disk order. Cache hits are
     /// recorded against the disk holding the file — for per-disk scope

@@ -33,14 +33,10 @@
 //! - fleet energy is re-folded from the per-disk breakdowns in ascending
 //!   global disk order — the identical merge sequence the unsharded
 //!   `finish` performs over its actors;
-//! - histogram-mode global response statistics are *derived* (in every
-//!   run, sharded or not) by merging the per-disk collectors in ascending
-//!   disk order, so the global histogram is a pure function of per-disk
-//!   trajectories. Exact-mode keeps the legacy live recording at one
-//!   shard; sharded exact-mode concatenates per-disk samples in disk
-//!   order — same multiset, bit-identical quantiles (nearest-rank over
-//!   the sorted samples), but the mean may differ in the last ulp from an
-//!   unsharded run because float summation order changes;
+//! - global response statistics are *derived* (in every run, sharded or
+//!   not, in either metrics mode) by merging the per-disk collectors in
+//!   ascending disk order, so they are a pure function of per-disk
+//!   trajectories;
 //! - cache counters follow the energy discipline: per-disk-scope rows are
 //!   reassembled in ascending global-disk order and summed from there;
 //!   global-scope tier counters sum tier-then-shard. All counters are

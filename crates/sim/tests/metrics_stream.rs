@@ -88,10 +88,9 @@ fn engine_histogram_mode_matches_exact_mode_scalars_and_tails() {
     let hist = Simulator::run(&catalog, &trace, &assignment, &hist_cfg).unwrap();
 
     // Identical simulation, different aggregation: count and max are
-    // bit-identical. The histogram-mode global mean is summed in the
-    // canonical per-disk merge order (the derivation that makes sharded
-    // reports bit-identical), not in completion order, so it agrees with
-    // the exact-mode mean only up to float-summation reordering.
+    // bit-identical. The histogram-mode global mean adds per-disk partial
+    // sums, while the exact-mode mean sums the concatenated samples in one
+    // pass, so the two agree only up to float-summation reordering.
     assert_eq!(exact.responses.len(), hist.responses.len());
     let (me, mh) = (exact.responses.mean(), hist.responses.mean());
     assert!(

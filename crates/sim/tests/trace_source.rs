@@ -146,7 +146,7 @@ fn csv_source_replay_matches_the_parsed_trace_replay() {
     // …and stream it line by line: same simulation.
     let from_stream = Simulator::run_from_source(
         &catalog,
-        CsvTraceSource::from_reader(std::io::Cursor::new(&csv), 300.0),
+        CsvTraceSource::from_reader(std::io::Cursor::new(&csv), 300.0).unwrap(),
         &assignment,
         &cfg,
         3,
@@ -197,7 +197,7 @@ fn malformed_csv_surfaces_as_a_source_error_mid_replay() {
     let bad = "time_s,file_id\n1.0,0\nBROKEN\n";
     let err = Simulator::run_from_source(
         &catalog,
-        CsvTraceSource::from_reader(std::io::Cursor::new(bad), 10.0),
+        CsvTraceSource::from_reader(std::io::Cursor::new(bad), 10.0).unwrap(),
         &assignment,
         &cfg,
         1,

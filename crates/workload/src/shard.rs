@@ -270,7 +270,8 @@ mod tests {
         let (trace, file_to_disk) = fixture();
         let mut csv = Vec::new();
         trace.write_csv(&mut csv).unwrap();
-        let source = CsvTraceSource::from_reader(std::io::Cursor::new(csv), trace.horizon());
+        let source =
+            CsvTraceSource::from_reader(std::io::Cursor::new(csv), trace.horizon()).unwrap();
         let shards = 3;
         let got = split(source, &file_to_disk, shards);
         // Compare against the routed subsequences of the in-memory trace
@@ -290,7 +291,7 @@ mod tests {
     #[test]
     fn demux_fans_a_source_error_out_to_every_shard() {
         let bad = "1.0,0\n2.0,1\n1.5,2\n"; // out of order at line 3
-        let source = CsvTraceSource::from_reader(std::io::Cursor::new(bad), 10.0);
+        let source = CsvTraceSource::from_reader(std::io::Cursor::new(bad), 10.0).unwrap();
         let (pump, mut rxs) = demux(source, 3);
         std::thread::scope(|scope| {
             scope.spawn(move || pump.run(&[0, 1, 2]));

@@ -202,10 +202,7 @@ impl CsvTraceSource<BufReader<File>> {
                 Self::prescan_horizon(key, || File::open(path).map(BufReader::new))?
             }
         };
-        Ok(CsvTraceSource::from_reader(
-            BufReader::new(File::open(path)?),
-            horizon,
-        ))
+        CsvTraceSource::from_reader(BufReader::new(File::open(path)?), horizon)
     }
 
     /// Cached last-request-time lookup: returns the horizon recorded for
@@ -221,7 +218,7 @@ impl CsvTraceSource<BufReader<File>> {
         if let Some(&h) = cache.lock().unwrap_or_else(|e| e.into_inner()).get(&key) {
             return Ok(h);
         }
-        let mut scan = CsvTraceSource::from_reader(open()?, f64::MAX);
+        let mut scan = CsvTraceSource::from_reader(open()?, f64::MAX)?;
         let mut last = 0.0_f64;
         while let Some(r) = scan.next_request()? {
             last = r.time;
@@ -235,10 +232,13 @@ impl CsvTraceSource<BufReader<File>> {
 }
 
 impl<R: BufRead> CsvTraceSource<R> {
-    /// Stream from any buffered reader with an explicit horizon.
-    pub fn from_reader(reader: R, horizon: f64) -> Self {
-        assert!(horizon >= 0.0, "bad horizon {horizon}");
-        CsvTraceSource {
+    /// Stream from any buffered reader with an explicit horizon; a
+    /// negative or NaN horizon is a [`TraceIoError::InvalidHorizon`].
+    pub fn from_reader(reader: R, horizon: f64) -> Result<Self, TraceIoError> {
+        if !(horizon >= 0.0) {
+            return Err(TraceIoError::InvalidHorizon(horizon));
+        }
+        Ok(CsvTraceSource {
             reader,
             horizon,
             pending: None,
@@ -246,7 +246,7 @@ impl<R: BufRead> CsvTraceSource<R> {
             lineno: 0,
             line: String::new(),
             done: false,
-        }
+        })
     }
 
     /// Parse rows until one yields a request (or EOF), buffering it.
@@ -463,7 +463,7 @@ mod tests {
         let trace = Trace::poisson(&catalog, 1.0, 100.0, 3);
         let mut buf = Vec::new();
         trace.write_csv(&mut buf).unwrap();
-        let mut src = CsvTraceSource::from_reader(std::io::Cursor::new(&buf), 100.0);
+        let mut src = CsvTraceSource::from_reader(std::io::Cursor::new(&buf), 100.0).unwrap();
         let streamed = drain(&mut src);
         assert_eq!(streamed.len(), trace.len());
         for (a, b) in streamed.iter().zip(trace.requests()) {
@@ -475,7 +475,7 @@ mod tests {
     #[test]
     fn csv_source_reports_malformed_rows_at_their_line() {
         let bad = "time_s,file_id\n1.0,3\nnot-a-number,4\n";
-        let mut src = CsvTraceSource::from_reader(std::io::Cursor::new(bad), 10.0);
+        let mut src = CsvTraceSource::from_reader(std::io::Cursor::new(bad), 10.0).unwrap();
         assert_eq!(src.next_request().unwrap().unwrap().file.0, 3);
         let err = src.next_request().unwrap_err();
         assert!(matches!(err, TraceIoError::Malformed(3, _)));
@@ -484,19 +484,34 @@ mod tests {
     #[test]
     fn csv_source_rejects_out_of_order_and_beyond_horizon() {
         let unordered = "5.0,1\n4.0,2\n";
-        let mut src = CsvTraceSource::from_reader(std::io::Cursor::new(unordered), 10.0);
+        let mut src = CsvTraceSource::from_reader(std::io::Cursor::new(unordered), 10.0).unwrap();
         assert!(src.next_request().is_ok());
         assert!(matches!(
             src.next_request().unwrap_err(),
             TraceIoError::OutOfOrder(2)
         ));
         let beyond = "5.0,1\n20.0,2\n";
-        let mut src = CsvTraceSource::from_reader(std::io::Cursor::new(beyond), 10.0);
+        let mut src = CsvTraceSource::from_reader(std::io::Cursor::new(beyond), 10.0).unwrap();
         assert!(src.next_request().is_ok());
         assert!(matches!(
             src.next_request().unwrap_err(),
             TraceIoError::BeyondHorizon(2)
         ));
+    }
+
+    #[test]
+    fn negative_or_nan_horizon_is_a_typed_error() {
+        for h in [-1.0, f64::NAN] {
+            let err = CsvTraceSource::from_reader(std::io::Cursor::new("1.0,0\n"), h)
+                .err()
+                .expect("bad horizon rejected");
+            assert!(
+                matches!(err, TraceIoError::InvalidHorizon(got) if got.to_bits() == h.to_bits()),
+                "{err:?}"
+            );
+            assert!(err.to_string().contains(&format!("horizon {h} s")), "{err}");
+        }
+        assert!(CsvTraceSource::from_reader(std::io::Cursor::new(""), 0.0).is_ok());
     }
 
     /// A `Read` wrapper counting every underlying read call, shared across

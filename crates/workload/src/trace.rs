@@ -71,6 +71,9 @@ pub enum TraceIoError {
     /// unlike [`Trace::read_csv`], which grows the horizon to fit — late
     /// rows are an error rather than a silent extension.
     BeyondHorizon(usize),
+    /// A streaming reader was opened with a negative or NaN horizon
+    /// (seconds).
+    InvalidHorizon(f64),
     /// A shared view of another error. `TraceIoError` holds an
     /// `std::io::Error` and so cannot be `Clone`; when one reader thread
     /// feeds many consumers (the sharded CSV demux), the single underlying
@@ -94,6 +97,9 @@ impl std::fmt::Display for TraceIoError {
                     f,
                     "request at line {line} is past the declared streaming horizon"
                 )
+            }
+            TraceIoError::InvalidHorizon(h) => {
+                write!(f, "streaming horizon {h} s is negative or NaN")
             }
             TraceIoError::Shared(inner) => inner.fmt(f),
         }

@@ -8,7 +8,7 @@
 //! This crate re-exports the member crates under stable module names and is
 //! what the `examples/` and integration `tests/` build against:
 //!
-//! - [`disk`] — drive power/timing/reliability model (Table 2).
+//! - [`disk`] — drive power/timing model (Table 2).
 //! - [`workload`] — Zipf/Poisson workload generation, traces, synthetic
 //!   NERSC trace (Table 1, §5.1).
 //! - [`packing`] — the `Pack_Disks` 2DVPP allocator, `Pack_Disks_v`, the CHP
