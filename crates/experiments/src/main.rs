@@ -21,8 +21,9 @@
 //!
 //! `replay` streams a trace through the engine without materialising it:
 //! `--trace-file FILE` reads a `time_s,file_id` CSV line by line
-//! (`--horizon` skips the horizon pre-scan pass and is a *hard bound* —
-//! rows past it abort the replay with a typed error), otherwise
+//! (the horizon is the last row's time unless `--horizon` gives a *hard
+//! bound* — rows past it abort the replay with a typed error; a piped
+//! trace needs `--horizon`, as it cannot seek to its last row), otherwise
 //! `--requests N` expected arrivals come from a seeded synthetic
 //! generator. Either way the
 //! run aggregates responses in the streaming histogram, so resident memory

@@ -5,9 +5,9 @@
 //! Two sources:
 //!
 //! - `--trace-file FILE` streams a `time_s,file_id` CSV through a buffered
-//!   reader (O(1) memory however large the file; the horizon is pre-scanned
-//!   unless `--horizon` is given, in which case it is a hard bound and
-//!   rows beyond it error out).
+//!   reader (O(1) memory however large the file; the horizon is the last
+//!   row's time unless `--horizon` is given, in which case it is a hard
+//!   bound and rows beyond it error out).
 //! - `--workload SPEC` generates non-stationary arrivals from a
 //!   [`RateCurve`] (diurnal cycle, flash crowd, tenant ramps) by
 //!   Lewis–Shedler thinning, again without materialising them.
@@ -47,7 +47,7 @@ const SYNTHETIC_RATE: f64 = 4.0;
 ///
 /// `trace_file == None` replays `requests` expected synthetic arrivals;
 /// `Some(path)` streams the CSV at `path` (with `horizon` overriding the
-/// pre-scan pass). `workload` swaps the synthetic generator for a
+/// last row's time). `workload` swaps the synthetic generator for a
 /// non-stationary [`RateCurve`] sampled by thinning (conflicts with
 /// `trace_file` — the curve would be ignored, so the pair is an error
 /// naming both flags). `ladder` selects the fleet's power-state ladder
@@ -372,7 +372,7 @@ mod tests {
         .remove(0);
         assert_eq!(fig.rows[0][0] as usize, trace.len());
         assert!(fig.notes.iter().any(|n| n.contains("csv")));
-        // Horizon pre-scan path agrees on the request count.
+        // The horizon read from the last row agrees on the request count.
         let fig2 = replay(
             Scale::Quick,
             Some(&path),
@@ -386,7 +386,7 @@ mod tests {
             None,
             None,
         )
-        .expect("pre-scan replay runs")
+        .expect("last-row horizon replay runs")
         .remove(0);
         assert_eq!(fig2.rows[0][0] as usize, trace.len());
     }

@@ -107,3 +107,57 @@ fn replay_rejects_a_horizon_past_the_trace_time_bound() {
     assert!(stderr.contains("--horizon"), "names the flag: {stderr}");
     assert!(took.as_secs() < 30, "rejected at parse time, took {took:?}");
 }
+
+/// Replay a small CSV piped through `/dev/stdin` with `extra` flags and
+/// return (exit code, stderr, the `requests` cell of `replay.csv`).
+#[cfg(unix)]
+fn replay_piped_trace(dir: &str, extra: &[&str]) -> (Option<i32>, String, Option<String>) {
+    use std::io::Write;
+    use std::process::Stdio;
+    let out_dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(dir);
+    let _ = std::fs::remove_dir_all(&out_dir);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["--quick", "--out"])
+        .arg(&out_dir)
+        .args(["--trace-file", "/dev/stdin"])
+        .args(extra)
+        .arg("replay")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the experiments binary runs");
+    let mut csv = String::from("time_s,file_id\n");
+    for i in 0..200 {
+        csv.push_str(&format!("{:.6},{}\n", i as f64 * 0.5, i % 7));
+    }
+    // The binary may exit before reading everything; a broken pipe is fine.
+    let _ = child.stdin.take().unwrap().write_all(csv.as_bytes());
+    let out = child.wait_with_output().unwrap();
+    let requests = std::fs::read_to_string(out_dir.join("replay.csv"))
+        .ok()
+        .and_then(|t| Some(t.lines().nth(1)?.split(',').next()?.to_owned()));
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+        requests,
+    )
+}
+
+#[cfg(unix)]
+#[test]
+fn replay_of_a_piped_trace_needs_an_explicit_horizon() {
+    // The horizon is read from the file's last row, which a pipe cannot
+    // seek to: a typed error naming the input, not an empty replay.
+    let (code, stderr, requests) = replay_piped_trace("cli_pipe_no_horizon", &[]);
+    assert_eq!(code, Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("replay failed"), "stderr: {stderr}");
+    assert!(stderr.contains("/dev/stdin"), "names the input: {stderr}");
+    assert!(stderr.contains("explicit horizon"), "stderr: {stderr}");
+    assert_eq!(requests, None, "no result on error");
+
+    // An explicit horizon never seeks, so the same pipe replays in full.
+    let (code, stderr, requests) = replay_piped_trace("cli_pipe_horizon", &["--horizon", "99.5"]);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    assert_eq!(requests.as_deref(), Some("200"));
+}

@@ -21,12 +21,9 @@
 //!   materialising it; its non-stationary form follows a [`RateCurve`]
 //!   (diurnal, flash crowd, tenant ramps) by Lewis–Shedler thinning.
 
-use std::collections::HashMap;
 use std::fs::File;
-use std::io::{BufRead, BufReader};
-use std::path::{Path, PathBuf};
-use std::sync::{Mutex, OnceLock};
-use std::time::SystemTime;
+use std::io::{BufRead, BufReader, ErrorKind, Read, Seek, SeekFrom};
+use std::path::Path;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -148,8 +145,7 @@ impl TraceSource for InMemorySource<'_> {
 /// replay must fix its horizon before the data has been seen, so a row
 /// past the declared horizon is a [`TraceIoError::BeyondHorizon`] error —
 /// `read_csv`, holding the whole file, instead grows the horizon to fit.
-/// Open with `horizon: None` to pre-scan the file for the true last
-/// request time when a hard bound is not known.
+/// Rows ascend, so [`Self::open`] without a horizon takes the last row's.
 pub struct CsvTraceSource<R> {
     reader: R,
     horizon: f64,
@@ -160,74 +156,79 @@ pub struct CsvTraceSource<R> {
     done: bool,
 }
 
-/// Identity of a trace file for the horizon pre-scan cache: path plus the
-/// size and modification time observed when the scan ran, so editing or
-/// replacing the file invalidates its cached horizon.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct TraceFileKey {
-    path: PathBuf,
-    len: u64,
-    mtime: Option<SystemTime>,
-}
-
-impl TraceFileKey {
-    fn probe(path: &Path) -> std::io::Result<Self> {
-        let meta = std::fs::metadata(path)?;
-        Ok(TraceFileKey {
-            path: path.to_path_buf(),
-            len: meta.len(),
-            mtime: meta.modified().ok(),
-        })
-    }
-}
-
-fn horizon_cache() -> &'static Mutex<HashMap<TraceFileKey, f64>> {
-    static CACHE: OnceLock<Mutex<HashMap<TraceFileKey, f64>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
 impl CsvTraceSource<BufReader<File>> {
-    /// Open `path` for streaming. When `horizon` is `None` the file is
-    /// pre-scanned once (still O(1) memory) to find the last request time;
-    /// pass an explicit horizon to skip that pass. The pre-scan result is
-    /// cached process-wide, keyed on `(path, size, mtime)`, so repeated
-    /// opens of the same unmodified file — sweep cells, shard demux setup —
-    /// scan it once instead of once per construction.
+    /// Open `path` for streaming. With `horizon: None` the horizon is the
+    /// time of the file's last non-empty row (0 for an empty or
+    /// header-only file), read from its tail in a few KiB; that needs a
+    /// seekable file, so a pipe without an explicit horizon is a
+    /// [`TraceIoError::Io`] naming the path. An explicit horizon never
+    /// seeks.
     pub fn open<P: AsRef<Path>>(path: P, horizon: Option<f64>) -> Result<Self, TraceIoError> {
         let path = path.as_ref();
+        let mut file = File::open(path)?;
         let horizon = match horizon {
             Some(h) => h,
             None => {
-                let key = TraceFileKey::probe(path)?;
-                Self::prescan_horizon(key, || File::open(path).map(BufReader::new))?
+                let h = last_row_time(&mut file).map_err(|e| match e {
+                    TraceIoError::Io(e) if e.kind() == ErrorKind::NotSeekable => {
+                        let msg = format!(
+                            "{}: cannot seek to the last row for the horizon ({e}); \
+                             give an explicit horizon",
+                            path.display()
+                        );
+                        TraceIoError::Io(std::io::Error::new(e.kind(), msg))
+                    }
+                    e => e,
+                })?;
+                file.rewind()?;
+                h
             }
         };
-        CsvTraceSource::from_reader(BufReader::new(File::open(path)?), horizon)
+        CsvTraceSource::from_reader(BufReader::new(file), horizon)
     }
+}
 
-    /// Cached last-request-time lookup: returns the horizon recorded for
-    /// `key` if a previous scan stored one, otherwise opens a reader via
-    /// `open`, drains it to find the last request time, and caches that
-    /// under `key`. The cache lock is never held across the scan, so two
-    /// threads racing on a cold key at worst both scan (and agree).
-    fn prescan_horizon<R: BufRead>(
-        key: TraceFileKey,
-        open: impl FnOnce() -> std::io::Result<R>,
-    ) -> Result<f64, TraceIoError> {
-        let cache = horizon_cache();
-        if let Some(&h) = cache.lock().unwrap_or_else(|e| e.into_inner()).get(&key) {
-            return Ok(h);
+/// Time of the last row of the CSV in `r`, read backwards from the end in
+/// blocks of 4 KiB, doubling, until one holds the last complete line that
+/// is neither blank nor the header. An input with no such line has horizon
+/// 0. A malformed last row is [`TraceIoError::Malformed`] at its 1-based
+/// line, which only then costs a pass counting the newlines before it.
+fn last_row_time<R: Read + Seek>(r: &mut R) -> Result<f64, TraceIoError> {
+    let len = r.seek(SeekFrom::End(0))?;
+    let mut block = 4096;
+    loop {
+        let start = len.saturating_sub(block);
+        r.seek(SeekFrom::Start(start))?;
+        let mut buf = Vec::new();
+        r.by_ref().take(len - start).read_to_end(&mut buf)?;
+        let mut end = buf.len();
+        loop {
+            let line_start = match buf[..end].iter().rposition(|&b| b == b'\n') {
+                Some(nl) => nl + 1,
+                None if start == 0 => 0,
+                None => break,
+            };
+            let text = std::str::from_utf8(&buf[line_start..end])
+                .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e))?
+                .trim();
+            let at = start + line_start as u64;
+            // The same rows `fill` skips: blank lines and a first-line header.
+            if !(text.is_empty() || (at == 0 && text.starts_with("time"))) {
+                if let Ok(request) = crate::trace::parse_row(text, 0) {
+                    return Ok(request.time);
+                }
+                r.rewind()?;
+                let newlines = BufReader::new(r.take(at))
+                    .split(b'\n')
+                    .try_fold(0, |n, piece| piece.map(|_| n + 1))?;
+                return Err(TraceIoError::Malformed(newlines + 1, text.to_owned()));
+            }
+            if at == 0 {
+                return Ok(0.0);
+            }
+            end = line_start - 1;
         }
-        let mut scan = CsvTraceSource::from_reader(open()?, f64::MAX)?;
-        let mut last = 0.0_f64;
-        while let Some(r) = scan.next_request()? {
-            last = r.time;
-        }
-        cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key, last);
-        Ok(last)
+        block *= 2;
     }
 }
 
@@ -514,91 +515,159 @@ mod tests {
         assert!(CsvTraceSource::from_reader(std::io::Cursor::new(""), 0.0).is_ok());
     }
 
-    /// A `Read` wrapper counting every underlying read call, shared across
-    /// constructions through an `Arc` — the probe for "how many times was
-    /// this file actually scanned".
-    struct CountingReader<R> {
-        inner: R,
-        reads: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    /// A `Read + Seek` cursor counting the bytes read through it — the
+    /// probe for "how much of the file did the tail read touch".
+    struct CountingCursor {
+        inner: std::io::Cursor<Vec<u8>>,
+        bytes: usize,
     }
 
-    impl<R: std::io::Read> std::io::Read for CountingReader<R> {
+    impl Read for CountingCursor {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            self.reads
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.inner.read(buf)
+            let n = self.inner.read(buf)?;
+            self.bytes += n;
+            Ok(n)
         }
     }
 
-    fn unique_key(tag: &str, len: u64) -> TraceFileKey {
-        TraceFileKey {
-            path: PathBuf::from(format!("/virtual/prescan-cache-test/{tag}")),
-            len,
-            mtime: None,
+    impl Seek for CountingCursor {
+        fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
+            self.inner.seek(pos)
         }
+    }
+
+    fn tail(csv: &str) -> Result<f64, TraceIoError> {
+        last_row_time(&mut std::io::Cursor::new(csv.as_bytes()))
+    }
+
+    fn write_csv_bytes(trace: &Trace) -> Vec<u8> {
+        let mut buf = Vec::new();
+        trace.write_csv(&mut buf).unwrap();
+        buf
     }
 
     #[test]
-    fn horizon_prescan_scans_the_file_once_per_key() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        let data = "1.5,0\n3.0,1\n7.25,0\n";
-        let reads = Arc::new(AtomicUsize::new(0));
-        let opens = Arc::new(AtomicUsize::new(0));
-        let open = |reads: &Arc<AtomicUsize>, opens: &Arc<AtomicUsize>| {
-            let reads = Arc::clone(reads);
-            let opens = Arc::clone(opens);
-            move || {
-                opens.fetch_add(1, Ordering::Relaxed);
-                Ok(BufReader::new(CountingReader {
-                    inner: std::io::Cursor::new(data),
-                    reads,
-                }))
-            }
+    fn tail_read_of_a_large_trace_touches_only_its_last_block() {
+        let catalog = FileCatalog::paper_table1(100, 0);
+        let trace = Trace::poisson(&catalog, 50.0, 2000.0, 7);
+        let bytes = write_csv_bytes(&trace);
+        assert!(bytes.len() >= 1 << 20, "{} bytes", bytes.len());
+        let last = Trace::read_csv(bytes.as_slice(), None).unwrap().horizon();
+        let mut cursor = CountingCursor {
+            inner: std::io::Cursor::new(bytes),
+            bytes: 0,
         };
-        let key = unique_key("once", data.len() as u64);
-        let h1 = CsvTraceSource::prescan_horizon(key.clone(), open(&reads, &opens)).unwrap();
-        assert_eq!(h1, 7.25);
-        let scanned = reads.load(Ordering::Relaxed);
-        assert!(scanned > 0, "first call must actually read");
-        assert_eq!(opens.load(Ordering::Relaxed), 1);
-        // Second construction against the same unmodified key: no open, no
-        // reads, same horizon.
-        let h2 = CsvTraceSource::prescan_horizon(key, open(&reads, &opens)).unwrap();
-        assert_eq!(h2, h1);
-        assert_eq!(opens.load(Ordering::Relaxed), 1, "cache hit re-opened");
-        assert_eq!(reads.load(Ordering::Relaxed), scanned, "cache hit re-read");
+        assert_eq!(
+            last_row_time(&mut cursor).unwrap().to_bits(),
+            last.to_bits()
+        );
+        assert!(cursor.bytes <= 8192, "read {} bytes", cursor.bytes);
     }
 
     #[test]
-    fn horizon_prescan_invalidates_when_the_file_changes() {
-        // A changed file shows up as a different (len, mtime) key, so the
-        // cache re-scans instead of serving the stale horizon.
-        let old = "1.0,0\n2.0,1\n";
-        let new = "1.0,0\n2.0,1\n9.5,2\n";
-        let h_old = CsvTraceSource::prescan_horizon(unique_key("grow", old.len() as u64), || {
-            Ok(BufReader::new(std::io::Cursor::new(old)))
-        })
-        .unwrap();
-        let h_new = CsvTraceSource::prescan_horizon(unique_key("grow", new.len() as u64), || {
-            Ok(BufReader::new(std::io::Cursor::new(new)))
-        })
-        .unwrap();
-        assert_eq!(h_old, 2.0);
-        assert_eq!(h_new, 9.5);
+    fn tail_read_of_empty_blank_and_header_only_input_is_zero() {
+        for csv in [
+            "",
+            "\n\n \n",
+            "time_s,file_id",
+            "time_s,file_id\n",
+            "time_s,file_id\r\n\n",
+        ] {
+            assert_eq!(tail(csv).unwrap(), 0.0, "{csv:?}");
+        }
     }
 
     #[test]
-    fn open_with_no_horizon_scans_the_file_once_across_repeat_opens() {
-        let dir = std::env::temp_dir().join("spindown-prescan-test");
+    fn tail_read_takes_the_last_non_empty_row() {
+        for csv in [
+            "time_s,file_id\n1.0,3\n2.5,4",
+            "time_s,file_id\r\n1.0,3\r\n2.5,4\r\n",
+            "1.0,3\n2.5,4\n\n  \n\t\r\n",
+            "2.5,4\n",
+        ] {
+            assert_eq!(tail(csv).unwrap(), 2.5, "{csv:?}");
+        }
+    }
+
+    #[test]
+    fn tail_read_looks_past_blocks_of_blank_lines() {
+        let csv = format!("time_s,file_id\n1.0,3\n7.5,4\n{}", "  \n".repeat(5000));
+        assert!(csv.len() > 2 * 4096);
+        assert_eq!(tail(&csv).unwrap(), 7.5);
+        let header_only = format!("time_s,file_id\n{}", "\n".repeat(9000));
+        assert_eq!(tail(&header_only).unwrap(), 0.0);
+    }
+
+    #[test]
+    fn tail_read_reports_a_malformed_last_row_at_its_line() {
+        let short = "time_s,file_id\n1.0,3\n2.0,4\n\nnan,4\n\n\n";
+        let rows: String = (0..3000).map(|i| format!("{i}.0,1\n")).collect();
+        let long = format!("{rows}{}oops\n{}", "\n".repeat(5000), "\n".repeat(5000));
+        for (csv, line, text) in [(short, 5, "nan,4"), (long.as_str(), 8001, "oops")] {
+            match tail(csv) {
+                Err(TraceIoError::Malformed(at, got)) => {
+                    assert_eq!((at, got.as_str()), (line, text));
+                }
+                other => panic!("expected Malformed({line}, _), got {other:?}"),
+            }
+            // The streaming reader names the same line.
+            let mut src =
+                CsvTraceSource::from_reader(csv.as_bytes(), crate::trace::MAX_TRACE_TIME_S)
+                    .unwrap();
+            let err = loop {
+                match src.next_request() {
+                    Ok(Some(_)) => continue,
+                    Ok(None) => panic!("stream accepted {text:?}"),
+                    Err(e) => break e,
+                }
+            };
+            assert!(matches!(err, TraceIoError::Malformed(at, _) if at == line));
+        }
+    }
+
+    #[test]
+    fn open_without_a_horizon_matches_read_csv_bit_for_bit() {
+        let catalog = FileCatalog::paper_table1(100, 0);
+        let burst = crate::arrivals::BatchConfig {
+            burst_rate: 0.3,
+            min_batch: 2,
+            max_batch: 6,
+            intra_batch_gap_s: 0.013,
+        };
+        let traces = [
+            Trace::new(Vec::new(), 0.0),
+            Trace::poisson(&catalog, 0.01, 10.0, 1),
+            Trace::poisson(&catalog, 3.3, 777.7, 2),
+            Trace::poisson(&catalog, 40.0, 1234.5, 3),
+            Trace::batched(&catalog, &burst, 999.9, 4),
+        ];
+        let dir = std::env::temp_dir().join("spindown-tail-horizon-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        for (i, trace) in traces.iter().enumerate() {
+            let bytes = write_csv_bytes(trace);
+            let path = dir.join(format!("trace-{}-{i}.csv", std::process::id()));
+            std::fs::write(&path, &bytes).unwrap();
+            let read = Trace::read_csv(bytes.as_slice(), None).unwrap();
+            let src = CsvTraceSource::open(&path, None).unwrap();
+            assert_eq!(
+                src.horizon().to_bits(),
+                read.horizon().to_bits(),
+                "trace {i}"
+            );
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn open_with_no_horizon_takes_the_last_row_and_streams_every_row() {
+        let dir = std::env::temp_dir().join("spindown-tail-horizon-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("trace-{}.csv", std::process::id()));
         std::fs::write(&path, "time_s,file_id\n0.5,0\n4.0,1\n6.5,0\n").unwrap();
-        let mut a = CsvTraceSource::open(&path, None).unwrap();
-        let mut b = CsvTraceSource::open(&path, None).unwrap();
-        assert_eq!(a.horizon(), 6.5);
-        assert_eq!(b.horizon(), 6.5);
-        assert_eq!(drain(&mut a), drain(&mut b));
+        let mut src = CsvTraceSource::open(&path, None).unwrap();
+        assert_eq!(src.horizon(), 6.5);
+        let times: Vec<f64> = drain(&mut src).iter().map(|r| r.time).collect();
+        assert_eq!(times, [0.5, 4.0, 6.5]);
         std::fs::remove_file(&path).ok();
     }
 

@@ -3,8 +3,8 @@
 //! A [`Trace`] is a time-ordered list of file requests plus the horizon of
 //! the observation window — exactly what the paper's dispatcher consumes.
 //! Traces can be synthesised ([`Trace::poisson`], [`Trace::batched`]) or
-//! loaded from/saved to a simple CSV format (`time,file_id` per line) and
-//! JSON, so real logs can be replayed when available.
+//! loaded from/saved to a simple CSV format (`time_s,file_id` per line),
+//! so real logs can be replayed when available.
 
 use std::io::{BufRead, Write};
 
@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::arrivals::{generate_bursts, BatchConfig, PoissonProcess};
 use crate::catalog::{FileCatalog, FileId};
-use crate::zipf::ZipfDistribution;
+use crate::source::{CsvTraceSource, TraceSource};
 
 /// One read request.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -247,56 +247,6 @@ impl Trace {
         ids.len()
     }
 
-    /// The sub-trace with `t0 ≤ time < t1`, re-based so the window starts
-    /// at 0 (useful for warm-up trimming and piecewise replay).
-    ///
-    /// # Panics
-    /// If the window is empty or not within the horizon.
-    pub fn window(&self, t0: f64, t1: f64) -> Trace {
-        assert!(
-            t0 >= 0.0 && t1 > t0 && t1 <= self.horizon + 1e-9,
-            "bad window"
-        );
-        let requests = self
-            .requests
-            .iter()
-            .filter(|r| r.time >= t0 && r.time < t1)
-            .map(|r| Request {
-                time: r.time - t0,
-                file: r.file,
-            })
-            .collect();
-        Trace::new(requests, t1 - t0)
-    }
-
-    /// Merge two traces over the same catalog into one time-ordered trace;
-    /// the horizon is the larger of the two.
-    pub fn merge(&self, other: &Trace) -> Trace {
-        let mut requests: Vec<Request> = self
-            .requests
-            .iter()
-            .chain(other.requests.iter())
-            .copied()
-            .collect();
-        requests.sort_by(|a, b| a.time.total_cmp(&b.time));
-        Trace::new(requests, self.horizon.max(other.horizon))
-    }
-
-    /// Scale all request times by `factor` (e.g. compress 30 days into a
-    /// shorter simulated window while keeping the request mix).
-    pub fn time_scaled(&self, factor: f64) -> Trace {
-        assert!(factor > 0.0 && factor.is_finite());
-        let requests = self
-            .requests
-            .iter()
-            .map(|r| Request {
-                time: r.time * factor,
-                file: r.file,
-            })
-            .collect();
-        Trace::new(requests, self.horizon * factor)
-    }
-
     /// Write as CSV: a header line, then `time,file_id` rows.
     pub fn write_csv<W: Write>(&self, mut w: W) -> std::io::Result<()> {
         writeln!(w, "time_s,file_id")?;
@@ -310,20 +260,10 @@ impl Trace {
     /// the last request time (or 0 for an empty trace) unless a larger one
     /// is supplied.
     pub fn read_csv<R: BufRead>(r: R, horizon: Option<f64>) -> Result<Self, TraceIoError> {
-        let mut requests: Vec<Request> = Vec::new();
-        for (lineno, line) in r.lines().enumerate() {
-            let line = line?;
-            let text = line.trim();
-            if text.is_empty() || (lineno == 0 && text.starts_with("time")) {
-                continue;
-            }
-            let request = parse_row(text, lineno + 1)?;
-            if requests.last().is_some_and(|prev| request.time < prev.time) {
-                return Err(TraceIoError::OutOfOrder(lineno + 1));
-            }
-            requests.push(request);
-        }
-        let last = requests.last().map(|r| r.time).unwrap_or(0.0);
+        let mut source = CsvTraceSource::from_reader(r, MAX_TRACE_TIME_S)?;
+        let requests: Vec<Request> =
+            std::iter::from_fn(|| source.next_request().transpose()).collect::<Result<_, _>>()?;
+        let last = requests.last().map_or(0.0, |r| r.time);
         Ok(Trace::new(requests, horizon.unwrap_or(last).max(last)))
     }
 }
@@ -373,12 +313,6 @@ pub fn popularity_slope(counts: &[u64]) -> f64 {
         return 0.0;
     }
     -(n * sxy - sx * sy) / denom
-}
-
-/// Sample file ids by popularity through a [`ZipfDistribution`] directly —
-/// useful when a catalog is in popularity-rank order (paper catalogs are).
-pub fn sample_rank_as_file<R: Rng + ?Sized>(zipf: &ZipfDistribution, rng: &mut R) -> FileId {
-    FileId((zipf.sample(rng) - 1) as u32)
 }
 
 #[cfg(test)]
@@ -492,90 +426,6 @@ mod tests {
         let bad = "time_s,file_id\n5.0,1\n4.0,2\n";
         let err = Trace::read_csv(std::io::Cursor::new(bad), None).unwrap_err();
         assert!(matches!(err, TraceIoError::OutOfOrder(3)));
-    }
-
-    #[test]
-    fn time_scaling() {
-        let t = Trace::new(
-            vec![
-                Request {
-                    time: 1.0,
-                    file: FileId(0),
-                },
-                Request {
-                    time: 2.0,
-                    file: FileId(1),
-                },
-            ],
-            4.0,
-        );
-        let s = t.time_scaled(0.5);
-        assert_eq!(s.requests()[0].time, 0.5);
-        assert_eq!(s.requests()[1].time, 1.0);
-        assert_eq!(s.horizon(), 2.0);
-        assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn window_rebases_and_filters() {
-        let t = Trace::new(
-            vec![
-                Request {
-                    time: 1.0,
-                    file: FileId(0),
-                },
-                Request {
-                    time: 5.0,
-                    file: FileId(1),
-                },
-                Request {
-                    time: 9.0,
-                    file: FileId(2),
-                },
-            ],
-            10.0,
-        );
-        let w = t.window(4.0, 9.0);
-        assert_eq!(w.len(), 1);
-        assert_eq!(w.requests()[0].file, FileId(1));
-        assert!((w.requests()[0].time - 1.0).abs() < 1e-12);
-        assert_eq!(w.horizon(), 5.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "bad window")]
-    fn window_beyond_horizon_rejected() {
-        let t = Trace::new(vec![], 10.0);
-        let _ = t.window(5.0, 20.0);
-    }
-
-    #[test]
-    fn merge_interleaves_in_time_order() {
-        let a = Trace::new(
-            vec![
-                Request {
-                    time: 1.0,
-                    file: FileId(0),
-                },
-                Request {
-                    time: 5.0,
-                    file: FileId(0),
-                },
-            ],
-            6.0,
-        );
-        let b = Trace::new(
-            vec![Request {
-                time: 3.0,
-                file: FileId(1),
-            }],
-            12.0,
-        );
-        let m = a.merge(&b);
-        assert_eq!(m.len(), 3);
-        let times: Vec<f64> = m.requests().iter().map(|r| r.time).collect();
-        assert_eq!(times, vec![1.0, 3.0, 5.0]);
-        assert_eq!(m.horizon(), 12.0);
     }
 
     #[test]

@@ -140,16 +140,62 @@ fn row_beyond_a_declared_horizon_is_typed_at_its_line() {
 }
 
 #[test]
-fn open_with_prescan_surfaces_the_malformed_row_too() {
-    // `open(path, None)` pre-scans for the horizon; the scan must report
-    // the same typed error instead of caching garbage.
+fn open_without_a_horizon_rejects_a_malformed_last_row() {
+    // `open(path, None)` takes the horizon from the last row; a malformed
+    // last row is the same typed error, at its line, before any streaming.
     let err = CsvTraceSource::open(fixture("nan_time.csv"), None)
         .err()
-        .expect("prescan rejects the fixture");
+        .expect("the tail read rejects the fixture");
     assert!(
         matches!(err, TraceIoError::Malformed(3, _)),
         "expected Malformed(3, _), got {err:?}"
     );
+    for (name, row) in [
+        ("bad_file_id.csv", "2.0,banana"),
+        ("bad_time.csv", "two,4"),
+        ("garbage.csv", "{\"time\": 2.0}"),
+        ("huge_time.csv", "1e300,4"),
+        ("nan_time.csv", "nan,4"),
+        ("negative_file_id.csv", "2.0,-7"),
+        ("negative_time.csv", "-5.0,4"),
+    ] {
+        match CsvTraceSource::open(fixture(name), None) {
+            Err(TraceIoError::Malformed(3, text)) => assert_eq!(text, row, "{name}"),
+            Err(other) => panic!("{name}: expected Malformed(3, _), got {other:?}"),
+            Ok(_) => panic!("{name}: opened without a horizon"),
+        }
+    }
+}
+
+#[test]
+fn open_without_a_horizon_streams_up_to_the_first_bad_row() {
+    // A valid last row fixes the horizon; errors in the rows before it
+    // surface while streaming, at their own line.
+    let open = |name: &str| CsvTraceSource::open(fixture(name), None).expect("last row parses");
+
+    let mut src = open("missing_field.csv");
+    assert_eq!(src.horizon(), 3.0);
+    assert_eq!(src.next_request().unwrap().unwrap().time, 1.0);
+    match src.next_request() {
+        Err(TraceIoError::Malformed(3, text)) => assert_eq!(text, "2.5"),
+        other => panic!("missing_field: expected Malformed(3, \"2.5\"), got {other:?}"),
+    }
+
+    // The first row (5.0) already lies past the last row's time (4.0).
+    let mut src = open("out_of_order.csv");
+    assert_eq!(src.horizon(), 4.0);
+    assert!(matches!(
+        src.next_request(),
+        Err(TraceIoError::BeyondHorizon(2))
+    ));
+
+    let mut src = open("beyond_horizon.csv");
+    assert_eq!(src.horizon(), 20.0);
+    let mut times = Vec::new();
+    while let Some(r) = src.next_request().expect("every row is within the horizon") {
+        times.push(r.time);
+    }
+    assert_eq!(times, [5.0, 20.0]);
 }
 
 #[test]

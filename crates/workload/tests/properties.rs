@@ -127,14 +127,4 @@ proptest! {
             prop_assert!((s - b * rate).abs() < 1e-12);
         }
     }
-
-    #[test]
-    fn time_scaling_preserves_structure(factor in 0.01f64..100.0) {
-        let catalog = FileCatalog::paper_table1(50, 0);
-        let trace = Trace::poisson(&catalog, 1.0, 100.0, 5);
-        let scaled = trace.time_scaled(factor);
-        prop_assert_eq!(scaled.len(), trace.len());
-        prop_assert!((scaled.horizon() - trace.horizon() * factor).abs() < 1e-9);
-        prop_assert_eq!(scaled.distinct_files(), trace.distinct_files());
-    }
 }
