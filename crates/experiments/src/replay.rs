@@ -52,8 +52,8 @@ const SYNTHETIC_RATE: f64 = 4.0;
 /// `trace_file` — the curve would be ignored, so the pair is an error
 /// naming both flags). `ladder` selects the fleet's power-state ladder
 /// (two-state reproduces the pre-ladder engine bit-identically), `shards`
-/// the number of parallel replay shards (1 = the single-threaded engine;
-/// any count reports bit-identical histogram metrics and energy), and
+/// the number of parallel replay shards (1 = one engine fed by the
+/// reader thread; any count reports bit-identical histogram metrics and energy), and
 /// `cache` an optional cache hierarchy fronting the fleet
 /// ([`CacheChoice::None`] replays cache-free), `faults` a fault
 /// regime to replay under ([`FaultChoice::None`] keeps the legacy

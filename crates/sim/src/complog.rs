@@ -9,12 +9,11 @@
 //! - `CompletionWriter` sits in the engine's completion path. It holds
 //!   only the current *equal-time run* of completions, sorts each run by
 //!   global request ordinal when time advances, and hands the canonical
-//!   stream to its output — a terminal `CompletionSink` in unsharded
-//!   runs, or a bounded channel toward the merger thread in sharded ones.
+//!   stream in batches over a bounded channel to the merger thread.
 //! - `merge_streams` is the merger: a k-way min walk over the per-shard
 //!   channels keyed by `(time_s, req)`. Each shard's stream is already
 //!   canonically sorted, so the walk emits the *globally* sorted stream —
-//!   line-for-line identical to what an unsharded writer produces.
+//!   line-for-line the same at every shard count, one shard included.
 //! - `CompletionSink` materialises the stream per
 //!   [`CompletionLogMode`]: an in-memory `Vec` (the legacy surface, for
 //!   tests and small runs), canonical CSV lines to a file, or nothing but
@@ -25,10 +24,10 @@
 //!
 //! The canonical order is *(completion time, request ordinal)*: a request
 //! completes at most once (cache hits and failed requests are never
-//! logged), so the key is unique and the order total. The unsharded
-//! writer and the sharded merge produce the same sequence by
-//! construction, which is what pins `--shards N` + completion log
-//! bit-identical in `tests/cached_shard_equivalence.rs`.
+//! logged), so the key is unique and the order total. The merge of one
+//! stream and of many produce the same sequence by construction, which
+//! is what pins `--shards N` + completion log bit-identical in
+//! `tests/cached_shard_equivalence.rs`.
 //!
 //! Canonical line format: `req,disk,time_s\n`, `time_s` in the shortest
 //! round-trip form std's `Display` prints — deterministic across runs and
@@ -45,8 +44,8 @@ use serde::{Deserialize, Serialize};
 use crate::decimal;
 use crate::metrics::Completion;
 
-/// Completions per channel batch on the sharded path (same amortisation
-/// trade-off as the workload demux chunk).
+/// Completions per channel batch (same amortisation trade-off as the
+/// workload demux chunk).
 pub(crate) const LOG_CHUNK: usize = 4096;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -208,106 +207,70 @@ impl CompletionSink {
     }
 }
 
-/// Where a [`CompletionWriter`] sends the canonical stream.
-pub(crate) enum CompletionOut {
-    /// Directly into a terminal sink (unsharded, or the S=1 degenerate).
-    Sink(CompletionSink),
-    /// Batched over a bounded channel to the merger thread (sharded).
-    Chan {
-        tx: SyncSender<Vec<Completion>>,
-        batch: Vec<Completion>,
-    },
-    /// Flushed and closed.
-    Done,
-}
-
 /// The engine-side log front: canonicalises the shard-local completion
 /// stream (sorting each equal-time run by request ordinal) and forwards
-/// it. Engine completions arrive in non-decreasing time order, so one
-/// tie buffer suffices.
+/// it in batches over a bounded channel to the merger thread. Engine
+/// completions arrive in non-decreasing time order, so one tie buffer
+/// suffices.
 pub(crate) struct CompletionWriter {
     tie: Vec<Completion>,
     tie_time: f64,
-    out: CompletionOut,
+    /// The merger channel; `None` once [`Self::finish`] has closed it.
+    tx: Option<SyncSender<Vec<Completion>>>,
+    batch: Vec<Completion>,
     peak_buffered: usize,
 }
 
 impl CompletionWriter {
-    pub(crate) fn new(out: CompletionOut) -> Self {
+    pub(crate) fn new(tx: SyncSender<Vec<Completion>>) -> Self {
         CompletionWriter {
             tie: Vec::new(),
             tie_time: f64::NEG_INFINITY,
-            out,
+            tx: Some(tx),
+            batch: Vec::new(),
             peak_buffered: 0,
         }
     }
 
     /// Record one completion (non-decreasing `time_s` across calls).
-    pub(crate) fn push(&mut self, c: Completion) -> std::io::Result<()> {
+    pub(crate) fn push(&mut self, c: Completion) {
         if !self.tie.is_empty() && c.time_s != self.tie_time {
-            self.flush_tie()?;
+            self.flush_tie();
         }
         self.tie_time = c.time_s;
         self.tie.push(c);
-        let resident = self.tie.len()
-            + match &self.out {
-                CompletionOut::Chan { batch, .. } => batch.len(),
-                _ => 0,
-            };
-        self.peak_buffered = self.peak_buffered.max(resident);
-        Ok(())
+        self.peak_buffered = self.peak_buffered.max(self.tie.len() + self.batch.len());
     }
 
-    /// Emit the buffered equal-time run in canonical (req) order.
-    fn flush_tie(&mut self) -> std::io::Result<()> {
+    /// Move the buffered equal-time run into the batch in canonical (req)
+    /// order, shipping every full batch.
+    fn flush_tie(&mut self) {
         if self.tie.len() > 1 {
             self.tie.sort_unstable_by_key(|c| c.req);
         }
+        let Some(tx) = &self.tx else {
+            return;
+        };
         for c in self.tie.drain(..) {
-            match &mut self.out {
-                CompletionOut::Sink(sink) => sink.emit(&c)?,
-                CompletionOut::Chan { tx, batch } => {
-                    batch.push(c);
-                    if batch.len() >= LOG_CHUNK {
-                        let full = std::mem::replace(batch, Vec::with_capacity(LOG_CHUNK));
-                        // A hung-up merger means another shard already
-                        // failed; that error wins.
-                        let _ = tx.send(full);
-                    }
-                }
-                CompletionOut::Done => {}
+            self.batch.push(c);
+            if self.batch.len() >= LOG_CHUNK {
+                let full = std::mem::replace(&mut self.batch, Vec::with_capacity(LOG_CHUNK));
+                // A hung-up merger means another shard already failed;
+                // that error wins.
+                let _ = tx.send(full);
             }
         }
-        Ok(())
     }
 
-    /// Flush everything buffered and, on the sharded path, close the
-    /// channel (dropping the sender) so the merger can terminate. Must
-    /// run before the shard thread exits — the merger joins inside the
-    /// same scope.
-    pub(crate) fn finish(&mut self) -> std::io::Result<()> {
-        self.flush_tie()?;
-        match std::mem::replace(&mut self.out, CompletionOut::Done) {
-            CompletionOut::Sink(sink) => self.out = CompletionOut::Sink(sink),
-            CompletionOut::Chan { tx, batch } => {
-                if !batch.is_empty() {
-                    let _ = tx.send(batch);
-                }
-                drop(tx);
-            }
-            CompletionOut::Done => {}
-        }
-        Ok(())
-    }
-
-    /// Take the terminal sink back out (unsharded path, after
-    /// [`Self::finish`]). `None` on the channel path.
-    pub(crate) fn take_sink(&mut self) -> Option<CompletionSink> {
-        match std::mem::replace(&mut self.out, CompletionOut::Done) {
-            CompletionOut::Sink(sink) => Some(sink),
-            other => {
-                self.out = other;
-                None
+    /// Flush everything buffered and close the channel (dropping the
+    /// sender) so the merger can terminate. Must run before the shard
+    /// thread exits — the merger joins inside the same scope.
+    pub(crate) fn finish(&mut self) {
+        self.flush_tie();
+        if let Some(tx) = self.tx.take() {
+            let batch = std::mem::take(&mut self.batch);
+            if !batch.is_empty() {
+                let _ = tx.send(batch);
             }
         }
     }
@@ -394,16 +357,22 @@ mod tests {
 
     #[test]
     fn writer_sorts_equal_time_runs_by_request_ordinal() {
+        let (tx, rx) = std::sync::mpsc::sync_channel(4);
+        let mut w = CompletionWriter::new(tx);
+        for comp in [c(2, 0, 1.0), c(0, 1, 1.0), c(1, 2, 1.0), c(3, 0, 2.0)] {
+            w.push(comp);
+        }
+        w.finish();
+        assert_eq!(
+            w.peak_buffered(),
+            4,
+            "three completions tied at t=1, batched, then the t=2 one"
+        );
         let sink = CompletionSink::from_mode(&CompletionLogMode::Memory)
             .unwrap()
             .unwrap();
-        let mut w = CompletionWriter::new(CompletionOut::Sink(sink));
-        for comp in [c(2, 0, 1.0), c(0, 1, 1.0), c(1, 2, 1.0), c(3, 0, 2.0)] {
-            w.push(comp).unwrap();
-        }
-        w.finish().unwrap();
-        assert_eq!(w.peak_buffered(), 3, "three completions tied at t=1");
-        let (got, summary) = drain_memory(w.take_sink().unwrap());
+        let (sink, _) = merge_streams(vec![rx], sink).unwrap();
+        let (got, summary) = drain_memory(sink);
         assert_eq!(
             got.iter().map(|x| x.req).collect::<Vec<_>>(),
             vec![0, 1, 2, 3]

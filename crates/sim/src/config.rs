@@ -86,11 +86,11 @@ pub struct SimConfig {
     #[serde(default)]
     pub completion_log: CompletionLogMode,
     /// Number of replay shards: the fleet is partitioned by disk id
-    /// (`disk % shards`), each shard runs its own event loop on its own
-    /// thread fed by one reader that demultiplexes the arrival stream,
-    /// and per-shard reports are merged. `1` — the default — is the
-    /// single-threaded engine. The count is clamped to the fleet, so no
-    /// shard is empty. Histogram-mode metrics, all energy totals, cache
+    /// (`disk % shards`), each shard runs its own event loop fed by one
+    /// reader thread that demultiplexes the arrival stream, and
+    /// per-shard reports are merged. `1` — the default — is one engine
+    /// fed by the reader. The count is clamped to the fleet, so no shard
+    /// is empty. Histogram-mode metrics, all energy totals, cache
     /// statistics and the completion log are bit-identical across shard
     /// counts.
     pub shards: usize,

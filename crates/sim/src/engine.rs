@@ -40,9 +40,10 @@
 //!
 //! ## Arrival scheduling
 //!
-//! Arrivals never enter the event heap. The engine reads them from a
-//! [`TraceSource`] cursor — an in-memory trace, a buffered CSV reader or
-//! a seeded synthetic generator — and on every step compares the next
+//! Arrivals never enter the event heap. A reader thread drains the
+//! [`TraceSource`] — an in-memory trace, a buffered CSV reader or a
+//! seeded synthetic generator — into batches, and the engine reads them
+//! through a [`ShardReceiver`] cursor: on every step it compares the next
 //! arrival against the next scheduled event, processing whichever is
 //! earlier; arrivals win ties. The heap holds only `PhaseDone`,
 //! `SpinDownTimer` and fault events — O(disks), not O(requests) — so a
@@ -62,12 +63,13 @@
 //! ## Sharded replay
 //!
 //! After allocation every disk's request stream is independent, so
-//! `cfg.shards > 1` partitions the fleet by disk id (`disk % shards`).
-//! One reader thread demultiplexes the source into bounded per-shard
-//! channels, each tagging a request with its ordinal in the whole stream;
-//! every shard runs its own event loop on its own thread, and the
-//! per-shard reports merge in global disk order — see `shard.rs` for the
-//! merge rules and the determinism argument. Global-scope caches shard
+//! `cfg.shards` partitions the fleet by disk id (`disk % shards`). Every
+//! replay, one shard included, runs through the same driver: one reader
+//! thread demultiplexes the source into bounded per-shard channels, each
+//! tagging a request with its ordinal in the whole stream; every shard
+//! runs its own event loop, and the per-shard reports merge in global
+//! disk order — see `shard.rs` for the merge rules and the determinism
+//! argument. At one shard the reader's decode overlaps the engine. Global-scope caches shard
 //! too: each shard owns the `shard_fleet / fleet` slice of the configured
 //! budget that fronts its own disks' files, keeping the tier walk
 //! lock-free. The completion log streams through per-shard writers k-way
@@ -79,20 +81,18 @@ use spindown_disk::state::TransitionError;
 use spindown_packing::Assignment;
 use spindown_workload::trace::{TraceIoError, MAX_TRACE_TIME_S};
 use spindown_workload::{
-    FaultPlan, FileCatalog, FileId, InMemorySource, Request, Trace, TraceSource,
+    FaultPlan, FileCatalog, FileId, InMemorySource, Request, ShardReceiver, Trace, TraceSource,
 };
 
 use crate::actor::{DiskActor, Phase};
-use crate::complog::{CompletionOut, CompletionSink, CompletionWriter};
+use crate::complog::CompletionWriter;
 use crate::config::SimConfig;
 use crate::event::{Event, EventQueue};
 use crate::fault::{FaultRuntime, PendingRetry};
 use crate::hierarchy::{CacheHierarchy, CacheScope};
 use crate::metrics::{Completion, ResponseStats, SimReport};
 use crate::policy::{DescentStep, PowerPolicy, TimeoutPolicy};
-use crate::windows::{
-    last_window, WindowOut, WindowPartial, WindowSeries, WindowedReport, MAX_WINDOWS,
-};
+use crate::windows::{last_window, WindowPartial, WindowSeries, MAX_WINDOWS};
 
 /// Simulation failures.
 #[derive(Debug)]
@@ -353,13 +353,13 @@ enum CacheFront {
     PerDisk(Vec<CacheHierarchy>),
 }
 
-/// The discrete-event simulator, generic over the arrival feed so every
-/// source's hot path stays monomorphised (no per-arrival dynamic
-/// dispatch).
-pub struct Simulator<'a, S: TraceSource> {
+/// The discrete-event simulator. Its arrivals come from a
+/// [`ShardReceiver`]: the reader thread decodes the source into batches
+/// while this engine runs.
+pub struct Simulator<'a> {
     catalog: &'a FileCatalog,
     /// The streamed arrival cursor.
-    source: S,
+    source: ShardReceiver,
     cfg: &'a SimConfig,
     file_to_disk: Vec<usize>,
     actors: Vec<DiskActor>,
@@ -370,8 +370,7 @@ pub struct Simulator<'a, S: TraceSource> {
     /// statistics are merged from these in disk order at finish.
     per_disk_responses: Vec<ResponseStats>,
     /// The completion-log front, when logging is on: canonicalises this
-    /// engine's completion stream and forwards it to a terminal sink
-    /// (unsharded) or the merger channel (sharded).
+    /// engine's completion stream and forwards it to the merger thread.
     complog: Option<CompletionWriter>,
     policy: Box<dyn PowerPolicy>,
     horizon: f64,
@@ -396,7 +395,7 @@ pub struct Simulator<'a, S: TraceSource> {
     next_close: f64,
 }
 
-impl<'a> Simulator<'a, InMemorySource<'a>> {
+impl<'a> Simulator<'a> {
     /// Replay an in-memory trace over exactly the disks the assignment
     /// uses, under the fixed-threshold policy `cfg.threshold` — shorthand
     /// for [`Simulator::run_from_source`] over an [`InMemorySource`] with
@@ -415,12 +414,10 @@ impl<'a> Simulator<'a, InMemorySource<'a>> {
             assignment.disk_slots(),
         )
     }
-}
 
-impl<'a, S: TraceSource + Send> Simulator<'a, S> {
     /// [`Simulator::replay`] under the fixed-threshold policy family
     /// configured in `cfg.threshold`.
-    pub fn run_from_source(
+    pub fn run_from_source<S: TraceSource + Send>(
         catalog: &'a FileCatalog,
         source: S,
         assignment: &Assignment,
@@ -450,18 +447,19 @@ impl<'a, S: TraceSource + Send> Simulator<'a, S> {
     /// identically seeded instance per run is what makes randomised
     /// policies reproducible.
     ///
-    /// With `cfg.shards > 1` (clamped to the fleet) one reader thread
-    /// demultiplexes the source into bounded per-shard channels — the
-    /// source is read exactly once — and the shards replay concurrently
-    /// (see the `shard` module). Response statistics in either metrics
-    /// mode, energy totals, cache statistics, windows and the completion
-    /// log are bit-identical at every shard count.
+    /// One reader thread drains the source — exactly once — into bounded
+    /// channels, one per shard (`cfg.shards`, clamped to the fleet), and
+    /// the shards replay concurrently with it and with each other (see
+    /// the `shard` module). One shard is the same driver: the reader
+    /// decodes while the engine runs. Response statistics in either
+    /// metrics mode, energy totals, cache statistics, windows and the
+    /// completion log are bit-identical at every shard count.
     ///
     /// A request for a file the assignment does not place fails the run
     /// with [`SimError::UnmappedFile`] when it arrives. A negative or
     /// non-finite `cfg.threshold` fails it with
     /// [`SimError::InvalidThreshold`] before any policy is built.
-    pub fn replay(
+    pub fn replay<S: TraceSource + Send>(
         catalog: &'a FileCatalog,
         source: S,
         assignment: &Assignment,
@@ -474,38 +472,17 @@ impl<'a, S: TraceSource + Send> Simulator<'a, S> {
         if fleet < required {
             return Err(SimError::FleetTooSmall { required, fleet });
         }
-        let file_to_disk = assignment.item_to_disk(catalog.len());
-        let shards = crate::shard::effective_shards(cfg, fleet);
-        if shards > 1 {
-            return crate::shard::replay_sharded(
-                catalog,
-                source,
-                &file_to_disk,
-                cfg,
-                fleet,
-                shards,
-                &mut policies,
-            );
-        }
-        let sim = Self::run_drained(
+        crate::shard::replay_sharded(
             catalog,
             source,
-            file_to_disk,
+            assignment.item_to_disk(catalog.len()),
             cfg,
             fleet,
-            fleet,
-            0,
-            1,
-            policies(0),
-            None,
-            None,
-        )?;
-        let t_end = sim.horizon.max(sim.last_event_time);
-        sim.finish_at(t_end)
+            crate::shard::effective_shards(cfg, fleet),
+            &mut policies,
+        )
     }
-}
 
-impl<'a, S: TraceSource> Simulator<'a, S> {
     /// Construct the simulator, prime it and drive the event loop to
     /// exhaustion, returning the drained simulator *without* finishing it —
     /// the sharded driver needs every shard drained before the common end
@@ -520,15 +497,14 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
     /// actors in the global fleet (local `d` = global `d * stride +
     /// shard`; `0`/`1` unsharded) — the fault injector keys its per-disk
     /// RNG streams off global ids so fault draws are shard-invariant.
-    /// `log_tx`, when given, routes this shard's completion-log stream to
-    /// the merger thread instead of a terminal sink (the sharded path —
-    /// the merger owns the sink); `window_tx` likewise sends each closed
-    /// window's partial to the sharded run's fold instead of folding it
-    /// here. Both are dropped once the drive is over.
+    /// `log_tx` carries this shard's completion-log stream to the merger
+    /// thread (which owns the sink) and `window_tx` each closed window's
+    /// partial to the run's fold; they are given exactly when logging and
+    /// windows are on, and both are dropped once the drive is over.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_drained(
         catalog: &'a FileCatalog,
-        source: S,
+        source: ShardReceiver,
         file_to_disk: Vec<usize>,
         cfg: &'a SimConfig,
         fleet: usize,
@@ -564,14 +540,7 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
                 }
             },
         };
-        let complog = match log_tx {
-            Some(tx) => Some(CompletionWriter::new(CompletionOut::Chan {
-                tx,
-                batch: Vec::new(),
-            })),
-            None => CompletionSink::from_mode(&cfg.completion_log)?
-                .map(|sink| CompletionWriter::new(CompletionOut::Sink(sink))),
-        };
+        let complog = log_tx.map(CompletionWriter::new);
         let mut sim = Simulator {
             catalog,
             source,
@@ -602,24 +571,21 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
             for a in &mut sim.actors {
                 a.enable_windows(width, cfg.metrics);
             }
-            let out = match window_tx {
-                Some(tx) => WindowOut::Chan(tx),
-                None => WindowOut::Rows(Vec::new()),
-            };
-            let series = WindowSeries::new(width, cfg.metrics, shard, out);
+            let tx = window_tx.expect("windows on come with a fold channel");
+            let series = WindowSeries::new(width, cfg.metrics, shard, tx);
             sim.next_close = series.next_close();
             sim.windows = Some(series);
         }
         sim.prime()?;
         sim.drive()?;
         if let Some(w) = &mut sim.complog {
-            // Flush the writer (and, sharded, drop the merger channel's
-            // sender) before this thread leaves the scope — the merger
-            // joins inside the same scope and must see the channel close.
-            w.finish()?;
+            // Flush the writer and drop the merger channel's sender
+            // before this thread leaves the scope — the merger joins
+            // inside the same scope and must see the channel close.
+            w.finish();
         }
         if let Some(ws) = &mut sim.windows {
-            // Likewise drop the window sender so the sharded fold ends.
+            // Likewise drop the window sender so the fold ends.
             ws.detach();
         }
         Ok(sim)
@@ -741,16 +707,11 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
                 None => false,
             };
             if arrival_due {
-                // Sources that know the request's ordinal in the original
-                // (undemuxed) trace report it through `peek_seq`, so
-                // sharded runs label requests with the ids an unsharded
-                // run assigns — the tie-break key the merged completion
-                // log sorts on. Blind sources fall back to the local
-                // arrival counter, which equals the global ordinal
-                // whenever this engine sees the whole stream.
-                let seq = self.source.peek_seq();
-                let r = self.source.next_request()?.expect("peeked arrival");
-                let req = seq.map_or(self.arrived, |s| s as usize);
+                // The request's ordinal in the whole stream arrives with
+                // it, so every shard count labels requests alike — the
+                // tie-break key the merged completion log sorts on.
+                let (seq, r) = self.source.next_tagged()?.expect("peeked arrival");
+                let req = seq as usize;
                 self.arrived += 1;
                 self.last_event_time = self.last_event_time.max(r.time);
                 if r.time >= self.next_close {
@@ -796,15 +757,17 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
         self.next_close = ws.next_close();
     }
 
-    /// Close the run's remaining windows at `t_end`: tick every window the
-    /// end instant has passed (one at a time, so no disk opens more than
-    /// a couple of slots), charge every disk's final interval, then retire
-    /// windows through [`last_window`]`(t_end)` — the same count on every
-    /// shard. Returns the engine's window output (`None` with windows off
-    /// or once already closed).
-    fn close_tail_windows(&mut self, t_end: f64) -> Option<WindowOut> {
+    /// Finish, step one: close the run's remaining windows at the common
+    /// `t_end` and hand back their partials for the fold. Ticks every
+    /// window the end instant has passed (one at a time, so no disk opens
+    /// more than a couple of slots), charges every disk's final interval,
+    /// then retires windows through [`last_window`]`(t_end)` — the same
+    /// count on every shard. Empty with windows off.
+    pub(crate) fn take_tail_partials(&mut self, t_end: f64) -> Vec<WindowPartial> {
         self.close_windows(t_end);
-        let mut ws = self.windows.take()?;
+        let Some(mut ws) = self.windows.take() else {
+            return Vec::new();
+        };
         self.next_close = f64::INFINITY;
         for a in &mut self.actors {
             a.charge_windows(t_end);
@@ -817,17 +780,7 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
             }
             ws.emit(partial);
         }
-        Some(ws.into_out())
-    }
-
-    /// Sharded finish, step one: close the tail windows at the common
-    /// `t_end` and hand back their partials for the sharded fold.
-    pub(crate) fn take_tail_partials(&mut self, t_end: f64) -> Vec<WindowPartial> {
-        match self.close_tail_windows(t_end) {
-            Some(WindowOut::Held(partials)) => partials,
-            None => Vec::new(),
-            Some(_) => unreachable!("sharded engines hold their tail partials"),
-        }
+        ws.into_held()
     }
 
     /// Most window slots any of this engine's disks held open at once.
@@ -993,7 +946,7 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
                                 req,
                                 disk: disk * self.stride + self.shard,
                                 time_s: t,
-                            })?;
+                            });
                         }
                     }
                     if self.fault.as_ref().expect("checked above").pending_crash[disk] {
@@ -1008,7 +961,7 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
                             req,
                             disk: disk * self.stride + self.shard,
                             time_s: t,
-                        })?;
+                        });
                     }
                 }
                 if self.actors[disk].queue_is_empty() {
@@ -1254,7 +1207,8 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
         self.kick(t, disk)
     }
 
-    /// Integrate energy to `t_end` and assemble the report. The global
+    /// Integrate energy to `t_end` and assemble this engine's report; the
+    /// driver attaches the windows and the completion log. The global
     /// response collector is derived here by merging the per-disk
     /// collectors in ascending disk order, so the global statistics are a
     /// pure function of the per-disk trajectories, identical however the
@@ -1285,16 +1239,6 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
             );
             stats
         });
-        // Unsharded, the rows were folded as windows closed; a sharded
-        // engine's tail was already taken by the sharded merge.
-        let windows = match self.close_tail_windows(t_end) {
-            Some(WindowOut::Rows(rows)) => Some(WindowedReport {
-                width_s: self.cfg.windows.expect("rows imply windows"),
-                faulted: availability.is_some(),
-                rows,
-            }),
-            _ => None,
-        };
         let mut fleet = spindown_disk::energy::EnergyBreakdown::default();
         let mut per_disk = Vec::with_capacity(self.actors.len());
         let mut per_disk_served = Vec::with_capacity(self.actors.len());
@@ -1337,31 +1281,14 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
                 (Some(agg), Some(tiers), Some(rows))
             }
         };
-        let (completions, completion_log) = match self.complog.as_mut() {
-            None => (None, None),
-            Some(w) => {
-                let peak = w.peak_buffered();
-                match w.take_sink() {
-                    // Unsharded (or S=1): this engine owns the terminal
-                    // sink; fold it into the report here.
-                    Some(sink) => {
-                        let (completions, summary) = sink.finish(peak)?;
-                        (completions, Some(summary))
-                    }
-                    // Sharded: the merger thread owns the sink and the
-                    // report merge attaches the merged log fields.
-                    None => (None, None),
-                }
-            }
-        };
         Ok(SimReport {
             sim_time_s: t_end,
             energy: fleet,
             per_disk_energy: per_disk,
             responses,
             per_disk_responses: self.per_disk_responses,
-            completions,
-            completion_log,
+            completions: None,
+            completion_log: None,
             spin_downs,
             spin_ups,
             cache,
@@ -1372,7 +1299,7 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
             per_shard_event_peaks: vec![self.peak_events],
             peak_disk_queue: self.peak_disk_queue,
             availability,
-            windows,
+            windows: None,
         })
     }
 }
@@ -1441,31 +1368,36 @@ mod tests {
     }
 
     /// Drain a run and report the most window slots any disk held open.
-    fn peak_slots<S: TraceSource>(
+    fn peak_slots<S: TraceSource + Send>(
         cat: &FileCatalog,
         source: S,
         layout: &Assignment,
         cfg: &SimConfig,
     ) -> usize {
         let fleet = layout.disk_slots();
-        let sim = Simulator::run_drained(
-            cat,
-            source,
-            layout.item_to_disk(cat.len()),
-            cfg,
-            fleet,
-            fleet,
-            0,
-            1,
-            Box::new(TimeoutPolicy::from_config(cfg.threshold, &cfg.disk)),
-            None,
-            None,
-        )
-        .unwrap();
+        let (pump, mut rxs) = spindown_workload::demux(source, 1);
+        let (window_tx, window_rx) = std::sync::mpsc::channel();
+        let mut sim = std::thread::scope(|scope| {
+            scope.spawn(move || pump.run(&[]));
+            Simulator::run_drained(
+                cat,
+                rxs.pop().expect("one shard"),
+                layout.item_to_disk(cat.len()),
+                cfg,
+                fleet,
+                fleet,
+                0,
+                1,
+                Box::new(TimeoutPolicy::from_config(cfg.threshold, &cfg.disk)),
+                None,
+                Some(window_tx),
+            )
+            .unwrap()
+        });
         let peak = sim.peak_open_window_slots();
         let t_end = sim.source_horizon().max(sim.last_event_time());
-        let report = sim.finish_at(t_end).unwrap();
-        assert!(report.windows.is_some_and(|w| !w.rows.is_empty()));
+        let tail = sim.take_tail_partials(t_end).len();
+        assert!(window_rx.iter().count() + tail > 0);
         peak
     }
 
@@ -1670,6 +1602,35 @@ mod tests {
             });
             assert!(
                 matches!(err, SimError::UnmappedFile { file } if file == FileId(4)),
+                "S={shards}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_engine_failure_stops_the_reader_early() {
+        // The generator would take hours to drain its 2^40 s horizon; the
+        // run must come back as soon as the engine fails on the first
+        // request, with the reader still mid-stream.
+        for shards in [1, 2] {
+            let err = within_a_minute(move || {
+                let cat = catalog(8, MB);
+                let stream =
+                    || spindown_workload::SyntheticSource::poisson(&cat, 4.0, MAX_TRACE_TIME_S, 5);
+                let first = stream().next_request().unwrap().expect("a request").file;
+                // Every file but the first request's sits on disk f % 2.
+                let mut disks = vec![DiskBin::default(), DiskBin::default()];
+                for f in (0..8).filter(|&f| f != first.index()) {
+                    disks[f % 2].items.push(f);
+                }
+                let cfg = SimConfig::paper_default().with_shards(shards);
+                let err =
+                    Simulator::run_from_source(&cat, stream(), &Assignment { disks }, &cfg, 2)
+                        .unwrap_err();
+                (err, first)
+            });
+            assert!(
+                matches!(err, (SimError::UnmappedFile { file }, first) if file == first),
                 "S={shards}: {err:?}"
             );
         }

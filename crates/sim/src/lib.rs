@@ -59,11 +59,11 @@
 //!   from a [`TraceSource`](spindown_workload::TraceSource) cursor, so the
 //!   event queue peaks at O(disks). [`engine::Simulator::replay`] is its
 //!   one entry point; `run_from_source` and `run` are shorthands.
-//! - `shard` (internal) — the sharded parallel replay driver behind
-//!   `SimConfig::with_shards`: one reader demultiplexes the arrivals, the
-//!   fleet partitions by disk id, each shard runs its own event loop on
-//!   its own thread, and the per-shard reports merge bit-identically
-//!   (histogram metrics, all energy totals) to the single-threaded run.
+//! - `shard` (internal) — the replay driver behind every run, sized by
+//!   `SimConfig::with_shards`: one reader thread demultiplexes the
+//!   arrivals, the fleet partitions by disk id, each shard runs its own
+//!   event loop, and the per-shard reports merge bit-identically
+//!   (histogram metrics, all energy totals) to the one-shard run.
 //!
 //! ## Power policies
 //!

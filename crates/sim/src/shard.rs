@@ -1,5 +1,6 @@
-//! Sharded parallel replay: partition the fleet, run one event loop per
-//! shard, merge the reports.
+//! The replay driver: partition the fleet, read the source on its own
+//! thread, run one event loop per shard, merge the reports. Every replay
+//! runs through it; one shard is its smallest case.
 //!
 //! ## Shard assignment
 //!
@@ -10,9 +11,15 @@
 //! source once through `spindown_workload::demux`, routing each request
 //! — tagged with its ordinal in the whole stream — into its shard's
 //! bounded channel, whether the source is an in-memory trace, a CSV file
-//! or a generator. Each shard's policy instance sees global ids through
+//! or a generator. Shard 0 runs on the calling thread, every other shard
+//! on its own. Each shard's policy instance sees global ids through
 //! [`GlobalIds`], and the shard count is clamped to the fleet so no shard
 //! is ever empty.
+//!
+//! One shard pays for none of the partitioning: it takes the file map
+//! whole, the reader routes every request to it without a map, and its
+//! policy sees local ids, which at stride 1 are the global ones. What it
+//! keeps is the reader thread, so source decode overlaps the engine.
 //!
 //! ## Why the merged report is bit-identical
 //!
@@ -45,10 +52,10 @@
 //!   both the unsharded writer and the sharded merger — byte-identical
 //!   at every shard count;
 //! - windowed rows: each shard closes windows as its own clock passes
-//!   them and sends each closed window's partial to the calling thread,
+//!   them and sends each closed window's partial to a folding thread,
 //!   which folds window `w` with [`crate::windows::fold_row`] once every
-//!   shard has sent it — the fold the unsharded engine applies to its
-//!   single partial, with the per-disk values in the same global order.
+//!   shard has sent it — with the per-disk values in global disk order,
+//!   whatever the shard count.
 //!
 //! Merged counters: spin-downs/ups and served counts are exact sums;
 //! `peak_disk_queue` is the cross-shard **max** (each disk's queue
@@ -59,9 +66,11 @@
 //! merged fields — for the max/sum aggregation trade-off).
 
 use std::sync::mpsc::{channel, sync_channel, Sender, SyncSender};
+use std::sync::Arc;
 
 use spindown_disk::energy::EnergyBreakdown;
 use spindown_workload::shard::{demux, ShardReceiver};
+use spindown_workload::trace::TraceIoError;
 use spindown_workload::{FileCatalog, TraceSource};
 
 use crate::cache::CacheStats;
@@ -145,24 +154,24 @@ impl PowerPolicy for GlobalIds {
     }
 }
 
-/// Sharded replay of `source`: one reader thread demultiplexes it into
-/// bounded per-shard channels (the source is read once), every shard
-/// drains on its own scoped thread, then all shards finish at the common
-/// end time and their reports merge. Policies are built by `factory` in
-/// shard order on the calling thread, so factory side effects (seed
+/// Replay `source` over `shards` shards (one included): one reader thread
+/// demultiplexes it into bounded per-shard batches (the source is read
+/// once), shard 0 drains on the calling thread and every other shard on
+/// its own scoped thread, then all shards finish at the common end time
+/// and their reports merge. Policies are built by `factory` in shard
+/// order on the calling thread, so factory side effects (seed
 /// derivation, logging) are deterministic.
 pub(crate) fn replay_sharded<'a, S: TraceSource + Send>(
     catalog: &'a FileCatalog,
     source: S,
-    file_to_disk: &[usize],
+    file_to_disk: Vec<usize>,
     cfg: &'a SimConfig,
     fleet: usize,
     shards: usize,
     factory: &mut dyn FnMut(usize) -> Box<dyn PowerPolicy>,
 ) -> Result<SimReport, SimError> {
-    /// One shard's inputs: (shard index, source, wrapped policy, local
-    /// file map, local fleet size, completion-log channel, window-partial
-    /// channel).
+    /// One shard's inputs: (shard index, source, policy, local file map,
+    /// local fleet size, completion-log channel, window-partial channel).
     type ShardJob = (
         usize,
         ShardReceiver,
@@ -172,15 +181,22 @@ pub(crate) fn replay_sharded<'a, S: TraceSource + Send>(
         Option<SyncSender<Vec<Completion>>>,
         Option<Sender<(usize, WindowPartial)>>,
     );
-    /// What the merger thread hands back: the terminal sink plus the
-    /// merge heads' peak buffered count (absent when logging is off).
-    type MergedLog = Option<std::io::Result<(CompletionSink, usize)>>;
     let plan = ShardPlan { shards, fleet };
     let (pump, receivers) = demux(source, shards);
+    // The pump routes through the global map. One shard takes the map
+    // whole, and the pump, which then routes everything to it, gets none.
+    let (route_map, local_maps) = if shards == 1 {
+        (Vec::new(), vec![file_to_disk])
+    } else {
+        let local = (0..shards)
+            .map(|s| plan.local_map(&file_to_disk, s))
+            .collect();
+        (file_to_disk, local)
+    };
     // Completion log: the merger thread owns the terminal sink (so e.g.
     // the CSV file is created once, here, not per shard); each shard
     // streams its canonical batches over a bounded channel.
-    let mut merger_sink = CompletionSink::from_mode(&cfg.completion_log)?;
+    let merger_sink = CompletionSink::from_mode(&cfg.completion_log)?;
     let mut log_txs: Vec<Option<SyncSender<Vec<Completion>>>> = Vec::with_capacity(shards);
     let mut log_rxs = Vec::new();
     if merger_sink.is_some() {
@@ -193,86 +209,93 @@ pub(crate) fn replay_sharded<'a, S: TraceSource + Send>(
         log_txs.resize_with(shards, || None);
     }
     // Windows: every shard sends each closed window's partial over one
-    // unbounded channel, and this thread folds window `w` once all shards
-    // have sent it. Shards never block on the send, so the channel cannot
-    // deadlock against the bounded demux. Partials wait here only while
-    // some shard's clock lags; while the source feeds every shard, the
-    // demux's bounded buffer bounds that lag.
-    let mut folder = cfg.windows.map(|width| RowFolder::new(width, shards));
+    // unbounded channel to a folding thread, which folds window `w` once
+    // all shards have sent it. Shards never block on the send, so the
+    // channel cannot deadlock against the bounded demux. Partials wait
+    // there only while some shard's clock lags; while the source feeds
+    // every shard, the demux's bounded buffers bound that lag.
+    let folder = cfg.windows.map(|width| RowFolder::new(width, shards));
     let (win_tx, win_rx) = channel::<(usize, WindowPartial)>();
     let jobs: Vec<ShardJob> = receivers
         .into_iter()
+        .zip(local_maps)
         .zip(log_txs)
         .enumerate()
-        .map(|(s, (source, log_tx))| {
-            let policy = Box::new(GlobalIds {
-                inner: factory(s),
-                shard: s,
-                stride: shards,
-            }) as Box<dyn PowerPolicy>;
+        .map(|(s, ((source, local_map), log_tx))| {
+            let inner = factory(s);
+            // At stride 1 the global id is the local one.
+            let policy = if shards == 1 {
+                inner
+            } else {
+                Box::new(GlobalIds {
+                    inner,
+                    shard: s,
+                    stride: shards,
+                })
+            };
             (
                 s,
                 source,
                 policy,
-                plan.local_map(file_to_disk, s),
+                local_map,
                 plan.shard_fleet(s),
                 log_tx,
                 folder.is_some().then(|| win_tx.clone()),
             )
         })
         .collect();
-    // Only the shards hold senders, so the fold below ends when the last
-    // shard finishes draining (or fails).
+    // Only the shards hold senders, so the fold ends when the last shard
+    // finishes draining (or fails).
     drop(win_tx);
-    let (results, merged_log): (
-        Vec<Result<Simulator<'a, ShardReceiver>, SimError>>,
-        MergedLog,
-    ) = std::thread::scope(|scope| {
-        scope.spawn(move || pump.run(file_to_disk));
-        // The merger terminates once every shard's sender is dropped —
-        // `run_drained` drops it on success (writer flush) and on error
-        // (the writer is dropped with the engine), so joining it inside
-        // the scope cannot deadlock.
-        let merger = merger_sink
-            .take()
-            .map(|sink| scope.spawn(move || merge_streams(log_rxs, sink)));
-        let handles: Vec<_> = jobs
-            .into_iter()
-            .map(
-                |(s, source, policy, local_map, shard_fleet, log_tx, window_tx)| {
-                    scope.spawn(move || {
-                        Simulator::run_drained(
-                            catalog,
-                            source,
-                            local_map,
-                            cfg,
-                            shard_fleet,
-                            fleet,
-                            s,
-                            shards,
-                            policy,
-                            log_tx,
-                            window_tx,
-                        )
-                    })
-                },
-            )
-            .collect();
-        if let Some(folder) = folder.as_mut() {
-            for (s, partial) in win_rx.iter() {
-                folder.push(s, partial);
-            }
-        }
-        let results = handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect();
-        let merged_log = merger.map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-        (results, merged_log)
+    let drain = |(s, source, policy, local_map, shard_fleet, log_tx, window_tx): ShardJob| {
+        Simulator::run_drained(
+            catalog,
+            source,
+            local_map,
+            cfg,
+            shard_fleet,
+            fleet,
+            s,
+            shards,
+            policy,
+            log_tx,
+            window_tx,
+        )
+    };
+    let (results, merged_log, folder) = std::thread::scope(|scope| {
+        scope.spawn(move || pump.run(&route_map));
+        // The merger and the fold terminate once every shard's sender is
+        // dropped — `run_drained` drops them on success and on error (with
+        // the engine), so joining them inside the scope cannot deadlock.
+        let merger = merger_sink.map(|sink| scope.spawn(move || merge_streams(log_rxs, sink)));
+        let fold = folder.map(|mut folder| {
+            scope.spawn(move || {
+                for (s, partial) in win_rx.iter() {
+                    folder.push(s, partial);
+                }
+                folder
+            })
+        });
+        let mut jobs = jobs.into_iter();
+        let first = jobs.next().expect("at least one shard");
+        let others: Vec<_> = jobs.map(|job| scope.spawn(move || drain(job))).collect();
+        let mut results = vec![drain(first)];
+        results.extend(others.into_iter().map(join));
+        (results, merger.map(join), fold.map(join))
     });
     let mut sims = Vec::with_capacity(shards);
+    let mut failure = None;
     for r in results {
-        sims.push(r?);
+        match r {
+            Ok(sim) => sims.push(sim),
+            // The first shard's error wins; later ones drop here.
+            Err(e) => {
+                failure.get_or_insert(e);
+            }
+        }
+    }
+    if let Some(e) = failure {
+        return Err(unshare(e));
     }
     // The shards' event sets partition the unsharded run's events, so the
     // common end time is exactly the unsharded `horizon.max(last event)`.
@@ -305,6 +328,26 @@ pub(crate) fn replay_sharded<'a, S: TraceSource + Send>(
         Some(Err(e)) => return Err(e.into()),
     };
     Ok(merge_reports(cfg, fleet, shards, reports, log, windows))
+}
+
+/// Join a scoped thread, re-raising its panic here.
+fn join<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
+    handle
+        .join()
+        .unwrap_or_else(|e| std::panic::resume_unwind(e))
+}
+
+/// A source error reaches every shard as a shared copy of the pump's
+/// error. Once the shards are joined and the other copies dropped, this
+/// is the only one left: hand back the pump's original error, so a run
+/// fails with the same error at every shard count.
+fn unshare(e: SimError) -> SimError {
+    match e {
+        SimError::Source(TraceIoError::Shared(shared)) => {
+            SimError::Source(Arc::try_unwrap(shared).unwrap_or_else(TraceIoError::Shared))
+        }
+        e => e,
+    }
 }
 
 /// Reassemble per-shard reports into the fleet report, in ascending global

@@ -21,10 +21,9 @@
 //! in exact mode). [`fold_row`] then interleaves those per-disk values in
 //! ascending *global* disk order (local `i` of shard `s` is global
 //! `i·S + s`) and adds them up. Those are the same float additions, in
-//! the same order, at every shard count, so the rows are bit-identical
-//! whether one engine folds its own partial as it closes (unsharded) or
-//! the sharded run folds window `w` once every shard has sent its
-//! partial.
+//! the same order, at every shard count: the run folds window `w` once
+//! every shard has sent its partial, so the rows are bit-identical
+//! however many shards sent one.
 //!
 //! ## Window arithmetic
 //!
@@ -415,36 +414,33 @@ pub fn fold_row(width_s: f64, partials: Vec<WindowPartial>) -> WindowRow {
     }
 }
 
-/// Where an engine's closed windows go.
-#[derive(Debug)]
-pub(crate) enum WindowOut {
-    /// Unsharded: fold each window into its row as it closes.
-    Rows(Vec<WindowRow>),
-    /// Sharded, while draining: send each partial to the folding thread.
-    Chan(Sender<(usize, WindowPartial)>),
-    /// Sharded, after draining: hold the tail partials for the merge.
-    Held(Vec<WindowPartial>),
-}
-
 /// An engine's window clock: the next window to close and where closed
-/// windows go.
+/// windows go — to the folding thread while the engine drains, then into
+/// a held tail for the finish.
 #[derive(Debug)]
 pub(crate) struct WindowSeries {
     width_s: f64,
     mode: MetricsMode,
     shard: usize,
     front: usize,
-    out: WindowOut,
+    tx: Option<Sender<(usize, WindowPartial)>>,
+    held: Vec<WindowPartial>,
 }
 
 impl WindowSeries {
-    pub(crate) fn new(width_s: f64, mode: MetricsMode, shard: usize, out: WindowOut) -> Self {
+    pub(crate) fn new(
+        width_s: f64,
+        mode: MetricsMode,
+        shard: usize,
+        tx: Sender<(usize, WindowPartial)>,
+    ) -> Self {
         WindowSeries {
             width_s,
             mode,
             shard,
             front: 0,
-            out,
+            tx: Some(tx),
+            held: Vec::new(),
         }
     }
 
@@ -475,30 +471,26 @@ impl WindowSeries {
 
     /// Route the front window's partial and advance to the next window.
     pub(crate) fn emit(&mut self, partial: WindowPartial) {
-        match &mut self.out {
-            WindowOut::Rows(rows) => rows.push(fold_row(self.width_s, vec![partial])),
+        match &self.tx {
             // The folding thread outlives every sender; a failed send
             // means it is already unwinding, which surfaces on join.
-            WindowOut::Chan(tx) => {
+            Some(tx) => {
                 let _ = tx.send((self.shard, partial));
             }
-            WindowOut::Held(held) => held.push(partial),
+            None => self.held.push(partial),
         }
         self.front += 1;
     }
 
     /// Stop sending (the drive is over): later closes are held for the
-    /// merge, and dropping the sender lets the folding thread finish.
+    /// finish, and dropping the sender lets the folding thread finish.
     pub(crate) fn detach(&mut self) {
-        if matches!(self.out, WindowOut::Chan(_)) {
-            self.out = WindowOut::Held(Vec::new());
-        }
+        self.tx = None;
     }
 
-    /// What the engine produced: the rows (unsharded) or the held tail
-    /// partials (sharded).
-    pub(crate) fn into_out(self) -> WindowOut {
-        self.out
+    /// The tail partials closed after [`Self::detach`].
+    pub(crate) fn into_held(self) -> Vec<WindowPartial> {
+        self.held
     }
 }
 

@@ -193,15 +193,27 @@ fn malformed_csv_surfaces_as_a_source_error_mid_replay() {
             total_l: 0.0,
         }],
     };
-    let cfg = SimConfig::paper_default();
     let bad = "time_s,file_id\n1.0,0\nBROKEN\n";
-    let err = Simulator::run_from_source(
-        &catalog,
-        CsvTraceSource::from_reader(std::io::Cursor::new(bad), 10.0).unwrap(),
-        &assignment,
-        &cfg,
-        1,
-    )
-    .unwrap_err();
-    assert!(matches!(err, spindown_sim::engine::SimError::Source(_)));
+    // The reader thread's own error comes back at every shard count, not
+    // a shared copy of it.
+    for shards in [1, 2] {
+        let cfg = SimConfig::paper_default().with_shards(shards);
+        let err = Simulator::run_from_source(
+            &catalog,
+            CsvTraceSource::from_reader(std::io::Cursor::new(bad), 10.0).unwrap(),
+            &assignment,
+            &cfg,
+            2,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                spindown_sim::engine::SimError::Source(
+                    spindown_workload::trace::TraceIoError::Malformed(3, text)
+                ) if text == "BROKEN"
+            ),
+            "S={shards}: {err:?}"
+        );
+    }
 }

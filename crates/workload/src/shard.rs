@@ -6,28 +6,41 @@
 //! splits the same way. [`demux`] is the one splitter: a single pump
 //! thread drains any [`TraceSource`] — an in-memory trace, a CSV reader,
 //! a generator — exactly once, routing each request by [`route_shard`]
-//! into a bounded per-shard channel in [`Request`]-chunk batches, tagged
-//! with its ordinal in the whole stream. Each shard consumes a
-//! [`ShardReceiver`], which is itself a [`TraceSource`] and reports that
-//! ordinal through [`TraceSource::peek_seq`].
+//! into its shard's current batch, tagged with its ordinal in the whole
+//! stream. Each shard consumes a [`ShardReceiver`], which is itself a
+//! [`TraceSource`] and hands out that ordinal through
+//! [`ShardReceiver::next_tagged`]. One shard is the same driver with the
+//! routing skipped: the reader thread decodes while the engine runs.
+//!
+//! Memory is bounded at every shard count. [`demux`] allocates each
+//! shard's batch buffers once, on the calling thread, and the buffers
+//! cycle: the pump fills one and sends it, the receiver reads it in place
+//! and sends it back empty over a return channel. When every buffer of a
+//! shard is in flight the pump waits for one to come back, so a slow
+//! shard holds the reader back instead of growing a queue.
 //!
 //! Requests for unmapped files go to shard 0, which surfaces the same
 //! unmapped-file error the unsharded engine would raise.
 
-use std::collections::VecDeque;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 
 use crate::source::TraceSource;
 use crate::trace::{Request, TraceIoError};
 
-/// Requests per channel batch: large enough to amortise channel overhead,
-/// small enough that per-shard buffering stays a few pages.
-const CHUNK: usize = 4096;
-/// Bounded channel depth, in batches. With every consumer guaranteed to
-/// drain or drop its receiver, a small bound caps memory without risking
-/// deadlock.
+/// Requests per batch: large enough to amortise a channel hand-off over
+/// many requests, small enough that a shard's buffers stay a few dozen
+/// pages (a batch is 24 bytes a request).
+const CHUNK: usize = 1024;
+/// Full batches a shard's channel may hold ahead of its receiver. A shard
+/// owns `DEPTH + 2` buffers: these, the one the pump fills and the one
+/// the receiver reads.
 const DEPTH: usize = 4;
+/// Batch buffers per shard.
+const POOL: usize = DEPTH + 2;
+
+/// A routed request and its ordinal in the whole (undemuxed) stream.
+pub type Tagged = (u64, Request);
 
 /// The shard a request for `file` routes to, given the file→disk map and
 /// the shard count: the target disk's `disk % shards`. Files outside the
@@ -42,62 +55,90 @@ pub fn route_shard(file_to_disk: &[usize], shards: usize, file: usize) -> usize 
     }
 }
 
-/// One message on a demux channel: a batch of routed requests (each
-/// tagged with its global ordinal in the undemuxed stream), or the shared
-/// copy of the pump's terminal error.
-enum Batch {
-    Requests(Vec<(u64, Request)>),
+/// One message on a demux channel: a batch of routed requests, or the
+/// shared copy of the pump's terminal error.
+enum Msg {
+    Batch(Vec<Tagged>),
     Failed(Arc<TraceIoError>),
 }
 
-/// The producer half of [`demux`]: owns the underlying source and the send
-/// ends of every shard channel. Run [`DemuxPump::run`] on its own thread
+/// The pump's end of one shard: the batch being filled, the channel full
+/// batches go out on, and the return channel empty ones come back on.
+struct Lane {
+    fill: Vec<Tagged>,
+    tx: SyncSender<Msg>,
+    free: Receiver<Vec<Tagged>>,
+}
+
+impl Lane {
+    /// Send the full batch and take an empty buffer back from the shard's
+    /// pool, waiting for the receiver to finish one if all are in flight.
+    /// `false` once the receiver has hung up.
+    fn ship(&mut self) -> bool {
+        let full = std::mem::take(&mut self.fill);
+        if self.tx.send(Msg::Batch(full)).is_err() {
+            return false;
+        }
+        match self.free.recv() {
+            Ok(empty) => {
+                self.fill = empty;
+                true
+            }
+            Err(_) => false,
+        }
+    }
+}
+
+/// The producer half of [`demux`]: owns the underlying source and the
+/// pump's end of every shard. Run [`DemuxPump::run`] on its own thread
 /// while the shard engines consume their [`ShardReceiver`]s.
 pub struct DemuxPump<S> {
     source: S,
-    txs: Vec<SyncSender<Batch>>,
+    lanes: Vec<Lane>,
 }
 
 impl<S: TraceSource> DemuxPump<S> {
-    /// Drain the source to exhaustion, routing each request to its shard's
-    /// channel through `file_to_disk` (same rule as [`route_shard`]).
+    /// Drain the source to exhaustion, routing each request to its shard
+    /// through `file_to_disk` (same rule as [`route_shard`]). With one
+    /// shard every request goes to it and the map is never read.
     ///
     /// On a source error the error is wrapped in an [`Arc`] and fanned out
     /// to every shard, so each consumer fails with
     /// [`TraceIoError::Shared`]. If a consumer hangs up (its engine
-    /// failed), the pump stops early — remaining consumers see end of
-    /// stream, and the caller surfaces the consumer's own error.
+    /// failed), the pump stops at that shard's next batch — remaining
+    /// consumers see end of stream, and the caller surfaces the consumer's
+    /// own error.
     pub fn run(mut self, file_to_disk: &[usize]) {
-        let shards = self.txs.len();
-        let mut chunks: Vec<Vec<(u64, Request)>> =
-            (0..shards).map(|_| Vec::with_capacity(CHUNK)).collect();
+        let shards = self.lanes.len();
         let mut seq: u64 = 0;
         loop {
             match self.source.next_request() {
                 Ok(Some(r)) => {
-                    let s = route_shard(file_to_disk, shards, r.file.0 as usize);
-                    chunks[s].push((seq, r));
+                    let s = if shards == 1 {
+                        0
+                    } else {
+                        route_shard(file_to_disk, shards, r.file.0 as usize)
+                    };
+                    let lane = &mut self.lanes[s];
+                    lane.fill.push((seq, r));
                     seq += 1;
-                    if chunks[s].len() == CHUNK {
-                        let full = std::mem::replace(&mut chunks[s], Vec::with_capacity(CHUNK));
-                        if self.txs[s].send(Batch::Requests(full)).is_err() {
-                            return;
-                        }
+                    if lane.fill.len() == CHUNK && !lane.ship() {
+                        return;
                     }
                 }
                 Ok(None) => break,
                 Err(e) => {
                     let shared = Arc::new(e);
-                    for tx in &self.txs {
-                        let _ = tx.send(Batch::Failed(Arc::clone(&shared)));
+                    for lane in &self.lanes {
+                        let _ = lane.tx.send(Msg::Failed(Arc::clone(&shared)));
                     }
                     return;
                 }
             }
         }
-        for (s, chunk) in chunks.into_iter().enumerate() {
-            if !chunk.is_empty() && self.txs[s].send(Batch::Requests(chunk)).is_err() {
-                return;
+        for lane in self.lanes {
+            if !lane.fill.is_empty() {
+                let _ = lane.tx.send(Msg::Batch(lane.fill));
             }
         }
         // Dropping the senders closes every channel: consumers observe a
@@ -106,25 +147,51 @@ impl<S: TraceSource> DemuxPump<S> {
 }
 
 /// The consumer half of [`demux`]: a blocking [`TraceSource`] over one
-/// shard's channel. Yields the shard's requests in trace order; after the
-/// pump reports an error, every subsequent call returns
-/// [`TraceIoError::Shared`] over the same underlying failure.
+/// shard's channel. Yields the shard's requests in trace order, reading
+/// each batch in place; after the pump reports an error, every subsequent
+/// call returns [`TraceIoError::Shared`] over the same underlying failure.
 pub struct ShardReceiver {
-    rx: Receiver<Batch>,
-    buf: VecDeque<(u64, Request)>,
+    batch: Vec<Tagged>,
+    next: usize,
+    rx: Receiver<Msg>,
+    free: SyncSender<Vec<Tagged>>,
     horizon: f64,
     failed: Option<Arc<TraceIoError>>,
     done: bool,
+    /// Batch buffers allocated for this shard, read by the tests.
+    #[cfg_attr(not(test), allow(dead_code))]
+    allocations: usize,
 }
 
 impl ShardReceiver {
-    /// Block until a request is buffered, the stream ends, or the pump's
+    /// The next request together with its ordinal in the whole stream.
+    #[inline]
+    pub fn next_tagged(&mut self) -> Result<Option<Tagged>, TraceIoError> {
+        if self.next == self.batch.len() {
+            self.refill()?;
+        }
+        let tagged = self.batch.get(self.next).copied();
+        self.next += usize::from(tagged.is_some());
+        Ok(tagged)
+    }
+
+    /// The current batch is spent: hand its buffer back to the pump and
+    /// block until the next batch, the end of the stream, or the pump's
     /// error arrives.
+    #[cold]
+    #[inline(never)]
     fn refill(&mut self) -> Result<(), TraceIoError> {
-        while self.buf.is_empty() && !self.done {
+        while self.next == self.batch.len() && !self.done {
+            let mut spent = std::mem::take(&mut self.batch);
+            self.next = 0;
+            if spent.capacity() > 0 {
+                spent.clear();
+                // A pump that has finished no longer takes buffers back.
+                let _ = self.free.send(spent);
+            }
             match self.rx.recv() {
-                Ok(Batch::Requests(v)) => self.buf.extend(v),
-                Ok(Batch::Failed(e)) => {
+                Ok(Msg::Batch(batch)) => self.batch = batch,
+                Ok(Msg::Failed(e)) => {
                     self.failed = Some(e);
                     self.done = true;
                 }
@@ -136,24 +203,26 @@ impl ShardReceiver {
             None => Ok(()),
         }
     }
+
+    /// Batch buffers allocated for this shard (all of them by [`demux`]).
+    #[cfg(test)]
+    pub(crate) fn batch_allocations(&self) -> usize {
+        self.allocations
+    }
 }
 
 impl TraceSource for ShardReceiver {
+    #[inline]
     fn peek_time(&mut self) -> Result<Option<f64>, TraceIoError> {
-        self.refill()?;
-        Ok(self.buf.front().map(|(_, r)| r.time))
+        if self.next == self.batch.len() {
+            self.refill()?;
+        }
+        Ok(self.batch.get(self.next).map(|(_, r)| r.time))
     }
 
+    #[inline]
     fn next_request(&mut self) -> Result<Option<Request>, TraceIoError> {
-        self.refill()?;
-        Ok(self.buf.pop_front().map(|(_, r)| r))
-    }
-
-    fn peek_seq(&mut self) -> Option<u64> {
-        // A refill failure surfaces through the fallible accessors; here
-        // it just reads as end-of-stream.
-        let _ = self.refill();
-        self.buf.front().map(|(seq, _)| *seq)
+        Ok(self.next_tagged()?.map(|(_, r)| r))
     }
 
     fn horizon(&self) -> f64 {
@@ -161,33 +230,53 @@ impl TraceSource for ShardReceiver {
     }
 }
 
-/// Split `source` into `shards` per-shard streams behind bounded channels.
-/// Returns the pump (drain it on its own thread with [`DemuxPump::run`])
-/// and one [`ShardReceiver`] per shard. The source is read exactly once.
+/// Split `source` into `shards` per-shard streams. Returns the pump (drain
+/// it on its own thread with [`DemuxPump::run`]) and one [`ShardReceiver`]
+/// per shard. The source is read exactly once, and every batch buffer the
+/// run will use is allocated here.
 pub fn demux<S: TraceSource>(source: S, shards: usize) -> (DemuxPump<S>, Vec<ShardReceiver>) {
     assert!(shards > 0, "demux needs at least one shard");
     let horizon = source.horizon();
-    let mut txs = Vec::with_capacity(shards);
+    let mut lanes = Vec::with_capacity(shards);
     let mut rxs = Vec::with_capacity(shards);
     for _ in 0..shards {
-        let (tx, rx) = sync_channel(DEPTH);
-        txs.push(tx);
+        // A shard has `POOL` buffers, and the pump holds one whenever it
+        // fans out an error, so neither channel ever holds more than
+        // `POOL` messages: no send blocks, and the pump waits only for an
+        // empty buffer (`free.recv`).
+        let (tx, rx) = sync_channel(POOL);
+        let (free_tx, free) = sync_channel(POOL);
+        let mut allocations = 0;
+        let mut buffer = || {
+            allocations += 1;
+            Vec::with_capacity(CHUNK)
+        };
+        let fill = buffer();
+        for _ in 1..POOL {
+            free_tx
+                .send(buffer())
+                .expect("the return channel holds the whole pool");
+        }
+        lanes.push(Lane { fill, tx, free });
         rxs.push(ShardReceiver {
+            batch: Vec::new(),
+            next: 0,
             rx,
-            buf: VecDeque::new(),
+            free: free_tx,
             horizon,
             failed: None,
             done: false,
+            allocations,
         });
     }
-    (DemuxPump { source, txs }, rxs)
+    (DemuxPump { source, lanes }, rxs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog::{FileCatalog, FileId};
-    use crate::source::{CsvTraceSource, InMemorySource};
+    use crate::source::{CsvTraceSource, InMemorySource, SyntheticSource};
     use crate::trace::Trace;
 
     fn drain(src: &mut dyn TraceSource) -> Vec<Request> {
@@ -234,9 +323,8 @@ mod tests {
             rxs.iter_mut()
                 .map(|rx| {
                     let mut out = Vec::new();
-                    while let Some(seq) = rx.peek_seq() {
-                        let r = rx.next_request().expect("receiver yields");
-                        out.push((seq, r.expect("peeked request")));
+                    while let Some(tagged) = rx.next_tagged().expect("receiver yields") {
+                        out.push(tagged);
                     }
                     assert!(rx.next_request().expect("clean end").is_none());
                     out
@@ -347,5 +435,43 @@ mod tests {
         let whole: Vec<Request> = got[0].iter().map(|&(_, r)| r).collect();
         assert_eq!(whole, drain(&mut InMemorySource::new(&trace)));
         assert_eq!(got[0], routed(&trace, &file_to_disk, 1, 0));
+    }
+
+    #[test]
+    fn a_million_requests_cycle_through_a_fixed_pool_of_batches() {
+        // ~1M requests over 24 files: far more batches than a pool holds,
+        // so the drain ends only if the buffers come back. A pump left
+        // waiting on a buffer that never returns misses the deadline.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let catalog = FileCatalog::paper_table1(24, 0);
+            let file_to_disk: Vec<usize> = (0..24).map(|f| f % 5).collect();
+            for shards in [1, 2] {
+                let source = SyntheticSource::poisson(&catalog, 1000.0, 1000.0, 11);
+                let (pump, mut rxs) = demux(source, shards);
+                let total: usize = std::thread::scope(|scope| {
+                    scope.spawn(|| pump.run(&file_to_disk));
+                    let drains: Vec<_> = rxs
+                        .iter_mut()
+                        .map(|rx| scope.spawn(move || drain(rx).len()))
+                        .collect();
+                    drains.into_iter().map(|h| h.join().unwrap()).sum()
+                });
+                let allocations: Vec<usize> = rxs.iter().map(|rx| rx.batch_allocations()).collect();
+                let _ = done.send((shards, total, allocations));
+            }
+        });
+        for _ in 0..2 {
+            let (shards, total, allocations) = finished
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("the drain finished");
+            assert!(total > 990_000, "S={shards}: drained {total}");
+            for (s, &n) in allocations.iter().enumerate() {
+                assert!(
+                    n <= DEPTH + 2,
+                    "S={shards} shard {s}: {n} batch allocations"
+                );
+            }
+        }
     }
 }

@@ -47,17 +47,6 @@ pub trait TraceSource {
     /// Consume and return the next request.
     fn next_request(&mut self) -> Result<Option<Request>, TraceIoError>;
 
-    /// Global ordinal of the next request in the *original* trace, when
-    /// the source knows it (`None` otherwise — consumers fall back to a
-    /// local arrival counter). Sharded views report the position in the
-    /// undemuxed stream, so consumers on different shards label requests
-    /// with the same ids an unsharded run would assign — the tie-break
-    /// key the merged completion log sorts on. Valid whenever
-    /// [`Self::peek_time`] would return `Some`.
-    fn peek_seq(&mut self) -> Option<u64> {
-        None
-    }
-
     /// Observation-window length, seconds (≥ every request time the stream
     /// will yield).
     fn horizon(&self) -> f64;
@@ -75,11 +64,6 @@ impl<T: TraceSource + ?Sized> TraceSource for &mut T {
     }
 
     #[inline]
-    fn peek_seq(&mut self) -> Option<u64> {
-        (**self).peek_seq()
-    }
-
-    #[inline]
     fn horizon(&self) -> f64 {
         (**self).horizon()
     }
@@ -87,10 +71,8 @@ impl<T: TraceSource + ?Sized> TraceSource for &mut T {
 
 /// A [`TraceSource`] cursor over an in-memory [`Trace`] — the streamed
 /// engine's original arrival feed, now spelled as a source. Holds the
-/// request slice directly and `#[inline]`s its accessors so the engine's
-/// monomorphised arrival loop compiles down to the slice-index-and-compare
-/// it used before the source abstraction existed (this cursor sits on the
-/// hottest path of a replay: one peek per event-loop step).
+/// request slice directly and `#[inline]`s its accessors so the reader
+/// thread's drain compiles down to a slice walk.
 #[derive(Debug, Clone)]
 pub struct InMemorySource<'a> {
     requests: &'a [Request],
@@ -122,11 +104,6 @@ impl TraceSource for InMemorySource<'_> {
             self.next += 1;
         }
         Ok(r)
-    }
-
-    #[inline]
-    fn peek_seq(&mut self) -> Option<u64> {
-        (self.next < self.requests.len()).then_some(self.next as u64)
     }
 
     #[inline]

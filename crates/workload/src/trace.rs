@@ -76,9 +76,10 @@ pub enum TraceIoError {
     InvalidHorizon(f64),
     /// A shared view of another error. `TraceIoError` holds an
     /// `std::io::Error` and so cannot be `Clone`; when one reader thread
-    /// feeds many consumers (the sharded CSV demux), the single underlying
-    /// failure is wrapped in an [`std::sync::Arc`] and every consumer
-    /// observes it through this variant.
+    /// feeds many consumers (the demux), the single underlying failure is
+    /// wrapped in an [`std::sync::Arc`] and every consumer observes it
+    /// through this variant. The replay driver hands back the original
+    /// once its shards are joined.
     Shared(std::sync::Arc<TraceIoError>),
 }
 
