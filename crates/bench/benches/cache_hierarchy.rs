@@ -3,13 +3,13 @@
 //! vs a two-tier DRAM→SSD stack — on a Zipf-skewed Poisson trace where
 //! the Table 1 popularity/size coupling gives the front real reuse to
 //! absorb. A second group replays the two-tier stack across 1/2/4/8
-//! event-loop shards with the global budget partitioned by file
-//! residency. A third group drives the tier walk alone over a miss storm:
+//! event-loop shards, the reader thread walking the one cache ahead of
+//! routing. A third group drives the tier walk alone over a miss storm:
 //! a Zipf stream over the full 40k-file quick catalog, far larger than
 //! both tiers, so nearly every access misses and evicts in each tier (the
 //! regime of the overloaded diurnal replay). Guards the `CachePolicy`
 //! dispatch, the per-tier promote and evict paths and the sharded
-//! build/merge; `scripts/bench_diff.py` diffs the means against
+//! replay; `scripts/bench_diff.py` diffs the means against
 //! `BENCH_BASELINE.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -76,12 +76,11 @@ fn bench(c: &mut Criterion) {
     }
     group.finish();
 
-    // The sharded-global tier walk: the same two-tier DRAM→SSD front with
-    // its byte budget partitioned across 1/2/4/8 event-loop shards (each
-    // shard owns the slice covering its own disks' files — no hot-path
-    // locks). Guards the partitioned build and the merge of per-tier
-    // counters; the merged report is bit-identical at every count (see
-    // tests/cached_shard_equivalence.rs), so this measures wall clock.
+    // The sharded replay behind the tier walk: the same two-tier DRAM→SSD
+    // front, walked once by the reader thread, ahead of 1/2/4/8
+    // event-loop shards. The merged report is bit-identical at every
+    // count (see tests/cached_shard_equivalence.rs), so this measures
+    // wall clock.
     let mut sharded_group = c.benchmark_group("cache_hierarchy/sharded");
     sharded_group.sample_size(10);
     sharded_group.throughput(Throughput::Elements(trace.len() as u64));

@@ -39,9 +39,9 @@
 //! record to FILE as `request,disk,time_s` CSV rows in canonical
 //! `(time, request)` order — O(buffer) resident and byte-identical at any
 //! shard count, since per-shard streams k-way merge on the fly. Both the
-//! cache and the log compose with `--shards`: the global cache's byte
-//! budget partitions across shards by file residency, and the merged
-//! counters and log are bit-identical to the unsharded run.
+//! cache and the log compose with `--shards`: the reader thread walks the
+//! one cache in stream order before routing, and the merged counters and
+//! log are bit-identical to the unsharded run.
 //! `--faults SPEC` replays under a seeded deterministic
 //! fault regime (e.g. `'transient:p=1e-4 | wakefail:p=0.02 | mttr=300'`;
 //! `none` or omission keeps the fault-free path bit-identical to the

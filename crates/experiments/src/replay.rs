@@ -65,10 +65,10 @@ const SYNTHETIC_RATE: f64 = 4.0;
 /// row per window, bit-identical at any shard count (`None` keeps the
 /// legacy single-figure output byte-for-byte).
 ///
-/// Caches and the completion log compose with `shards > 1` (the global
-/// cache partitions its budget by file residency; per-shard logs k-way
-/// merge), and so do windows (each closed window folds in global disk
-/// order).
+/// Caches and the completion log compose with `shards > 1` (the reader
+/// walks the one cache in stream order ahead of routing; per-shard logs
+/// k-way merge), and so do windows (each closed window folds in global
+/// disk order).
 #[allow(clippy::too_many_arguments)]
 pub fn replay(
     scale: Scale,
@@ -523,11 +523,8 @@ mod tests {
 
     // A global cache composes with explicit shards — same rows as the
     // solo cached run (modulo the per-event-loop peak column) and the
-    // same cache note. The trace
-    // touches only the two hottest (smallest) files, so the working set
-    // fits every budget slice and the partitioned cache is byte-equivalent
-    // to the pooled one (the regime the sharded global cache guarantees —
-    // see `spindown_sim::hierarchy` on eviction pressure).
+    // same cache note. The trace touches only the two hottest (smallest)
+    // files of the quick catalog.
     #[test]
     fn sharded_replay_with_a_global_cache_matches_the_solo_run() {
         let dir = std::env::temp_dir().join("spindown_replay_cached_test");

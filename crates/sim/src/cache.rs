@@ -54,10 +54,6 @@ pub trait CachePolicy: std::fmt::Debug + Send {
     }
     /// The running statistics.
     fn stats(&self) -> CacheStats;
-    /// Drop every resident file (fault injection: a crashed disk's cache
-    /// comes back empty). The hit/miss history survives and the dropped
-    /// bytes count as evicted.
-    fn flush(&mut self);
 }
 
 /// Running cache statistics.
@@ -87,9 +83,8 @@ impl CacheStats {
     }
 
     /// Fold `other` into `self` field-wise. Integer addition commutes
-    /// exactly, so absorbing per-tier (or per-shard) counters in any order
-    /// yields the same aggregate — the property the sharded report merge
-    /// relies on.
+    /// exactly, so absorbing counters in any order yields the same
+    /// aggregate.
     pub fn absorb(&mut self, other: &CacheStats) {
         self.hits += other.hits;
         self.misses += other.misses;
@@ -202,16 +197,6 @@ impl RecencyList {
         node.size
     }
 
-    /// Drop every entry, keeping the slab's and index's allocations.
-    fn clear(&mut self) {
-        self.nodes.clear();
-        self.index.clear();
-        self.head = NIL;
-        self.tail = NIL;
-        self.free = NIL;
-        self.resident = 0;
-    }
-
     fn unlink(&mut self, slot: u32) {
         let Node { prev, next, .. } = self.nodes[slot as usize];
         match prev {
@@ -298,14 +283,6 @@ impl LruCache {
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
-
-    /// Drop every resident file, keeping the hit/miss history (the
-    /// dropped bytes count as evicted).
-    pub fn flush(&mut self) {
-        self.stats.evicted_bytes += self.stats.resident_bytes;
-        self.stats.resident_bytes = 0;
-        self.list.clear();
-    }
 }
 
 impl CachePolicy for LruCache {
@@ -320,9 +297,6 @@ impl CachePolicy for LruCache {
     }
     fn stats(&self) -> CacheStats {
         LruCache::stats(self)
-    }
-    fn flush(&mut self) {
-        LruCache::flush(self)
     }
 }
 
@@ -425,13 +399,6 @@ impl CachePolicy for SegmentedLru {
     fn stats(&self) -> CacheStats {
         self.stats
     }
-
-    fn flush(&mut self) {
-        self.stats.evicted_bytes += self.stats.resident_bytes;
-        self.stats.resident_bytes = 0;
-        self.probation.clear();
-        self.protected.clear();
-    }
 }
 
 /// Byte-budget LFU over whole files: evict the resident file with the
@@ -515,13 +482,6 @@ impl CachePolicy for LfuCache {
 
     fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    fn flush(&mut self) {
-        self.stats.evicted_bytes += self.stats.resident_bytes;
-        self.stats.resident_bytes = 0;
-        self.entries.clear();
-        self.by_freq.clear();
     }
 }
 

@@ -61,9 +61,9 @@ pub struct SimConfig {
     /// Spin-down policy.
     pub threshold: ThresholdPolicy,
     /// Optional multi-tier cache hierarchy in front of the fleet
-    /// (DRAM→SSD…; see [`crate::hierarchy`]): several tiers, per-tier
-    /// replacement policies and bandwidths, global or per-disk scope. The
-    /// paper's §5.1 flat 16 GB LRU is
+    /// (DRAM→SSD…; see [`crate::hierarchy`]): several tiers with per-tier
+    /// replacement policies and bandwidths, shared by the whole fleet.
+    /// The paper's §5.1 flat 16 GB LRU is
     /// [`CacheHierarchyConfig::paper_16gb`].
     pub cache_hierarchy: Option<CacheHierarchyConfig>,
     /// Per-disk queue discipline (FIFO by default — the paper's §4 model).
@@ -297,7 +297,7 @@ mod tests {
 
     #[test]
     fn cache_hierarchy_builder_and_legacy_lowering() {
-        use crate::hierarchy::{CachePolicyChoice, CacheScope, CacheTierConfig};
+        use crate::hierarchy::{CachePolicyChoice, CacheTierConfig};
         let cfg = SimConfig::paper_default();
         assert!(cfg.cache_hierarchy.is_none());
 
@@ -308,16 +308,13 @@ mod tests {
         assert_eq!(paper.tiers[0].capacity_bytes, 16 * 1_000_000_000);
         assert_eq!(paper.tiers[0].bandwidth_bps, 1.0e9);
         assert_eq!(paper.tiers[0].policy, CachePolicyChoice::Lru);
-        assert_eq!(paper.scope, CacheScope::Global);
 
         // …and the builder attaches any hierarchy as given.
         let tier = CacheTierConfig::dram(4_000_000_000, CachePolicyChoice::Lfu);
-        let cfg = cfg.with_cache_hierarchy(Some(
-            CacheHierarchyConfig::single(tier).with_scope(CacheScope::PerDisk),
-        ));
+        let cfg = cfg.with_cache_hierarchy(Some(CacheHierarchyConfig::single(tier)));
         let h = cfg.cache_hierarchy.unwrap();
         assert_eq!(h.tiers[0].policy, CachePolicyChoice::Lfu);
-        assert_eq!(h.scope, CacheScope::PerDisk);
+        assert_eq!(h.tiers[0].capacity_bytes, 4_000_000_000);
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! ## Semantics (matching §4 of the paper)
 //!
 //! - A request is dispatched to the disk holding its file. If a
-//!   [`CacheHierarchy`] is configured (the paper's flat LRU is its
-//!   single-tier case) the whole file is looked up first, tier by tier;
-//!   a hit is served at the hit tier's
+//!   [`CacheHierarchy`](crate::hierarchy::CacheHierarchy) is configured
+//!   (the paper's flat LRU is its single-tier case) the whole file is
+//!   looked up first, tier by tier, by the reader thread before the
+//!   request reaches an engine; a hit is served at the hit tier's
 //!   bandwidth without touching the disk (in particular the disk's idle
 //!   clock keeps running — a cache's entire contribution to the power
 //!   model is lengthening idle gaps), and a miss is admitted to every tier
@@ -69,13 +70,13 @@
 //! tagging a request with its ordinal in the whole stream; every shard
 //! runs its own event loop, and the per-shard reports merge in global
 //! disk order — see `shard.rs` for the merge rules and the determinism
-//! argument. At one shard the reader's decode overlaps the engine. Global-scope caches shard
-//! too: each shard owns the `shard_fleet / fleet` slice of the configured
-//! budget that fronts its own disks' files, keeping the tier walk
-//! lock-free. The completion log streams through per-shard writers k-way
-//! merged by `(time, req)` ([`crate::complog`]). Histogram-mode metrics,
-//! energy totals, cache statistics, windows and the completion log are
-//! bit-identical at every shard count.
+//! argument. At one shard the reader's decode overlaps the engine. The
+//! reader also walks the cache, once for the whole stream, and tags each
+//! request with its hit; an engine holds no cache state. The completion
+//! log streams through per-shard writers k-way merged by `(time, req)`
+//! ([`crate::complog`]). Histogram-mode metrics, energy totals, cache
+//! statistics, windows and the completion log are bit-identical at every
+//! shard count.
 
 use spindown_disk::state::TransitionError;
 use spindown_packing::Assignment;
@@ -89,7 +90,6 @@ use crate::complog::CompletionWriter;
 use crate::config::SimConfig;
 use crate::event::{Event, EventQueue};
 use crate::fault::{FaultRuntime, PendingRetry};
-use crate::hierarchy::{CacheHierarchy, CacheScope};
 use crate::metrics::{Completion, ResponseStats, SimReport};
 use crate::policy::{DescentStep, PowerPolicy, TimeoutPolicy};
 use crate::windows::{last_window, WindowPartial, WindowSeries, MAX_WINDOWS};
@@ -334,25 +334,6 @@ struct TimerState {
     scheduled: Vec<f64>,
 }
 
-/// The cache stack fronting this engine instance, in the deployment shape
-/// the configuration asked for. A cache hit serves the request at the hit
-/// tier's bandwidth and — deliberately — never touches the disk's actor or
-/// timers: hits must not reset the idle clock, because lengthening the
-/// disks' idle gaps is precisely what a cache tier contributes to the
-/// power model.
-#[derive(Debug)]
-enum CacheFront {
-    /// No cache configured.
-    None,
-    /// One shared hierarchy in front of the dispatcher (the paper's flat
-    /// LRU is a single-tier instance of this).
-    Global(CacheHierarchy),
-    /// One private slice per *local* disk, each `capacity / global fleet`
-    /// of the configured budgets — indexed by actor, so a shard only holds
-    /// slices for its own disks.
-    PerDisk(Vec<CacheHierarchy>),
-}
-
 /// The discrete-event simulator. Its arrivals come from a
 /// [`ShardReceiver`]: the reader thread decodes the source into batches
 /// while this engine runs.
@@ -365,7 +346,6 @@ pub struct Simulator<'a> {
     actors: Vec<DiskActor>,
     timers: Vec<TimerState>,
     events: EventQueue,
-    cache: CacheFront,
     /// Response samples per local disk, cache hits included; the global
     /// statistics are merged from these in disk order at finish.
     per_disk_responses: Vec<ResponseStats>,
@@ -491,12 +471,11 @@ impl<'a> Simulator<'a> {
     /// shard-local index); `usize::MAX` marks unmapped files. `fleet` is
     /// the number of actors *this* engine instance simulates;
     /// `global_fleet` is the whole fleet (they differ only in a sharded
-    /// run) and sizes each per-disk cache slice at `capacity /
-    /// global_fleet`, so the slices partition the same configured budget
-    /// at every shard count. `shard`/`stride` position this engine's
-    /// actors in the global fleet (local `d` = global `d * stride +
-    /// shard`; `0`/`1` unsharded) — the fault injector keys its per-disk
-    /// RNG streams off global ids so fault draws are shard-invariant.
+    /// run), against which fault clauses are checked. `shard`/`stride`
+    /// position this engine's actors in the global fleet (local `d` =
+    /// global `d * stride + shard`; `0`/`1` unsharded) — the fault
+    /// injector keys its per-disk RNG streams off global ids so fault
+    /// draws are shard-invariant.
     /// `log_tx` carries this shard's completion-log stream to the merger
     /// thread (which owns the sink) and `window_tx` each closed window's
     /// partial to the run's fold; they are given exactly when logging and
@@ -521,25 +500,6 @@ impl<'a> Simulator<'a> {
         if let Some(width) = cfg.windows {
             SimError::check_windows(width, horizon)?;
         }
-        let cache = match &cfg.cache_hierarchy {
-            None => CacheFront::None,
-            Some(h) => match h.scope {
-                // This engine instance fronts `fleet` of the
-                // `global_fleet` disks, so it owns that fraction of the
-                // shared budget — the whole budget unsharded.
-                CacheScope::Global => {
-                    let (num, den) = if global_fleet == 0 {
-                        (1, 1)
-                    } else {
-                        (fleet as u64, global_fleet as u64)
-                    };
-                    CacheFront::Global(h.build_fraction(num, den))
-                }
-                CacheScope::PerDisk => {
-                    CacheFront::PerDisk((0..fleet).map(|_| h.build(global_fleet as u64)).collect())
-                }
-            },
-        };
         let complog = log_tx.map(CompletionWriter::new);
         let mut sim = Simulator {
             catalog,
@@ -551,7 +511,6 @@ impl<'a> Simulator<'a> {
                 .collect(),
             timers: vec![TimerState::default(); fleet],
             events: EventQueue::new(),
-            cache,
             per_disk_responses: vec![ResponseStats::with_mode(cfg.metrics); fleet],
             complog,
             policy,
@@ -710,14 +669,14 @@ impl<'a> Simulator<'a> {
                 // The request's ordinal in the whole stream arrives with
                 // it, so every shard count labels requests alike — the
                 // tie-break key the merged completion log sorts on.
-                let (seq, r) = self.source.next_tagged()?.expect("peeked arrival");
+                let (seq, r, hit) = self.source.next_tagged()?.expect("peeked arrival");
                 let req = seq as usize;
                 self.arrived += 1;
                 self.last_event_time = self.last_event_time.max(r.time);
                 if r.time >= self.next_close {
                     self.close_windows(r.time);
                 }
-                self.on_arrival(r.time, req, r)?;
+                self.on_arrival(r.time, req, r, hit)?;
                 continue;
             }
             let Some((t, ev)) = self.events.pop() else {
@@ -793,38 +752,30 @@ impl<'a> Simulator<'a> {
             .unwrap_or(0)
     }
 
-    fn on_arrival(&mut self, t: f64, req: usize, r: Request) -> Result<(), SimError> {
+    /// Take one arrival; `hit` is the hit service time the reader's cache
+    /// walk tagged it with, `None` on a miss or without a cache.
+    fn on_arrival(
+        &mut self,
+        t: f64,
+        req: usize,
+        r: Request,
+        hit: Option<f64>,
+    ) -> Result<(), SimError> {
         let disk = match self.file_to_disk.get(r.file.index()).copied() {
             Some(d) if d != usize::MAX => d,
             _ => return Err(SimError::UnmappedFile { file: r.file }),
         };
-        let size = self.catalog.file(r.file).size_bytes;
         // A hit returns before the policy or actor hear about the request:
-        // served without disk involvement, idle clock untouched.
-        match &mut self.cache {
-            CacheFront::None => {}
-            CacheFront::Global(hierarchy) => {
-                if let Some(latency) = hierarchy.access(r.file, size) {
-                    // Hits are attributed to the disk holding the file —
-                    // the same recording shape as per-disk slices and
-                    // disk completions — so the global statistics
-                    // (derived from the per-disk collectors in disk
-                    // order) are shard-invariant.
-                    self.per_disk_responses[disk].record(latency);
-                    self.actors[disk].window_completion(t, latency);
-                    return Ok(());
-                }
-            }
-            CacheFront::PerDisk(slices) => {
-                if let Some(latency) = slices[disk].access(r.file, size) {
-                    // Per-disk hits belong to the disk's slice and record
-                    // into its collector, exactly as disk completions do.
-                    self.per_disk_responses[disk].record(latency);
-                    self.actors[disk].window_completion(t, latency);
-                    return Ok(());
-                }
-            }
+        // served without disk involvement, idle clock untouched. It is
+        // recorded against the disk holding the file, like a disk
+        // completion, so the global statistics (derived from the per-disk
+        // collectors in disk order) are shard-invariant.
+        if let Some(latency) = hit {
+            self.per_disk_responses[disk].record(latency);
+            self.actors[disk].window_completion(t, latency);
+            return Ok(());
         }
+        let size = self.catalog.file(r.file).size_bytes;
         // Admission control: past the backlog watermark the request is
         // shed (counted, never queued) so a degraded fleet saturates
         // gracefully instead of queueing unboundedly.
@@ -1108,10 +1059,10 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Take `disk` offline at `t` (it is settled: idle or asleep). The
-    /// disk's cache slice is flushed — it will return cold — and from
+    /// Take `disk` offline at `t` (it is settled: idle or asleep). From
     /// idle it parks to the deepest sleep level (the descent chain in
-    /// `on_phase_done` keeps going while the disk is down). Repair is
+    /// `on_phase_done` keeps going while the disk is down); the shared
+    /// cache in front of the fleet keeps its contents. Repair is
     /// scheduled `mttr` later unless that falls beyond the horizon, in
     /// which case the disk stays down to the end of the run.
     fn apply_crash(&mut self, t: f64, disk: usize) -> Result<(), SimError> {
@@ -1127,9 +1078,6 @@ impl<'a> Simulator<'a> {
         f.wake_hold_until[disk] = 0.0;
         let repair = t + f.plan().mttr_s;
         self.timers[disk].deadline = None;
-        if let CacheFront::PerDisk(slices) = &mut self.cache {
-            slices[disk].flush();
-        }
         if self.actors[disk].phase() == Phase::Idle {
             let deepest = self.actors[disk].deepest_level();
             if deepest > 0 {
@@ -1208,11 +1156,11 @@ impl<'a> Simulator<'a> {
     }
 
     /// Integrate energy to `t_end` and assemble this engine's report; the
-    /// driver attaches the windows and the completion log. The global
-    /// response collector is derived here by merging the per-disk
-    /// collectors in ascending disk order, so the global statistics are a
-    /// pure function of the per-disk trajectories, identical however the
-    /// fleet was sharded.
+    /// driver attaches the windows, the completion log and the cache
+    /// counters. The global response collector is derived here by merging
+    /// the per-disk collectors in ascending disk order, so the global
+    /// statistics are a pure function of the per-disk trajectories,
+    /// identical however the fleet was sharded.
     pub(crate) fn finish_at(mut self, t_end: f64) -> Result<SimReport, SimError> {
         let mut responses = ResponseStats::with_mode(self.cfg.metrics);
         for per_disk in &self.per_disk_responses {
@@ -1253,34 +1201,6 @@ impl<'a> Simulator<'a> {
             fleet.merge(&b);
             per_disk.push(b);
         }
-        let (cache, cache_tiers, per_disk_cache_tiers) = match self.cache {
-            CacheFront::None => (None, None, None),
-            CacheFront::Global(h) => (Some(h.aggregate_stats()), Some(h.tier_stats()), None),
-            CacheFront::PerDisk(slices) => {
-                // Keep the per-disk tier rows (local actor order here —
-                // the sharded merge reassembles ascending global-disk
-                // order) and fold the aggregates over the slices in
-                // ascending order: the same deterministic fold
-                // discipline as energy, matching the sharded merge's
-                // absorption bit for bit.
-                let depth = self
-                    .cfg
-                    .cache_hierarchy
-                    .as_ref()
-                    .map_or(0, |h| h.tiers.len());
-                let rows: Vec<Vec<crate::cache::CacheStats>> =
-                    slices.iter().map(|s| s.tier_stats()).collect();
-                let mut agg = crate::cache::CacheStats::default();
-                let mut tiers = vec![crate::cache::CacheStats::default(); depth];
-                for slice in &slices {
-                    agg.absorb(&slice.aggregate_stats());
-                    for (t, s) in tiers.iter_mut().zip(slice.tier_stats()) {
-                        t.absorb(&s);
-                    }
-                }
-                (Some(agg), Some(tiers), Some(rows))
-            }
-        };
         Ok(SimReport {
             sim_time_s: t_end,
             energy: fleet,
@@ -1291,9 +1211,8 @@ impl<'a> Simulator<'a> {
             completion_log: None,
             spin_downs,
             spin_ups,
-            cache,
-            cache_tiers,
-            per_disk_cache_tiers,
+            cache: None,
+            cache_tiers: None,
             disks,
             per_disk_served,
             per_shard_event_peaks: vec![self.peak_events],
@@ -1602,6 +1521,27 @@ mod tests {
             });
             assert!(
                 matches!(err, SimError::UnmappedFile { file } if file == FileId(4)),
+                "S={shards}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn out_of_catalog_file_under_a_cache_is_an_error() {
+        // The reader walks the cache before routing; a file id past the
+        // catalog must reach the engine untagged and fail the run, at
+        // every shard count, instead of panicking the reader's lookup.
+        for shards in [1, 2] {
+            let err = within_a_minute(move || {
+                let cat = catalog(3, MB);
+                let tr = trace(&[(0.0, 0), (1.0, 0), (2.0, 2), (3.0, 9), (4.0, 1)], 100.0);
+                let cfg = SimConfig::paper_default()
+                    .with_shards(shards)
+                    .with_cache_hierarchy(Some(CacheHierarchyConfig::paper_16gb()));
+                Simulator::run(&cat, &tr, &assignment(&[0, 1, 0]), &cfg).unwrap_err()
+            });
+            assert!(
+                matches!(err, SimError::UnmappedFile { file } if file == FileId(9)),
                 "S={shards}: {err:?}"
             );
         }

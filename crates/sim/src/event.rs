@@ -32,8 +32,8 @@ pub enum Event {
         disk: usize,
     },
     /// Disk `disk`'s repair completes (fault injection): it comes back
-    /// *cold* — parked at the deepest sleep level with its per-disk cache
-    /// tiers flushed.
+    /// parked at the deepest sleep level it reached; the shared cache in
+    /// front of the fleet keeps its contents.
     Repair {
         /// Disk index.
         disk: usize,

@@ -10,29 +10,18 @@
 //! now resident at every tier that could hold it).
 //!
 //! The hierarchy generalises the paper's §5.1 flat 16 GB LRU, which is the
-//! single-tier global hierarchy [`CacheHierarchyConfig::paper_16gb`]
+//! single-tier hierarchy [`CacheHierarchyConfig::paper_16gb`]
 //! (`tests/cache_equivalence.rs` pins a single-tier LRU against the
 //! fixture captured from the original flat cache).
 //!
-//! ## Scope and sharding
+//! ## Sharding
 //!
-//! [`CacheScope::Global`] models one shared front cache. Under `--shards
-//! N` the configured budget is partitioned across the event-loop shards
-//! by file residency: every file's accesses are confined to the shard
-//! hosting its disk, so each shard owns a `shard_fleet / fleet` slice of
-//! every tier ([`CacheHierarchyConfig::build_fraction`]) and walks it
-//! with no locks on the hot path. At S=1 the slice is the whole budget,
-//! so the sharded-global deployment is bit-identical to the shared
-//! front; across shard counts the hit/miss trajectory is
-//! partition-invariant whenever the working set fits the smallest slice
-//! (no evictions) — under eviction pressure per-slice LRU order can
-//! diverge from the interleaved shared-front order, which is the honest
-//! boundary `tests/cached_shard_equivalence.rs` pins from both sides.
-//! [`CacheScope::PerDisk`] gives every disk a private `capacity / fleet`
-//! slice of each tier; each slice's trajectory is a function of that
-//! disk's own arrival subsequence only, so per-disk runs compose with
-//! `--shards N` **bit-identically** at any shard count regardless of
-//! eviction pressure.
+//! A replay builds one hierarchy, and the reader thread walks it for
+//! every request in arrival order before the request is routed to its
+//! shard (`crate::shard`). A hit depends only on the order of `(file,
+//! size)` pairs, so the walk makes the same decisions at every shard
+//! count, eviction pressure included, and the shards just record the
+//! tagged hits against the disks that own the files.
 
 use serde::{Deserialize, Serialize};
 use spindown_workload::FileId;
@@ -127,40 +116,20 @@ impl CacheTierConfig {
     }
 }
 
-/// Whether the hierarchy fronts the whole dispatcher or shards per disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum CacheScope {
-    /// One shared hierarchy in front of the dispatcher — the paper's
-    /// model. Under `--shards N` the budget is partitioned across the
-    /// event shards by file residency (see the module docs), keeping the
-    /// tier walk lock-free and deterministic.
-    #[default]
-    Global,
-    /// Every disk owns a private `capacity / fleet` slice of each tier,
-    /// fed only by its own requests. Composes with `--shards N`
-    /// bit-identically at any shard count.
-    PerDisk,
-}
-
-/// Ordered cache tiers (shallowest first) plus their scope.
+/// Ordered cache tiers, shallowest first: one shared front cache.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CacheHierarchyConfig {
     /// Tiers, probed in order; index 0 is the fastest/closest.
     pub tiers: Vec<CacheTierConfig>,
-    /// Shared-front or per-disk deployment.
-    pub scope: CacheScope,
 }
 
 impl CacheHierarchyConfig {
-    /// A hierarchy from ordered tiers (shallowest first), global scope.
+    /// A hierarchy from ordered tiers (shallowest first).
     pub fn new(tiers: Vec<CacheTierConfig>) -> Self {
-        CacheHierarchyConfig {
-            tiers,
-            scope: CacheScope::Global,
-        }
+        CacheHierarchyConfig { tiers }
     }
 
-    /// A single-tier hierarchy, global scope.
+    /// A single-tier hierarchy.
     pub fn single(tier: CacheTierConfig) -> Self {
         Self::new(vec![tier])
     }
@@ -171,45 +140,23 @@ impl CacheHierarchyConfig {
         Self::single(CacheTierConfig::dram(16 * GB, CachePolicyChoice::Lru))
     }
 
-    /// Switch the deployment scope.
-    pub fn with_scope(mut self, scope: CacheScope) -> Self {
-        self.scope = scope;
-        self
-    }
-
     /// Total byte budget across tiers (the "cache-GB" side of an equal
     /// fleet + cache budget comparison).
     pub fn total_capacity_bytes(&self) -> u64 {
         self.tiers.iter().map(|t| t.capacity_bytes).sum()
     }
 
-    /// Instantiate the runtime hierarchy. `share` divides every tier's
-    /// budget (1 for a global hierarchy; the fleet size for one per-disk
-    /// slice), so `build(fleet)` called per disk splits the configured
-    /// budget evenly across the fleet.
+    /// Instantiate the runtime hierarchy with every tier's budget divided
+    /// by `share`. The simulator builds with `share = 1`, the whole
+    /// configured budget.
     pub fn build(&self, share: u64) -> CacheHierarchy {
-        self.build_fraction(1, share)
-    }
-
-    /// Instantiate the hierarchy with `num / den` of every tier's budget —
-    /// the sharded-global deployment, where the event shard hosting
-    /// `num` of the fleet's `den` disks owns that fraction of the shared
-    /// front (its files' accesses are confined to it, so the slices
-    /// partition the configured budget with no hot-path locks).
-    /// `build_fraction(1, share)` is the per-disk slice [`Self::build`]
-    /// hands out; `num == den` keeps the full budget (the unsharded
-    /// shared front).
-    pub fn build_fraction(&self, num: u64, den: u64) -> CacheHierarchy {
-        let den = den.max(1);
-        let num = num.clamp(1, den);
+        let share = share.max(1);
         CacheHierarchy {
             tiers: self
                 .tiers
                 .iter()
                 .map(|t| Tier {
-                    policy: t
-                        .policy
-                        .build(t.capacity_bytes / den * num + (t.capacity_bytes % den) * num / den),
+                    policy: t.policy.build(t.capacity_bytes / share),
                     bandwidth_bps: t.bandwidth_bps,
                 })
                 .collect(),
@@ -272,14 +219,6 @@ impl CacheHierarchy {
     /// Number of tiers.
     pub fn depth(&self) -> usize {
         self.tiers.len()
-    }
-
-    /// Flush every tier (fault injection: the disk this slice fronts
-    /// crashed). Statistics survive; resident bytes count as evicted.
-    pub fn flush(&mut self) {
-        for tier in &mut self.tiers {
-            tier.policy.flush();
-        }
     }
 }
 
@@ -456,17 +395,16 @@ mod tests {
     }
 
     #[test]
-    fn per_disk_share_splits_every_tier_budget() {
-        let cfg = CacheHierarchyConfig::single(CacheTierConfig::dram(100, CachePolicyChoice::Lru))
-            .with_scope(CacheScope::PerDisk);
-        let mut slice = cfg.build(4); // 25 B per disk
-        assert_eq!(slice.access(f(1), 30), None);
+    fn share_splits_every_tier_budget() {
+        let cfg = CacheHierarchyConfig::single(CacheTierConfig::dram(100, CachePolicyChoice::Lru));
+        let mut quarter = cfg.build(4); // 25 B
+        assert_eq!(quarter.access(f(1), 30), None);
         assert_eq!(
-            slice.tier_stats()[0].oversize_rejections,
+            quarter.tier_stats()[0].oversize_rejections,
             1,
-            "30 B exceeds the 25 B per-disk slice"
+            "30 B exceeds a quarter of 100 B"
         );
-        assert_eq!(slice.depth(), 1);
+        assert_eq!(quarter.depth(), 1);
     }
 
     #[test]

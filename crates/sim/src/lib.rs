@@ -21,8 +21,8 @@
 //!   the 16 GB front of §5.1 — plus segmented LRU and LFU) behind the
 //!   [`cache::CachePolicy`] trait.
 //! - [`hierarchy`] — ordered cache tiers ([`hierarchy::CacheHierarchy`]):
-//!   DRAM→SSD with per-tier capacity, policy and hit bandwidth, global or
-//!   per-disk scope.
+//!   DRAM→SSD with per-tier capacity, policy and hit bandwidth, one
+//!   shared front walked by the reader thread.
 //! - [`complog`] — the streaming completion log
 //!   ([`complog::CompletionLogMode`]): canonical `(time, req)`-ordered
 //!   records to memory, CSV or a digest, O(buffer) resident and merged
@@ -136,8 +136,7 @@ pub use config::{SimConfig, ThresholdPolicy};
 pub use discipline::DisciplineChoice;
 pub use engine::{SimError, Simulator};
 pub use hierarchy::{
-    CacheChoice, CacheHierarchy, CacheHierarchyConfig, CachePolicyChoice, CacheScope,
-    CacheTierConfig,
+    CacheChoice, CacheHierarchy, CacheHierarchyConfig, CachePolicyChoice, CacheTierConfig,
 };
 pub use metrics::{AvailabilityStats, MetricsMode, ResponseStats, SimReport, StreamingHistogram};
 pub use policy::{PowerPolicy, TimeoutPolicy};

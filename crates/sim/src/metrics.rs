@@ -649,9 +649,8 @@ pub struct Completion {
 ///   order), `responses` (merged from the per-disk collectors in
 ///   ascending disk order in both metrics modes), `per_disk_responses`,
 ///   `completions` / `completion_log` (canonical `(time, req)` order),
-///   `spin_downs`/`spin_ups`, `cache`/`cache_tiers`/`per_disk_cache_tiers`
-///   (counters summed in tier-then-ascending-disk order),
-///   `per_disk_served`, `peak_disk_queue` (per-disk trajectories are
+///   `spin_downs`/`spin_ups`, `cache`/`cache_tiers` (read off the one
+///   hierarchy the reader walks in stream order), `per_disk_served`, `peak_disk_queue` (per-disk trajectories are
 ///   shard-invariant, so the cross-shard max is the unsharded value),
 ///   `availability`, `windows` (each closed window's per-shard partials
 ///   folded in ascending global-disk order, the fold the unsharded
@@ -679,10 +678,8 @@ pub struct SimReport {
     /// shard count in both metrics modes.
     pub responses: ResponseStats,
     /// Response-time samples per disk, in disk order. Cache hits are
-    /// recorded against the disk holding the file — for per-disk scope
-    /// that is the disk whose private slice served the hit; for global
-    /// scope the shared front's hits are attributed the same way, which
-    /// is what keeps the merged global statistics shard-invariant.
+    /// recorded against the disk holding the file, which is what keeps
+    /// the merged global statistics shard-invariant.
     pub per_disk_responses: Vec<ResponseStats>,
     /// Per-request completion log records, when
     /// `SimConfig::completion_log` is [`CompletionLogMode::Memory`]
@@ -705,24 +702,14 @@ pub struct SimReport {
     /// hierarchy this is the aggregate view (hits summed over tiers,
     /// misses = requests missing *every* tier, so `hits + misses` still
     /// counts every probed request); for the legacy flat LRU it is exactly
-    /// that cache's counters. Per-disk-scope runs sum over disk slices.
+    /// that cache's counters.
     pub cache: Option<CacheStats>,
     /// Per-tier cache statistics, shallowest tier first, when a cache was
     /// configured (a single row for the legacy flat LRU). Oversize
     /// rejections are counted per tier — a file can fit the SSD tier while
-    /// exceeding the DRAM tier. Sharded and per-disk runs sum the
-    /// counters in tier-then-ascending-global-disk order (the same
-    /// deterministic fold discipline as energy), so the merged rows are
-    /// bit-identical at every shard count.
+    /// exceeding the DRAM tier. One hierarchy serves the whole stream in
+    /// arrival order, so the rows are bit-identical at every shard count.
     pub cache_tiers: Option<Vec<CacheStats>>,
-    /// Per-disk per-tier cache statistics (outer index: global disk
-    /// order; inner: shallowest tier first), present only for
-    /// per-disk-scope hierarchies, where every disk owns a private slice
-    /// of each tier. `None` for global scope — a shared front's counters
-    /// have no per-disk decomposition (under sharding they partition by
-    /// *file*, not disk).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub per_disk_cache_tiers: Option<Vec<Vec<CacheStats>>>,
     /// Number of disks simulated (fleet size).
     pub disks: usize,
     /// Requests served per disk, in disk order (excludes cache hits).

@@ -21,17 +21,27 @@
 //! policy sees local ids, which at stride 1 are the global ones. What it
 //! keeps is the reader thread, so source decode overlaps the engine.
 //!
+//! ## The cache walk
+//!
+//! The driver owns the run's one cache hierarchy, and the reader thread
+//! walks it for every request, in stream order, before routing
+//! ([`spindown_workload::DemuxPump::run_probed`]). Each request reaches
+//! its shard tagged with its hit's service time or as a miss, and the
+//! engine records a hit against the disk that owns the file. The
+//! engines hold no cache state; the driver reads the report's `cache`
+//! and `cache_tiers` off the hierarchy after the join. A file outside
+//! the catalog is never probed: it reaches its engine untagged, which
+//! fails the run with [`SimError::UnmappedFile`].
+//!
 //! ## Why the merged report is bit-identical
 //!
 //! Disks interact through *nothing*: each disk's service, queueing,
-//! power-transition, energy — and, under any cache scope, cache-slice —
-//! trajectory is a function of its own arrival subsequence, which
-//! sharding preserves in order. (A global-scope
-//! hierarchy partitions its budget by file residency, so a file's cache
-//! trajectory lives entirely on the shard hosting its disk; the
-//! completion log streams through per-shard writers and a k-way merger —
-//! see [`crate::complog`].) The merge then reproduces the unsharded
-//! report's exact float operations:
+//! power-transition and energy trajectory is a function of its own
+//! arrival subsequence, which sharding preserves in order, and of the
+//! cache tags on it, which the one stream-order walk fixes before any
+//! routing. (The completion log streams through per-shard writers and a
+//! k-way merger — see [`crate::complog`].) The merge then reproduces the
+//! unsharded report's exact float operations:
 //!
 //! - every shard drains, then all shards finish at the common end time
 //!   `horizon.max(max over shards of last event time)` — exactly the
@@ -44,10 +54,8 @@
 //!   not, in either metrics mode) by merging the per-disk collectors in
 //!   ascending disk order, so they are a pure function of per-disk
 //!   trajectories;
-//! - cache counters follow the energy discipline: per-disk-scope rows are
-//!   reassembled in ascending global-disk order and summed from there;
-//!   global-scope tier counters sum tier-then-shard. All counters are
-//!   integers, so both folds equal the unsharded counters exactly;
+//! - cache counters come from the one hierarchy, which saw the same
+//!   stream at every shard count;
 //! - the completion log is emitted in canonical `(time, req)` order by
 //!   both the unsharded writer and the sharded merger — byte-identical
 //!   at every shard count;
@@ -71,12 +79,12 @@ use std::sync::Arc;
 use spindown_disk::energy::EnergyBreakdown;
 use spindown_workload::shard::{demux, ShardReceiver};
 use spindown_workload::trace::TraceIoError;
-use spindown_workload::{FileCatalog, TraceSource};
+use spindown_workload::{FileCatalog, Request, TraceSource};
 
-use crate::cache::CacheStats;
 use crate::complog::{merge_streams, CompletionLogSummary, CompletionSink};
 use crate::config::SimConfig;
 use crate::engine::{SimError, Simulator};
+use crate::hierarchy::CacheHierarchy;
 use crate::metrics::{AvailabilityStats, Completion, ResponseStats, SimReport};
 use crate::policy::{DescentStep, PowerPolicy};
 use crate::windows::{RowFolder, WindowPartial, WindowedReport};
@@ -155,10 +163,11 @@ impl PowerPolicy for GlobalIds {
 }
 
 /// Replay `source` over `shards` shards (one included): one reader thread
-/// demultiplexes it into bounded per-shard batches (the source is read
-/// once), shard 0 drains on the calling thread and every other shard on
-/// its own scoped thread, then all shards finish at the common end time
-/// and their reports merge. Policies are built by `factory` in shard
+/// walks the cache for every request and demultiplexes the stream into
+/// bounded per-shard batches (the source is read once), shard 0 drains
+/// on the calling thread and every other shard on its own scoped thread,
+/// then all shards finish at the common end time and their reports
+/// merge. Policies are built by `factory` in shard
 /// order on the calling thread, so factory side effects (seed
 /// derivation, logging) are deterministic.
 pub(crate) fn replay_sharded<'a, S: TraceSource + Send>(
@@ -262,8 +271,16 @@ pub(crate) fn replay_sharded<'a, S: TraceSource + Send>(
             window_tx,
         )
     };
+    let mut cache = cfg.cache_hierarchy.as_ref().map(|h| h.build(1));
+    // The reader's probe: the checked lookup leaves an out-of-catalog file
+    // untagged, for its engine to reject.
+    let probe = |r: &Request| {
+        let hierarchy = cache.as_mut()?;
+        let size = catalog.files().get(r.file.index())?.size_bytes;
+        hierarchy.access(r.file, size)
+    };
     let (results, merged_log, folder) = std::thread::scope(|scope| {
-        scope.spawn(move || pump.run(&route_map));
+        scope.spawn(move || pump.run_probed(&route_map, probe));
         // The merger and the fold terminate once every shard's sender is
         // dropped — `run_drained` drops them on success and on error (with
         // the engine), so joining them inside the scope cannot deadlock.
@@ -327,7 +344,15 @@ pub(crate) fn replay_sharded<'a, S: TraceSource + Send>(
         }
         Some(Err(e)) => return Err(e.into()),
     };
-    Ok(merge_reports(cfg, fleet, shards, reports, log, windows))
+    Ok(merge_reports(
+        cfg,
+        fleet,
+        shards,
+        reports,
+        log,
+        windows,
+        cache.as_ref(),
+    ))
 }
 
 /// Join a scoped thread, re-raising its panic here.
@@ -352,7 +377,8 @@ fn unshare(e: SimError) -> SimError {
 
 /// Reassemble per-shard reports into the fleet report, in ascending global
 /// disk order (see the module docs for why this reproduces the unsharded
-/// float operations exactly).
+/// float operations exactly), with the cache counters read off the run's
+/// one hierarchy.
 fn merge_reports(
     cfg: &SimConfig,
     fleet: usize,
@@ -360,26 +386,18 @@ fn merge_reports(
     reports: Vec<SimReport>,
     log: Option<(Option<Vec<Completion>>, CompletionLogSummary)>,
     windows: Option<WindowedReport>,
+    cache: Option<&CacheHierarchy>,
 ) -> SimReport {
     struct Parts {
         energy: std::vec::IntoIter<EnergyBreakdown>,
         responses: std::vec::IntoIter<ResponseStats>,
         served: std::vec::IntoIter<u64>,
-        cache_rows: Option<std::vec::IntoIter<Vec<CacheStats>>>,
     }
     let sim_time_s = reports[0].sim_time_s;
     let mut spin_downs = 0u64;
     let mut spin_ups = 0u64;
     let mut per_shard_event_peaks = Vec::with_capacity(shards);
     let mut peak_disk_queue = 0usize;
-    // Cache counters: a global-scope hierarchy partitions by file across
-    // shards, so its aggregate and per-tier counters sum tier-then-shard
-    // here; per-disk-scope rows are reassembled in ascending global-disk
-    // order below and the aggregates re-derived from them — the energy
-    // fold discipline. Integer counters commute, so both folds equal the
-    // unsharded run's counters exactly.
-    let mut cache: Option<CacheStats> = None;
-    let mut cache_tiers: Option<Vec<CacheStats>> = None;
     // Availability counters are exact integer sums; per-disk downtimes are
     // reassembled in global disk order below (like the energy breakdowns);
     // degraded-response collectors merge in shard order — bucket counts
@@ -387,27 +405,12 @@ fn merge_reports(
     let mut availability: Option<AvailabilityStats> = None;
     let mut downtime_parts: Vec<std::vec::IntoIter<f64>> = Vec::new();
     let mut parts: Vec<Parts> = Vec::with_capacity(shards);
-    let per_disk_scope = reports.iter().any(|r| r.per_disk_cache_tiers.is_some());
     for r in reports {
         debug_assert_eq!(r.sim_time_s, sim_time_s, "shards share one end time");
         spin_downs += r.spin_downs;
         spin_ups += r.spin_ups;
         per_shard_event_peaks.extend(r.per_shard_event_peaks);
         peak_disk_queue = peak_disk_queue.max(r.peak_disk_queue);
-        if !per_disk_scope {
-            if let Some(shard_cache) = r.cache {
-                cache
-                    .get_or_insert_with(Default::default)
-                    .absorb(&shard_cache);
-            }
-            if let Some(shard_tiers) = r.cache_tiers {
-                let merged =
-                    cache_tiers.get_or_insert_with(|| vec![Default::default(); shard_tiers.len()]);
-                for (t, s) in merged.iter_mut().zip(shard_tiers) {
-                    t.absorb(&s);
-                }
-            }
-        }
         if let Some(a) = r.availability {
             let merged = availability.get_or_insert_with(|| AvailabilityStats {
                 degraded: ResponseStats::with_mode(cfg.metrics),
@@ -428,7 +431,6 @@ fn merge_reports(
             energy: r.per_disk_energy.into_iter(),
             responses: r.per_disk_responses.into_iter(),
             served: r.per_disk_served.into_iter(),
-            cache_rows: r.per_disk_cache_tiers.map(Vec::into_iter),
         });
     }
     if let Some(a) = availability.as_mut() {
@@ -446,8 +448,6 @@ fn merge_reports(
     let mut per_disk_energy = Vec::with_capacity(fleet);
     let mut per_disk_responses = Vec::with_capacity(fleet);
     let mut per_disk_served = Vec::with_capacity(fleet);
-    let mut per_disk_cache_tiers: Option<Vec<Vec<CacheStats>>> =
-        per_disk_scope.then(|| Vec::with_capacity(fleet));
     let mut responses = ResponseStats::with_mode(cfg.metrics);
     // Local actor indices ascend with the global disk id within a shard, so
     // popping each shard's vectors front-to-front in global order lands
@@ -462,31 +462,6 @@ fn merge_reports(
         per_disk_energy.push(e);
         per_disk_responses.push(r);
         per_disk_served.push(s);
-        if let Some(rows) = per_disk_cache_tiers.as_mut() {
-            let row = p
-                .cache_rows
-                .as_mut()
-                .expect("per-disk scope on every shard")
-                .next()
-                .expect("shard tracked its disk's cache slice");
-            // Re-derive the aggregates in ascending global-disk order —
-            // the same fold the unsharded finish performs over its
-            // slices (per-disk aggregate: hits/bytes/oversize sum over
-            // tiers, misses are the deepest tier's).
-            let agg = cache.get_or_insert_with(Default::default);
-            let tiers = cache_tiers.get_or_insert_with(|| vec![Default::default(); row.len()]);
-            for (i, t) in row.iter().enumerate() {
-                agg.hits += t.hits;
-                agg.resident_bytes += t.resident_bytes;
-                agg.evicted_bytes += t.evicted_bytes;
-                agg.oversize_rejections += t.oversize_rejections;
-                if i + 1 == row.len() {
-                    agg.misses += t.misses;
-                }
-                tiers[i].absorb(t);
-            }
-            rows.push(row);
-        }
     }
     let (completions, completion_log) = match log {
         None => (None, None),
@@ -502,9 +477,8 @@ fn merge_reports(
         completion_log,
         spin_downs,
         spin_ups,
-        cache,
-        cache_tiers,
-        per_disk_cache_tiers,
+        cache: cache.map(CacheHierarchy::aggregate_stats),
+        cache_tiers: cache.map(CacheHierarchy::tier_stats),
         disks: fleet,
         per_disk_served,
         per_shard_event_peaks,
@@ -517,7 +491,7 @@ fn merge_reports(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hierarchy::{CacheHierarchyConfig, CacheScope};
+    use crate::hierarchy::CacheHierarchyConfig;
 
     #[test]
     fn effective_shards_clamps_and_falls_back() {
@@ -526,21 +500,13 @@ mod tests {
         assert_eq!(effective_shards(&cfg, 3), 3, "clamped to the fleet");
         assert_eq!(effective_shards(&cfg, 0), 1, "zero fleet runs unsharded");
         assert_eq!(effective_shards(&SimConfig::paper_default(), 8), 1);
-        let global = cfg
+        let cached = cfg
             .clone()
             .with_cache_hierarchy(Some(CacheHierarchyConfig::paper_16gb()));
         assert_eq!(
-            effective_shards(&global, 8),
+            effective_shards(&cached, 8),
             4,
-            "global-scope hierarchies shard by partitioned budget"
-        );
-        let per_disk = cfg.clone().with_cache_hierarchy(Some(
-            CacheHierarchyConfig::paper_16gb().with_scope(CacheScope::PerDisk),
-        ));
-        assert_eq!(
-            effective_shards(&per_disk, 8),
-            4,
-            "per-disk slices shard freely"
+            "the reader walks the cache ahead of routing"
         );
         let logged = cfg.with_completion_log();
         assert_eq!(

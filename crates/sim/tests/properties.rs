@@ -295,11 +295,9 @@ proptest! {
         prop_assert_eq!(sa.fnv1a, fnv1a, "log digest vs the std rendering");
     }
 
-    // The merged-report fold for cache counters: absorbing any partition
-    // of per-shard rows (each folded in ascending order, then partitions
-    // in shard order) equals one bulk fold in ascending global order —
-    // integer addition commutes exactly, which is what lets the sharded
-    // merge sum per-tier rows in tier-then-shard order.
+    // Folding cache counters: absorbing any partition of rows (each
+    // folded in ascending order, then partitions in order) equals one
+    // bulk fold in ascending order — integer addition commutes exactly.
     #[test]
     fn cache_stats_partitioned_fold_equals_the_bulk_fold(
         rows in prop::collection::vec(

@@ -7,10 +7,12 @@
 //! thread drains any [`TraceSource`] — an in-memory trace, a CSV reader,
 //! a generator — exactly once, routing each request by [`route_shard`]
 //! into its shard's current batch, tagged with its ordinal in the whole
-//! stream. Each shard consumes a [`ShardReceiver`], which is itself a
-//! [`TraceSource`] and hands out that ordinal through
-//! [`ShardReceiver::next_tagged`]. One shard is the same driver with the
-//! routing skipped: the reader thread decodes while the engine runs.
+//! stream and with the answer of the pump's probe (the simulator's cache
+//! walk, see [`DemuxPump::run_probed`]). Each shard consumes a
+//! [`ShardReceiver`], which is itself a [`TraceSource`] and hands out
+//! both tags through [`ShardReceiver::next_tagged`]. One shard is the
+//! same driver with the routing skipped: the reader thread decodes while
+//! the engine runs.
 //!
 //! Memory is bounded at every shard count. [`demux`] allocates each
 //! shard's batch buffers once, on the calling thread, and the buffers
@@ -30,7 +32,7 @@ use crate::trace::{Request, TraceIoError};
 
 /// Requests per batch: large enough to amortise a channel hand-off over
 /// many requests, small enough that a shard's buffers stay a few dozen
-/// pages (a batch is 24 bytes a request).
+/// pages (a batch is 32 bytes a request).
 const CHUNK: usize = 1024;
 /// Full batches a shard's channel may hold ahead of its receiver. A shard
 /// owns `DEPTH + 2` buffers: these, the one the pump fills and the one
@@ -39,8 +41,29 @@ const DEPTH: usize = 4;
 /// Batch buffers per shard.
 const POOL: usize = DEPTH + 2;
 
-/// A routed request and its ordinal in the whole (undemuxed) stream.
-pub type Tagged = (u64, Request);
+/// A routed request: its ordinal in the whole (undemuxed) stream, the
+/// request, and the probe's answer for it (`None` on a miss, or when the
+/// pump ran without a probe).
+pub type Tagged = (u64, Request, Option<f64>);
+
+/// One batch slot: a [`Tagged`] request with the probe's answer packed as
+/// a NaN-for-`None` float, so a slot stays 32 bytes.
+#[derive(Clone, Copy)]
+struct Entry {
+    seq: u64,
+    request: Request,
+    hit: f64,
+}
+
+const _: () = assert!(std::mem::size_of::<Entry>() == 32);
+
+impl Entry {
+    #[inline]
+    fn tagged(&self) -> Tagged {
+        let hit = (!self.hit.is_nan()).then_some(self.hit);
+        (self.seq, self.request, hit)
+    }
+}
 
 /// The shard a request for `file` routes to, given the file→disk map and
 /// the shard count: the target disk's `disk % shards`. Files outside the
@@ -58,16 +81,16 @@ pub fn route_shard(file_to_disk: &[usize], shards: usize, file: usize) -> usize 
 /// One message on a demux channel: a batch of routed requests, or the
 /// shared copy of the pump's terminal error.
 enum Msg {
-    Batch(Vec<Tagged>),
+    Batch(Vec<Entry>),
     Failed(Arc<TraceIoError>),
 }
 
 /// The pump's end of one shard: the batch being filled, the channel full
 /// batches go out on, and the return channel empty ones come back on.
 struct Lane {
-    fill: Vec<Tagged>,
+    fill: Vec<Entry>,
     tx: SyncSender<Msg>,
-    free: Receiver<Vec<Tagged>>,
+    free: Receiver<Vec<Entry>>,
 }
 
 impl Lane {
@@ -90,17 +113,29 @@ impl Lane {
 }
 
 /// The producer half of [`demux`]: owns the underlying source and the
-/// pump's end of every shard. Run [`DemuxPump::run`] on its own thread
-/// while the shard engines consume their [`ShardReceiver`]s.
+/// pump's end of every shard. Run [`DemuxPump::run_probed`] on its own
+/// thread while the shard engines consume their [`ShardReceiver`]s.
 pub struct DemuxPump<S> {
     source: S,
     lanes: Vec<Lane>,
 }
 
 impl<S: TraceSource> DemuxPump<S> {
+    /// [`Self::run_probed`] with no probe: every request is tagged as a
+    /// miss.
+    pub fn run(self, file_to_disk: &[usize]) {
+        self.run_probed(file_to_disk, |_| None);
+    }
+
     /// Drain the source to exhaustion, routing each request to its shard
     /// through `file_to_disk` (same rule as [`route_shard`]). With one
     /// shard every request goes to it and the map is never read.
+    ///
+    /// `probe` sees every request once, in stream order, before it is
+    /// sent, and its answer travels with the request to its shard (a NaN
+    /// answer reads back as `None`). The simulator passes its cache walk
+    /// here, so one hierarchy serves the whole stream in arrival order
+    /// whatever the shard count.
     ///
     /// On a source error the error is wrapped in an [`Arc`] and fanned out
     /// to every shard, so each consumer fails with
@@ -108,7 +143,11 @@ impl<S: TraceSource> DemuxPump<S> {
     /// failed), the pump stops at that shard's next batch — remaining
     /// consumers see end of stream, and the caller surfaces the consumer's
     /// own error.
-    pub fn run(mut self, file_to_disk: &[usize]) {
+    pub fn run_probed(
+        mut self,
+        file_to_disk: &[usize],
+        mut probe: impl FnMut(&Request) -> Option<f64>,
+    ) {
         let shards = self.lanes.len();
         let mut seq: u64 = 0;
         loop {
@@ -119,8 +158,13 @@ impl<S: TraceSource> DemuxPump<S> {
                     } else {
                         route_shard(file_to_disk, shards, r.file.0 as usize)
                     };
+                    let hit = probe(&r).unwrap_or(f64::NAN);
                     let lane = &mut self.lanes[s];
-                    lane.fill.push((seq, r));
+                    lane.fill.push(Entry {
+                        seq,
+                        request: r,
+                        hit,
+                    });
                     seq += 1;
                     if lane.fill.len() == CHUNK && !lane.ship() {
                         return;
@@ -151,10 +195,10 @@ impl<S: TraceSource> DemuxPump<S> {
 /// each batch in place; after the pump reports an error, every subsequent
 /// call returns [`TraceIoError::Shared`] over the same underlying failure.
 pub struct ShardReceiver {
-    batch: Vec<Tagged>,
+    batch: Vec<Entry>,
     next: usize,
     rx: Receiver<Msg>,
-    free: SyncSender<Vec<Tagged>>,
+    free: SyncSender<Vec<Entry>>,
     horizon: f64,
     failed: Option<Arc<TraceIoError>>,
     done: bool,
@@ -164,13 +208,14 @@ pub struct ShardReceiver {
 }
 
 impl ShardReceiver {
-    /// The next request together with its ordinal in the whole stream.
+    /// The next request together with its ordinal in the whole stream
+    /// and the pump's probe answer.
     #[inline]
     pub fn next_tagged(&mut self) -> Result<Option<Tagged>, TraceIoError> {
         if self.next == self.batch.len() {
             self.refill()?;
         }
-        let tagged = self.batch.get(self.next).copied();
+        let tagged = self.batch.get(self.next).map(Entry::tagged);
         self.next += usize::from(tagged.is_some());
         Ok(tagged)
     }
@@ -217,12 +262,12 @@ impl TraceSource for ShardReceiver {
         if self.next == self.batch.len() {
             self.refill()?;
         }
-        Ok(self.batch.get(self.next).map(|(_, r)| r.time))
+        Ok(self.batch.get(self.next).map(|e| e.request.time))
     }
 
     #[inline]
     fn next_request(&mut self) -> Result<Option<Request>, TraceIoError> {
-        Ok(self.next_tagged()?.map(|(_, r)| r))
+        Ok(self.next_tagged()?.map(|(_, r, _)| r))
     }
 
     fn horizon(&self) -> f64 {
@@ -231,8 +276,8 @@ impl TraceSource for ShardReceiver {
 }
 
 /// Split `source` into `shards` per-shard streams. Returns the pump (drain
-/// it on its own thread with [`DemuxPump::run`]) and one [`ShardReceiver`]
-/// per shard. The source is read exactly once, and every batch buffer the
+/// it on its own thread with [`DemuxPump::run_probed`]) and one
+/// [`ShardReceiver`] per shard. The source is read exactly once, and every batch buffer the
 /// run will use is allocated here.
 pub fn demux<S: TraceSource>(source: S, shards: usize) -> (DemuxPump<S>, Vec<ShardReceiver>) {
     assert!(shards > 0, "demux needs at least one shard");
@@ -296,17 +341,12 @@ mod tests {
     }
 
     /// The requests of `trace` routed to shard `s` of `shards`, in trace
-    /// order, each with its index in the trace.
-    fn routed(
-        trace: &Trace,
-        file_to_disk: &[usize],
-        shards: usize,
-        s: usize,
-    ) -> Vec<(u64, Request)> {
+    /// order, each with its index in the trace and no probe answer.
+    fn routed(trace: &Trace, file_to_disk: &[usize], shards: usize, s: usize) -> Vec<Tagged> {
         (0..)
             .zip(trace.requests())
             .filter(|(_, r)| route_shard(file_to_disk, shards, r.file.0 as usize) == s)
-            .map(|(i, r)| (i, *r))
+            .map(|(i, r)| (i, *r, None))
             .collect()
     }
 
@@ -316,7 +356,7 @@ mod tests {
         source: S,
         file_to_disk: &[usize],
         shards: usize,
-    ) -> Vec<Vec<(u64, Request)>> {
+    ) -> Vec<Vec<Tagged>> {
         let (pump, mut rxs) = demux(source, shards);
         std::thread::scope(|scope| {
             scope.spawn(move || pump.run(file_to_disk));
@@ -368,7 +408,7 @@ mod tests {
         for (s, stream) in got.iter().enumerate() {
             let want = routed(&trace, &file_to_disk, shards, s);
             assert_eq!(stream.len(), want.len(), "shard {s} length");
-            for ((sa, a), (sb, b)) in stream.iter().zip(&want) {
+            for ((sa, a, _), (sb, b, _)) in stream.iter().zip(&want) {
                 assert_eq!(sa, sb, "shard {s} ordinal");
                 assert_eq!(a.file, b.file, "shard {s} order");
                 assert!((a.time - b.time).abs() < 1e-5);
@@ -411,6 +451,42 @@ mod tests {
     }
 
     #[test]
+    fn probe_answers_travel_with_their_requests() {
+        // The probe sees the whole stream in order, once, before routing,
+        // and each answer reaches the shard its request routes to.
+        let (trace, file_to_disk) = fixture();
+        let answer = |r: &Request| {
+            let f = r.file.0;
+            f.is_multiple_of(3).then_some(f64::from(f) * 0.5)
+        };
+        for shards in [1, 3] {
+            let mut probed = Vec::new();
+            let (pump, mut rxs) = demux(InMemorySource::new(&trace), shards);
+            let got: Vec<Vec<Tagged>> = std::thread::scope(|scope| {
+                let (map, probed) = (&file_to_disk, &mut probed);
+                scope.spawn(move || {
+                    pump.run_probed(map, |r| {
+                        probed.push(*r);
+                        answer(r)
+                    })
+                });
+                rxs.iter_mut()
+                    .map(|rx| std::iter::from_fn(|| rx.next_tagged().unwrap()).collect())
+                    .collect()
+            });
+            assert_eq!(probed, trace.requests(), "S={shards}: probed in order");
+            for (s, stream) in got.iter().enumerate() {
+                let want: Vec<Tagged> = routed(&trace, &file_to_disk, shards, s)
+                    .into_iter()
+                    .map(|(i, r, _)| (i, r, answer(&r)))
+                    .collect();
+                assert!(want.iter().any(|t| t.2.is_some()), "S={shards}: some hits");
+                assert_eq!(*stream, want, "S={shards} shard {s}");
+            }
+        }
+    }
+
+    #[test]
     fn unmapped_files_route_to_shard_zero() {
         assert_eq!(route_shard(&[4, usize::MAX], 3, 0), 1);
         assert_eq!(route_shard(&[4, usize::MAX], 3, 1), 0, "MAX sentinel");
@@ -432,7 +508,7 @@ mod tests {
     fn single_shard_view_is_the_whole_trace() {
         let (trace, file_to_disk) = fixture();
         let got = split(InMemorySource::new(&trace), &file_to_disk, 1);
-        let whole: Vec<Request> = got[0].iter().map(|&(_, r)| r).collect();
+        let whole: Vec<Request> = got[0].iter().map(|&(_, r, _)| r).collect();
         assert_eq!(whole, drain(&mut InMemorySource::new(&trace)));
         assert_eq!(got[0], routed(&trace, &file_to_disk, 1, 0));
     }

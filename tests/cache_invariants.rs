@@ -7,7 +7,7 @@
 //! - `hits + misses` equals the number of `access` calls (oversize
 //!   rejections are misses, never a third category);
 //! - LRU agrees access-by-access with a naive `Vec` reference model,
-//!   flushes and long eviction runs included;
+//!   long eviction runs included;
 //! - segmented LRU at 20/50/80% protected splits agrees access-by-access
 //!   with a naive two-`Vec` probation/protected reference;
 //! - segmented LRU with a 0% protected split *is* LRU, bit for bit;
@@ -114,13 +114,6 @@ impl NaiveSlru {
         hit
     }
 
-    fn flush(&mut self) {
-        self.stats.evicted_bytes += self.stats.resident_bytes;
-        self.stats.resident_bytes = 0;
-        self.probation.clear();
-        self.protected.clear();
-    }
-
     fn contains(&self, id: u32) -> bool {
         self.probation
             .iter()
@@ -193,43 +186,37 @@ proptest! {
 
     // Invariant 3: LRU is observationally equal to the obvious reference
     // — a recency-ordered Vec (front = least recent) — on every sequence,
-    // including flushes and long eviction runs (a catalog much wider than
-    // the budget), so recycled slab slots are checked against `contains`,
+    // including long eviction runs (a catalog much wider than the
+    // budget), so recycled slab slots are checked against `contains`,
     // `len` and the resident-byte counter after every operation.
     #[test]
     fn lru_matches_the_naive_vec_reference(
         capacity in 1u64..100,
         sizes in prop::collection::vec(1u64..120, 48..49),
-        ops in prop::collection::vec(0u32..50, 0..1500),
+        ops in prop::collection::vec(0u32..48, 0..1500),
     ) {
         let mut ours = LruCache::new(capacity);
         let mut reference: Vec<(u32, u64)> = Vec::new();
         for &op in &ops {
-            if op >= 48 {
-                // Two of the 50 op codes flush: about one op in 25.
-                ours.flush();
-                reference.clear();
+            let id = op;
+            let size = sizes[id as usize];
+            let got = ours.access(FileId(id), size);
+            let expected = if let Some(p) = reference.iter().position(|&(i, _)| i == id) {
+                let e = reference.remove(p);
+                reference.push(e);
+                true
+            } else if size > capacity {
+                false
             } else {
-                let id = op;
-                let size = sizes[id as usize];
-                let got = ours.access(FileId(id), size);
-                let expected = if let Some(p) = reference.iter().position(|&(i, _)| i == id) {
-                    let e = reference.remove(p);
-                    reference.push(e);
-                    true
-                } else if size > capacity {
-                    false
-                } else {
-                    let mut resident: u64 = reference.iter().map(|&(_, s)| s).sum();
-                    while resident + size > capacity {
-                        let (_, s) = reference.remove(0);
-                        resident -= s;
-                    }
-                    reference.push((id, size));
-                    false
-                };
-                prop_assert_eq!(got, expected, "divergence on file {}", id);
-            }
+                let mut resident: u64 = reference.iter().map(|&(_, s)| s).sum();
+                while resident + size > capacity {
+                    let (_, s) = reference.remove(0);
+                    resident -= s;
+                }
+                reference.push((id, size));
+                false
+            };
+            prop_assert_eq!(got, expected, "divergence on file {}", id);
             prop_assert_eq!(
                 ours.stats().resident_bytes,
                 reference.iter().map(|&(_, s)| s).sum::<u64>()
@@ -248,30 +235,24 @@ proptest! {
     // Invariant 3b: segmented LRU at nonzero protected splits agrees
     // access by access with a naive two-Vec reference — promotion on a
     // probation hit, demotion of protected overflow to the probation MRU
-    // end, eviction only from the probation LRU end — with flushes mixed
-    // in. Every stats field and the resident set are compared after every
+    // end, eviction only from the probation LRU end. Every stats field and the resident set are compared after every
     // operation.
     #[test]
     fn slru_matches_the_naive_two_vec_reference(
         capacity in 1u64..200,
         sizes in prop::collection::vec(1u64..90, 32..33),
-        ops in prop::collection::vec(0u32..33, 0..800),
+        ops in prop::collection::vec(0u32..32, 0..800),
     ) {
         for pct in [20u8, 50, 80] {
             let mut ours = SegmentedLru::new(capacity, pct);
             let mut reference = NaiveSlru::new(capacity, pct);
             for &op in &ops {
-                if op == 32 {
-                    ours.flush();
-                    reference.flush();
-                } else {
-                    let size = sizes[op as usize];
-                    prop_assert_eq!(
-                        CachePolicy::access(&mut ours, FileId(op), size),
-                        reference.access(op, size),
-                        "divergence on file {} at {}% protected", op, pct
-                    );
-                }
+                let size = sizes[op as usize];
+                prop_assert_eq!(
+                    CachePolicy::access(&mut ours, FileId(op), size),
+                    reference.access(op, size),
+                    "divergence on file {} at {}% protected", op, pct
+                );
                 prop_assert_eq!(CachePolicy::stats(&ours), reference.stats);
                 prop_assert_eq!(CachePolicy::len(&ours), reference.len());
                 for id in 0..32u32 {

@@ -240,9 +240,8 @@ fn undersized_fleet_stays_an_explicit_error_when_sharded() {
 // The global cache and the completion log now *compose* with sharding:
 // the sharded run must reproduce the unsharded one exactly — including
 // the merged cache counters and the streamed, canonically ordered
-// completion records. (The eviction-free regime here makes the
-// partitioned-budget cache byte-equivalent; `cached_shard_equivalence`
-// pins the full matrix.)
+// completion records. (`cached_shard_equivalence` pins the full matrix,
+// eviction pressure included.)
 #[test]
 fn cache_and_completion_log_compose_with_sharding() {
     let cat = catalog(24);
