@@ -190,11 +190,6 @@ impl EnergyAccountant {
         }
     }
 
-    /// The state currently being integrated.
-    pub fn current_state(&self) -> PowerState {
-        self.state
-    }
-
     /// Record that at time `now` the disk entered `next`.
     ///
     /// Time spent since the previous transition is charged to the previous

@@ -161,11 +161,6 @@ impl DiskSpec {
         DiskSpecBuilder { spec: self.clone() }
     }
 
-    /// Capacity in bytes as `f64` (convenience for normalised packing).
-    pub fn capacity_bytes_f64(&self) -> f64 {
-        self.capacity_bytes as f64
-    }
-
     /// The drive's power-state ladder: the explicit one when set,
     /// otherwise the canonical two-state ladder derived from the scalar
     /// fields ([`PowerLadder::two_state`]).

@@ -408,11 +408,6 @@ impl DiskActor {
     pub fn finish(self, t_end: f64) -> Result<EnergyBreakdown, TransitionError> {
         self.machine.finish(t_end)
     }
-
-    /// The service timer (for computing expected times in tests/analyses).
-    pub fn service_timer(&self) -> &ServiceTimer {
-        &self.timer
-    }
 }
 
 #[cfg(test)]

@@ -81,17 +81,6 @@ impl CacheStats {
             self.hits as f64 / total as f64
         }
     }
-
-    /// Fold `other` into `self` field-wise. Integer addition commutes
-    /// exactly, so absorbing counters in any order yields the same
-    /// aggregate.
-    pub fn absorb(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.resident_bytes += other.resident_bytes;
-        self.evicted_bytes += other.evicted_bytes;
-        self.oversize_rejections += other.oversize_rejections;
-    }
 }
 
 /// Slot index meaning "no node": the list's ends and the free list's tail.
@@ -707,35 +696,6 @@ mod tests {
         c.access(f(3), 60); // ties with 1 at freq 1 → evicts 1 (older)
         assert!(!c.contains(f(1)));
         assert!(c.contains(f(3)));
-    }
-
-    #[test]
-    fn stats_absorb_adds_field_wise() {
-        let mut a = CacheStats {
-            hits: 1,
-            misses: 2,
-            resident_bytes: 3,
-            evicted_bytes: 4,
-            oversize_rejections: 5,
-        };
-        let b = CacheStats {
-            hits: 10,
-            misses: 20,
-            resident_bytes: 30,
-            evicted_bytes: 40,
-            oversize_rejections: 50,
-        };
-        a.absorb(&b);
-        assert_eq!(
-            a,
-            CacheStats {
-                hits: 11,
-                misses: 22,
-                resident_bytes: 33,
-                evicted_bytes: 44,
-                oversize_rejections: 55,
-            }
-        );
     }
 
     #[test]

@@ -67,17 +67,25 @@
 //! `cfg.shards` partitions the fleet by disk id (`disk % shards`). Every
 //! replay, one shard included, runs through the same driver: one reader
 //! thread demultiplexes the source into bounded per-shard channels, each
-//! tagging a request with its ordinal in the whole stream; every shard
-//! runs its own event loop, and the per-shard reports merge in global
-//! disk order — see `shard.rs` for the merge rules and the determinism
-//! argument. At one shard the reader's decode overlaps the engine. The
-//! reader also walks the cache, once for the whole stream, and tags each
-//! request with its hit; an engine holds no cache state. The completion
-//! log streams through per-shard writers k-way merged by `(time, req)`
-//! ([`crate::complog`]). Histogram-mode metrics, energy totals, cache
-//! statistics, windows and the completion log are bit-identical at every
-//! shard count.
+//! tagging a request with its ordinal in the whole stream, and every
+//! shard runs its own event loop. An engine names its disks to the
+//! policy, the fault injector and the completion log by their global ids
+//! (one rule, `Placement::global`), so none of them can tell the shard
+//! count. At finish an engine hands back its per-disk values and its
+//! counters, and the driver folds every shard's parts in global disk
+//! order into the one report — see `shard.rs` for the merge rules and
+//! the determinism argument. At one shard the
+//! reader's decode overlaps the engine. The reader also walks the cache,
+//! once for the whole stream, and tags each request with its hit; an
+//! engine holds no cache state. The completion log streams through
+//! per-shard writers k-way merged by `(time, req)`
+//! ([`crate::complog`]). Response statistics in either metrics mode,
+//! energy totals, availability, cache statistics, windows and the
+//! completion log are bit-identical at every shard count.
 
+use std::sync::mpsc::{Sender, SyncSender};
+
+use spindown_disk::energy::EnergyBreakdown;
 use spindown_disk::state::TransitionError;
 use spindown_packing::Assignment;
 use spindown_workload::trace::{TraceIoError, MAX_TRACE_TIME_S};
@@ -89,7 +97,7 @@ use crate::actor::{DiskActor, Phase};
 use crate::complog::CompletionWriter;
 use crate::config::SimConfig;
 use crate::event::{Event, EventQueue};
-use crate::fault::{FaultRuntime, PendingRetry};
+use crate::fault::{DiskFaults, FaultCounts, FaultRuntime, PendingRetry};
 use crate::metrics::{Completion, ResponseStats, SimReport};
 use crate::policy::{DescentStep, PowerPolicy, TimeoutPolicy};
 use crate::windows::{last_window, WindowPartial, WindowSeries, MAX_WINDOWS};
@@ -334,6 +342,76 @@ struct TimerState {
     scheduled: Vec<f64>,
 }
 
+/// Where an engine's disks sit in the global fleet: local disk `d` is
+/// global disk `d * stride + shard` (`0`/`1` for the whole fleet). The
+/// only statement of that rule: the policy, the fault injector and the
+/// completion log all see global ids through it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Placement {
+    pub shard: usize,
+    pub stride: usize,
+}
+
+impl Placement {
+    /// Global id of local disk `local`.
+    #[inline]
+    pub(crate) fn global(self, local: usize) -> usize {
+        local * self.stride + self.shard
+    }
+
+    /// Local index of global disk `global`, if this engine owns it.
+    pub(crate) fn local(self, global: usize) -> Option<usize> {
+        (global % self.stride == self.shard).then_some(global / self.stride)
+    }
+}
+
+/// One engine's inputs.
+pub(crate) struct ShardJob<'a> {
+    pub catalog: &'a FileCatalog,
+    pub cfg: &'a SimConfig,
+    /// This shard's arrivals.
+    pub source: ShardReceiver,
+    /// File index → local actor index; `usize::MAX` marks files this
+    /// engine does not serve.
+    pub file_to_disk: Vec<usize>,
+    /// Disks this engine simulates.
+    pub fleet: usize,
+    pub place: Placement,
+    pub policy: Box<dyn PowerPolicy>,
+    /// Carries this engine's completion-log stream to the merger thread;
+    /// given exactly when logging is on.
+    pub log_tx: Option<SyncSender<Vec<Completion>>>,
+    /// Carries each closed window's partial to the run's fold; given
+    /// exactly when windows are on.
+    pub window_tx: Option<Sender<(usize, WindowPartial)>>,
+}
+
+/// One disk's share of the fleet report.
+pub(crate) struct DiskParts {
+    pub energy: EnergyBreakdown,
+    pub responses: ResponseStats,
+    pub served: u64,
+    /// With a fault plan: degraded responses and seconds offline.
+    pub faults: Option<DiskFaults>,
+}
+
+/// What a finished engine hands the driver: per-disk values in local
+/// order and the shard's own counters. The driver folds the parts of
+/// every shard into the one [`SimReport`].
+pub(crate) struct ShardParts {
+    pub disks: Vec<DiskParts>,
+    pub spin_downs: u64,
+    pub spin_ups: u64,
+    pub peak_events: usize,
+    pub peak_disk_queue: usize,
+    /// With a fault plan: arrivals and outcome counters.
+    pub faults: Option<FaultCounts>,
+    /// The windows the end instant closed, for the run's fold.
+    pub tail_partials: Vec<WindowPartial>,
+    /// Peak completion-log buffering in this engine's writer.
+    pub log_peak: usize,
+}
+
 /// The discrete-event simulator. Its arrivals come from a
 /// [`ShardReceiver`]: the reader thread decodes the source into batches
 /// while this engine runs.
@@ -341,7 +419,6 @@ pub struct Simulator<'a> {
     catalog: &'a FileCatalog,
     /// The streamed arrival cursor.
     source: ShardReceiver,
-    cfg: &'a SimConfig,
     file_to_disk: Vec<usize>,
     actors: Vec<DiskActor>,
     timers: Vec<TimerState>,
@@ -357,11 +434,8 @@ pub struct Simulator<'a> {
     last_event_time: f64,
     /// Requests consumed from the source so far — the arrival index.
     arrived: usize,
-    /// This engine's position in the global fleet (local disk `d` =
-    /// global `d * stride + shard`; `0`/`1` unsharded) — completion-log
-    /// records carry global disk ids so the merged log is shard-invariant.
-    shard: usize,
-    stride: usize,
+    /// This engine's disks in the global fleet.
+    place: Placement,
     peak_events: usize,
     peak_disk_queue: usize,
     /// Live fault-injection state; `None` (no fault plan) keeps every hook
@@ -438,7 +512,9 @@ impl<'a> Simulator<'a> {
     /// A request for a file the assignment does not place fails the run
     /// with [`SimError::UnmappedFile`] when it arrives. A negative or
     /// non-finite `cfg.threshold` fails it with
-    /// [`SimError::InvalidThreshold`] before any policy is built.
+    /// [`SimError::InvalidThreshold`], and a fault clause naming a disk
+    /// outside the fleet with [`SimError::FaultDiskOutOfRange`], before
+    /// any policy is built.
     pub fn replay<S: TraceSource + Send>(
         catalog: &'a FileCatalog,
         source: S,
@@ -452,6 +528,7 @@ impl<'a> Simulator<'a> {
         if fleet < required {
             return Err(SimError::FleetTooSmall { required, fleet });
         }
+        SimError::check_fault_disks(&cfg.faults, fleet)?;
         crate::shard::replay_sharded(
             catalog,
             source,
@@ -465,46 +542,29 @@ impl<'a> Simulator<'a> {
 
     /// Construct the simulator, prime it and drive the event loop to
     /// exhaustion, returning the drained simulator *without* finishing it —
-    /// the sharded driver needs every shard drained before the common end
-    /// time (`horizon.max(`max over shards of [`Self::last_event_time`]`)`)
-    /// is known. `file_to_disk` maps file index → actor index (possibly a
-    /// shard-local index); `usize::MAX` marks unmapped files. `fleet` is
-    /// the number of actors *this* engine instance simulates;
-    /// `global_fleet` is the whole fleet (they differ only in a sharded
-    /// run), against which fault clauses are checked. `shard`/`stride`
-    /// position this engine's actors in the global fleet (local `d` =
-    /// global `d * stride + shard`; `0`/`1` unsharded) — the fault
-    /// injector keys its per-disk RNG streams off global ids so fault
-    /// draws are shard-invariant.
-    /// `log_tx` carries this shard's completion-log stream to the merger
-    /// thread (which owns the sink) and `window_tx` each closed window's
-    /// partial to the run's fold; they are given exactly when logging and
-    /// windows are on, and both are dropped once the drive is over.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_drained(
-        catalog: &'a FileCatalog,
-        source: ShardReceiver,
-        file_to_disk: Vec<usize>,
-        cfg: &'a SimConfig,
-        fleet: usize,
-        global_fleet: usize,
-        shard: usize,
-        stride: usize,
-        policy: Box<dyn PowerPolicy>,
-        log_tx: Option<std::sync::mpsc::SyncSender<Vec<Completion>>>,
-        window_tx: Option<std::sync::mpsc::Sender<(usize, WindowPartial)>>,
-    ) -> Result<Self, SimError> {
-        SimError::check_fault_disks(&cfg.faults, global_fleet)?;
+    /// the driver needs every shard drained before the common end time
+    /// (`horizon.max(`max over shards of [`Self::last_event_time`]`)`) is
+    /// known. The job's senders are dropped once the drive is over.
+    pub(crate) fn run_drained(job: ShardJob<'a>) -> Result<Self, SimError> {
+        let ShardJob {
+            catalog,
+            cfg,
+            source,
+            file_to_disk,
+            fleet,
+            place,
+            policy,
+            log_tx,
+            window_tx,
+        } = job;
         let horizon = source.horizon();
         SimError::check_horizon(horizon)?;
         if let Some(width) = cfg.windows {
             SimError::check_windows(width, horizon)?;
         }
-        let complog = log_tx.map(CompletionWriter::new);
         let mut sim = Simulator {
             catalog,
             source,
-            cfg,
             file_to_disk,
             actors: (0..fleet)
                 .map(|_| DiskActor::with_discipline(cfg.disk.clone(), cfg.discipline))
@@ -512,17 +572,16 @@ impl<'a> Simulator<'a> {
             timers: vec![TimerState::default(); fleet],
             events: EventQueue::new(),
             per_disk_responses: vec![ResponseStats::with_mode(cfg.metrics); fleet],
-            complog,
+            complog: log_tx.map(CompletionWriter::new),
             policy,
             horizon,
             last_event_time: 0.0,
             arrived: 0,
-            shard,
-            stride: stride.max(1),
+            place,
             peak_events: 0,
             peak_disk_queue: 0,
             fault: (!cfg.faults.is_none())
-                .then(|| FaultRuntime::new(&cfg.faults, fleet, shard, stride, cfg.metrics)),
+                .then(|| FaultRuntime::new(&cfg.faults, fleet, place, cfg.metrics)),
             windows: None,
             next_close: f64::INFINITY,
         };
@@ -531,7 +590,7 @@ impl<'a> Simulator<'a> {
                 a.enable_windows(width, cfg.metrics);
             }
             let tx = window_tx.expect("windows on come with a fold channel");
-            let series = WindowSeries::new(width, cfg.metrics, shard, tx);
+            let series = WindowSeries::new(width, cfg.metrics, place.shard, tx);
             sim.next_close = series.next_close();
             sim.windows = Some(series);
         }
@@ -558,13 +617,6 @@ impl<'a> Simulator<'a> {
     /// The horizon the arrival source declared.
     pub(crate) fn source_horizon(&self) -> f64 {
         self.horizon
-    }
-
-    /// Peak completion-log buffering in this engine's writer (0 when
-    /// logging is off) — the sharded driver folds these into the merged
-    /// [`crate::complog::CompletionLogSummary`].
-    pub(crate) fn completion_peak(&self) -> usize {
-        self.complog.as_ref().map_or(0, |w| w.peak_buffered())
     }
 
     /// Schedule the initial idle timers and the fault plan's crashes.
@@ -597,7 +649,7 @@ impl<'a> Simulator<'a> {
     /// delay that is not a finite, non-negative number of seconds is
     /// [`SimError::InvalidPolicyDelay`].
     fn arm_timer(&mut self, disk: usize, level: u8, t: f64) -> Result<(), SimError> {
-        let decision = self.policy.settled(disk, level, t);
+        let decision = self.policy.settled(self.place.global(disk), level, t);
         let deepest = self.actors[disk].deepest_level();
         let timer = &mut self.timers[disk];
         let Some(DescentStep { rest_s, to_level }) = decision else {
@@ -607,7 +659,7 @@ impl<'a> Simulator<'a> {
         if !(rest_s.is_finite() && rest_s >= 0.0) {
             return Err(SimError::InvalidPolicyDelay {
                 policy: self.policy.name(),
-                disk: disk * self.stride + self.shard,
+                disk: self.place.global(disk),
                 level,
                 rest_s,
             });
@@ -644,9 +696,7 @@ impl<'a> Simulator<'a> {
         if timer.scheduled.first().is_some_and(|&t0| t0 <= fire) {
             return; // an earlier pop will re-check (and reschedule exactly).
         }
-        let generation = self.actors[disk].idle_generation;
-        self.events
-            .schedule(fire, Event::SpinDownTimer { disk, generation });
+        self.events.schedule(fire, Event::SpinDownTimer { disk });
         let timer = &mut self.timers[disk];
         let at = timer.scheduled.partition_point(|&x| x < fire);
         timer.scheduled.insert(at, fire);
@@ -688,7 +738,7 @@ impl<'a> Simulator<'a> {
             }
             match ev {
                 Event::PhaseDone { disk } => self.on_phase_done(t, disk)?,
-                Event::SpinDownTimer { disk, generation } => self.on_timer(t, disk, generation)?,
+                Event::SpinDownTimer { disk } => self.on_timer(t, disk)?,
                 Event::Crash { disk } => self.on_crash(t, disk)?,
                 Event::Repair { disk } => self.on_repair(t, disk)?,
                 Event::Retry { disk } => self.on_retry(t, disk)?,
@@ -716,13 +766,13 @@ impl<'a> Simulator<'a> {
         self.next_close = ws.next_close();
     }
 
-    /// Finish, step one: close the run's remaining windows at the common
-    /// `t_end` and hand back their partials for the fold. Ticks every
-    /// window the end instant has passed (one at a time, so no disk opens
-    /// more than a couple of slots), charges every disk's final interval,
-    /// then retires windows through [`last_window`]`(t_end)` — the same
-    /// count on every shard. Empty with windows off.
-    pub(crate) fn take_tail_partials(&mut self, t_end: f64) -> Vec<WindowPartial> {
+    /// Close the run's remaining windows at the common `t_end` and hand
+    /// back their partials for the fold. Ticks every window the end
+    /// instant has passed (one at a time, so no disk opens more than a
+    /// couple of slots), charges every disk's final interval, then retires
+    /// windows through [`last_window`]`(t_end)` — the same count on every
+    /// shard. Empty with windows off.
+    fn take_tail_partials(&mut self, t_end: f64) -> Vec<WindowPartial> {
         self.close_windows(t_end);
         let Some(mut ws) = self.windows.take() else {
             return Vec::new();
@@ -781,12 +831,12 @@ impl<'a> Simulator<'a> {
         // gracefully instead of queueing unboundedly.
         if let Some(f) = &mut self.fault {
             if f.sheds(self.actors[disk].queue_len()) {
-                f.shed += 1;
+                f.counts.shed += 1;
                 self.actors[disk].window_shed(t);
                 return Ok(());
             }
         }
-        self.policy.request_arrived(disk, t);
+        self.policy.request_arrived(self.place.global(disk), t);
         self.actors[disk].enqueue(req, size, t, r.file.index() as u64);
         self.peak_disk_queue = self.peak_disk_queue.max(self.actors[disk].queue_len());
         self.actors[disk].window_queue_observation(t);
@@ -850,70 +900,30 @@ impl<'a> Simulator<'a> {
                 let arrival = self.actors[disk]
                     .current_arrival()
                     .expect("engine dispatch always goes through serve_next");
-                if self.fault.is_some() {
-                    // Retry metadata must be read before the completion
-                    // clears the in-flight request.
-                    let bytes = self.actors[disk].current_bytes();
-                    let pos = self.actors[disk].current_pos();
-                    let req = self.actors[disk].complete_service(t)?;
-                    let f = self.fault.as_mut().expect("checked above");
-                    if f.draw_transient(disk) {
-                        // Transient I/O error: the attempt's time and
-                        // energy are spent, the result is discarded. The
-                        // request re-queues after backoff — or is dropped
-                        // once its retry budget runs out.
-                        let n = {
-                            let attempts = f.attempts[disk].entry(req).or_insert(0);
-                            *attempts += 1;
-                            *attempts
-                        };
-                        if n > f.plan().retry_budget {
-                            f.attempts[disk].remove(&req);
-                            f.failed += 1;
-                            self.actors[disk].window_failed(t);
-                        } else {
-                            f.retried += 1;
-                            self.actors[disk].window_retried(t);
-                            let fire = t + f.plan().backoff_s(n - 1);
-                            f.pending_retries[disk].push(PendingRetry {
-                                fire,
-                                req,
-                                bytes,
-                                arrival,
-                                pos,
-                            });
-                            self.events.schedule(fire, Event::Retry { disk });
-                        }
-                    } else {
-                        let degraded = f.is_degraded(disk, req, arrival);
-                        f.attempts[disk].remove(&req);
-                        if degraded {
-                            f.degraded[disk].record(t - arrival);
-                        }
-                        self.per_disk_responses[disk].record(t - arrival);
-                        self.actors[disk].window_completion(t, t - arrival);
-                        if let Some(w) = self.complog.as_mut() {
-                            w.push(Completion {
-                                req,
-                                disk: disk * self.stride + self.shard,
-                                time_s: t,
-                            });
-                        }
-                    }
-                    if self.fault.as_ref().expect("checked above").pending_crash[disk] {
-                        return self.apply_crash(t, disk);
-                    }
-                } else {
-                    let req = self.actors[disk].complete_service(t)?;
+                // Retry metadata must be read before the completion clears
+                // the in-flight request.
+                let retry = self.fault.is_some().then(|| {
+                    let a = &self.actors[disk];
+                    (a.current_bytes(), a.current_pos())
+                });
+                let req = self.actors[disk].complete_service(t)?;
+                let completed = match retry {
+                    None => true,
+                    Some((bytes, pos)) => self.settle_attempt(t, disk, req, arrival, bytes, pos),
+                };
+                if completed {
                     self.per_disk_responses[disk].record(t - arrival);
                     self.actors[disk].window_completion(t, t - arrival);
                     if let Some(w) = self.complog.as_mut() {
                         w.push(Completion {
                             req,
-                            disk: disk * self.stride + self.shard,
+                            disk: self.place.global(disk),
                             time_s: t,
                         });
                     }
+                }
+                if self.fault.as_ref().is_some_and(|f| f.pending_crash[disk]) {
+                    return self.apply_crash(t, disk);
                 }
                 if self.actors[disk].queue_is_empty() {
                     self.arm_timer(disk, 0, t)?;
@@ -937,7 +947,7 @@ impl<'a> Simulator<'a> {
                         // next attempt waits out an exponential backoff.
                         // Past the retry budget the drive is declared
                         // fail-stop dead until repair.
-                        f.wake_failures += 1;
+                        f.counts.wake_failures += 1;
                         f.wake_attempts[disk] += 1;
                         let n = f.wake_attempts[disk];
                         if n > f.plan().retry_budget {
@@ -1004,7 +1014,55 @@ impl<'a> Simulator<'a> {
         Ok(())
     }
 
-    fn on_timer(&mut self, t: f64, disk: usize, _generation: u64) -> Result<(), SimError> {
+    /// Settle a service attempt under the fault plan. A transient I/O
+    /// error discards it — its time and energy are spent — and the request
+    /// re-queues after backoff, or fails once its retry budget runs out:
+    /// `false`. A good attempt records a degraded sample when the request
+    /// was retried, stretched or waited out an outage: `true`.
+    fn settle_attempt(
+        &mut self,
+        t: f64,
+        disk: usize,
+        req: usize,
+        arrival: f64,
+        bytes: u64,
+        pos: u64,
+    ) -> bool {
+        let f = self
+            .fault
+            .as_mut()
+            .expect("fault hook without a fault plan");
+        if !f.draw_transient(disk) {
+            if f.is_degraded(disk, req, arrival) {
+                f.degraded[disk].record(t - arrival);
+            }
+            f.attempts[disk].remove(&req);
+            return true;
+        }
+        let attempts = f.attempts[disk].entry(req).or_insert(0);
+        *attempts += 1;
+        let n = *attempts;
+        if n > f.plan().retry_budget {
+            f.attempts[disk].remove(&req);
+            f.counts.failed += 1;
+            self.actors[disk].window_failed(t);
+        } else {
+            f.counts.retried += 1;
+            self.actors[disk].window_retried(t);
+            let fire = t + f.plan().backoff_s(n - 1);
+            f.pending_retries[disk].push(PendingRetry {
+                fire,
+                req,
+                bytes,
+                arrival,
+                pos,
+            });
+            self.events.schedule(fire, Event::Retry { disk });
+        }
+        false
+    }
+
+    fn on_timer(&mut self, t: f64, disk: usize) -> Result<(), SimError> {
         // Retire this heap entry (per-disk entries pop in ascending time
         // order, so it is always the head of the sorted list).
         let timer = &mut self.timers[disk];
@@ -1031,7 +1089,8 @@ impl<'a> Simulator<'a> {
             return Ok(());
         }
         self.timers[disk].deadline = None;
-        self.policy.descent_started(disk, t, deadline.to_level);
+        self.policy
+            .descent_started(self.place.global(disk), t, deadline.to_level);
         let done = self.actors[disk].begin_descend(t, deadline.to_level)?;
         self.events.schedule(done, Event::PhaseDone { disk });
         Ok(())
@@ -1073,7 +1132,7 @@ impl<'a> Simulator<'a> {
         }
         f.down[disk] = true;
         f.down_since[disk] = t;
-        f.crashes += 1;
+        f.counts.crashes += 1;
         f.wake_attempts[disk] = 0;
         f.wake_hold_until[disk] = 0.0;
         let repair = t + f.plan().mttr_s;
@@ -1145,7 +1204,7 @@ impl<'a> Simulator<'a> {
             }
         }
         for r in &due {
-            self.policy.request_arrived(disk, t);
+            self.policy.request_arrived(self.place.global(disk), t);
             self.actors[disk].enqueue(r.req, r.bytes, r.arrival, r.pos);
         }
         if !due.is_empty() {
@@ -1155,70 +1214,53 @@ impl<'a> Simulator<'a> {
         self.kick(t, disk)
     }
 
-    /// Integrate energy to `t_end` and assemble this engine's report; the
-    /// driver attaches the windows, the completion log and the cache
-    /// counters. The global response collector is derived here by merging
-    /// the per-disk collectors in ascending disk order, so the global
-    /// statistics are a pure function of the per-disk trajectories,
-    /// identical however the fleet was sharded.
-    pub(crate) fn finish_at(mut self, t_end: f64) -> Result<SimReport, SimError> {
-        let mut responses = ResponseStats::with_mode(self.cfg.metrics);
-        for per_disk in &self.per_disk_responses {
-            responses.merge(per_disk);
-        }
-        let availability = self.fault.take().map(|f| {
-            let queued: u64 = self.actors.iter().map(|a| a.queue_len() as u64).sum();
-            let stats = f.into_stats(
-                t_end,
-                self.arrived as u64,
-                responses.len() as u64,
-                queued,
-                self.actors.len(),
-                self.cfg.metrics,
-            );
-            debug_assert!(
-                stats.conservation_holds(),
-                "fault conservation violated: {} arrivals vs {} completed + {} shed + {} failed + {} in-flight",
-                stats.arrivals,
-                stats.completed,
-                stats.shed,
-                stats.failed,
-                stats.in_flight
-            );
-            stats
-        });
-        let mut fleet = spindown_disk::energy::EnergyBreakdown::default();
-        let mut per_disk = Vec::with_capacity(self.actors.len());
-        let mut per_disk_served = Vec::with_capacity(self.actors.len());
-        let mut spin_downs = 0;
-        let mut spin_ups = 0;
-        let disks = self.actors.len();
-        for actor in self.actors {
+    /// Integrate energy to `t_end` and hand back this engine's parts:
+    /// the windows the end instant closes, each disk's energy, responses,
+    /// served count and fault outcome, and the shard's counters. The
+    /// driver folds them, with every other shard's, in global disk order.
+    pub(crate) fn finish_at(mut self, t_end: f64) -> Result<ShardParts, SimError> {
+        let tail_partials = self.take_tail_partials(t_end);
+        let (faults, disk_faults) = match self.fault.take() {
+            None => (None, Vec::new()),
+            Some(f) => {
+                let completed = self.per_disk_responses.iter().map(|r| r.len() as u64).sum();
+                let queued = self.actors.iter().map(|a| a.queue_len() as u64).sum();
+                let (counts, disks) = f.into_parts(t_end, self.arrived as u64, completed, queued);
+                debug_assert!(
+                    counts.conservation_holds(),
+                    "fault conservation violated: {} arrivals vs {} completed + {} shed + {} failed + {} in-flight",
+                    counts.arrivals,
+                    counts.completed,
+                    counts.shed,
+                    counts.failed,
+                    counts.in_flight
+                );
+                (Some(counts), disks)
+            }
+        };
+        let mut disk_faults = disk_faults.into_iter();
+        let mut disks = Vec::with_capacity(self.actors.len());
+        let (mut spin_downs, mut spin_ups) = (0, 0);
+        for (actor, responses) in self.actors.into_iter().zip(self.per_disk_responses) {
             spin_downs += actor.spin_downs();
             spin_ups += actor.spin_ups();
-            per_disk_served.push(actor.served());
-            let b = actor.finish(t_end)?;
-            fleet.merge(&b);
-            per_disk.push(b);
+            let served = actor.served();
+            disks.push(DiskParts {
+                energy: actor.finish(t_end)?,
+                responses,
+                served,
+                faults: disk_faults.next(),
+            });
         }
-        Ok(SimReport {
-            sim_time_s: t_end,
-            energy: fleet,
-            per_disk_energy: per_disk,
-            responses,
-            per_disk_responses: self.per_disk_responses,
-            completions: None,
-            completion_log: None,
+        Ok(ShardParts {
+            disks,
             spin_downs,
             spin_ups,
-            cache: None,
-            cache_tiers: None,
-            disks,
-            per_disk_served,
-            per_shard_event_peaks: vec![self.peak_events],
+            peak_events: self.peak_events,
             peak_disk_queue: self.peak_disk_queue,
-            availability,
-            windows: None,
+            faults,
+            tail_partials,
+            log_peak: self.complog.as_ref().map_or(0, |w| w.peak_buffered()),
         })
     }
 }
@@ -1296,26 +1338,27 @@ mod tests {
         let fleet = layout.disk_slots();
         let (pump, mut rxs) = spindown_workload::demux(source, 1);
         let (window_tx, window_rx) = std::sync::mpsc::channel();
-        let mut sim = std::thread::scope(|scope| {
+        let sim = std::thread::scope(|scope| {
             scope.spawn(move || pump.run(&[]));
-            Simulator::run_drained(
-                cat,
-                rxs.pop().expect("one shard"),
-                layout.item_to_disk(cat.len()),
+            Simulator::run_drained(ShardJob {
+                catalog: cat,
                 cfg,
+                source: rxs.pop().expect("one shard"),
+                file_to_disk: layout.item_to_disk(cat.len()),
                 fleet,
-                fleet,
-                0,
-                1,
-                Box::new(TimeoutPolicy::from_config(cfg.threshold, &cfg.disk)),
-                None,
-                Some(window_tx),
-            )
+                place: Placement {
+                    shard: 0,
+                    stride: 1,
+                },
+                policy: Box::new(TimeoutPolicy::from_config(cfg.threshold, &cfg.disk)),
+                log_tx: None,
+                window_tx: Some(window_tx),
+            })
             .unwrap()
         });
         let peak = sim.peak_open_window_slots();
         let t_end = sim.source_horizon().max(sim.last_event_time());
-        let tail = sim.take_tail_partials(t_end).len();
+        let tail = sim.finish_at(t_end).unwrap().tail_partials.len();
         assert!(window_rx.iter().count() + tail > 0);
         peak
     }

@@ -16,13 +16,11 @@ pub enum Event {
         /// Disk index.
         disk: usize,
     },
-    /// Disk `disk`'s idleness timer fires; stale timers are filtered by the
-    /// generation counter.
+    /// Disk `disk`'s descent timer fires; the engine checks it against
+    /// the disk's live deadline, which filters stale timers.
     SpinDownTimer {
         /// Disk index.
         disk: usize,
-        /// Idle-period generation the timer was armed in.
-        generation: u64,
     },
     /// Disk `disk` fail-stops (fault injection): it goes offline until its
     /// repair completes. Crashes landing mid-phase are deferred to the next

@@ -29,6 +29,7 @@ use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use spindown_workload::FaultPlan;
 
+use crate::engine::Placement;
 use crate::idhash::IdMap;
 use crate::metrics::{AvailabilityStats, MetricsMode, ResponseStats};
 
@@ -52,9 +53,85 @@ pub(crate) struct PendingRetry {
     pub pos: u64,
 }
 
+/// A shard's fault counters: the integer half of [`AvailabilityStats`].
+/// The driver sums them over shards.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct FaultCounts {
+    /// Requests consumed from the source.
+    pub arrivals: u64,
+    /// Response samples recorded (cache hits included).
+    pub completed: u64,
+    /// Transient retries performed.
+    pub retried: u64,
+    /// Requests shed at admission.
+    pub shed: u64,
+    /// Requests dropped after exhausting the retry budget.
+    pub failed: u64,
+    /// Failed spin-up attempts.
+    pub wake_failures: u64,
+    /// Fail-stop crashes applied.
+    pub crashes: u64,
+    /// Requests still queued or awaiting a retry at the end.
+    pub in_flight: u64,
+}
+
+impl FaultCounts {
+    /// Add another shard's counters.
+    pub fn add(&mut self, o: &FaultCounts) {
+        self.arrivals += o.arrivals;
+        self.completed += o.completed;
+        self.retried += o.retried;
+        self.shed += o.shed;
+        self.failed += o.failed;
+        self.wake_failures += o.wake_failures;
+        self.crashes += o.crashes;
+        self.in_flight += o.in_flight;
+    }
+
+    /// True when `arrivals == completed + shed + failed + in_flight`.
+    pub fn conservation_holds(&self) -> bool {
+        self.arrivals == self.completed + self.shed + self.failed + self.in_flight
+    }
+
+    /// The fleet's availability block: these counters, the per-disk
+    /// downtimes and degraded collector (each in global disk order), and
+    /// the availability fraction over `disks` disks and `sim_time_s`.
+    pub fn into_stats(
+        self,
+        per_disk_downtime_s: Vec<f64>,
+        degraded: ResponseStats,
+        disks: usize,
+        sim_time_s: f64,
+    ) -> AvailabilityStats {
+        let mut stats = AvailabilityStats {
+            arrivals: self.arrivals,
+            completed: self.completed,
+            retried: self.retried,
+            shed: self.shed,
+            failed: self.failed,
+            wake_failures: self.wake_failures,
+            crashes: self.crashes,
+            in_flight: self.in_flight,
+            per_disk_downtime_s,
+            availability: 1.0,
+            degraded,
+        };
+        stats.recompute_availability(disks, sim_time_s);
+        stats
+    }
+}
+
+/// One disk's fault outcome at the end of a run.
+pub(crate) struct DiskFaults {
+    /// Response times of its degraded completions.
+    pub degraded: ResponseStats,
+    /// Seconds it spent offline, an outage still open at the end included.
+    pub downtime_s: f64,
+}
+
 /// Live fault-injection state for one engine instance (one shard, or the
 /// whole fleet unsharded). All vectors are indexed by *local* disk id;
-/// local disk `d` is global disk `d * stride + shard` (0/1 unsharded).
+/// the engine's [`Placement`] names the global ones.
 #[derive(Debug)]
 pub(crate) struct FaultRuntime {
     plan: FaultPlan,
@@ -88,49 +165,34 @@ pub(crate) struct FaultRuntime {
     pub attempts: Vec<IdMap<usize, u32>>,
     /// Requests waiting out a transient backoff, per disk.
     pub pending_retries: Vec<Vec<PendingRetry>>,
-    /// Degraded-mode response collectors, one per local disk, merged in
-    /// global disk order at finish so the statistic is shard-stable.
+    /// Degraded-mode response collectors, one per local disk; the driver
+    /// merges every shard's in global disk order, so the statistic is
+    /// bit-identical at every shard count.
     pub degraded: Vec<ResponseStats>,
-    /// Counter: transient retries performed.
-    pub retried: u64,
-    /// Counter: requests shed at admission.
-    pub shed: u64,
-    /// Counter: requests dropped after exhausting the retry budget.
-    pub failed: u64,
-    /// Counter: failed spin-up attempts.
-    pub wake_failures: u64,
-    /// Counter: fail-stop crashes applied.
-    pub crashes: u64,
+    /// The outcome counters; the engine fills in arrivals, completions
+    /// and in-flight requests at the end.
+    pub counts: FaultCounts,
 }
 
 impl FaultRuntime {
-    /// Build the runtime for `fleet` local disks of a (possibly sharded)
-    /// engine. `shard`/`stride` position the local disks in the global
-    /// fleet (`0`/`1` unsharded).
-    pub fn new(
-        plan: &FaultPlan,
-        fleet: usize,
-        shard: usize,
-        stride: usize,
-        mode: MetricsMode,
-    ) -> Self {
-        let stride = stride.max(1);
-        let global = |local: usize| local * stride + shard;
+    /// Build the runtime for the `fleet` local disks of an engine placed
+    /// at `place` in the global fleet.
+    pub fn new(plan: &FaultPlan, fleet: usize, place: Placement, mode: MetricsMode) -> Self {
         let rngs = (0..fleet)
             .map(|d| {
                 SmallRng::seed_from_u64(
                     plan.seed
-                        .wrapping_add((global(d) as u64).wrapping_mul(DISK_SEED_SPREAD)),
+                        .wrapping_add((place.global(d) as u64).wrapping_mul(DISK_SEED_SPREAD)),
                 )
             })
             .collect();
-        // The engine rejects clauses naming disks outside the global fleet
+        // The replay rejects clauses naming disks outside the global fleet
         // before building this runtime (`SimError::FaultDiskOutOfRange`),
         // so every clause this shard owns lands on one of its local disks.
         let mut crash_times = vec![Vec::new(); fleet];
         for c in &plan.crashes {
-            if c.disk % stride == shard {
-                crash_times[c.disk / stride].push(c.at_s);
+            if let Some(d) = place.local(c.disk) {
+                crash_times[d].push(c.at_s);
             }
         }
         for times in &mut crash_times {
@@ -138,8 +200,8 @@ impl FaultRuntime {
         }
         let mut failslow = vec![Vec::new(); fleet];
         for f in &plan.failslow {
-            if f.disk % stride == shard {
-                failslow[f.disk / stride].push((f.factor, f.from_s, f.to_s));
+            if let Some(d) = place.local(f.disk) {
+                failslow[d].push((f.factor, f.from_s, f.to_s));
             }
         }
         FaultRuntime {
@@ -159,11 +221,7 @@ impl FaultRuntime {
             attempts: vec![IdMap::default(); fleet],
             pending_retries: vec![Vec::new(); fleet],
             degraded: vec![ResponseStats::with_mode(mode); fleet],
-            retried: 0,
-            shed: 0,
-            failed: 0,
-            wake_failures: 0,
-            crashes: 0,
+            counts: FaultCounts::default(),
         }
     }
 
@@ -212,51 +270,41 @@ impl FaultRuntime {
         self.pending_retries.iter().map(|v| v.len() as u64).sum()
     }
 
-    /// Assemble the availability block at `t_end`. `arrivals` and
-    /// `completed` are the engine's own counts (requests consumed, response
-    /// samples recorded); `queued` counts requests still sitting in disk
-    /// queues (a crashed-and-never-repaired disk keeps its backlog). The
-    /// caller merges shard blocks and then recomputes the availability
-    /// fraction over the global fleet.
-    pub fn into_stats(
-        mut self,
+    /// Close the books at `t_end`: the shard's counters and each disk's
+    /// fault outcome, in local order. `arrivals` and `completed` are the
+    /// engine's own counts (requests consumed, response samples
+    /// recorded); `queued` counts requests still sitting in disk queues
+    /// (a crashed-and-never-repaired disk keeps its backlog).
+    pub fn into_parts(
+        self,
         t_end: f64,
         arrivals: u64,
         completed: u64,
         queued: u64,
-        disks: usize,
-        mode: MetricsMode,
-    ) -> AvailabilityStats {
-        let mut per_disk_downtime_s = Vec::with_capacity(self.down.len());
-        for d in 0..self.down.len() {
-            let open = if self.down[d] {
-                (t_end - self.down_since[d]).max(0.0)
-            } else {
-                0.0
-            };
-            per_disk_downtime_s.push(self.downtime[d] + open);
-        }
-        let mut degraded = ResponseStats::with_mode(mode);
-        for per_disk in &self.degraded {
-            degraded.merge(per_disk);
-        }
-        let in_flight = queued + self.pending_retry_count();
-        self.pending_retries.clear();
-        let mut stats = AvailabilityStats {
+    ) -> (FaultCounts, Vec<DiskFaults>) {
+        let counts = FaultCounts {
             arrivals,
             completed,
-            retried: self.retried,
-            shed: self.shed,
-            failed: self.failed,
-            wake_failures: self.wake_failures,
-            crashes: self.crashes,
-            in_flight,
-            per_disk_downtime_s,
-            availability: 1.0,
-            degraded,
+            in_flight: queued + self.pending_retry_count(),
+            ..self.counts
         };
-        stats.recompute_availability(disks, t_end);
-        stats
+        let disks = self
+            .degraded
+            .into_iter()
+            .enumerate()
+            .map(|(d, degraded)| {
+                let open = if self.down[d] {
+                    (t_end - self.down_since[d]).max(0.0)
+                } else {
+                    0.0
+                };
+                DiskFaults {
+                    degraded,
+                    downtime_s: self.downtime[d] + open,
+                }
+            })
+            .collect();
+        (counts, disks)
     }
 }
 
@@ -269,11 +317,15 @@ mod tests {
         FaultPlan::parse(spec).unwrap()
     }
 
+    fn at(shard: usize, stride: usize) -> Placement {
+        Placement { shard, stride }
+    }
+
     #[test]
     fn crash_and_failslow_specs_land_on_the_owning_shard() {
         let p = plan("crash@t=500:d7 | failslow:d3:x4@200..900");
         // Unsharded: disk 7 crashes, disk 3 slows.
-        let rt = FaultRuntime::new(&p, 10, 0, 1, MetricsMode::Exact);
+        let rt = FaultRuntime::new(&p, 10, at(0, 1), MetricsMode::Exact);
         assert_eq!(rt.crash_times[7], vec![500.0]);
         assert!(rt.crash_times[3].is_empty());
         assert_eq!(rt.failslow_factor(3, 200.0), Some(4.0));
@@ -281,19 +333,19 @@ mod tests {
         assert_eq!(rt.failslow_factor(7, 500.0), None);
         // Sharded S=2: global disk 7 lives on shard 1 as local 3; global
         // disk 3 on shard 1 as local 1.
-        let s1 = FaultRuntime::new(&p, 5, 1, 2, MetricsMode::Exact);
+        let s1 = FaultRuntime::new(&p, 5, at(1, 2), MetricsMode::Exact);
         assert_eq!(s1.crash_times[3], vec![500.0]);
         assert_eq!(s1.failslow_factor(1, 300.0), Some(4.0));
-        let s0 = FaultRuntime::new(&p, 5, 0, 2, MetricsMode::Exact);
+        let s0 = FaultRuntime::new(&p, 5, at(0, 2), MetricsMode::Exact);
         assert!(s0.crash_times.iter().all(Vec::is_empty));
     }
 
     #[test]
     fn per_disk_streams_are_shard_invariant() {
         let p = plan("wakefail:p=0.5 | seed=42");
-        let mut unsharded = FaultRuntime::new(&p, 8, 0, 1, MetricsMode::Exact);
-        let mut shard0 = FaultRuntime::new(&p, 4, 0, 2, MetricsMode::Exact);
-        let mut shard1 = FaultRuntime::new(&p, 4, 1, 2, MetricsMode::Exact);
+        let mut unsharded = FaultRuntime::new(&p, 8, at(0, 1), MetricsMode::Exact);
+        let mut shard0 = FaultRuntime::new(&p, 4, at(0, 2), MetricsMode::Exact);
+        let mut shard1 = FaultRuntime::new(&p, 4, at(1, 2), MetricsMode::Exact);
         for d in 0..8usize {
             let want: Vec<bool> = (0..16).map(|_| unsharded.draw_wakefail(d)).collect();
             let sharded = if d % 2 == 0 { &mut shard0 } else { &mut shard1 };
@@ -305,7 +357,7 @@ mod tests {
     #[test]
     fn zero_probability_draws_never_touch_the_rng() {
         let p = plan("crash@t=10:d0");
-        let mut rt = FaultRuntime::new(&p, 1, 0, 1, MetricsMode::Exact);
+        let mut rt = FaultRuntime::new(&p, 1, at(0, 1), MetricsMode::Exact);
         assert!(!rt.draw_transient(0));
         assert!(!rt.draw_wakefail(0));
     }
@@ -313,19 +365,19 @@ mod tests {
     #[test]
     fn shed_watermark_gates_admission() {
         let p = plan("transient:p=0.1 | shed=4");
-        let rt = FaultRuntime::new(&p, 1, 0, 1, MetricsMode::Exact);
+        let rt = FaultRuntime::new(&p, 1, at(0, 1), MetricsMode::Exact);
         assert!(!rt.sheds(3));
         assert!(rt.sheds(4));
-        let no_shed = FaultRuntime::new(&plan("transient:p=0.1"), 1, 0, 1, MetricsMode::Exact);
+        let no_shed = FaultRuntime::new(&plan("transient:p=0.1"), 1, at(0, 1), MetricsMode::Exact);
         assert!(!no_shed.sheds(1_000_000));
     }
 
     #[test]
     fn into_stats_accounts_open_outages_and_in_flight() {
         let p = plan("crash@t=100:d0 | mttr=300");
-        let mut rt = FaultRuntime::new(&p, 2, 0, 1, MetricsMode::Exact);
-        rt.shed = 1;
-        rt.failed = 1;
+        let mut rt = FaultRuntime::new(&p, 2, at(0, 1), MetricsMode::Exact);
+        rt.counts.shed = 1;
+        rt.counts.failed = 1;
         rt.down[0] = true;
         rt.down_since[0] = 100.0;
         rt.downtime[1] = 50.0;
@@ -336,9 +388,11 @@ mod tests {
             arrival: 400.0,
             pos: 0,
         });
-        let stats = rt.into_stats(400.0, 10, 6, 1, 2, MetricsMode::Exact);
+        let (counts, disks) = rt.into_parts(400.0, 10, 6, 1);
+        let downtimes: Vec<f64> = disks.iter().map(|d| d.downtime_s).collect();
+        assert_eq!(downtimes, vec![300.0, 50.0]);
+        let stats = counts.into_stats(downtimes, ResponseStats::exact(), 2, 400.0);
         assert_eq!((stats.arrivals, stats.completed), (10, 6));
-        assert_eq!(stats.per_disk_downtime_s, vec![300.0, 50.0]);
         assert_eq!(stats.in_flight, 2, "one queued + one pending retry");
         assert!(stats.conservation_holds());
         // 350 s of downtime over 2 disks × 400 s.

@@ -591,7 +591,9 @@ pub struct AvailabilityStats {
     pub availability: f64,
     /// Response times of *degraded* completions only: requests that were
     /// retried, served in a fail-slow window, or arrived while their disk
-    /// was down/repairing. Aggregated per `SimConfig::metrics`.
+    /// was down/repairing. Aggregated per `SimConfig::metrics`, merged
+    /// from the per-disk collectors in ascending disk order, so it is
+    /// bit-identical at every shard count.
     pub degraded: ResponseStats,
 }
 
@@ -613,7 +615,7 @@ impl AvailabilityStats {
     }
 
     /// Recompute the availability fraction from the per-disk downtimes
-    /// and the run's dimensions (used after a shard merge).
+    /// and the run's dimensions.
     pub fn recompute_availability(&mut self, disks: usize, sim_time_s: f64) {
         let span = disks as f64 * sim_time_s;
         self.availability = if span > 0.0 {
@@ -641,8 +643,9 @@ pub struct Completion {
 /// ## Sharded merges: exact fields vs bounds
 ///
 /// This is the one place that catalogues how each field behaves when a
-/// `--shards N` run merges per-shard reports (the per-field docs repeat
-/// the detail):
+/// `--shards N` run merges. Engines hand back per-disk values and
+/// counters, and the driver folds them once, so one shard runs the same
+/// fold (the per-field docs repeat the detail):
 ///
 /// - **Exact (bit-identical at every shard count):** `sim_time_s`,
 ///   `energy` and `per_disk_energy` (summed in ascending global-disk
@@ -650,11 +653,14 @@ pub struct Completion {
 ///   ascending disk order in both metrics modes), `per_disk_responses`,
 ///   `completions` / `completion_log` (canonical `(time, req)` order),
 ///   `spin_downs`/`spin_ups`, `cache`/`cache_tiers` (read off the one
-///   hierarchy the reader walks in stream order), `per_disk_served`, `peak_disk_queue` (per-disk trajectories are
-///   shard-invariant, so the cross-shard max is the unsharded value),
-///   `availability`, `windows` (each closed window's per-shard partials
-///   folded in ascending global-disk order, the fold the unsharded
-///   engine applies to its own partial).
+///   hierarchy the reader walks in stream order), `per_disk_served`,
+///   `peak_disk_queue` (per-disk trajectories are shard-invariant, so
+///   the cross-shard max is the unsharded value), `availability`
+///   (counters summed; downtimes and the `degraded` collector folded in
+///   ascending global-disk order; the fraction computed once over the
+///   fleet), `windows` (each closed window's per-shard partials folded
+///   in ascending global-disk order, the fold the unsharded engine
+///   applies to its own partial).
 /// - **Per-shard observations (no single-run equivalent):**
 ///   `per_shard_event_peaks` — each shard's own heap peak. The sum is a
 ///   deterministic upper bound on the unsharded peak; the max is the

@@ -1,6 +1,7 @@
 //! The replay driver: partition the fleet, read the source on its own
-//! thread, run one event loop per shard, merge the reports. Every replay
-//! runs through it; one shard is its smallest case.
+//! thread, run one event loop per shard, fold every shard's parts into
+//! the one report. Every replay runs through it; one shard is its
+//! smallest case.
 //!
 //! ## Shard assignment
 //!
@@ -12,14 +13,13 @@
 //! — tagged with its ordinal in the whole stream — into its shard's
 //! bounded channel, whether the source is an in-memory trace, a CSV file
 //! or a generator. Shard 0 runs on the calling thread, every other shard
-//! on its own. Each shard's policy instance sees global ids through
-//! [`GlobalIds`], and the shard count is clamped to the fleet so no shard
-//! is ever empty.
+//! on its own. Each engine hands its policy global disk ids (through its
+//! [`Placement`]), and the shard count is clamped to the fleet so no
+//! shard is ever empty.
 //!
 //! One shard pays for none of the partitioning: it takes the file map
-//! whole, the reader routes every request to it without a map, and its
-//! policy sees local ids, which at stride 1 are the global ones. What it
-//! keeps is the reader thread, so source decode overlaps the engine.
+//! whole and the reader routes every request to it without a map. What
+//! it keeps is the reader thread, so source decode overlaps the engine.
 //!
 //! ## The cache walk
 //!
@@ -40,20 +40,21 @@
 //! arrival subsequence, which sharding preserves in order, and of the
 //! cache tags on it, which the one stream-order walk fixes before any
 //! routing. (The completion log streams through per-shard writers and a
-//! k-way merger — see [`crate::complog`].) The merge then reproduces the
-//! unsharded report's exact float operations:
+//! k-way merger — see [`crate::complog`].) A finished engine hands back
+//! its per-disk values and its counters ([`ShardParts`]), and
+//! [`merge_reports`] is the one place that folds them, so every shard
+//! count, one included, runs the same float operations:
 //!
 //! - every shard drains, then all shards finish at the common end time
 //!   `horizon.max(max over shards of last event time)` — exactly the
 //!   unsharded `t_end`, since the shards' events partition the unsharded
 //!   event set;
-//! - fleet energy is re-folded from the per-disk breakdowns in ascending
-//!   global disk order — the identical merge sequence the unsharded
-//!   `finish` performs over its actors;
-//! - global response statistics are *derived* (in every run, sharded or
-//!   not, in either metrics mode) by merging the per-disk collectors in
-//!   ascending disk order, so they are a pure function of per-disk
-//!   trajectories;
+//! - fleet energy, the global response statistics (either metrics mode)
+//!   and the degraded-response collector are folded from the per-disk
+//!   values in ascending global disk order, so they are a pure function
+//!   of per-disk trajectories;
+//! - availability is computed once, from the per-disk downtimes in
+//!   global disk order, over the whole fleet;
 //! - cache counters come from the one hierarchy, which saw the same
 //!   stream at every shard count;
 //! - the completion log is emitted in canonical `(time, req)` order by
@@ -65,28 +66,30 @@
 //!   shard has sent it — with the per-disk values in global disk order,
 //!   whatever the shard count.
 //!
-//! Merged counters: spin-downs/ups and served counts are exact sums;
-//! `peak_disk_queue` is the cross-shard **max** (each disk's queue
-//! trajectory is identical to the unsharded run, so the fleet-wide peak
-//! is the max over shards — never a sum); the per-shard event-heap peaks
-//! are kept raw as `SimReport::per_shard_event_peaks` (see that field's
-//! docs — and the `SimReport` doc section cataloguing exact-vs-bound
-//! merged fields — for the max/sum aggregation trade-off).
+//! Merged counters: spin-downs/ups and the fault counters are exact sums,
+//! and served counts are placed per disk; `peak_disk_queue` is the
+//! cross-shard **max** (each disk's queue trajectory is identical to the
+//! unsharded run, so the fleet-wide peak is the max over shards — never a
+//! sum); the per-shard event-heap peaks are kept raw as
+//! `SimReport::per_shard_event_peaks` (see that field's docs — and the
+//! `SimReport` doc section cataloguing exact-vs-bound merged fields — for
+//! the max/sum aggregation trade-off).
 
-use std::sync::mpsc::{channel, sync_channel, Sender, SyncSender};
+use std::sync::mpsc::{channel, sync_channel, SyncSender};
 use std::sync::Arc;
 
 use spindown_disk::energy::EnergyBreakdown;
-use spindown_workload::shard::{demux, ShardReceiver};
+use spindown_workload::shard::demux;
 use spindown_workload::trace::TraceIoError;
 use spindown_workload::{FileCatalog, Request, TraceSource};
 
 use crate::complog::{merge_streams, CompletionLogSummary, CompletionSink};
 use crate::config::SimConfig;
-use crate::engine::{SimError, Simulator};
+use crate::engine::{Placement, ShardJob, ShardParts, SimError, Simulator};
+use crate::fault::FaultCounts;
 use crate::hierarchy::CacheHierarchy;
-use crate::metrics::{AvailabilityStats, Completion, ResponseStats, SimReport};
-use crate::policy::{DescentStep, PowerPolicy};
+use crate::metrics::{Completion, ResponseStats, SimReport};
+use crate::policy::PowerPolicy;
 use crate::windows::{RowFolder, WindowPartial, WindowedReport};
 
 /// Bounded depth of each shard→merger completion-log channel, in batches
@@ -107,58 +110,31 @@ struct ShardPlan {
 }
 
 impl ShardPlan {
+    /// Where shard `s`'s disks sit in the global fleet.
+    fn placement(&self, s: usize) -> Placement {
+        Placement {
+            shard: s,
+            stride: self.shards,
+        }
+    }
+
     /// Number of disks shard `s` simulates.
     fn shard_fleet(&self, s: usize) -> usize {
         (self.fleet - s).div_ceil(self.shards)
     }
 
-    /// Shard `s`'s file → local-actor map: `d / S` for this shard's disks,
-    /// `usize::MAX` (the engine's unmapped sentinel) for everything else.
+    /// Shard `s`'s file → local-actor map: the local index for this
+    /// shard's disks, `usize::MAX` (the engine's unmapped sentinel) for
+    /// everything else.
     fn local_map(&self, file_to_disk: &[usize], s: usize) -> Vec<usize> {
+        let place = self.placement(s);
         file_to_disk
             .iter()
-            .map(|&d| {
-                if d != usize::MAX && d % self.shards == s {
-                    d / self.shards
-                } else {
-                    usize::MAX
-                }
+            .map(|&d| match d {
+                usize::MAX => usize::MAX,
+                d => place.local(d).unwrap_or(usize::MAX),
             })
             .collect()
-    }
-}
-
-/// Translates a shard engine's local actor indices back to global disk ids
-/// before they reach the wrapped policy, so per-disk-state policies keep
-/// their state keyed identically at every shard count.
-struct GlobalIds {
-    inner: Box<dyn PowerPolicy>,
-    shard: usize,
-    stride: usize,
-}
-
-impl GlobalIds {
-    #[inline]
-    fn global(&self, local: usize) -> usize {
-        local * self.stride + self.shard
-    }
-}
-
-impl PowerPolicy for GlobalIds {
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-
-    fn settled(&mut self, disk: usize, level: u8, t: f64) -> Option<DescentStep> {
-        self.inner.settled(self.global(disk), level, t)
-    }
-
-    fn request_arrived(&mut self, disk: usize, t: f64) {
-        self.inner.request_arrived(self.global(disk), t);
-    }
-
-    fn descent_started(&mut self, disk: usize, t: f64, to_level: u8) {
-        self.inner.descent_started(self.global(disk), t, to_level);
     }
 }
 
@@ -166,10 +142,10 @@ impl PowerPolicy for GlobalIds {
 /// walks the cache for every request and demultiplexes the stream into
 /// bounded per-shard batches (the source is read once), shard 0 drains
 /// on the calling thread and every other shard on its own scoped thread,
-/// then all shards finish at the common end time and their reports
-/// merge. Policies are built by `factory` in shard
-/// order on the calling thread, so factory side effects (seed
-/// derivation, logging) are deterministic.
+/// then all shards finish at the common end time and their parts fold
+/// into the report. Policies are built by `factory` in shard order on
+/// the calling thread, so factory side effects (seed derivation,
+/// logging) are deterministic.
 pub(crate) fn replay_sharded<'a, S: TraceSource + Send>(
     catalog: &'a FileCatalog,
     source: S,
@@ -179,17 +155,6 @@ pub(crate) fn replay_sharded<'a, S: TraceSource + Send>(
     shards: usize,
     factory: &mut dyn FnMut(usize) -> Box<dyn PowerPolicy>,
 ) -> Result<SimReport, SimError> {
-    /// One shard's inputs: (shard index, source, policy, local file map,
-    /// local fleet size, completion-log channel, window-partial channel).
-    type ShardJob = (
-        usize,
-        ShardReceiver,
-        Box<dyn PowerPolicy>,
-        Vec<usize>,
-        usize,
-        Option<SyncSender<Vec<Completion>>>,
-        Option<Sender<(usize, WindowPartial)>>,
-    );
     let plan = ShardPlan { shards, fleet };
     let (pump, receivers) = demux(source, shards);
     // The pump routes through the global map. One shard takes the map
@@ -230,47 +195,21 @@ pub(crate) fn replay_sharded<'a, S: TraceSource + Send>(
         .zip(local_maps)
         .zip(log_txs)
         .enumerate()
-        .map(|(s, ((source, local_map), log_tx))| {
-            let inner = factory(s);
-            // At stride 1 the global id is the local one.
-            let policy = if shards == 1 {
-                inner
-            } else {
-                Box::new(GlobalIds {
-                    inner,
-                    shard: s,
-                    stride: shards,
-                })
-            };
-            (
-                s,
-                source,
-                policy,
-                local_map,
-                plan.shard_fleet(s),
-                log_tx,
-                folder.is_some().then(|| win_tx.clone()),
-            )
+        .map(|(s, ((source, file_to_disk), log_tx))| ShardJob {
+            catalog,
+            cfg,
+            source,
+            file_to_disk,
+            fleet: plan.shard_fleet(s),
+            place: plan.placement(s),
+            policy: factory(s),
+            log_tx,
+            window_tx: folder.is_some().then(|| win_tx.clone()),
         })
         .collect();
     // Only the shards hold senders, so the fold ends when the last shard
     // finishes draining (or fails).
     drop(win_tx);
-    let drain = |(s, source, policy, local_map, shard_fleet, log_tx, window_tx): ShardJob| {
-        Simulator::run_drained(
-            catalog,
-            source,
-            local_map,
-            cfg,
-            shard_fleet,
-            fleet,
-            s,
-            shards,
-            policy,
-            log_tx,
-            window_tx,
-        )
-    };
     let mut cache = cfg.cache_hierarchy.as_ref().map(|h| h.build(1));
     // The reader's probe: the checked lookup leaves an out-of-catalog file
     // untagged, for its engine to reject.
@@ -295,8 +234,10 @@ pub(crate) fn replay_sharded<'a, S: TraceSource + Send>(
         });
         let mut jobs = jobs.into_iter();
         let first = jobs.next().expect("at least one shard");
-        let others: Vec<_> = jobs.map(|job| scope.spawn(move || drain(job))).collect();
-        let mut results = vec![drain(first)];
+        let others: Vec<_> = jobs
+            .map(|job| scope.spawn(move || Simulator::run_drained(job)))
+            .collect();
+        let mut results = vec![Simulator::run_drained(first)];
         results.extend(others.into_iter().map(join));
         (results, merger.map(join), fold.map(join))
     });
@@ -319,38 +260,25 @@ pub(crate) fn replay_sharded<'a, S: TraceSource + Send>(
     let t_end = sims.iter().fold(sims[0].source_horizon(), |acc, s| {
         acc.max(s.last_event_time())
     });
-    let shard_log_peak: usize = sims.iter().map(|s| s.completion_peak()).sum();
-    let windows = folder.map(|mut folder| {
-        for (s, sim) in sims.iter_mut().enumerate() {
-            for partial in sim.take_tail_partials(t_end) {
-                folder.push(s, partial);
-            }
-        }
-        WindowedReport {
-            width_s: cfg.windows.expect("a folder implies windows"),
-            faulted: !cfg.faults.is_none(),
-            rows: folder.finish(),
-        }
-    });
-    let mut reports = Vec::with_capacity(shards);
-    for sim in sims {
-        reports.push(sim.finish_at(t_end)?);
-    }
+    let parts = sims
+        .into_iter()
+        .map(|sim| sim.finish_at(t_end))
+        .collect::<Result<Vec<_>, _>>()?;
     let log = match merged_log {
         None => None,
         Some(Ok((sink, merger_peak))) => {
-            let (completions, summary) = sink.finish(shard_log_peak + merger_peak)?;
-            Some((completions, summary))
+            let shard_peak: usize = parts.iter().map(|p| p.log_peak).sum();
+            Some(sink.finish(shard_peak + merger_peak)?)
         }
         Some(Err(e)) => return Err(e.into()),
     };
     Ok(merge_reports(
         cfg,
         fleet,
-        shards,
-        reports,
+        t_end,
+        parts,
         log,
-        windows,
+        folder,
         cache.as_ref(),
     ))
 }
@@ -375,101 +303,71 @@ fn unshare(e: SimError) -> SimError {
     }
 }
 
-/// Reassemble per-shard reports into the fleet report, in ascending global
-/// disk order (see the module docs for why this reproduces the unsharded
-/// float operations exactly), with the cache counters read off the run's
-/// one hierarchy.
+/// Fold every shard's parts into the fleet report: per-disk values in
+/// ascending global disk order (see the module docs for why this fixes
+/// the float operations at every shard count), counters summed, the tail
+/// windows into the fold, and the cache counters read off the run's one
+/// hierarchy.
 fn merge_reports(
     cfg: &SimConfig,
     fleet: usize,
-    shards: usize,
-    reports: Vec<SimReport>,
+    t_end: f64,
+    parts: Vec<ShardParts>,
     log: Option<(Option<Vec<Completion>>, CompletionLogSummary)>,
-    windows: Option<WindowedReport>,
+    mut folder: Option<RowFolder>,
     cache: Option<&CacheHierarchy>,
 ) -> SimReport {
-    struct Parts {
-        energy: std::vec::IntoIter<EnergyBreakdown>,
-        responses: std::vec::IntoIter<ResponseStats>,
-        served: std::vec::IntoIter<u64>,
-    }
-    let sim_time_s = reports[0].sim_time_s;
+    let shards = parts.len();
     let mut spin_downs = 0u64;
     let mut spin_ups = 0u64;
     let mut per_shard_event_peaks = Vec::with_capacity(shards);
     let mut peak_disk_queue = 0usize;
-    // Availability counters are exact integer sums; per-disk downtimes are
-    // reassembled in global disk order below (like the energy breakdowns);
-    // degraded-response collectors merge in shard order — bucket counts
-    // commute, so histogram-mode quantiles are shard-invariant.
-    let mut availability: Option<AvailabilityStats> = None;
-    let mut downtime_parts: Vec<std::vec::IntoIter<f64>> = Vec::new();
-    let mut parts: Vec<Parts> = Vec::with_capacity(shards);
-    for r in reports {
-        debug_assert_eq!(r.sim_time_s, sim_time_s, "shards share one end time");
-        spin_downs += r.spin_downs;
-        spin_ups += r.spin_ups;
-        per_shard_event_peaks.extend(r.per_shard_event_peaks);
-        peak_disk_queue = peak_disk_queue.max(r.peak_disk_queue);
-        if let Some(a) = r.availability {
-            let merged = availability.get_or_insert_with(|| AvailabilityStats {
-                degraded: ResponseStats::with_mode(cfg.metrics),
-                ..Default::default()
-            });
-            merged.arrivals += a.arrivals;
-            merged.completed += a.completed;
-            merged.retried += a.retried;
-            merged.shed += a.shed;
-            merged.failed += a.failed;
-            merged.wake_failures += a.wake_failures;
-            merged.crashes += a.crashes;
-            merged.in_flight += a.in_flight;
-            merged.degraded.merge(&a.degraded);
-            downtime_parts.push(a.per_disk_downtime_s.into_iter());
+    let mut fault_counts: Option<FaultCounts> = None;
+    let mut disks = Vec::with_capacity(shards);
+    for (s, p) in parts.into_iter().enumerate() {
+        spin_downs += p.spin_downs;
+        spin_ups += p.spin_ups;
+        per_shard_event_peaks.push(p.peak_events);
+        peak_disk_queue = peak_disk_queue.max(p.peak_disk_queue);
+        if let Some(c) = p.faults {
+            fault_counts.get_or_insert_default().add(&c);
         }
-        parts.push(Parts {
-            energy: r.per_disk_energy.into_iter(),
-            responses: r.per_disk_responses.into_iter(),
-            served: r.per_disk_served.into_iter(),
-        });
+        if let Some(folder) = folder.as_mut() {
+            for partial in p.tail_partials {
+                folder.push(s, partial);
+            }
+        }
+        disks.push(p.disks.into_iter());
     }
-    if let Some(a) = availability.as_mut() {
-        debug_assert_eq!(downtime_parts.len(), shards, "faults run on every shard");
-        a.per_disk_downtime_s = (0..fleet)
-            .map(|d| {
-                downtime_parts[d % shards]
-                    .next()
-                    .expect("shard tracked its disk's downtime")
-            })
-            .collect();
-        a.recompute_availability(fleet, sim_time_s);
-    }
-    let mut fleet_energy = EnergyBreakdown::default();
+    let mut energy = EnergyBreakdown::default();
+    let mut responses = ResponseStats::with_mode(cfg.metrics);
+    let mut degraded = ResponseStats::with_mode(cfg.metrics);
     let mut per_disk_energy = Vec::with_capacity(fleet);
     let mut per_disk_responses = Vec::with_capacity(fleet);
     let mut per_disk_served = Vec::with_capacity(fleet);
-    let mut responses = ResponseStats::with_mode(cfg.metrics);
+    let mut per_disk_downtime_s = Vec::new();
     // Local actor indices ascend with the global disk id within a shard, so
-    // popping each shard's vectors front-to-front in global order lands
+    // popping each shard's disks front-to-front in global order lands
     // every per-disk entry at its global index.
     for d in 0..fleet {
-        let p = &mut parts[d % shards];
-        let e = p.energy.next().expect("shard simulated its disk");
-        let r = p.responses.next().expect("shard simulated its disk");
-        let s = p.served.next().expect("shard simulated its disk");
-        fleet_energy.merge(&e);
-        responses.merge(&r);
-        per_disk_energy.push(e);
-        per_disk_responses.push(r);
-        per_disk_served.push(s);
+        let disk = disks[d % shards].next().expect("shard simulated its disk");
+        energy.merge(&disk.energy);
+        responses.merge(&disk.responses);
+        if let Some(f) = disk.faults {
+            degraded.merge(&f.degraded);
+            per_disk_downtime_s.push(f.downtime_s);
+        }
+        per_disk_energy.push(disk.energy);
+        per_disk_responses.push(disk.responses);
+        per_disk_served.push(disk.served);
     }
     let (completions, completion_log) = match log {
         None => (None, None),
         Some((completions, summary)) => (completions, Some(summary)),
     };
     SimReport {
-        sim_time_s,
-        energy: fleet_energy,
+        sim_time_s: t_end,
+        energy,
         per_disk_energy,
         responses,
         per_disk_responses,
@@ -483,8 +381,13 @@ fn merge_reports(
         per_disk_served,
         per_shard_event_peaks,
         peak_disk_queue,
-        availability,
-        windows,
+        availability: fault_counts
+            .map(|c| c.into_stats(per_disk_downtime_s, degraded, fleet, t_end)),
+        windows: folder.map(|folder| WindowedReport {
+            width_s: cfg.windows.expect("a folder implies windows"),
+            faulted: !cfg.faults.is_none(),
+            rows: folder.finish(),
+        }),
     }
 }
 
@@ -492,6 +395,7 @@ fn merge_reports(
 mod tests {
     use super::*;
     use crate::hierarchy::CacheHierarchyConfig;
+    use crate::policy::DescentStep;
 
     #[test]
     fn effective_shards_clamps_and_falls_back() {
@@ -553,39 +457,77 @@ mod tests {
         }
     }
 
-    /// A probe recording every callback's disk id.
+    /// One policy callback: its name, the disk id it saw, its time's bits.
+    type Call = (&'static str, usize, u64);
+
+    /// A policy recording every callback and descending 5 s into every
+    /// idle period.
     struct Probe {
-        seen: std::sync::Arc<std::sync::Mutex<Vec<usize>>>,
+        seen: Arc<std::sync::Mutex<Vec<Call>>>,
+    }
+
+    impl Probe {
+        fn log(&self, callback: &'static str, disk: usize, t: f64) {
+            self.seen
+                .lock()
+                .unwrap()
+                .push((callback, disk, t.to_bits()));
+        }
     }
 
     impl PowerPolicy for Probe {
         fn name(&self) -> String {
             "probe".into()
         }
-        fn settled(&mut self, disk: usize, _level: u8, _t: f64) -> Option<DescentStep> {
-            self.seen.lock().unwrap().push(disk);
-            None
+        fn settled(&mut self, disk: usize, level: u8, t: f64) -> Option<DescentStep> {
+            self.log("settled", disk, t);
+            (level == 0).then_some(DescentStep::to_deepest(5.0))
         }
-        fn request_arrived(&mut self, disk: usize, _t: f64) {
-            self.seen.lock().unwrap().push(disk);
+        fn request_arrived(&mut self, disk: usize, t: f64) {
+            self.log("request_arrived", disk, t);
         }
-        fn descent_started(&mut self, disk: usize, _t: f64, _to_level: u8) {
-            self.seen.lock().unwrap().push(disk);
+        fn descent_started(&mut self, disk: usize, t: f64, _to_level: u8) {
+            self.log("descent_started", disk, t);
         }
     }
 
     #[test]
-    fn global_ids_translates_local_actor_indices() {
-        let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let mut wrapped = GlobalIds {
-            inner: Box::new(Probe { seen: seen.clone() }),
-            shard: 2,
-            stride: 3,
+    fn policies_see_global_disk_ids_at_every_shard_count() {
+        use spindown_packing::{Assignment, DiskBin};
+        use spindown_workload::{InMemorySource, Trace, MB};
+        let fleet = 7;
+        let cat = FileCatalog::from_parts(vec![8 * MB; 21], vec![1.0 / 21.0; 21]);
+        let mut disks: Vec<DiskBin> = (0..fleet).map(|_| DiskBin::default()).collect();
+        for f in 0..21 {
+            disks[f % fleet].items.push(f);
+        }
+        let layout = Assignment { disks };
+        let trace = Trace::poisson(&cat, 0.2, 600.0, 0x1D5);
+        let log = |shards: usize| {
+            let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let cfg = SimConfig::paper_default().with_shards(shards);
+            let source = InMemorySource::new(&trace);
+            Simulator::replay(&cat, source, &layout, &cfg, fleet, |_| {
+                Box::new(Probe { seen: seen.clone() })
+            })
+            .unwrap();
+            let mut log = seen.lock().unwrap().clone();
+            log.sort_unstable();
+            log
         };
-        wrapped.settled(0, 0, 0.0);
-        wrapped.request_arrived(1, 1.0);
-        wrapped.descent_started(4, 2.0, 1);
-        assert_eq!(*seen.lock().unwrap(), vec![2, 5, 14], "local i → i*3 + 2");
-        assert_eq!(wrapped.name(), "probe");
+        let solo = log(1);
+        assert_eq!(solo, log(3), "the same callbacks, disks and times");
+        for callback in ["settled", "request_arrived", "descent_started"] {
+            let disks: std::collections::BTreeSet<usize> = solo
+                .iter()
+                .filter(|e| e.0 == callback)
+                .map(|e| e.1)
+                .collect();
+            assert!(
+                disks.iter().all(|&d| d < fleet),
+                "{callback}: an id past the fleet: {disks:?}"
+            );
+            assert_eq!(disks.len(), fleet, "{callback} reaches every disk");
+        }
     }
 }

@@ -6,7 +6,6 @@ use proptest::prelude::*;
 use spindown_disk::mechanics::ServiceTimer;
 use spindown_disk::{DiskSpec, PowerState};
 use spindown_packing::{Assignment, DiskBin};
-use spindown_sim::cache::CacheStats;
 use spindown_sim::config::{SimConfig, ThresholdPolicy};
 use spindown_sim::discipline::DisciplineChoice;
 use spindown_sim::engine::Simulator;
@@ -293,42 +292,6 @@ proptest! {
         let (bytes, fnv1a) = std_rendered_log(a);
         prop_assert_eq!(sa.bytes, bytes, "log bytes vs the std rendering");
         prop_assert_eq!(sa.fnv1a, fnv1a, "log digest vs the std rendering");
-    }
-
-    // Folding cache counters: absorbing any partition of rows (each
-    // folded in ascending order, then partitions in order) equals one
-    // bulk fold in ascending order — integer addition commutes exactly.
-    #[test]
-    fn cache_stats_partitioned_fold_equals_the_bulk_fold(
-        rows in prop::collection::vec(
-            (0u64..1 << 40, 0u64..1 << 40, 0u64..1 << 40, 0u64..1 << 40, 0u64..1 << 40),
-            0..24,
-        ),
-        shards in 1usize..5,
-    ) {
-        let rows: Vec<CacheStats> = rows
-            .into_iter()
-            .map(|(hits, misses, resident, evicted, oversize)| CacheStats {
-                hits,
-                misses,
-                resident_bytes: resident,
-                evicted_bytes: evicted,
-                oversize_rejections: oversize,
-            })
-            .collect();
-        let mut bulk = CacheStats::default();
-        for row in &rows {
-            bulk.absorb(row);
-        }
-        let mut merged = CacheStats::default();
-        for shard in 0..shards {
-            let mut partial = CacheStats::default();
-            for row in rows.iter().skip(shard).step_by(shards) {
-                partial.absorb(row);
-            }
-            merged.absorb(&partial);
-        }
-        prop_assert_eq!(bulk, merged);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! 2. **Faulted shard-invariance** — an *active* fault plan keys every
 //!    per-disk random stream by the **global** disk id, so the merged
 //!    S-shard report (responses, energy, availability counters, per-disk
-//!    downtime) is bit-identical to the unsharded run.
+//!    downtime, degraded responses) is bit-identical to the unsharded
+//!    run, in both metrics modes.
 
 use std::io::BufReader;
 
@@ -143,7 +144,8 @@ fn no_fault_plan_is_bit_identical_to_legacy_on_seeded_poisson() {
 }
 
 /// An *active* plan: sharded replays merge bit-identically (responses,
-/// energy, availability counters, per-disk downtime in global disk order).
+/// energy, availability counters, per-disk downtime and the degraded
+/// collector, all folded in global disk order), in both metrics modes.
 #[test]
 fn faulted_replay_is_bit_identical_across_shard_counts() {
     let cat = catalog(64);
@@ -151,46 +153,52 @@ fn faulted_replay_is_bit_identical_across_shard_counts() {
     // 20 s threshold — so every failure mode gets exercised.
     let tr = Trace::poisson(&cat, 1.0, 900.0, 0xFA111);
     let layout = assignment(64, 16);
-    let mut base = SimConfig::paper_default()
-        .with_threshold(ThresholdPolicy::Fixed(20.0))
-        .with_metrics(MetricsMode::Histogram);
-    base.faults =
-        FaultPlan::parse("transient:p=0.02 | wakefail:p=0.2 | crash@t=300:d5 | mttr=150 | seed=9")
-            .expect("active spec parses");
-    let solo = Simulator::run(&cat, &tr, &layout, &base).unwrap();
-    let a = solo.availability.as_ref().expect("faulted run has stats");
-    assert!(
-        a.conservation_holds(),
-        "arrivals balance the outcome buckets"
-    );
-    assert!(a.crashes >= 1, "the scheduled crash fires");
-    assert!(a.retried > 0, "2% flakes over ~900 requests retry");
-    assert!(a.availability < 1.0, "the crash costs downtime");
-    for shards in [2usize, 3, 8] {
-        let cfg = base.clone().with_shards(shards);
-        let sharded = Simulator::run(&cat, &tr, &layout, &cfg).unwrap();
-        assert_reports_bit_identical(&solo, &sharded, &format!("faulted S={shards}"));
-        let b = sharded.availability.as_ref().expect("merged stats");
-        assert_eq!(a.arrivals, b.arrivals, "S={shards}: arrivals");
-        assert_eq!(a.completed, b.completed, "S={shards}: completed");
-        assert_eq!(a.retried, b.retried, "S={shards}: retried");
-        assert_eq!(a.shed, b.shed, "S={shards}: shed");
-        assert_eq!(a.failed, b.failed, "S={shards}: failed");
-        assert_eq!(
-            a.wake_failures, b.wake_failures,
-            "S={shards}: wake failures"
+    for mode in [MetricsMode::Histogram, MetricsMode::Exact] {
+        let mut base = SimConfig::paper_default()
+            .with_threshold(ThresholdPolicy::Fixed(20.0))
+            .with_metrics(mode);
+        base.faults = FaultPlan::parse(
+            "transient:p=0.02 | wakefail:p=0.2 | crash@t=300:d5 | mttr=150 | seed=9",
+        )
+        .expect("active spec parses");
+        let solo = Simulator::run(&cat, &tr, &layout, &base).unwrap();
+        let a = solo.availability.as_ref().expect("faulted run has stats");
+        assert!(
+            a.conservation_holds(),
+            "arrivals balance the outcome buckets"
         );
-        assert_eq!(a.crashes, b.crashes, "S={shards}: crashes");
-        assert_eq!(a.in_flight, b.in_flight, "S={shards}: in flight");
-        assert_eq!(a.availability, b.availability, "S={shards}: availability");
-        assert_eq!(
-            a.per_disk_downtime_s, b.per_disk_downtime_s,
-            "S={shards}: per-disk downtime"
-        );
-        assert_eq!(
-            a.degraded_p95(),
-            b.degraded_p95(),
-            "S={shards}: degraded p95"
-        );
+        assert!(a.crashes >= 1, "the scheduled crash fires");
+        assert!(a.retried > 0, "2% flakes over ~900 requests retry");
+        assert!(a.availability < 1.0, "the crash costs downtime");
+        assert!(a.degraded.len() > 1, "several degraded completions");
+        for shards in [2usize, 3, 8] {
+            let what = format!("{mode:?} S={shards}");
+            let cfg = base.clone().with_shards(shards);
+            let sharded = Simulator::run(&cat, &tr, &layout, &cfg).unwrap();
+            assert_reports_bit_identical(&solo, &sharded, &format!("faulted {what}"));
+            let b = sharded.availability.as_ref().expect("merged stats");
+            assert_eq!(a.arrivals, b.arrivals, "{what}: arrivals");
+            assert_eq!(a.completed, b.completed, "{what}: completed");
+            assert_eq!(a.retried, b.retried, "{what}: retried");
+            assert_eq!(a.shed, b.shed, "{what}: shed");
+            assert_eq!(a.failed, b.failed, "{what}: failed");
+            assert_eq!(a.wake_failures, b.wake_failures, "{what}: wake failures");
+            assert_eq!(a.crashes, b.crashes, "{what}: crashes");
+            assert_eq!(a.in_flight, b.in_flight, "{what}: in flight");
+            assert_eq!(a.availability, b.availability, "{what}: availability");
+            assert_eq!(
+                a.per_disk_downtime_s, b.per_disk_downtime_s,
+                "{what}: per-disk downtime"
+            );
+            assert_eq!(a.degraded, b.degraded, "{what}: degraded collector");
+            assert_eq!(
+                a.degraded.mean().to_bits(),
+                b.degraded.mean().to_bits(),
+                "{what}: degraded mean {} vs {}",
+                a.degraded.mean(),
+                b.degraded.mean()
+            );
+            assert_eq!(a.degraded_p95(), b.degraded_p95(), "{what}: degraded p95");
+        }
     }
 }
