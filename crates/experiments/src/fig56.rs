@@ -165,7 +165,8 @@ pub fn study(scale: Scale) -> NerscStudy {
                 &base_cfg,
                 fleet,
                 &grid,
-            );
+            )
+            .expect("every plan places the whole NERSC catalog");
             // Normaliser: the trailing never-spin-down run.
             let e_never = reports
                 .last()

@@ -300,12 +300,18 @@ fn main() -> ExitCode {
                     eprintln!("shootout failed: {e}");
                     return ExitCode::FAILURE;
                 }
-                vec![shootout::shootout_with_faults(
+                match shootout::shootout_with_faults(
                     scale,
                     discipline,
                     ladder,
                     (!faults.is_none()).then(|| faults.clone()),
-                )]
+                ) {
+                    Ok(fig) => vec![fig],
+                    Err(e) => {
+                        eprintln!("shootout failed: {e}");
+                        return ExitCode::FAILURE;
+                    }
+                }
             }
             "joint" => vec![joint_exp::joint(scale)],
             "replay" => {

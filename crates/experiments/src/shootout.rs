@@ -32,6 +32,7 @@ use spindown_core::{
     LadderChoice, MetricsMode, Plan, Planner, PlannerConfig, PolicyChoice,
 };
 use spindown_packing::Allocator;
+use spindown_sim::engine::SimError;
 use spindown_workload::arrivals::BatchConfig;
 use spindown_workload::{FileCatalog, Trace};
 
@@ -250,7 +251,7 @@ pub(crate) fn joint_mix_trace(catalog: &FileCatalog, scale: Scale) -> Trace {
 
 /// Run the shootout at R = 4, L = 0.7 with FIFO queues (the paper's
 /// service model) and two-state drives for the allocator and policy rows.
-pub fn shootout(scale: Scale) -> Figure {
+pub fn shootout(scale: Scale) -> Result<Figure, SimError> {
     shootout_with(scale, DisciplineChoice::Fifo, LadderChoice::TwoState)
 }
 
@@ -258,18 +259,24 @@ pub fn shootout(scale: Scale) -> Figure {
 /// ladder for the allocator and policy rows (`--discipline` / `--ladder`
 /// in the CLI); the discipline rows always compare the whole discipline
 /// family and the ladder bracket always compares every ladder.
-pub fn shootout_with(scale: Scale, base: DisciplineChoice, base_ladder: LadderChoice) -> Figure {
+pub fn shootout_with(
+    scale: Scale,
+    base: DisciplineChoice,
+    base_ladder: LadderChoice,
+) -> Result<Figure, SimError> {
     shootout_with_faults(scale, base, base_ladder, None)
 }
 
 /// [`shootout_with`], with an optional extra fault regime (`--faults` in
-/// the CLI) appended to the fault bracket as a fourth `custom` level.
+/// the CLI) appended to the fault bracket as a fourth `custom` level. A
+/// sweep cell that fails to simulate fails the shootout with its
+/// [`SimError`].
 pub fn shootout_with_faults(
     scale: Scale,
     base: DisciplineChoice,
     base_ladder: LadderChoice,
     custom_fault: Option<FaultChoice>,
-) -> Figure {
+) -> Result<Figure, SimError> {
     let catalog = FileCatalog::paper_table1(scale.n_files(), 0);
     let rate = 4.0;
     let fleet = scale.fleet();
@@ -321,7 +328,7 @@ pub fn shootout_with_faults(
         &base_cfg,
         fleet,
         &grid,
-    );
+    )?;
 
     // Part 3: queue disciplines on a spin-up-heavy bursty replay of the
     // Pack_Disks allocation, under the break-even spin-down policy. The
@@ -337,7 +344,7 @@ pub fn shootout_with_faults(
         &base_cfg,
         fleet,
         &discipline_grid,
-    );
+    )?;
     let random_plan = &alloc_results.last().expect("random is last").4;
     let bursty_random_energy = run_sweep(
         &catalog,
@@ -346,9 +353,9 @@ pub fn shootout_with_faults(
         &base_cfg,
         fleet,
         &policy_cache_grid(&[PolicyChoice::break_even()], &[CacheChoice::None]),
-    )[0]
-    .energy
-    .total_joules();
+    )?[0]
+        .energy
+        .total_joules();
 
     // Part 4: the power-ladder bracket — every ladder × the fixed-timeout
     // and lower-envelope policies, replayed on the spin-up-heavy bursts
@@ -363,9 +370,9 @@ pub fn shootout_with_faults(
         &base_cfg,
         fleet,
         &policy_cache_grid(&[PolicyChoice::break_even()], &[CacheChoice::None]),
-    )[0]
-    .energy
-    .total_joules();
+    )?[0]
+        .energy
+        .total_joules();
     let ladder_replays = [
         ("bursts", &bursty, bursty_random_energy),
         ("nersc_style", &nersc_style, nersc_random_energy),
@@ -382,7 +389,7 @@ pub fn shootout_with_faults(
                 &ladder_grid,
             )
         })
-        .collect();
+        .collect::<Result<_, _>>()?;
 
     // Part 5: the joint bracket — instead of fixing three dimensions and
     // sweeping the fourth, search the full (allocation × policy ×
@@ -400,9 +407,9 @@ pub fn shootout_with_faults(
         &base_cfg,
         fleet,
         &policy_cache_grid(&[PolicyChoice::break_even()], &[CacheChoice::None]),
-    )[0]
-    .energy
-    .total_joules();
+    )?[0]
+        .energy
+        .total_joules();
     let joint_replays = [
         ("bursts", &bursty, bursty_random_energy),
         ("dense_mix", &dense_mix, dense_random_energy),
@@ -447,9 +454,9 @@ pub fn shootout_with_faults(
         &base_cfg,
         fleet,
         &policy_cache_grid(&[PolicyChoice::break_even()], &[CacheChoice::None]),
-    )[0]
-    .energy
-    .total_joules();
+    )?[0]
+        .energy
+        .total_joules();
     let cache_cfg = cache_bracket_config(fleet);
     let cache_objective = cache_cfg.objective;
     let cache_outcome = run_joint(
@@ -499,9 +506,9 @@ pub fn shootout_with_faults(
         &base_cfg,
         fleet,
         &policy_cache_grid(&[PolicyChoice::break_even()], &[CacheChoice::None]),
-    )[0]
-    .energy
-    .total_joules();
+    )?[0]
+        .energy
+        .total_joules();
     let fault_outcomes: Vec<(&str, JointOutcome)> = fault_grid
         .iter()
         .map(|(name, choice)| {
@@ -722,7 +729,7 @@ pub fn shootout_with_faults(
             row += 1;
         }
     }
-    fig
+    Ok(fig)
 }
 
 #[cfg(test)]
@@ -749,7 +756,7 @@ mod tests {
 
     #[test]
     fn shootout_covers_all_allocators_and_pack_wins_energy() {
-        let fig = shootout(Scale::Quick);
+        let fig = shootout(Scale::Quick).expect("shootout simulates");
         let n_alloc = competitors(Scale::Quick, 100).len();
         let n_policy = policy_competitors().len();
         let n_disc = discipline_competitors().len();
@@ -777,7 +784,7 @@ mod tests {
 
     #[test]
     fn shootout_emits_rows_for_the_online_policies() {
-        let fig = shootout(Scale::Quick);
+        let fig = shootout(Scale::Quick).expect("shootout simulates");
         let n_alloc = competitors(Scale::Quick, 100).len();
         let labels: Vec<String> = policy_competitors().iter().map(|p| p.label()).collect();
         assert!(labels.contains(&"ski_rental".to_owned()));
@@ -811,7 +818,7 @@ mod tests {
 
     #[test]
     fn discipline_rows_show_elevator_no_worse_than_fifo_on_spin_up_bursts() {
-        let fig = shootout(Scale::Quick);
+        let fig = shootout(Scale::Quick).expect("shootout simulates");
         let n_alloc = competitors(Scale::Quick, 100).len();
         let n_policy = policy_competitors().len();
         let disciplines = discipline_competitors();
@@ -868,7 +875,7 @@ mod tests {
 
     #[test]
     fn ladder_bracket_lower_envelope_beats_fixed_timeout_on_energy_p95() {
-        let fig = shootout(Scale::Quick);
+        let fig = shootout(Scale::Quick).expect("shootout simulates");
         let replays = ladder_rows(&fig);
         // Acceptance criterion: on at least one seeded replay, the
         // probability-based lower-envelope policy on the 3-state ladder
@@ -900,7 +907,7 @@ mod tests {
 
     #[test]
     fn ladder_bracket_emits_both_replays_with_notes() {
-        let fig = shootout(Scale::Quick);
+        let fig = shootout(Scale::Quick).expect("shootout simulates");
         let grid = ladder_policy_grid(&LadderChoice::all(), &ladder_policy_competitors());
         let n_alloc = competitors(Scale::Quick, 100).len();
         let n_rows = n_alloc
@@ -956,7 +963,7 @@ mod tests {
 
     #[test]
     fn joint_bracket_winner_beats_the_paper_default_quadruple() {
-        let fig = shootout(Scale::Quick);
+        let fig = shootout(Scale::Quick).expect("shootout simulates");
         let default_label = spindown_core::JointCandidate::paper_default().label();
         // Acceptance criterion: on at least one seeded replay the joint
         // winner strictly beats the paper's default quadruple (Pack_Disks
@@ -996,7 +1003,7 @@ mod tests {
 
     #[test]
     fn joint_bracket_notes_flag_a_non_empty_frontier() {
-        let fig = shootout(Scale::Quick);
+        let fig = shootout(Scale::Quick).expect("shootout simulates");
         for replay in ["bursts", "dense_mix"] {
             let frontier = fig
                 .notes
@@ -1013,7 +1020,7 @@ mod tests {
 
     #[test]
     fn cache_bracket_a_bigger_cache_flips_the_winning_policy_ladder_pair() {
-        let fig = shootout(Scale::Quick);
+        let fig = shootout(Scale::Quick).expect("shootout simulates");
         let summary = fig
             .notes
             .iter()
@@ -1067,7 +1074,7 @@ mod tests {
 
     #[test]
     fn fault_bracket_wake_failures_dethrone_the_no_fault_winner() {
-        let fig = shootout(Scale::Quick);
+        let fig = shootout(Scale::Quick).expect("shootout simulates");
         let summary = fig
             .notes
             .iter()
@@ -1121,7 +1128,8 @@ mod tests {
             DisciplineChoice::Fifo,
             LadderChoice::TwoState,
             Some(FaultChoice::parse("transient:p=0.05").unwrap()),
-        );
+        )
+        .expect("shootout simulates");
         assert!(
             fig.notes.iter().any(|n| n.contains("@custom")),
             "custom fault level must add annotated rows"
@@ -1143,7 +1151,8 @@ mod tests {
             Scale::Quick,
             DisciplineChoice::sjf(),
             LadderChoice::TwoState,
-        );
+        )
+        .expect("shootout simulates");
         assert!(
             fig.notes.iter().any(|n| n.contains("break_even+sjf_a30s")),
             "policy rows should carry the base discipline label"

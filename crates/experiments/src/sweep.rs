@@ -32,7 +32,7 @@ use spindown_core::{
 };
 use spindown_packing::Assignment;
 use spindown_sim::config::SimConfig;
-use spindown_sim::engine::Simulator;
+use spindown_sim::engine::{SimError, Simulator};
 use spindown_sim::hierarchy::CacheChoice;
 use spindown_sim::metrics::{MetricsMode, SimReport};
 use spindown_workload::{FileCatalog, InMemorySource, Trace};
@@ -207,6 +207,10 @@ pub fn cache_policy_grid(tiers: &[CacheChoice], policies: &[PolicyChoice]) -> Ve
 /// drive model, completion log — survives into every cell.
 /// Earlier versions rebuilt `SimConfig::paper_default()` internally and
 /// silently discarded such overrides.
+///
+/// A cell that fails to simulate (say, a trace naming a file the
+/// assignment does not place) fails the sweep with that cell's
+/// [`SimError`]; the first failing cell in grid order wins.
 pub fn run_sweep(
     catalog: &FileCatalog,
     trace: &Trace,
@@ -214,7 +218,7 @@ pub fn run_sweep(
     base: &SimConfig,
     fleet: usize,
     specs: &[SweepSpec],
-) -> Vec<SimReport> {
+) -> Result<Vec<SimReport>, SimError> {
     parallel_map(specs, |_, spec| {
         let mut cfg = base.clone();
         spec.ladder.apply(&mut cfg.disk);
@@ -232,8 +236,9 @@ pub fn run_sweep(
             fleet,
             |_| spec.policy.build(&cfg.disk),
         )
-        .expect("sweep point simulates")
     })
+    .into_iter()
+    .collect()
 }
 
 /// Thread-fanned equivalent of [`JointPlanner::search`]: plan each
@@ -394,7 +399,7 @@ mod tests {
             &[PolicyChoice::never(), PolicyChoice::break_even()],
             &[CacheChoice::None],
         );
-        let reports = run_sweep(&catalog, &trace, &assignment, &base, 1, &grid);
+        let reports = run_sweep(&catalog, &trace, &assignment, &base, 1, &grid).unwrap();
         for r in &reports {
             let log = r.completions.as_ref().expect("completion log survives");
             assert_eq!(log.len(), trace.len());
@@ -405,6 +410,39 @@ mod tests {
         assert!(
             mean_w >= drive.idle_power_w && mean_w < 9.3,
             "mean power {mean_w} W does not match the archival drive"
+        );
+    }
+
+    #[test]
+    fn run_sweep_returns_a_cells_error_instead_of_panicking() {
+        let catalog =
+            spindown_workload::FileCatalog::from_parts(vec![10 * MB, 20 * MB], vec![0.5, 0.5]);
+        let trace = Trace::poisson(&catalog, 0.05, 600.0, 3);
+        assert!(trace.requests().iter().any(|r| r.file.0 == 1));
+        // File 1 is on no disk.
+        let assignment = Assignment {
+            disks: vec![DiskBin {
+                items: vec![0],
+                total_s: 0.0,
+                total_l: 0.0,
+            }],
+        };
+        let grid = policy_cache_grid(
+            &[PolicyChoice::never(), PolicyChoice::break_even()],
+            &[CacheChoice::None],
+        );
+        let err = run_sweep(
+            &catalog,
+            &trace,
+            &assignment,
+            &SimConfig::paper_default(),
+            1,
+            &grid,
+        )
+        .expect_err("a trace naming an unplaced file fails the sweep");
+        assert!(
+            matches!(err, SimError::UnmappedFile { file } if file.0 == 1),
+            "{err:?}"
         );
     }
 
@@ -487,7 +525,7 @@ mod tests {
             &LadderChoice::all(),
             &[PolicyChoice::break_even(), PolicyChoice::EnvelopeDescent],
         );
-        let reports = run_sweep(&catalog, &trace, &assignment, &base, 2, &grid);
+        let reports = run_sweep(&catalog, &trace, &assignment, &base, 2, &grid).unwrap();
         assert_eq!(reports.len(), 4);
         for r in &reports {
             assert!(r.energy.total_joules() > 0.0);
@@ -534,8 +572,8 @@ mod tests {
             ],
             &[CacheChoice::None],
         );
-        let a = run_sweep(&catalog, &trace, &assignment, &base, 2, &grid);
-        let b = run_sweep(&catalog, &trace, &assignment, &base, 2, &grid);
+        let a = run_sweep(&catalog, &trace, &assignment, &base, 2, &grid).unwrap();
+        let b = run_sweep(&catalog, &trace, &assignment, &base, 2, &grid).unwrap();
         assert_eq!(a.len(), grid.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.energy.total_joules(), y.energy.total_joules());

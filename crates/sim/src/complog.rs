@@ -9,7 +9,11 @@
 //! - `CompletionWriter` sits in the engine's completion path. It holds
 //!   only the current *equal-time run* of completions, sorts each run by
 //!   global request ordinal when time advances, and hands the canonical
-//!   stream in batches over a bounded channel to the merger thread.
+//!   stream in batches over a bounded channel to the merger thread. Each
+//!   shard's batch buffers come from a fixed pool (`log_channel`): the
+//!   merger reads a batch in place and sends it back empty, as the
+//!   workload demux does with arrival batches, so the log allocates
+//!   nothing per batch.
 //! - `merge_streams` is the merger: a k-way min walk over the per-shard
 //!   channels keyed by `(time_s, req)`. Each shard's stream is already
 //!   canonically sorted, so the walk emits the *globally* sorted stream —
@@ -34,10 +38,9 @@
 //! platforms. The sink encodes it in-tree (the `decimal` module) into one
 //! reused buffer, with no allocation per record.
 
-use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::sync::mpsc::{Receiver, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 use serde::{Deserialize, Serialize};
 
@@ -47,6 +50,13 @@ use crate::metrics::Completion;
 /// Completions per channel batch (same amortisation trade-off as the
 /// workload demux chunk).
 pub(crate) const LOG_CHUNK: usize = 4096;
+/// Full batches a shard's log channel may hold ahead of the merger —
+/// caps the merged log's resident state at O(shards · depth · chunk)
+/// regardless of request count.
+const LOG_DEPTH: usize = 4;
+/// Batch buffers per shard: the channel's, the one the writer fills and
+/// the one the merger reads.
+const LOG_POOL: usize = LOG_DEPTH + 2;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -207,6 +217,33 @@ impl CompletionSink {
     }
 }
 
+/// A shard's end of its log channel: full batches go out on `tx`, and
+/// the merger's spent ones come back on `free`.
+pub(crate) struct LogSender {
+    tx: SyncSender<Vec<Completion>>,
+    free: Receiver<Vec<Completion>>,
+}
+
+/// The merger's end of one shard's log channel.
+pub(crate) struct LogReceiver {
+    rx: Receiver<Vec<Completion>>,
+    free: SyncSender<Vec<Completion>>,
+}
+
+/// One shard's log channel with its whole pool of [`LOG_POOL`] batch
+/// buffers allocated here, on the calling thread. The return channel
+/// holds the pool, so handing a buffer back never blocks.
+pub(crate) fn log_channel() -> (LogSender, LogReceiver) {
+    let (tx, rx) = sync_channel(LOG_DEPTH);
+    let (free_tx, free) = sync_channel(LOG_POOL);
+    for _ in 0..LOG_POOL {
+        free_tx
+            .send(Vec::with_capacity(LOG_CHUNK))
+            .expect("the return channel holds the whole pool");
+    }
+    (LogSender { tx, free }, LogReceiver { rx, free: free_tx })
+}
+
 /// The engine-side log front: canonicalises the shard-local completion
 /// stream (sorting each equal-time run by request ordinal) and forwards
 /// it in batches over a bounded channel to the merger thread. Engine
@@ -215,19 +252,22 @@ impl CompletionSink {
 pub(crate) struct CompletionWriter {
     tie: Vec<Completion>,
     tie_time: f64,
-    /// The merger channel; `None` once [`Self::finish`] has closed it.
-    tx: Option<SyncSender<Vec<Completion>>>,
+    /// The merger channel; `None` once [`Self::finish`] has closed it or
+    /// the merger has hung up.
+    channel: Option<LogSender>,
+    /// The batch being filled, a buffer from the channel's pool.
     batch: Vec<Completion>,
     peak_buffered: usize,
 }
 
 impl CompletionWriter {
-    pub(crate) fn new(tx: SyncSender<Vec<Completion>>) -> Self {
+    pub(crate) fn new(channel: LogSender) -> Self {
+        let batch = channel.free.recv().unwrap_or_default();
         CompletionWriter {
             tie: Vec::new(),
             tie_time: f64::NEG_INFINITY,
-            tx: Some(tx),
-            batch: Vec::new(),
+            channel: Some(channel),
+            batch,
             peak_buffered: 0,
         }
     }
@@ -243,21 +283,29 @@ impl CompletionWriter {
     }
 
     /// Move the buffered equal-time run into the batch in canonical (req)
-    /// order, shipping every full batch.
+    /// order, shipping every full batch and taking an empty one back from
+    /// the pool. A hung-up merger means another shard already failed and
+    /// that error wins, so the writer then drops what it is given.
     fn flush_tie(&mut self) {
         if self.tie.len() > 1 {
             self.tie.sort_unstable_by_key(|c| c.req);
         }
-        let Some(tx) = &self.tx else {
-            return;
-        };
         for c in self.tie.drain(..) {
+            let Some(channel) = &self.channel else {
+                break;
+            };
             self.batch.push(c);
             if self.batch.len() >= LOG_CHUNK {
-                let full = std::mem::replace(&mut self.batch, Vec::with_capacity(LOG_CHUNK));
-                // A hung-up merger means another shard already failed;
-                // that error wins.
-                let _ = tx.send(full);
+                let full = std::mem::take(&mut self.batch);
+                match channel
+                    .tx
+                    .send(full)
+                    .ok()
+                    .and_then(|()| channel.free.recv().ok())
+                {
+                    Some(empty) => self.batch = empty,
+                    None => self.channel = None,
+                }
             }
         }
     }
@@ -267,10 +315,10 @@ impl CompletionWriter {
     /// thread exits — the merger joins inside the same scope.
     pub(crate) fn finish(&mut self) {
         self.flush_tie();
-        if let Some(tx) = self.tx.take() {
+        if let Some(channel) = self.channel.take() {
             let batch = std::mem::take(&mut self.batch);
             if !batch.is_empty() {
-                let _ = tx.send(batch);
+                let _ = channel.tx.send(batch);
             }
         }
     }
@@ -282,59 +330,72 @@ impl CompletionWriter {
 }
 
 /// K-way merge of per-shard canonical streams into `sink`, keyed by
-/// `(time_s, req)`. Blocks on the emptiest heads until every channel
-/// closes; the shard writers drop their senders in
+/// `(time_s, req)`. Each head is read in place by a cursor and its spent
+/// buffer goes back to the shard's pool. Blocks on the emptiest heads
+/// until every channel closes; the shard writers drop their senders in
 /// [`CompletionWriter::finish`] (and on engine error, by dropping the
 /// writer), so the walk always terminates. Returns the sink and the
 /// merger's own peak buffered count.
 pub(crate) fn merge_streams(
-    rxs: Vec<Receiver<Vec<Completion>>>,
+    rxs: Vec<LogReceiver>,
     mut sink: CompletionSink,
 ) -> std::io::Result<(CompletionSink, usize)> {
     struct Head {
         rx: Receiver<Vec<Completion>>,
-        buf: VecDeque<Completion>,
+        free: SyncSender<Vec<Completion>>,
+        batch: Vec<Completion>,
+        next: usize,
         open: bool,
     }
     let mut heads: Vec<Head> = rxs
         .into_iter()
-        .map(|rx| Head {
+        .map(|LogReceiver { rx, free }| Head {
             rx,
-            buf: VecDeque::new(),
+            free,
+            batch: Vec::new(),
+            next: 0,
             open: true,
         })
         .collect();
     let mut peak = 0usize;
     loop {
         // Every open head must be non-empty before a min is trustworthy.
+        let mut refilled = false;
         for h in &mut heads {
-            while h.open && h.buf.is_empty() {
+            while h.open && h.next == h.batch.len() {
+                let mut spent = std::mem::take(&mut h.batch);
+                h.next = 0;
+                if spent.capacity() > 0 {
+                    spent.clear();
+                    // A writer that has finished no longer takes buffers back.
+                    let _ = h.free.send(spent);
+                }
                 match h.rx.recv() {
-                    Ok(batch) => h.buf.extend(batch),
+                    Ok(batch) => {
+                        h.batch = batch;
+                        refilled = true;
+                    }
                     Err(_) => h.open = false,
                 }
             }
         }
-        peak = peak.max(heads.iter().map(|h| h.buf.len()).sum());
-        let mut best: Option<usize> = None;
+        // Buffered counts only fall between refills, so the peak is
+        // reached just after one.
+        if refilled {
+            peak = peak.max(heads.iter().map(|h| h.batch.len() - h.next).sum());
+        }
+        let mut best: Option<(usize, &Completion)> = None;
         for (i, h) in heads.iter().enumerate() {
-            if let Some(c) = h.buf.front() {
-                let better = match best {
-                    None => true,
-                    Some(j) => {
-                        let b = heads[j].buf.front().expect("best head non-empty");
-                        (c.time_s, c.req) < (b.time_s, b.req)
-                    }
-                };
-                if better {
-                    best = Some(i);
+            if let Some(c) = h.batch.get(h.next) {
+                if best.is_none_or(|(_, b)| (c.time_s, c.req) < (b.time_s, b.req)) {
+                    best = Some((i, c));
                 }
             }
         }
         match best {
-            Some(i) => {
-                let c = heads[i].buf.pop_front().expect("chosen head non-empty");
-                sink.emit(&c)?;
+            Some((i, c)) => {
+                sink.emit(c)?;
+                heads[i].next += 1;
             }
             None => break,
         }
@@ -357,7 +418,7 @@ mod tests {
 
     #[test]
     fn writer_sorts_equal_time_runs_by_request_ordinal() {
-        let (tx, rx) = std::sync::mpsc::sync_channel(4);
+        let (tx, rx) = log_channel();
         let mut w = CompletionWriter::new(tx);
         for comp in [c(2, 0, 1.0), c(0, 1, 1.0), c(1, 2, 1.0), c(3, 0, 2.0)] {
             w.push(comp);
@@ -409,11 +470,10 @@ mod tests {
 
     #[test]
     fn merge_interleaves_shard_streams_in_time_then_req_order() {
-        use std::sync::mpsc::sync_channel;
-        let (tx0, rx0) = sync_channel(4);
-        let (tx1, rx1) = sync_channel(4);
-        tx0.send(vec![c(0, 0, 1.0), c(3, 0, 2.0)]).unwrap();
-        tx1.send(vec![c(1, 1, 1.0), c(2, 1, 1.5)]).unwrap();
+        let (tx0, rx0) = log_channel();
+        let (tx1, rx1) = log_channel();
+        tx0.tx.send(vec![c(0, 0, 1.0), c(3, 0, 2.0)]).unwrap();
+        tx1.tx.send(vec![c(1, 1, 1.0), c(2, 1, 1.5)]).unwrap();
         drop(tx0);
         drop(tx1);
         let sink = CompletionSink::from_mode(&CompletionLogMode::Memory)
@@ -426,5 +486,97 @@ mod tests {
             vec![0, 1, 2, 3]
         );
         assert!(peak >= 2, "both heads buffered at once");
+    }
+
+    /// Allocations of exactly one log batch's bytes made on threads that
+    /// opted in through `COUNTED` — the probe for "does the log allocate
+    /// per batch".
+    mod batch_allocs {
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        pub(super) static COUNT: AtomicUsize = AtomicUsize::new(0);
+        thread_local! {
+            pub(super) static COUNTED: Cell<bool> = const { Cell::new(false) };
+        }
+        const BATCH_BYTES: usize = super::LOG_CHUNK * std::mem::size_of::<super::Completion>();
+
+        struct Counting;
+
+        unsafe impl GlobalAlloc for Counting {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                if layout.size() == BATCH_BYTES && COUNTED.with(Cell::get) {
+                    COUNT.fetch_add(1, Ordering::Relaxed);
+                }
+                System.alloc(layout)
+            }
+
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                System.dealloc(ptr, layout)
+            }
+
+            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+                System.realloc(ptr, layout, new_size)
+            }
+        }
+
+        #[global_allocator]
+        static ALLOCATOR: Counting = Counting;
+    }
+
+    /// The log's batch buffers are the pool `log_channel` allocates, at
+    /// any record count: 1M completions through one and through two
+    /// writers allocate `LOG_POOL` batches per shard, none of them on a
+    /// writer or the merger, and the merged stream is the same.
+    #[test]
+    fn log_batches_cycle_a_fixed_pool_per_shard() {
+        use std::sync::atomic::Ordering;
+        const RECORDS: usize = 1_000_000;
+        let count = || batch_allocs::COUNT.load(Ordering::Relaxed);
+        let counted = || batch_allocs::COUNTED.with(|c| c.set(true));
+        counted();
+        let mut summaries = Vec::new();
+        for shards in [1, 2] {
+            let before = count();
+            let (txs, rxs): (Vec<_>, Vec<_>) = (0..shards).map(|_| log_channel()).unzip();
+            assert_eq!(count() - before, shards * LOG_POOL, "S={shards}: the pool");
+            let sink = CompletionSink::from_mode(&CompletionLogMode::Digest)
+                .unwrap()
+                .unwrap();
+            let (summary, merger_peak) = std::thread::scope(|scope| {
+                let merger = scope.spawn(move || {
+                    counted();
+                    merge_streams(rxs, sink).unwrap()
+                });
+                for (s, tx) in txs.into_iter().enumerate() {
+                    scope.spawn(move || {
+                        counted();
+                        let mut w = CompletionWriter::new(tx);
+                        // Request r completes at r / 4 s on disk r % 7 and
+                        // belongs to shard r % shards: ties of four.
+                        for r in (s..RECORDS).step_by(shards) {
+                            w.push(c(r, r % 7, (r / 4) as f64));
+                        }
+                        w.finish();
+                    });
+                }
+                let (sink, peak) = merger.join().unwrap();
+                (sink.finish(0).unwrap().1, peak)
+            });
+            assert_eq!(summary.records, RECORDS as u64);
+            assert_eq!(
+                count() - before,
+                shards * LOG_POOL,
+                "S={shards}: batches allocated past the pool"
+            );
+            assert!(
+                merger_peak <= shards * (LOG_DEPTH + 1) * LOG_CHUNK,
+                "S={shards}: merger peak {merger_peak}"
+            );
+            summaries.push(summary);
+        }
+        assert_eq!(summaries[0].fnv1a, summaries[1].fnv1a);
+        assert_eq!(summaries[0].bytes, summaries[1].bytes);
     }
 }

@@ -83,7 +83,7 @@
 //! energy totals, availability, cache statistics, windows and the
 //! completion log are bit-identical at every shard count.
 
-use std::sync::mpsc::{Sender, SyncSender};
+use std::sync::mpsc::Sender;
 
 use spindown_disk::energy::EnergyBreakdown;
 use spindown_disk::state::TransitionError;
@@ -94,7 +94,7 @@ use spindown_workload::{
 };
 
 use crate::actor::{DiskActor, Phase};
-use crate::complog::CompletionWriter;
+use crate::complog::{CompletionWriter, LogSender};
 use crate::config::SimConfig;
 use crate::event::{Event, EventQueue};
 use crate::fault::{DiskFaults, FaultCounts, FaultRuntime, PendingRetry};
@@ -380,7 +380,7 @@ pub(crate) struct ShardJob<'a> {
     pub policy: Box<dyn PowerPolicy>,
     /// Carries this engine's completion-log stream to the merger thread;
     /// given exactly when logging is on.
-    pub log_tx: Option<SyncSender<Vec<Completion>>>,
+    pub log_tx: Option<LogSender>,
     /// Carries each closed window's partial to the run's fold; given
     /// exactly when windows are on.
     pub window_tx: Option<Sender<(usize, WindowPartial)>>,

@@ -75,7 +75,7 @@
 //! `SimReport` doc section cataloguing exact-vs-bound merged fields — for
 //! the max/sum aggregation trade-off).
 
-use std::sync::mpsc::{channel, sync_channel, SyncSender};
+use std::sync::mpsc::channel;
 use std::sync::Arc;
 
 use spindown_disk::energy::EnergyBreakdown;
@@ -83,7 +83,7 @@ use spindown_workload::shard::demux;
 use spindown_workload::trace::TraceIoError;
 use spindown_workload::{FileCatalog, Request, TraceSource};
 
-use crate::complog::{merge_streams, CompletionLogSummary, CompletionSink};
+use crate::complog::{log_channel, merge_streams, CompletionLogSummary, CompletionSink};
 use crate::config::SimConfig;
 use crate::engine::{Placement, ShardJob, ShardParts, SimError, Simulator};
 use crate::fault::FaultCounts;
@@ -91,11 +91,6 @@ use crate::hierarchy::CacheHierarchy;
 use crate::metrics::{Completion, ResponseStats, SimReport};
 use crate::policy::PowerPolicy;
 use crate::windows::{RowFolder, WindowPartial, WindowedReport};
-
-/// Bounded depth of each shard→merger completion-log channel, in batches
-/// of [`crate::complog::LOG_CHUNK`] — caps the merged log's resident
-/// state at O(shards · depth · chunk) regardless of request count.
-const LOG_DEPTH: usize = 4;
 
 /// The shard count a run actually uses: `cfg.shards` clamped to at least 1
 /// and at most the fleet (no empty shards).
@@ -171,16 +166,14 @@ pub(crate) fn replay_sharded<'a, S: TraceSource + Send>(
     // the CSV file is created once, here, not per shard); each shard
     // streams its canonical batches over a bounded channel.
     let merger_sink = CompletionSink::from_mode(&cfg.completion_log)?;
-    let mut log_txs: Vec<Option<SyncSender<Vec<Completion>>>> = Vec::with_capacity(shards);
+    let mut log_txs = Vec::with_capacity(shards);
     let mut log_rxs = Vec::new();
-    if merger_sink.is_some() {
-        for _ in 0..shards {
-            let (tx, rx) = sync_channel::<Vec<Completion>>(LOG_DEPTH);
-            log_txs.push(Some(tx));
+    for _ in 0..shards {
+        log_txs.push(merger_sink.as_ref().map(|_| {
+            let (tx, rx) = log_channel();
             log_rxs.push(rx);
-        }
-    } else {
-        log_txs.resize_with(shards, || None);
+            tx
+        }));
     }
     // Windows: every shard sends each closed window's partial over one
     // unbounded channel to a folding thread, which folds window `w` once

@@ -12,9 +12,14 @@
 //! - [`InMemorySource`] — a cursor over an existing [`Trace`]. Identical
 //!   semantics to handing the trace to the engine directly
 //!   (property-tested bit-identical in `crates/sim/tests/trace_source.rs`).
-//! - [`CsvTraceSource`] — a buffered line-at-a-time reader of the CSV
-//!   format [`Trace::write_csv`] produces (`time_s,file_id` rows). Memory
-//!   is one line buffer regardless of file size.
+//! - [`CsvTraceSource`] — a reader of the CSV format [`Trace::write_csv`]
+//!   produces (`time_s,file_id` rows). It decodes each row in place from
+//!   the reader's own buffer: a byte scan finds the newline, and a
+//!   canonical row (`D+[.D+],D+`) is parsed by a digit loop whose `f64`
+//!   is exact, so it has the bits std's parse gives. Every other row
+//!   (header, blank, whitespace, signs, exponents, …) goes through std's
+//!   parse. Memory is the reader's buffer plus a carry for a row that
+//!   straddles two buffer fills, regardless of file size.
 //! - [`SyntheticSource`] — a seeded arrivals/popularity generator. Its
 //!   Poisson form produces exactly the request sequence of
 //!   [`Trace::poisson`] with the same arguments, without ever
@@ -29,7 +34,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::arrivals::{PoissonProcess, RateCurve, ThinnedProcess};
-use crate::catalog::FileCatalog;
+use crate::catalog::{FileCatalog, FileId};
 use crate::trace::{popularity_cdf, sample_by_cdf, Request, Trace, TraceIoError};
 
 /// A time-ordered stream of requests plus the horizon of the observation
@@ -112,11 +117,19 @@ impl TraceSource for InMemorySource<'_> {
     }
 }
 
-/// A buffered streaming reader of the `time_s,file_id` CSV format
-/// ([`Trace::write_csv`]): one parsed line of look-ahead, one line buffer —
-/// O(1) memory however long the file is. Validates well-formed rows,
-/// finite non-negative times and non-decreasing order, surfacing problems
-/// as [`TraceIoError`] at the offending row instead of up front.
+/// A streaming reader of the `time_s,file_id` CSV format
+/// ([`Trace::write_csv`]) with one parsed row of look-ahead. Rows are
+/// decoded in place from the [`BufRead`] buffer; only a row that straddles
+/// two buffer fills is copied, into a small carry — O(1) memory however
+/// long the file is. A canonical row (`D+[.D+],D+`, optionally ending in
+/// `\r`) whose time is exact by Clinger's fast path (at most 19
+/// significant digits, mantissa ≤ 2⁵³, at most 22 fraction digits) is
+/// parsed by a digit loop; every other row — header, blank, whitespace,
+/// `+`, exponents, `nan`, extra fields, long mantissas — takes std's parse
+/// on the trimmed text, which stays the one `f64` grammar. Validates
+/// well-formed rows, finite non-negative times and non-decreasing order,
+/// surfacing problems as [`TraceIoError`] at the offending row instead of
+/// up front; a row that is not UTF-8 is [`TraceIoError::Malformed`].
 ///
 /// The horizon differs from [`Trace::read_csv`] by design: a streaming
 /// replay must fix its horizon before the data has been seen, so a row
@@ -129,7 +142,8 @@ pub struct CsvTraceSource<R> {
     pending: Option<Request>,
     last_time: f64,
     lineno: usize,
-    line: String,
+    /// The start of a row cut off by the end of the reader's buffer.
+    carry: Vec<u8>,
     done: bool,
 }
 
@@ -185,20 +199,20 @@ fn last_row_time<R: Read + Seek>(r: &mut R) -> Result<f64, TraceIoError> {
                 None if start == 0 => 0,
                 None => break,
             };
-            let text = std::str::from_utf8(&buf[line_start..end])
-                .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e))?
-                .trim();
+            let row = &buf[line_start..end];
+            let text = std::str::from_utf8(row).map(str::trim);
             let at = start + line_start as u64;
             // The same rows `fill` skips: blank lines and a first-line header.
-            if !(text.is_empty() || (at == 0 && text.starts_with("time"))) {
-                if let Ok(request) = crate::trace::parse_row(text, 0) {
+            if !matches!(text, Ok(t) if t.is_empty() || (at == 0 && t.starts_with("time"))) {
+                if let Ok(Ok(request)) = text.map(|t| crate::trace::parse_row(t, 0)) {
                     return Ok(request.time);
                 }
+                let quoted = malformed_text(row);
                 r.rewind()?;
                 let newlines = BufReader::new(r.take(at))
                     .split(b'\n')
                     .try_fold(0, |n, piece| piece.map(|_| n + 1))?;
-                return Err(TraceIoError::Malformed(newlines + 1, text.to_owned()));
+                return Err(TraceIoError::Malformed(newlines + 1, quoted));
             }
             if at == 0 {
                 return Ok(0.0);
@@ -222,36 +236,161 @@ impl<R: BufRead> CsvTraceSource<R> {
             pending: None,
             last_time: 0.0,
             lineno: 0,
-            line: String::new(),
+            carry: Vec::new(),
             done: false,
         })
     }
 
-    /// Parse rows until one yields a request (or EOF), buffering it.
+    /// Decode rows until one yields a request (or EOF), buffering it. A
+    /// row is decoded where it lies in the reader's buffer; the bytes of a
+    /// row that runs past the buffer's end collect in `carry` until its
+    /// newline (or EOF) arrives. A row is consumed before its error
+    /// returns, so the next call reads on from the row after it.
     fn fill(&mut self) -> Result<(), TraceIoError> {
         while self.pending.is_none() && !self.done {
-            self.line.clear();
-            if self.reader.read_line(&mut self.line)? == 0 {
-                self.done = true;
-                return Ok(());
+            let buf = self.reader.fill_buf()?;
+            let (row_end, used) = match buf.iter().position(|&b| b == b'\n') {
+                Some(nl) => (nl, nl + 1),
+                None if buf.is_empty() => {
+                    // EOF: a last row without a newline is still a row.
+                    self.done = true;
+                    if self.carry.is_empty() {
+                        break;
+                    }
+                    (0, 0)
+                }
+                None => {
+                    let n = buf.len();
+                    self.carry.extend_from_slice(buf);
+                    self.reader.consume(n);
+                    continue;
+                }
+            };
+            let (lineno, horizon, last_time) = (&mut self.lineno, self.horizon, self.last_time);
+            let decoded = if self.carry.is_empty() {
+                decode_row(&buf[..row_end], lineno, horizon, last_time)
+            } else {
+                self.carry.extend_from_slice(&buf[..row_end]);
+                let decoded = decode_row(&self.carry, lineno, horizon, last_time);
+                self.carry.clear();
+                decoded
+            };
+            self.reader.consume(used);
+            if let Some(request) = decoded? {
+                self.last_time = request.time;
+                self.pending = Some(request);
             }
-            self.lineno += 1;
-            let text = self.line.trim();
-            if text.is_empty() || (self.lineno == 1 && text.starts_with("time")) {
-                continue;
-            }
-            let request = crate::trace::parse_row(text, self.lineno)?;
-            if request.time > self.horizon {
-                return Err(TraceIoError::BeyondHorizon(self.lineno));
-            }
-            if request.time < self.last_time {
-                return Err(TraceIoError::OutOfOrder(self.lineno));
-            }
-            self.last_time = request.time;
-            self.pending = Some(request);
         }
         Ok(())
     }
+}
+
+/// Decode one row (without its `\n`) as line `*lineno + 1`, advancing
+/// the count: `None` for a blank row or a first-line header, else the
+/// request, checked against the horizon and then the previous row's time.
+#[inline]
+fn decode_row(
+    row: &[u8],
+    lineno: &mut usize,
+    horizon: f64,
+    last_time: f64,
+) -> Result<Option<Request>, TraceIoError> {
+    *lineno += 1;
+    let line = *lineno;
+    let request = match parse_canonical(row) {
+        Some(request) => request,
+        None => {
+            let Ok(text) = std::str::from_utf8(row).map(str::trim) else {
+                return Err(TraceIoError::Malformed(line, malformed_text(row)));
+            };
+            if text.is_empty() || (line == 1 && text.starts_with("time")) {
+                return Ok(None);
+            }
+            crate::trace::parse_row(text, line)?
+        }
+    };
+    if request.time > horizon {
+        return Err(TraceIoError::BeyondHorizon(line));
+    }
+    if request.time < last_time {
+        return Err(TraceIoError::OutOfOrder(line));
+    }
+    Ok(Some(request))
+}
+
+/// The quoted text of a malformed row: trimmed, with any byte that is not
+/// UTF-8 shown as U+FFFD.
+fn malformed_text(row: &[u8]) -> String {
+    String::from_utf8_lossy(row).trim().to_owned()
+}
+
+/// `10^k` for `k ≤ 22`: every one is exact in an `f64`.
+const POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// Parse a canonical row `D+[.D+],D+`, optionally ending in `\r`, when
+/// Clinger's fast path makes its time exact: the digits without leading
+/// zeros number at most 19 (so the mantissa `m` fits a `u64`), `m ≤ 2⁵³`
+/// and there are `k ≤ 22` fraction digits. Then `m` and `10^k` are both
+/// exact `f64`s and one correctly rounded division gives the correctly
+/// rounded decimal — the bits std's parse returns. `None` for every other
+/// row, and for a time past [`crate::trace::MAX_TRACE_TIME_S`] or an id
+/// past `u32::MAX`, so that [`crate::trace::parse_row`] decides it.
+#[inline]
+fn parse_canonical(row: &[u8]) -> Option<Request> {
+    let row = row.strip_suffix(b"\r").unwrap_or(row);
+    let mut i = 0;
+    let mut m = 0u64;
+    let mut significant = 0u32;
+    let mut digits = |i: &mut usize| {
+        let from = *i;
+        while let Some(d) = row
+            .get(*i)
+            .map(|b| b.wrapping_sub(b'0'))
+            .filter(|&d| d <= 9)
+        {
+            m = m.wrapping_mul(10).wrapping_add(u64::from(d));
+            significant += u32::from(m != 0);
+            *i += 1;
+        }
+        *i - from
+    };
+    if digits(&mut i) == 0 {
+        return None;
+    }
+    let mut k = 0;
+    if row.get(i) == Some(&b'.') {
+        i += 1;
+        k = digits(&mut i);
+        if k == 0 {
+            return None;
+        }
+    }
+    if row.get(i) != Some(&b',') || significant > 19 || m > 1 << 53 || k >= POW10.len() {
+        return None;
+    }
+    let id_digits = &row[i + 1..];
+    if id_digits.is_empty() || id_digits.len() > 10 {
+        return None;
+    }
+    let mut id = 0u64;
+    for &b in id_digits {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        id = id * 10 + u64::from(d);
+    }
+    let time = m as f64 / POW10[k];
+    if time > crate::trace::MAX_TRACE_TIME_S {
+        return None;
+    }
+    Some(Request {
+        time,
+        file: FileId(u32::try_from(id).ok()?),
+    })
 }
 
 impl<R: BufRead> TraceSource for CsvTraceSource<R> {
@@ -400,6 +539,7 @@ impl TraceSource for SyntheticSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::MAX_TRACE_TIME_S;
 
     fn drain(src: &mut dyn TraceSource) -> Vec<Request> {
         let mut out = Vec::new();
@@ -599,6 +739,107 @@ mod tests {
                 }
             };
             assert!(matches!(err, TraceIoError::Malformed(at, _) if at == line));
+        }
+    }
+
+    /// Drain `src` to its first error, or `None` at a clean end.
+    fn first_error<R: BufRead>(mut src: CsvTraceSource<R>) -> Option<TraceIoError> {
+        loop {
+            match src.next_request() {
+                Ok(Some(_)) => continue,
+                Ok(None) => return None,
+                Err(e) => return Some(e),
+            }
+        }
+    }
+
+    #[test]
+    fn a_middle_row_that_is_not_utf8_is_malformed_at_its_line() {
+        let csv = b"time_s,file_id\n0.5,1\n1.0,\xff2\n2.0,3\n";
+        let mut src = CsvTraceSource::from_reader(&csv[..], 10.0).unwrap();
+        assert_eq!(src.next_request().unwrap().unwrap().file.0, 1);
+        match src.next_request() {
+            Err(TraceIoError::Malformed(3, text)) => assert_eq!(text, "1.0,\u{fffd}2"),
+            other => panic!("expected Malformed(3, _), got {other:?}"),
+        }
+        // The bad row is consumed: the stream reads on after it.
+        assert_eq!(src.next_request().unwrap().unwrap().file.0, 3);
+        // The tail read sees only the last row, which is fine.
+        assert_eq!(
+            last_row_time(&mut std::io::Cursor::new(&csv[..])).unwrap(),
+            2.0
+        );
+    }
+
+    #[test]
+    fn a_last_row_that_is_not_utf8_is_malformed_at_its_line() {
+        for csv in [
+            &b"time_s,file_id\n0.5,1\n\n2.0,\xff3\n\n"[..],
+            &b"time_s,file_id\r\n0.5,1\r\n\r\n2.0,\xff3"[..],
+        ] {
+            let quoted = "2.0,\u{fffd}3";
+            match last_row_time(&mut std::io::Cursor::new(csv)) {
+                Err(TraceIoError::Malformed(4, text)) => assert_eq!(text, quoted),
+                other => panic!("tail read: expected Malformed(4, _), got {other:?}"),
+            }
+            let src = CsvTraceSource::from_reader(csv, 10.0).unwrap();
+            match first_error(src) {
+                Some(TraceIoError::Malformed(4, text)) => assert_eq!(text, quoted),
+                other => panic!("stream: expected Malformed(4, _), got {other:?}"),
+            }
+        }
+    }
+
+    /// The digit loop takes exactly the rows Clinger's fast path makes
+    /// exact, and gives each the bits std's parse does; every edge of the
+    /// fast path (digit count, 2⁵³, 10²²) and every row it leaves to std
+    /// decodes as std would.
+    #[test]
+    fn canonical_rows_decode_with_std_bits_on_both_sides_of_the_fast_path() {
+        let cases: [(&str, bool); 22] = [
+            ("0,0", true),
+            ("1.5,3", true),
+            ("007.250,01", true),
+            ("1234567.891011,4294967295", true),
+            ("9007.199254740992,1", true),
+            ("9007.199254740993,1", false),
+            ("900719925474099.3,1", false),
+            ("0.9007199254740992,1", true),
+            ("1.000000000000000000,1", false),
+            ("0.0000000000000000000001,1", true),
+            ("0.00000000000000000000001,1", false),
+            ("0.0000000000000000000012,1", true),
+            ("1099511627776,1", true),
+            ("1099511627777,1", false),
+            ("1.5,4294967296", false),
+            ("1.5,00000000001", false),
+            ("1.5,3\r", true),
+            ("1.,3", false),
+            (".5,3", false),
+            ("1.5,3,", false),
+            ("1e3,3", false),
+            ("+1.5,3", false),
+        ];
+        for (row, fast) in cases {
+            let decoded = parse_canonical(row.as_bytes());
+            assert_eq!(decoded.is_some(), fast, "{row:?}");
+            let oracle = crate::trace::parse_row(row.trim(), 1).ok();
+            if let Some(r) = decoded {
+                let o = oracle.expect("the fast path takes only rows std accepts");
+                assert_eq!(
+                    (r.time.to_bits(), r.file),
+                    (o.time.to_bits(), o.file),
+                    "{row:?}"
+                );
+            }
+            // Through the reader, every row decodes as std's parse does.
+            let mut src = CsvTraceSource::from_reader(row.as_bytes(), MAX_TRACE_TIME_S).unwrap();
+            let streamed = src.next_request().ok().flatten();
+            assert_eq!(
+                streamed.map(|r| (r.time.to_bits(), r.file)),
+                oracle.map(|o| (o.time.to_bits(), o.file)),
+                "{row:?}"
+            );
         }
     }
 
