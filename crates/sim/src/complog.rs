@@ -10,10 +10,11 @@
 //!   only the current *equal-time run* of completions, sorts each run by
 //!   global request ordinal when time advances, and hands the canonical
 //!   stream in batches over a bounded channel to the merger thread. Each
-//!   shard's batch buffers come from a fixed pool (`log_channel`): the
+//!   shard's batch buffers come from a bounded pool (`log_channel`): the
 //!   merger reads a batch in place and sends it back empty, as the
-//!   workload demux does with arrival batches, so the log allocates
-//!   nothing per batch.
+//!   workload demux does with arrival batches, and the writer allocates
+//!   a buffer only when none has come back — so the log allocates at most
+//!   `LOG_POOL` batches per shard, however many records it carries.
 //! - `merge_streams` is the merger: a k-way min walk over the per-shard
 //!   channels keyed by `(time_s, req)`. Each shard's stream is already
 //!   canonically sorted, so the walk emits the *globally* sorted stream —
@@ -222,6 +223,24 @@ impl CompletionSink {
 pub(crate) struct LogSender {
     tx: SyncSender<Vec<Completion>>,
     free: Receiver<Vec<Completion>>,
+    /// Pool buffers not allocated yet.
+    unallocated: usize,
+}
+
+impl LogSender {
+    /// An empty batch buffer: a spent one if the merger has sent one back,
+    /// else a new one while the pool has room, else the next spent one to
+    /// come back. `None` once the merger has hung up.
+    fn empty(&mut self) -> Option<Vec<Completion>> {
+        if let Ok(spent) = self.free.try_recv() {
+            return Some(spent);
+        }
+        if self.unallocated > 0 {
+            self.unallocated -= 1;
+            return Some(Vec::with_capacity(LOG_CHUNK));
+        }
+        self.free.recv().ok()
+    }
 }
 
 /// The merger's end of one shard's log channel.
@@ -230,18 +249,20 @@ pub(crate) struct LogReceiver {
     free: SyncSender<Vec<Completion>>,
 }
 
-/// One shard's log channel with its whole pool of [`LOG_POOL`] batch
-/// buffers allocated here, on the calling thread. The return channel
-/// holds the pool, so handing a buffer back never blocks.
+/// One shard's log channel and its pool of at most [`LOG_POOL`] batch
+/// buffers. The writer allocates a buffer only when none has come back,
+/// so the pool grows to the most batches ever in flight at once. The
+/// return channel holds the whole pool, so handing a buffer back never
+/// blocks.
 pub(crate) fn log_channel() -> (LogSender, LogReceiver) {
     let (tx, rx) = sync_channel(LOG_DEPTH);
     let (free_tx, free) = sync_channel(LOG_POOL);
-    for _ in 0..LOG_POOL {
-        free_tx
-            .send(Vec::with_capacity(LOG_CHUNK))
-            .expect("the return channel holds the whole pool");
-    }
-    (LogSender { tx, free }, LogReceiver { rx, free: free_tx })
+    let sender = LogSender {
+        tx,
+        free,
+        unallocated: LOG_POOL,
+    };
+    (sender, LogReceiver { rx, free: free_tx })
 }
 
 /// The engine-side log front: canonicalises the shard-local completion
@@ -261,8 +282,8 @@ pub(crate) struct CompletionWriter {
 }
 
 impl CompletionWriter {
-    pub(crate) fn new(channel: LogSender) -> Self {
-        let batch = channel.free.recv().unwrap_or_default();
+    pub(crate) fn new(mut channel: LogSender) -> Self {
+        let batch = channel.empty().unwrap_or_default();
         CompletionWriter {
             tie: Vec::new(),
             tie_time: f64::NEG_INFINITY,
@@ -291,18 +312,13 @@ impl CompletionWriter {
             self.tie.sort_unstable_by_key(|c| c.req);
         }
         for c in self.tie.drain(..) {
-            let Some(channel) = &self.channel else {
+            let Some(channel) = &mut self.channel else {
                 break;
             };
             self.batch.push(c);
             if self.batch.len() >= LOG_CHUNK {
                 let full = std::mem::take(&mut self.batch);
-                match channel
-                    .tx
-                    .send(full)
-                    .ok()
-                    .and_then(|()| channel.free.recv().ok())
-                {
+                match channel.tx.send(full).ok().and_then(|()| channel.empty()) {
                     Some(empty) => self.batch = empty,
                     None => self.channel = None,
                 }
@@ -525,12 +541,13 @@ mod tests {
         static ALLOCATOR: Counting = Counting;
     }
 
-    /// The log's batch buffers are the pool `log_channel` allocates, at
-    /// any record count: 1M completions through one and through two
-    /// writers allocate `LOG_POOL` batches per shard, none of them on a
-    /// writer or the merger, and the merged stream is the same.
+    /// The log's batch buffers are a bounded pool at any record count:
+    /// 1M completions (244 batches a shard at S = 1) through one and
+    /// through two writers allocate at most `LOG_POOL` batches per shard,
+    /// none of them in `log_channel` or on the merger, and the merged
+    /// stream is the same.
     #[test]
-    fn log_batches_cycle_a_fixed_pool_per_shard() {
+    fn log_batches_come_from_a_bounded_pool_per_shard() {
         use std::sync::atomic::Ordering;
         const RECORDS: usize = 1_000_000;
         let count = || batch_allocs::COUNT.load(Ordering::Relaxed);
@@ -540,7 +557,11 @@ mod tests {
         for shards in [1, 2] {
             let before = count();
             let (txs, rxs): (Vec<_>, Vec<_>) = (0..shards).map(|_| log_channel()).unzip();
-            assert_eq!(count() - before, shards * LOG_POOL, "S={shards}: the pool");
+            assert_eq!(
+                count(),
+                before,
+                "S={shards}: log_channel allocates no batch"
+            );
             let sink = CompletionSink::from_mode(&CompletionLogMode::Digest)
                 .unwrap()
                 .unwrap();
@@ -565,10 +586,11 @@ mod tests {
                 (sink.finish(0).unwrap().1, peak)
             });
             assert_eq!(summary.records, RECORDS as u64);
-            assert_eq!(
-                count() - before,
-                shards * LOG_POOL,
-                "S={shards}: batches allocated past the pool"
+            let batches = count() - before;
+            assert!(
+                (shards..=shards * LOG_POOL).contains(&batches),
+                "S={shards}: {batches} batches allocated, pool bound {}",
+                shards * LOG_POOL
             );
             assert!(
                 merger_peak <= shards * (LOG_DEPTH + 1) * LOG_CHUNK,

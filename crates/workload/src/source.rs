@@ -122,14 +122,14 @@ impl TraceSource for InMemorySource<'_> {
 /// decoded in place from the [`BufRead`] buffer; only a row that straddles
 /// two buffer fills is copied, into a small carry — O(1) memory however
 /// long the file is. A canonical row (`D+[.D+],D+`, optionally ending in
-/// `\r`) whose time is exact by Clinger's fast path (at most 19
-/// significant digits, mantissa ≤ 2⁵³, at most 22 fraction digits) is
-/// parsed by a digit loop; every other row — header, blank, whitespace,
-/// `+`, exponents, `nan`, extra fields, long mantissas — takes std's parse
-/// on the trimmed text, which stays the one `f64` grammar. Validates
-/// well-formed rows, finite non-negative times and non-decreasing order,
-/// surfacing problems as [`TraceIoError`] at the offending row instead of
-/// up front; a row that is not UTF-8 is [`TraceIoError::Malformed`].
+/// `\r`) whose time is exact by Clinger's fast path (mantissa ≤ 2⁵³, at
+/// most 22 fraction digits) is parsed by a digit loop; every other row —
+/// header, blank, whitespace, `+`, exponents, `nan`, extra fields, long
+/// mantissas — takes std's parse on the trimmed text, which stays the one
+/// `f64` grammar. Validates well-formed rows, finite non-negative times
+/// and non-decreasing order, surfacing problems as [`TraceIoError`] at the
+/// offending row instead of up front; a row that is not UTF-8 is
+/// [`TraceIoError::Malformed`].
 ///
 /// The horizon differs from [`Trace::read_csv`] by design: a streaming
 /// replay must fix its horizon before the data has been seen, so a row
@@ -331,19 +331,20 @@ const POW10: [f64; 23] = [
 ];
 
 /// Parse a canonical row `D+[.D+],D+`, optionally ending in `\r`, when
-/// Clinger's fast path makes its time exact: the digits without leading
-/// zeros number at most 19 (so the mantissa `m` fits a `u64`), `m ≤ 2⁵³`
-/// and there are `k ≤ 22` fraction digits. Then `m` and `10^k` are both
-/// exact `f64`s and one correctly rounded division gives the correctly
-/// rounded decimal — the bits std's parse returns. `None` for every other
-/// row, and for a time past [`crate::trace::MAX_TRACE_TIME_S`] or an id
-/// past `u32::MAX`, so that [`crate::trace::parse_row`] decides it.
+/// Clinger's fast path makes its time exact: the mantissa `m` (all the
+/// digits, point removed) is at most 2⁵³ and there are `k ≤ 22` fraction
+/// digits. Then `m` and `10^k` are both exact `f64`s and one correctly
+/// rounded division gives the correctly rounded decimal — the bits std's
+/// parse returns. `None` for every other row, and for a time past
+/// [`crate::trace::MAX_TRACE_TIME_S`] or an id past `u32::MAX`, so that
+/// [`crate::trace::parse_row`] decides it.
 #[inline]
 fn parse_canonical(row: &[u8]) -> Option<Request> {
     let row = row.strip_suffix(b"\r").unwrap_or(row);
     let mut i = 0;
+    // Saturates rather than wraps, so `m` never falls and a mantissa too
+    // long for a `u64` fails the `m ≤ 2⁵³` check below.
     let mut m = 0u64;
-    let mut significant = 0u32;
     let mut digits = |i: &mut usize| {
         let from = *i;
         while let Some(d) = row
@@ -351,8 +352,7 @@ fn parse_canonical(row: &[u8]) -> Option<Request> {
             .map(|b| b.wrapping_sub(b'0'))
             .filter(|&d| d <= 9)
         {
-            m = m.wrapping_mul(10).wrapping_add(u64::from(d));
-            significant += u32::from(m != 0);
+            m = m.saturating_mul(10).saturating_add(u64::from(d));
             *i += 1;
         }
         *i - from
@@ -368,7 +368,7 @@ fn parse_canonical(row: &[u8]) -> Option<Request> {
             return None;
         }
     }
-    if row.get(i) != Some(&b',') || significant > 19 || m > 1 << 53 || k >= POW10.len() {
+    if row.get(i) != Some(&b',') || m > 1 << 53 || k >= POW10.len() {
         return None;
     }
     let id_digits = &row[i + 1..];
@@ -796,7 +796,7 @@ mod tests {
     /// decodes as std would.
     #[test]
     fn canonical_rows_decode_with_std_bits_on_both_sides_of_the_fast_path() {
-        let cases: [(&str, bool); 22] = [
+        let cases: [(&str, bool); 25] = [
             ("0,0", true),
             ("1.5,3", true),
             ("007.250,01", true),
@@ -806,6 +806,10 @@ mod tests {
             ("900719925474099.3,1", false),
             ("0.9007199254740992,1", true),
             ("1.000000000000000000,1", false),
+            // 2⁶⁴ and 2⁶⁵: a mantissa that wrapped a u64 would read 0.
+            ("18446744073709551616,1", false),
+            ("0.18446744073709551616,1", false),
+            ("36893488147419103232,1", false),
             ("0.0000000000000000000001,1", true),
             ("0.00000000000000000000001,1", false),
             ("0.0000000000000000000012,1", true),
