@@ -1,20 +1,12 @@
 //! Streaming completion log: O(buffer) resident at any request count and
 //! any shard count.
 //!
-//! The legacy opt-in log (`SimConfig::with_completion_log`) accumulated a
-//! `Vec<Completion>` on the report — O(requests) resident, and the reason
-//! logging was clamped out of the billion-request smoke. This module
-//! replaces the accumulation with a small state machine:
-//!
 //! - `CompletionWriter` sits in the engine's completion path. It holds
 //!   only the current *equal-time run* of completions, sorts each run by
-//!   global request ordinal when time advances, and hands the canonical
-//!   stream in batches over a bounded channel to the merger thread. Each
-//!   shard's batch buffers come from a bounded pool (`log_channel`): the
-//!   merger reads a batch in place and sends it back empty, as the
-//!   workload demux does with arrival batches, and the writer allocates
-//!   a buffer only when none has come back — so the log allocates at most
-//!   `LOG_POOL` batches per shard, however many records it carries.
+//!   global request ordinal when time advances, and pushes the canonical
+//!   stream onto its shard's [`batch_channel`] to the merger thread — a
+//!   pool of at most [`spindown_workload::batch::POOL`] buffers a shard,
+//!   however many records it carries.
 //! - `merge_streams` is the merger: a k-way min walk over the per-shard
 //!   channels keyed by `(time_s, req)`. Each shard's stream is already
 //!   canonically sorted, so the walk emits the *globally* sorted stream —
@@ -41,23 +33,16 @@
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 use serde::{Deserialize, Serialize};
+use spindown_workload::batch::{batch_channel, BatchReceiver, BatchSender};
 
 use crate::decimal;
 use crate::metrics::Completion;
 
 /// Completions per channel batch (same amortisation trade-off as the
 /// workload demux chunk).
-pub(crate) const LOG_CHUNK: usize = 4096;
-/// Full batches a shard's log channel may hold ahead of the merger —
-/// caps the merged log's resident state at O(shards · depth · chunk)
-/// regardless of request count.
-const LOG_DEPTH: usize = 4;
-/// Batch buffers per shard: the channel's, the one the writer fills and
-/// the one the merger reads.
-const LOG_POOL: usize = LOG_DEPTH + 2;
+const LOG_CHUNK: usize = 4096;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -90,13 +75,6 @@ pub enum CompletionLogMode {
     /// Stream, but keep only the [`CompletionLogSummary`] counters and
     /// digest — the mode benchmarks and equivalence checks use.
     Digest,
-}
-
-impl CompletionLogMode {
-    /// Whether logging is disabled.
-    pub fn is_off(&self) -> bool {
-        matches!(self, CompletionLogMode::Off)
-    }
 }
 
 /// Counters over the canonical completion stream. Two runs produced
@@ -218,51 +196,9 @@ impl CompletionSink {
     }
 }
 
-/// A shard's end of its log channel: full batches go out on `tx`, and
-/// the merger's spent ones come back on `free`.
-pub(crate) struct LogSender {
-    tx: SyncSender<Vec<Completion>>,
-    free: Receiver<Vec<Completion>>,
-    /// Pool buffers not allocated yet.
-    unallocated: usize,
-}
-
-impl LogSender {
-    /// An empty batch buffer: a spent one if the merger has sent one back,
-    /// else a new one while the pool has room, else the next spent one to
-    /// come back. `None` once the merger has hung up.
-    fn empty(&mut self) -> Option<Vec<Completion>> {
-        if let Ok(spent) = self.free.try_recv() {
-            return Some(spent);
-        }
-        if self.unallocated > 0 {
-            self.unallocated -= 1;
-            return Some(Vec::with_capacity(LOG_CHUNK));
-        }
-        self.free.recv().ok()
-    }
-}
-
-/// The merger's end of one shard's log channel.
-pub(crate) struct LogReceiver {
-    rx: Receiver<Vec<Completion>>,
-    free: SyncSender<Vec<Completion>>,
-}
-
-/// One shard's log channel and its pool of at most [`LOG_POOL`] batch
-/// buffers. The writer allocates a buffer only when none has come back,
-/// so the pool grows to the most batches ever in flight at once. The
-/// return channel holds the whole pool, so handing a buffer back never
-/// blocks.
-pub(crate) fn log_channel() -> (LogSender, LogReceiver) {
-    let (tx, rx) = sync_channel(LOG_DEPTH);
-    let (free_tx, free) = sync_channel(LOG_POOL);
-    let sender = LogSender {
-        tx,
-        free,
-        unallocated: LOG_POOL,
-    };
-    (sender, LogReceiver { rx, free: free_tx })
+/// One shard's log channel: the writer's end and the merger's.
+pub(crate) fn log_channel() -> (BatchSender<Completion>, BatchReceiver<Completion>) {
+    batch_channel(LOG_CHUNK)
 }
 
 /// The engine-side log front: canonicalises the shard-local completion
@@ -275,20 +211,16 @@ pub(crate) struct CompletionWriter {
     tie_time: f64,
     /// The merger channel; `None` once [`Self::finish`] has closed it or
     /// the merger has hung up.
-    channel: Option<LogSender>,
-    /// The batch being filled, a buffer from the channel's pool.
-    batch: Vec<Completion>,
+    channel: Option<BatchSender<Completion>>,
     peak_buffered: usize,
 }
 
 impl CompletionWriter {
-    pub(crate) fn new(mut channel: LogSender) -> Self {
-        let batch = channel.empty().unwrap_or_default();
+    pub(crate) fn new(channel: BatchSender<Completion>) -> Self {
         CompletionWriter {
             tie: Vec::new(),
             tie_time: f64::NEG_INFINITY,
             channel: Some(channel),
-            batch,
             peak_buffered: 0,
         }
     }
@@ -300,13 +232,13 @@ impl CompletionWriter {
         }
         self.tie_time = c.time_s;
         self.tie.push(c);
-        self.peak_buffered = self.peak_buffered.max(self.tie.len() + self.batch.len());
+        let batched = self.channel.as_ref().map_or(0, BatchSender::buffered);
+        self.peak_buffered = self.peak_buffered.max(self.tie.len() + batched);
     }
 
-    /// Move the buffered equal-time run into the batch in canonical (req)
-    /// order, shipping every full batch and taking an empty one back from
-    /// the pool. A hung-up merger means another shard already failed and
-    /// that error wins, so the writer then drops what it is given.
+    /// Move the buffered equal-time run onto the channel in canonical
+    /// (req) order. A hung-up merger means another shard already failed
+    /// and that error wins, so the writer then drops what it is given.
     fn flush_tie(&mut self) {
         if self.tie.len() > 1 {
             self.tie.sort_unstable_by_key(|c| c.req);
@@ -315,13 +247,8 @@ impl CompletionWriter {
             let Some(channel) = &mut self.channel else {
                 break;
             };
-            self.batch.push(c);
-            if self.batch.len() >= LOG_CHUNK {
-                let full = std::mem::take(&mut self.batch);
-                match channel.tx.send(full).ok().and_then(|()| channel.empty()) {
-                    Some(empty) => self.batch = empty,
-                    None => self.channel = None,
-                }
+            if !channel.push(c) {
+                self.channel = None;
             }
         }
     }
@@ -332,10 +259,7 @@ impl CompletionWriter {
     pub(crate) fn finish(&mut self) {
         self.flush_tie();
         if let Some(channel) = self.channel.take() {
-            let batch = std::mem::take(&mut self.batch);
-            if !batch.is_empty() {
-                let _ = channel.tx.send(batch);
-            }
+            channel.finish();
         }
     }
 
@@ -346,72 +270,37 @@ impl CompletionWriter {
 }
 
 /// K-way merge of per-shard canonical streams into `sink`, keyed by
-/// `(time_s, req)`. Each head is read in place by a cursor and its spent
-/// buffer goes back to the shard's pool. Blocks on the emptiest heads
-/// until every channel closes; the shard writers drop their senders in
+/// `(time_s, req)`. Blocks on the emptiest heads until every channel
+/// closes; the shard writers drop their senders in
 /// [`CompletionWriter::finish`] (and on engine error, by dropping the
 /// writer), so the walk always terminates. Returns the sink and the
 /// merger's own peak buffered count.
 pub(crate) fn merge_streams(
-    rxs: Vec<LogReceiver>,
+    mut rxs: Vec<BatchReceiver<Completion>>,
     mut sink: CompletionSink,
 ) -> std::io::Result<(CompletionSink, usize)> {
-    struct Head {
-        rx: Receiver<Vec<Completion>>,
-        free: SyncSender<Vec<Completion>>,
-        batch: Vec<Completion>,
-        next: usize,
-        open: bool,
-    }
-    let mut heads: Vec<Head> = rxs
-        .into_iter()
-        .map(|LogReceiver { rx, free }| Head {
-            rx,
-            free,
-            batch: Vec::new(),
-            next: 0,
-            open: true,
-        })
-        .collect();
     let mut peak = 0usize;
     loop {
         // Every open head must be non-empty before a min is trustworthy.
+        let mut best: Option<(usize, Completion)> = None;
         let mut refilled = false;
-        for h in &mut heads {
-            while h.open && h.next == h.batch.len() {
-                let mut spent = std::mem::take(&mut h.batch);
-                h.next = 0;
-                if spent.capacity() > 0 {
-                    spent.clear();
-                    // A writer that has finished no longer takes buffers back.
-                    let _ = h.free.send(spent);
-                }
-                match h.rx.recv() {
-                    Ok(batch) => {
-                        h.batch = batch;
-                        refilled = true;
-                    }
-                    Err(_) => h.open = false,
+        for (i, rx) in rxs.iter_mut().enumerate() {
+            refilled |= rx.buffered() == 0;
+            if let Some(&c) = rx.head() {
+                if best.is_none_or(|(_, b)| (c.time_s, c.req) < (b.time_s, b.req)) {
+                    best = Some((i, c));
                 }
             }
         }
         // Buffered counts only fall between refills, so the peak is
         // reached just after one.
         if refilled {
-            peak = peak.max(heads.iter().map(|h| h.batch.len() - h.next).sum());
-        }
-        let mut best: Option<(usize, &Completion)> = None;
-        for (i, h) in heads.iter().enumerate() {
-            if let Some(c) = h.batch.get(h.next) {
-                if best.is_none_or(|(_, b)| (c.time_s, c.req) < (b.time_s, b.req)) {
-                    best = Some((i, c));
-                }
-            }
+            peak = peak.max(rxs.iter().map(BatchReceiver::buffered).sum());
         }
         match best {
             Some((i, c)) => {
-                sink.emit(c)?;
-                heads[i].next += 1;
+                sink.emit(&c)?;
+                rxs[i].advance();
             }
             None => break,
         }
@@ -486,12 +375,12 @@ mod tests {
 
     #[test]
     fn merge_interleaves_shard_streams_in_time_then_req_order() {
-        let (tx0, rx0) = log_channel();
-        let (tx1, rx1) = log_channel();
-        tx0.tx.send(vec![c(0, 0, 1.0), c(3, 0, 2.0)]).unwrap();
-        tx1.tx.send(vec![c(1, 1, 1.0), c(2, 1, 1.5)]).unwrap();
-        drop(tx0);
-        drop(tx1);
+        let (mut tx0, rx0) = log_channel();
+        let (mut tx1, rx1) = log_channel();
+        assert!(tx0.push(c(0, 0, 1.0)) && tx0.push(c(3, 0, 2.0)));
+        assert!(tx1.push(c(1, 1, 1.0)) && tx1.push(c(2, 1, 1.5)));
+        tx0.finish();
+        tx1.finish();
         let sink = CompletionSink::from_mode(&CompletionLogMode::Memory)
             .unwrap()
             .unwrap();
@@ -504,75 +393,23 @@ mod tests {
         assert!(peak >= 2, "both heads buffered at once");
     }
 
-    /// Allocations of exactly one log batch's bytes made on threads that
-    /// opted in through `COUNTED` — the probe for "does the log allocate
-    /// per batch".
-    mod batch_allocs {
-        use std::alloc::{GlobalAlloc, Layout, System};
-        use std::cell::Cell;
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
-        pub(super) static COUNT: AtomicUsize = AtomicUsize::new(0);
-        thread_local! {
-            pub(super) static COUNTED: Cell<bool> = const { Cell::new(false) };
-        }
-        const BATCH_BYTES: usize = super::LOG_CHUNK * std::mem::size_of::<super::Completion>();
-
-        struct Counting;
-
-        unsafe impl GlobalAlloc for Counting {
-            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-                if layout.size() == BATCH_BYTES && COUNTED.with(Cell::get) {
-                    COUNT.fetch_add(1, Ordering::Relaxed);
-                }
-                System.alloc(layout)
-            }
-
-            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-                System.dealloc(ptr, layout)
-            }
-
-            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-                System.realloc(ptr, layout, new_size)
-            }
-        }
-
-        #[global_allocator]
-        static ALLOCATOR: Counting = Counting;
-    }
-
-    /// The log's batch buffers are a bounded pool at any record count:
-    /// 1M completions (244 batches a shard at S = 1) through one and
-    /// through two writers allocate at most `LOG_POOL` batches per shard,
-    /// none of them in `log_channel` or on the merger, and the merged
-    /// stream is the same.
+    /// The log streams from a bounded pool at any record count (the pool
+    /// itself is `spindown_workload::batch`'s to test): 1M completions
+    /// through one and through two writers merge to the same stream, and
+    /// the merger never holds more than one batch a shard.
     #[test]
     fn log_batches_come_from_a_bounded_pool_per_shard() {
-        use std::sync::atomic::Ordering;
         const RECORDS: usize = 1_000_000;
-        let count = || batch_allocs::COUNT.load(Ordering::Relaxed);
-        let counted = || batch_allocs::COUNTED.with(|c| c.set(true));
-        counted();
         let mut summaries = Vec::new();
         for shards in [1, 2] {
-            let before = count();
             let (txs, rxs): (Vec<_>, Vec<_>) = (0..shards).map(|_| log_channel()).unzip();
-            assert_eq!(
-                count(),
-                before,
-                "S={shards}: log_channel allocates no batch"
-            );
             let sink = CompletionSink::from_mode(&CompletionLogMode::Digest)
                 .unwrap()
                 .unwrap();
             let (summary, merger_peak) = std::thread::scope(|scope| {
-                let merger = scope.spawn(move || {
-                    counted();
-                    merge_streams(rxs, sink).unwrap()
-                });
+                let merger = scope.spawn(move || merge_streams(rxs, sink).unwrap());
                 for (s, tx) in txs.into_iter().enumerate() {
                     scope.spawn(move || {
-                        counted();
                         let mut w = CompletionWriter::new(tx);
                         // Request r completes at r / 4 s on disk r % 7 and
                         // belongs to shard r % shards: ties of four.
@@ -586,14 +423,8 @@ mod tests {
                 (sink.finish(0).unwrap().1, peak)
             });
             assert_eq!(summary.records, RECORDS as u64);
-            let batches = count() - before;
             assert!(
-                (shards..=shards * LOG_POOL).contains(&batches),
-                "S={shards}: {batches} batches allocated, pool bound {}",
-                shards * LOG_POOL
-            );
-            assert!(
-                merger_peak <= shards * (LOG_DEPTH + 1) * LOG_CHUNK,
+                merger_peak <= shards * LOG_CHUNK,
                 "S={shards}: merger peak {merger_peak}"
             );
             summaries.push(summary);

@@ -415,7 +415,7 @@ mod tests {
     fn discipline_defaults_to_fifo_and_builds() {
         let cfg = SimConfig::paper_default();
         assert_eq!(cfg.discipline, DisciplineChoice::Fifo);
-        assert!(cfg.completion_log.is_off());
+        assert_eq!(cfg.completion_log, CompletionLogMode::Off);
         let cfg = cfg
             .with_discipline(DisciplineChoice::sjf())
             .with_completion_log();

@@ -88,13 +88,14 @@ use std::sync::mpsc::Sender;
 use spindown_disk::energy::EnergyBreakdown;
 use spindown_disk::state::TransitionError;
 use spindown_packing::Assignment;
+use spindown_workload::batch::BatchSender;
 use spindown_workload::trace::{TraceIoError, MAX_TRACE_TIME_S};
 use spindown_workload::{
     FaultPlan, FileCatalog, FileId, InMemorySource, Request, ShardReceiver, Trace, TraceSource,
 };
 
 use crate::actor::{DiskActor, Phase};
-use crate::complog::{CompletionWriter, LogSender};
+use crate::complog::CompletionWriter;
 use crate::config::SimConfig;
 use crate::event::{Event, EventQueue};
 use crate::fault::{DiskFaults, FaultCounts, FaultRuntime, PendingRetry};
@@ -380,7 +381,7 @@ pub(crate) struct ShardJob<'a> {
     pub policy: Box<dyn PowerPolicy>,
     /// Carries this engine's completion-log stream to the merger thread;
     /// given exactly when logging is on.
-    pub log_tx: Option<LogSender>,
+    pub log_tx: Option<BatchSender<Completion>>,
     /// Carries each closed window's partial to the run's fold; given
     /// exactly when windows are on.
     pub window_tx: Option<Sender<(usize, WindowPartial)>>,

@@ -36,8 +36,11 @@
 //! - [`bins`] — logarithmic size binning (the paper's 80-bin analysis).
 //! - [`shard`] — per-shard arrival streams for the sharded replay engine:
 //!   a single-reader demux with bounded channels over any source.
+//! - [`batch`] — the bounded, pooled batch channel both pipeline
+//!   hand-offs (the demux and the simulator's completion log) run on.
 
 pub mod arrivals;
+pub mod batch;
 pub mod bins;
 pub mod catalog;
 pub mod fault;

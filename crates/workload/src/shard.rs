@@ -14,19 +14,17 @@
 //! same driver with the routing skipped: the reader thread decodes while
 //! the engine runs.
 //!
-//! Memory is bounded at every shard count. [`demux`] allocates each
-//! shard's batch buffers once, on the calling thread, and the buffers
-//! cycle: the pump fills one and sends it, the receiver reads it in place
-//! and sends it back empty over a return channel. When every buffer of a
-//! shard is in flight the pump waits for one to come back, so a slow
-//! shard holds the reader back instead of growing a queue.
+//! Memory is bounded at every shard count: each shard's batches travel
+//! over a [`batch_channel`], whose pool of at most [`crate::batch::POOL`]
+//! buffers is allocated lazily on the pump thread. A slow shard holds the
+//! reader back instead of growing a queue.
 //!
 //! Requests for unmapped files go to shard 0, which surfaces the same
 //! unmapped-file error the unsharded engine would raise.
 
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
+use crate::batch::{batch_channel, BatchReceiver, BatchSender};
 use crate::source::TraceSource;
 use crate::trace::{Request, TraceIoError};
 
@@ -34,12 +32,11 @@ use crate::trace::{Request, TraceIoError};
 /// many requests, small enough that a shard's buffers stay a few dozen
 /// pages (a batch is 32 bytes a request).
 const CHUNK: usize = 1024;
-/// Full batches a shard's channel may hold ahead of its receiver. A shard
-/// owns `DEPTH + 2` buffers: these, the one the pump fills and the one
-/// the receiver reads.
-const DEPTH: usize = 4;
-/// Batch buffers per shard.
-const POOL: usize = DEPTH + 2;
+
+/// The pump's terminal source error, shared with every receiver. The
+/// pump sets it before it drops its senders, so a receiver that reaches
+/// the end of its stream sees it.
+type Failure = Arc<OnceLock<Arc<TraceIoError>>>;
 
 /// A routed request: its ordinal in the whole (undemuxed) stream, the
 /// request, and the probe's answer for it (`None` on a miss, or when the
@@ -78,46 +75,13 @@ pub fn route_shard(file_to_disk: &[usize], shards: usize, file: usize) -> usize 
     }
 }
 
-/// One message on a demux channel: a batch of routed requests, or the
-/// shared copy of the pump's terminal error.
-enum Msg {
-    Batch(Vec<Entry>),
-    Failed(Arc<TraceIoError>),
-}
-
-/// The pump's end of one shard: the batch being filled, the channel full
-/// batches go out on, and the return channel empty ones come back on.
-struct Lane {
-    fill: Vec<Entry>,
-    tx: SyncSender<Msg>,
-    free: Receiver<Vec<Entry>>,
-}
-
-impl Lane {
-    /// Send the full batch and take an empty buffer back from the shard's
-    /// pool, waiting for the receiver to finish one if all are in flight.
-    /// `false` once the receiver has hung up.
-    fn ship(&mut self) -> bool {
-        let full = std::mem::take(&mut self.fill);
-        if self.tx.send(Msg::Batch(full)).is_err() {
-            return false;
-        }
-        match self.free.recv() {
-            Ok(empty) => {
-                self.fill = empty;
-                true
-            }
-            Err(_) => false,
-        }
-    }
-}
-
 /// The producer half of [`demux`]: owns the underlying source and the
 /// pump's end of every shard. Run [`DemuxPump::run_probed`] on its own
 /// thread while the shard engines consume their [`ShardReceiver`]s.
 pub struct DemuxPump<S> {
     source: S,
-    lanes: Vec<Lane>,
+    lanes: Vec<BatchSender<Entry>>,
+    failure: Failure,
 }
 
 impl<S: TraceSource> DemuxPump<S> {
@@ -137,12 +101,11 @@ impl<S: TraceSource> DemuxPump<S> {
     /// here, so one hierarchy serves the whole stream in arrival order
     /// whatever the shard count.
     ///
-    /// On a source error the error is wrapped in an [`Arc`] and fanned out
-    /// to every shard, so each consumer fails with
-    /// [`TraceIoError::Shared`]. If a consumer hangs up (its engine
-    /// failed), the pump stops at that shard's next batch — remaining
-    /// consumers see end of stream, and the caller surfaces the consumer's
-    /// own error.
+    /// On a source error the pump stops: each consumer reads the batches
+    /// already shipped to it, then fails with [`TraceIoError::Shared`]
+    /// over the one error. If a consumer hangs up (its engine failed), the
+    /// pump stops at that shard's next batch — remaining consumers see end
+    /// of stream, and the caller surfaces the consumer's own error.
     pub fn run_probed(
         mut self,
         file_to_disk: &[usize],
@@ -159,52 +122,39 @@ impl<S: TraceSource> DemuxPump<S> {
                         route_shard(file_to_disk, shards, r.file.0 as usize)
                     };
                     let hit = probe(&r).unwrap_or(f64::NAN);
-                    let lane = &mut self.lanes[s];
-                    lane.fill.push(Entry {
+                    let entry = Entry {
                         seq,
                         request: r,
                         hit,
-                    });
-                    seq += 1;
-                    if lane.fill.len() == CHUNK && !lane.ship() {
+                    };
+                    if !self.lanes[s].push(entry) {
                         return;
                     }
+                    seq += 1;
                 }
                 Ok(None) => break,
                 Err(e) => {
-                    let shared = Arc::new(e);
-                    for lane in &self.lanes {
-                        let _ = lane.tx.send(Msg::Failed(Arc::clone(&shared)));
-                    }
+                    // Set before the senders drop (with `self`): a
+                    // receiver reads it once its channel has closed.
+                    let _ = self.failure.set(Arc::new(e));
                     return;
                 }
             }
         }
         for lane in self.lanes {
-            if !lane.fill.is_empty() {
-                let _ = lane.tx.send(Msg::Batch(lane.fill));
-            }
+            lane.finish();
         }
-        // Dropping the senders closes every channel: consumers observe a
-        // clean end of stream.
     }
 }
 
 /// The consumer half of [`demux`]: a blocking [`TraceSource`] over one
-/// shard's channel. Yields the shard's requests in trace order, reading
-/// each batch in place; after the pump reports an error, every subsequent
-/// call returns [`TraceIoError::Shared`] over the same underlying failure.
+/// shard's channel. Yields the shard's requests in trace order; after the
+/// pump fails, every later call returns [`TraceIoError::Shared`] over the
+/// same underlying failure.
 pub struct ShardReceiver {
-    batch: Vec<Entry>,
-    next: usize,
-    rx: Receiver<Msg>,
-    free: SyncSender<Vec<Entry>>,
+    rx: BatchReceiver<Entry>,
+    failure: Failure,
     horizon: f64,
-    failed: Option<Arc<TraceIoError>>,
-    done: bool,
-    /// Batch buffers allocated for this shard, read by the tests.
-    #[cfg_attr(not(test), allow(dead_code))]
-    allocations: usize,
 }
 
 impl ShardReceiver {
@@ -212,57 +162,33 @@ impl ShardReceiver {
     /// and the pump's probe answer.
     #[inline]
     pub fn next_tagged(&mut self) -> Result<Option<Tagged>, TraceIoError> {
-        if self.next == self.batch.len() {
-            self.refill()?;
+        match self.rx.head() {
+            Some(entry) => {
+                let tagged = entry.tagged();
+                self.rx.advance();
+                Ok(Some(tagged))
+            }
+            None => self.end(),
         }
-        let tagged = self.batch.get(self.next).map(Entry::tagged);
-        self.next += usize::from(tagged.is_some());
-        Ok(tagged)
     }
 
-    /// The current batch is spent: hand its buffer back to the pump and
-    /// block until the next batch, the end of the stream, or the pump's
-    /// error arrives.
+    /// The end of the shard's stream: clean, or the pump's error.
     #[cold]
-    #[inline(never)]
-    fn refill(&mut self) -> Result<(), TraceIoError> {
-        while self.next == self.batch.len() && !self.done {
-            let mut spent = std::mem::take(&mut self.batch);
-            self.next = 0;
-            if spent.capacity() > 0 {
-                spent.clear();
-                // A pump that has finished no longer takes buffers back.
-                let _ = self.free.send(spent);
-            }
-            match self.rx.recv() {
-                Ok(Msg::Batch(batch)) => self.batch = batch,
-                Ok(Msg::Failed(e)) => {
-                    self.failed = Some(e);
-                    self.done = true;
-                }
-                Err(_) => self.done = true,
-            }
-        }
-        match &self.failed {
+    fn end<T>(&self) -> Result<Option<T>, TraceIoError> {
+        match self.failure.get() {
             Some(e) => Err(TraceIoError::Shared(Arc::clone(e))),
-            None => Ok(()),
+            None => Ok(None),
         }
-    }
-
-    /// Batch buffers allocated for this shard (all of them by [`demux`]).
-    #[cfg(test)]
-    pub(crate) fn batch_allocations(&self) -> usize {
-        self.allocations
     }
 }
 
 impl TraceSource for ShardReceiver {
     #[inline]
     fn peek_time(&mut self) -> Result<Option<f64>, TraceIoError> {
-        if self.next == self.batch.len() {
-            self.refill()?;
+        match self.rx.head() {
+            Some(entry) => Ok(Some(entry.request.time)),
+            None => self.end(),
         }
-        Ok(self.batch.get(self.next).map(|e| e.request.time))
     }
 
     #[inline]
@@ -277,44 +203,28 @@ impl TraceSource for ShardReceiver {
 
 /// Split `source` into `shards` per-shard streams. Returns the pump (drain
 /// it on its own thread with [`DemuxPump::run_probed`]) and one
-/// [`ShardReceiver`] per shard. The source is read exactly once, and every batch buffer the
-/// run will use is allocated here.
+/// [`ShardReceiver`] per shard. The source is read exactly once.
 pub fn demux<S: TraceSource>(source: S, shards: usize) -> (DemuxPump<S>, Vec<ShardReceiver>) {
     assert!(shards > 0, "demux needs at least one shard");
     let horizon = source.horizon();
-    let mut lanes = Vec::with_capacity(shards);
-    let mut rxs = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        // A shard has `POOL` buffers, and the pump holds one whenever it
-        // fans out an error, so neither channel ever holds more than
-        // `POOL` messages: no send blocks, and the pump waits only for an
-        // empty buffer (`free.recv`).
-        let (tx, rx) = sync_channel(POOL);
-        let (free_tx, free) = sync_channel(POOL);
-        let mut allocations = 0;
-        let mut buffer = || {
-            allocations += 1;
-            Vec::with_capacity(CHUNK)
-        };
-        let fill = buffer();
-        for _ in 1..POOL {
-            free_tx
-                .send(buffer())
-                .expect("the return channel holds the whole pool");
-        }
-        lanes.push(Lane { fill, tx, free });
-        rxs.push(ShardReceiver {
-            batch: Vec::new(),
-            next: 0,
-            rx,
-            free: free_tx,
-            horizon,
-            failed: None,
-            done: false,
-            allocations,
-        });
-    }
-    (DemuxPump { source, lanes }, rxs)
+    let failure = Failure::default();
+    let (lanes, rxs) = (0..shards)
+        .map(|_| {
+            let (tx, rx) = batch_channel(CHUNK);
+            let rx = ShardReceiver {
+                rx,
+                failure: Arc::clone(&failure),
+                horizon,
+            };
+            (tx, rx)
+        })
+        .unzip();
+    let pump = DemuxPump {
+        source,
+        lanes,
+        failure,
+    };
+    (pump, rxs)
 }
 
 #[cfg(test)]
@@ -451,6 +361,42 @@ mod tests {
     }
 
     #[test]
+    fn a_source_error_follows_every_batch_shipped_before_it() {
+        // 2.5 batches a shard, then an out-of-order row: each shard gets
+        // its two full batches, then the error on every later call. The
+        // half batch the pump was filling is dropped.
+        let good = 5 * CHUNK / 2;
+        let mut rows: String = (0..2 * good)
+            .map(|i| format!("{i}.0,{}\n", i % 2))
+            .collect();
+        rows.push_str("0.5,0\n");
+        let bad_line = 2 * good + 1;
+        let source = CsvTraceSource::from_reader(std::io::Cursor::new(rows), 1e6).unwrap();
+        let (pump, mut rxs) = demux(source, 2);
+        std::thread::scope(|scope| {
+            scope.spawn(move || pump.run(&[0, 1]));
+            for (s, rx) in rxs.iter_mut().enumerate() {
+                for k in 0..2 * CHUNK {
+                    let (seq, r, _) = rx.next_tagged().unwrap().expect("a shipped request");
+                    assert_eq!(seq as usize, 2 * k + s, "shard {s}");
+                    assert_eq!(r.file, FileId(s as u32), "shard {s}");
+                }
+                for _ in 0..2 {
+                    let e = rx.next_tagged().expect_err("the source error");
+                    assert!(
+                        matches!(
+                            &e,
+                            TraceIoError::Shared(inner)
+                                if matches!(**inner, TraceIoError::OutOfOrder(n) if n == bad_line)
+                        ),
+                        "shard {s}: unexpected error {e}"
+                    );
+                }
+            }
+        });
+    }
+
+    #[test]
     fn probe_answers_travel_with_their_requests() {
         // The probe sees the whole stream in order, once, before routing,
         // and each answer reaches the shard its request routes to.
@@ -524,30 +470,23 @@ mod tests {
             let file_to_disk: Vec<usize> = (0..24).map(|f| f % 5).collect();
             for shards in [1, 2] {
                 let source = SyntheticSource::poisson(&catalog, 1000.0, 1000.0, 11);
-                let (pump, mut rxs) = demux(source, shards);
+                let (pump, rxs) = demux(source, shards);
                 let total: usize = std::thread::scope(|scope| {
                     scope.spawn(|| pump.run(&file_to_disk));
                     let drains: Vec<_> = rxs
-                        .iter_mut()
-                        .map(|rx| scope.spawn(move || drain(rx).len()))
+                        .into_iter()
+                        .map(|mut rx| scope.spawn(move || drain(&mut rx).len()))
                         .collect();
                     drains.into_iter().map(|h| h.join().unwrap()).sum()
                 });
-                let allocations: Vec<usize> = rxs.iter().map(|rx| rx.batch_allocations()).collect();
-                let _ = done.send((shards, total, allocations));
+                let _ = done.send((shards, total));
             }
         });
         for _ in 0..2 {
-            let (shards, total, allocations) = finished
+            let (shards, total) = finished
                 .recv_timeout(std::time::Duration::from_secs(60))
                 .expect("the drain finished");
             assert!(total > 990_000, "S={shards}: drained {total}");
-            for (s, &n) in allocations.iter().enumerate() {
-                assert!(
-                    n <= DEPTH + 2,
-                    "S={shards} shard {s}: {n} batch allocations"
-                );
-            }
         }
     }
 }

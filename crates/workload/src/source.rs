@@ -124,9 +124,10 @@ impl TraceSource for InMemorySource<'_> {
 /// long the file is. A canonical row (`D+[.D+],D+`, optionally ending in
 /// `\r`) whose time is exact by Clinger's fast path (mantissa ≤ 2⁵³, at
 /// most 22 fraction digits) is parsed by a digit loop; every other row —
-/// header, blank, whitespace, `+`, exponents, `nan`, extra fields, long
-/// mantissas — takes std's parse on the trimmed text, which stays the one
-/// `f64` grammar. Validates well-formed rows, finite non-negative times
+/// header, blank, whitespace, `+`, exponents, `nan`, long mantissas —
+/// takes std's parse on the trimmed text, which stays the one `f64`
+/// grammar. A row with more than two fields is malformed. Validates
+/// well-formed rows, finite non-negative times
 /// and non-decreasing order, surfacing problems as [`TraceIoError`] at the
 /// offending row instead of up front; a row that is not UTF-8 is
 /// [`TraceIoError::Malformed`].
@@ -592,11 +593,20 @@ mod tests {
 
     #[test]
     fn csv_source_reports_malformed_rows_at_their_line() {
-        let bad = "time_s,file_id\n1.0,3\nnot-a-number,4\n";
-        let mut src = CsvTraceSource::from_reader(std::io::Cursor::new(bad), 10.0).unwrap();
-        assert_eq!(src.next_request().unwrap().unwrap().file.0, 3);
-        let err = src.next_request().unwrap_err();
-        assert!(matches!(err, TraceIoError::Malformed(3, _)));
+        for row in ["not-a-number,4", "1.0,3,x", "2.0,4,"] {
+            let bad = format!("time_s,file_id\n1.0,3\n{row}\n");
+            let mut src = CsvTraceSource::from_reader(bad.as_bytes(), 10.0).unwrap();
+            assert_eq!(src.next_request().unwrap().unwrap().file.0, 3);
+            let err = src.next_request().unwrap_err();
+            assert!(
+                matches!(&err, TraceIoError::Malformed(3, text) if text == row),
+                "{row:?}: {err:?}"
+            );
+            // The tail read and `read_csv` name the same line.
+            assert!(matches!(tail(&bad), Err(TraceIoError::Malformed(3, _))));
+            let err = Trace::read_csv(bad.as_bytes(), None).unwrap_err();
+            assert!(matches!(err, TraceIoError::Malformed(3, _)), "{row:?}");
+        }
     }
 
     #[test]

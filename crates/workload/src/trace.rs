@@ -38,12 +38,13 @@ pub struct Trace {
 pub const MAX_TRACE_TIME_S: f64 = (1u64 << 40) as f64;
 
 /// Parse one non-empty, non-header CSV row `time_s,file_id` found at
-/// 1-based `line`. The time must lie in `[0, MAX_TRACE_TIME_S]`, which
-/// also rejects the `nan`, `inf` and `-5` that parse as `f64`.
+/// 1-based `line`; a row with a third field, even an empty one, is
+/// malformed. The time must lie in `[0, MAX_TRACE_TIME_S]`, which also
+/// rejects the `nan`, `inf` and `-5` that parse as `f64`.
 pub(crate) fn parse_row(text: &str, line: usize) -> Result<Request, TraceIoError> {
     let malformed = || TraceIoError::Malformed(line, text.to_owned());
     let mut parts = text.split(',');
-    let (Some(t), Some(f)) = (parts.next(), parts.next()) else {
+    let (Some(t), Some(f), None) = (parts.next(), parts.next(), parts.next()) else {
         return Err(malformed());
     };
     let time: f64 = t.trim().parse().map_err(|_| malformed())?;

@@ -169,7 +169,7 @@ fn stream<R: BufRead>(reader: R, horizon: f64) -> Decoded {
 
 /// The row semantics the CSV reader keeps, written the slow way: split
 /// the bytes on `\n`, trim each line, skip blanks and a first-line
-/// header, split on `,` and take std's parse of the first two fields.
+/// header, split on `,` and take std's parse of exactly two fields.
 fn line_oracle(bytes: &[u8], horizon: f64) -> Decoded {
     let mut lines: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
     if bytes.is_empty() || bytes.ends_with(b"\n") {
@@ -191,8 +191,8 @@ fn line_oracle(bytes: &[u8], horizon: f64) -> Decoded {
             continue;
         }
         let mut fields = text.split(',');
-        let parsed = match (fields.next(), fields.next()) {
-            (Some(t), Some(f)) => t
+        let parsed = match (fields.next(), fields.next(), fields.next()) {
+            (Some(t), Some(f), None) => t
                 .trim()
                 .parse::<f64>()
                 .ok()
