@@ -747,10 +747,10 @@ mod tests {
             cfg.disciplines = vec![DisciplineChoice::Fifo];
             cfg.ladders = vec![LadderChoice::TwoState];
             match JointPlanner::new(cfg).search(&catalog, &trace, 0.1) {
-                Err(JointError::Sim(SimError::InvalidThreshold { threshold_s })) => {
-                    assert_eq!(threshold_s.to_bits(), s.to_bits());
+                Err(JointError::Sim(SimError::InvalidPolicyDelay { rest_s, .. })) => {
+                    assert_eq!(rest_s.to_bits(), s.to_bits());
                 }
-                other => panic!("threshold {s}: expected InvalidThreshold, got {other:?}"),
+                other => panic!("threshold {s}: expected InvalidPolicyDelay, got {other:?}"),
             }
         }
     }

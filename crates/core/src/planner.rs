@@ -235,7 +235,7 @@ impl Planner {
 
     /// Simulate a plan over a fixed fleet (the paper keeps 100 disks). A
     /// fixed-threshold policy choice that is negative or not finite fails
-    /// with [`SimError::InvalidThreshold`] before any policy is built.
+    /// with [`SimError::InvalidPolicyDelay`].
     pub fn evaluate_with_fleet(
         &self,
         plan: &Plan,
@@ -243,9 +243,6 @@ impl Planner {
         trace: &Trace,
         fleet: usize,
     ) -> Result<SimReport, SimError> {
-        if let PolicyChoice::Threshold(t) = self.policy_choice() {
-            t.check()?;
-        }
         Simulator::replay(
             catalog,
             InMemorySource::new(trace),
@@ -377,10 +374,10 @@ mod tests {
             let mut cfg = PlannerConfig::default();
             cfg.policy = Some(PolicyChoice::fixed(s));
             match Planner::new(cfg).evaluate(&plan, &cat, &trace) {
-                Err(SimError::InvalidThreshold { threshold_s }) => {
-                    assert_eq!(threshold_s.to_bits(), s.to_bits());
+                Err(SimError::InvalidPolicyDelay { rest_s, .. }) => {
+                    assert_eq!(rest_s.to_bits(), s.to_bits());
                 }
-                other => panic!("threshold {s}: expected InvalidThreshold, got {other:?}"),
+                other => panic!("threshold {s}: expected InvalidPolicyDelay, got {other:?}"),
             }
         }
     }

@@ -782,4 +782,39 @@ mod tests {
         )
         .is_err());
     }
+
+    #[test]
+    fn a_malformed_row_reads_the_same_from_the_tail_read_and_the_stream() {
+        // Last, the row fails the open-time tail read; mid-file, the
+        // streaming reader. The message must not depend on which.
+        let dir = std::env::temp_dir().join("spindown_replay_malformed_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let rows = "time_s,file_id\n0.5,1\n1.0,2\n1.5,3,x\n";
+        let messages: Vec<String> = [rows.to_owned(), format!("{rows}2.0,4\n")]
+            .iter()
+            .enumerate()
+            .map(|(i, csv)| {
+                let path = dir.join(format!("trace-{}-{i}.csv", std::process::id()));
+                std::fs::write(&path, csv).unwrap();
+                let err = replay(
+                    Scale::Quick,
+                    Some(&path),
+                    None,
+                    0,
+                    LadderChoice::TwoState,
+                    1,
+                    CacheChoice::None,
+                    FaultChoice::None,
+                    None,
+                    None,
+                    None,
+                )
+                .expect_err("a malformed row fails the replay");
+                std::fs::remove_file(&path).ok();
+                err.to_string()
+            })
+            .collect();
+        assert_eq!(messages[0], "malformed trace line 4: \"1.5,3,x\"");
+        assert_eq!(messages[0], messages[1]);
+    }
 }

@@ -447,6 +447,33 @@ mod tests {
     }
 
     #[test]
+    fn run_sweep_returns_a_bad_fixed_threshold_as_a_policy_delay_error() {
+        let catalog = spindown_workload::FileCatalog::from_parts(vec![10 * MB], vec![1.0]);
+        let trace = Trace::poisson(&catalog, 0.05, 600.0, 3);
+        let assignment = Assignment {
+            disks: vec![DiskBin {
+                items: vec![0],
+                total_s: 0.0,
+                total_l: 0.0,
+            }],
+        };
+        let grid = policy_cache_grid(&[PolicyChoice::fixed(-1.0)], &[CacheChoice::None]);
+        let err = run_sweep(
+            &catalog,
+            &trace,
+            &assignment,
+            &SimConfig::paper_default(),
+            1,
+            &grid,
+        )
+        .expect_err("a negative threshold fails the sweep");
+        assert!(
+            matches!(err, SimError::InvalidPolicyDelay { rest_s, .. } if rest_s == -1.0),
+            "{err:?}"
+        );
+    }
+
+    #[test]
     fn grid_is_policy_outer_cross_product() {
         let policies = [PolicyChoice::break_even(), PolicyChoice::never()];
         let caches = [CacheChoice::None, CacheChoice::parse("lru:16").unwrap()];

@@ -216,11 +216,6 @@ impl DiskActor {
         self.machine.spin_ups()
     }
 
-    /// The pending-request queue (push via [`DiskActor::enqueue`]).
-    pub fn queue(&self) -> &RequestQueue {
-        &self.queue
-    }
-
     /// Number of pending (not in-flight) requests.
     pub fn queue_len(&self) -> usize {
         self.queue.len()

@@ -6,7 +6,6 @@ use spindown_workload::FaultPlan;
 
 use crate::complog::CompletionLogMode;
 use crate::discipline::DisciplineChoice;
-use crate::engine::SimError;
 use crate::hierarchy::CacheHierarchyConfig;
 use crate::metrics::MetricsMode;
 
@@ -24,29 +23,14 @@ pub enum ThresholdPolicy {
 }
 
 impl ThresholdPolicy {
-    /// Reject a fixed threshold that is negative or not finite with
-    /// [`SimError::InvalidThreshold`]; every other variant is valid.
-    pub fn check(&self) -> Result<(), SimError> {
-        match *self {
-            ThresholdPolicy::Fixed(s) if !(s.is_finite() && s >= 0.0) => {
-                Err(SimError::InvalidThreshold { threshold_s: s })
-            }
-            _ => Ok(()),
-        }
-    }
-
-    /// The threshold in seconds for a drive (`None` = never spin down).
-    ///
-    /// # Panics
-    /// If a fixed threshold fails [`ThresholdPolicy::check`];
-    /// [`Simulator::replay`](crate::engine::Simulator::replay) returns that
-    /// error before it gets here.
+    /// The threshold in seconds for a drive (`None` = never spin down). A
+    /// fixed threshold is passed through as given: the engine rejects a
+    /// negative or non-finite one as
+    /// [`SimError::InvalidPolicyDelay`](crate::engine::SimError::InvalidPolicyDelay) when
+    /// the policy first answers with it.
     pub fn threshold_s(&self, spec: &DiskSpec) -> Option<f64> {
         match *self {
-            ThresholdPolicy::Fixed(s) => {
-                assert!(s.is_finite() && s >= 0.0, "bad threshold {s}");
-                Some(s)
-            }
+            ThresholdPolicy::Fixed(s) => Some(s),
             ThresholdPolicy::BreakEven => Some(break_even_threshold(spec)),
             ThresholdPolicy::Never => None,
         }
@@ -207,7 +191,7 @@ impl SimConfig {
     /// horizon before simulating anything: a width that is not finite and
     /// positive, or that makes more than
     /// [`MAX_WINDOWS`](crate::windows::MAX_WINDOWS) windows, fails with
-    /// [`SimError::InvalidWindows`].
+    /// [`SimError::InvalidWindows`](crate::engine::SimError::InvalidWindows).
     pub fn with_windows(mut self, width_s: f64) -> Self {
         self.windows = Some(width_s);
         self
@@ -270,11 +254,14 @@ mod tests {
         for s in [-1.0, f64::NAN, f64::INFINITY] {
             let cfg = SimConfig::paper_default().with_threshold(ThresholdPolicy::Fixed(s));
             match Simulator::run(&catalog, &trace, &layout, &cfg) {
-                Err(e @ SimError::InvalidThreshold { threshold_s }) => {
-                    assert!(threshold_s.to_bits() == s.to_bits(), "{threshold_s} vs {s}");
-                    assert!(e.to_string().contains(&format!("threshold {s} s")), "{e}");
+                Err(e @ SimError::InvalidPolicyDelay { rest_s, .. }) => {
+                    assert!(rest_s.to_bits() == s.to_bits(), "{rest_s} vs {s}");
+                    assert!(
+                        e.to_string().contains(&format!("descent delay {s} s")),
+                        "{e}"
+                    );
                 }
-                other => panic!("threshold {s}: expected InvalidThreshold, got {other:?}"),
+                other => panic!("threshold {s}: expected InvalidPolicyDelay, got {other:?}"),
             }
         }
         let cfg = SimConfig::paper_default().with_threshold(ThresholdPolicy::Fixed(0.0));

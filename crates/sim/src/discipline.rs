@@ -245,14 +245,6 @@ impl RequestQueue {
         self.live == 0
     }
 
-    /// Iterate the pending entries in their current internal order (stale
-    /// SJF copies excluded).
-    pub fn iter(&self) -> impl Iterator<Item = &QueueEntry> {
-        self.entries
-            .iter()
-            .filter(move |e| !self.served.contains(&e.seq))
-    }
-
     /// Append a request (requests always enter in arrival order).
     pub fn push(&mut self, req: usize, bytes: u64, arrival_s: f64, pos: u64) {
         let seq = self.next_seq;

@@ -83,7 +83,7 @@
 //! energy totals, availability, cache statistics, windows and the
 //! completion log are bit-identical at every shard count.
 
-use std::sync::mpsc::Sender;
+use std::sync::Mutex;
 
 use spindown_disk::energy::EnergyBreakdown;
 use spindown_disk::state::TransitionError;
@@ -101,7 +101,7 @@ use crate::event::{Event, EventQueue};
 use crate::fault::{DiskFaults, FaultCounts, FaultRuntime, PendingRetry};
 use crate::metrics::{Completion, ResponseStats, SimReport};
 use crate::policy::{DescentStep, PowerPolicy, TimeoutPolicy};
-use crate::windows::{last_window, WindowPartial, WindowSeries, MAX_WINDOWS};
+use crate::windows::{last_window, RowFolder, WindowSeries, MAX_WINDOWS};
 
 /// Simulation failures.
 #[derive(Debug)]
@@ -167,12 +167,6 @@ pub enum SimError {
         /// The delay the policy returned.
         rest_s: f64,
     },
-    /// A [`ThresholdPolicy::Fixed`](crate::config::ThresholdPolicy::Fixed)
-    /// spin-down threshold that is negative or not finite.
-    InvalidThreshold {
-        /// The configured threshold, seconds.
-        threshold_s: f64,
-    },
 }
 
 impl std::fmt::Display for SimError {
@@ -183,7 +177,9 @@ impl std::fmt::Display for SimError {
                 write!(f, "fleet of {fleet} disks < {required} required")
             }
             SimError::Transition(e) => write!(f, "disk state machine error: {e}"),
-            SimError::Source(e) => write!(f, "trace source failed: {e}"),
+            // The source error alone, so a row reads the same whether the
+            // tail read at open or the streaming reader meets it.
+            SimError::Source(e) => write!(f, "{e}"),
             SimError::CompletionLogIo(e) => write!(f, "completion log I/O failed: {e}"),
             SimError::FaultDiskOutOfRange {
                 clause,
@@ -226,10 +222,6 @@ impl std::fmt::Display for SimError {
                 f,
                 "policy {policy} returned descent delay {rest_s} s for disk {disk} at level \
                  {level}; it must be finite and non-negative"
-            ),
-            SimError::InvalidThreshold { threshold_s } => write!(
-                f,
-                "spin-down threshold {threshold_s} s must be finite and non-negative"
             ),
         }
     }
@@ -382,9 +374,9 @@ pub(crate) struct ShardJob<'a> {
     /// Carries this engine's completion-log stream to the merger thread;
     /// given exactly when logging is on.
     pub log_tx: Option<BatchSender<Completion>>,
-    /// Carries each closed window's partial to the run's fold; given
-    /// exactly when windows are on.
-    pub window_tx: Option<Sender<(usize, WindowPartial)>>,
+    /// The run's window fold, which takes each window this engine
+    /// closes; given exactly when windows are on.
+    pub fold: Option<&'a Mutex<RowFolder>>,
 }
 
 /// One disk's share of the fleet report.
@@ -407,8 +399,6 @@ pub(crate) struct ShardParts {
     pub peak_disk_queue: usize,
     /// With a fault plan: arrivals and outcome counters.
     pub faults: Option<FaultCounts>,
-    /// The windows the end instant closed, for the run's fold.
-    pub tail_partials: Vec<WindowPartial>,
     /// Peak completion-log buffering in this engine's writer.
     pub log_peak: usize,
 }
@@ -443,7 +433,7 @@ pub struct Simulator<'a> {
     /// on the bit-identical legacy path.
     fault: Option<FaultRuntime>,
     /// The window clock, when windows are on.
-    windows: Option<WindowSeries>,
+    windows: Option<WindowSeries<'a>>,
     /// The instant from which the oldest open window may close;
     /// `f64::INFINITY` with windows off, so the drive loop's whole
     /// windows-off cost is one float compare per event.
@@ -511,11 +501,11 @@ impl<'a> Simulator<'a> {
     /// completion log are bit-identical at every shard count.
     ///
     /// A request for a file the assignment does not place fails the run
-    /// with [`SimError::UnmappedFile`] when it arrives. A negative or
-    /// non-finite `cfg.threshold` fails it with
-    /// [`SimError::InvalidThreshold`], and a fault clause naming a disk
-    /// outside the fleet with [`SimError::FaultDiskOutOfRange`], before
-    /// any policy is built.
+    /// with [`SimError::UnmappedFile`] when it arrives. A fault clause
+    /// naming a disk outside the fleet fails it with
+    /// [`SimError::FaultDiskOutOfRange`] before any policy is built, and a
+    /// policy answering with a negative or non-finite delay (say a fixed
+    /// threshold of −1 s) with [`SimError::InvalidPolicyDelay`].
     pub fn replay<S: TraceSource + Send>(
         catalog: &'a FileCatalog,
         source: S,
@@ -524,7 +514,6 @@ impl<'a> Simulator<'a> {
         fleet: usize,
         mut policies: impl FnMut(usize) -> Box<dyn PowerPolicy>,
     ) -> Result<SimReport, SimError> {
-        cfg.threshold.check()?;
         let required = assignment.disk_slots();
         if fleet < required {
             return Err(SimError::FleetTooSmall { required, fleet });
@@ -556,7 +545,7 @@ impl<'a> Simulator<'a> {
             place,
             policy,
             log_tx,
-            window_tx,
+            fold,
         } = job;
         let horizon = source.horizon();
         SimError::check_horizon(horizon)?;
@@ -590,8 +579,8 @@ impl<'a> Simulator<'a> {
             for a in &mut sim.actors {
                 a.enable_windows(width, cfg.metrics);
             }
-            let tx = window_tx.expect("windows on come with a fold channel");
-            let series = WindowSeries::new(width, cfg.metrics, place.shard, tx);
+            let fold = fold.expect("windows on come with a fold");
+            let series = WindowSeries::new(width, cfg.metrics, place.shard, fold);
             sim.next_close = series.next_close();
             sim.windows = Some(series);
         }
@@ -602,10 +591,6 @@ impl<'a> Simulator<'a> {
             // before this thread leaves the scope — the merger joins
             // inside the same scope and must see the channel close.
             w.finish();
-        }
-        if let Some(ws) = &mut sim.windows {
-            // Likewise drop the window sender so the fold ends.
-            ws.detach();
         }
         Ok(sim)
     }
@@ -767,16 +752,16 @@ impl<'a> Simulator<'a> {
         self.next_close = ws.next_close();
     }
 
-    /// Close the run's remaining windows at the common `t_end` and hand
-    /// back their partials for the fold. Ticks every window the end
-    /// instant has passed (one at a time, so no disk opens more than a
-    /// couple of slots), charges every disk's final interval, then retires
-    /// windows through [`last_window`]`(t_end)` — the same count on every
-    /// shard. Empty with windows off.
-    fn take_tail_partials(&mut self, t_end: f64) -> Vec<WindowPartial> {
+    /// Close the run's remaining windows at the common `t_end` into the
+    /// fold. Ticks every window the end instant has passed (one at a
+    /// time, so no disk opens more than a couple of slots), charges every
+    /// disk's final interval, then retires windows through
+    /// [`last_window`]`(t_end)` — the same count on every shard. A no-op
+    /// with windows off.
+    fn close_tail_windows(&mut self, t_end: f64) {
         self.close_windows(t_end);
         let Some(mut ws) = self.windows.take() else {
-            return Vec::new();
+            return;
         };
         self.next_close = f64::INFINITY;
         for a in &mut self.actors {
@@ -790,7 +775,6 @@ impl<'a> Simulator<'a> {
             }
             ws.emit(partial);
         }
-        ws.into_held()
     }
 
     /// Most window slots any of this engine's disks held open at once.
@@ -1215,12 +1199,13 @@ impl<'a> Simulator<'a> {
         self.kick(t, disk)
     }
 
-    /// Integrate energy to `t_end` and hand back this engine's parts:
-    /// the windows the end instant closes, each disk's energy, responses,
-    /// served count and fault outcome, and the shard's counters. The
-    /// driver folds them, with every other shard's, in global disk order.
+    /// Integrate energy to `t_end`, close the windows the end instant
+    /// closes into the fold, and hand back this engine's parts: each
+    /// disk's energy, responses, served count and fault outcome, and the
+    /// shard's counters. The driver folds them, with every other shard's,
+    /// in global disk order.
     pub(crate) fn finish_at(mut self, t_end: f64) -> Result<ShardParts, SimError> {
-        let tail_partials = self.take_tail_partials(t_end);
+        self.close_tail_windows(t_end);
         let (faults, disk_faults) = match self.fault.take() {
             None => (None, Vec::new()),
             Some(f) => {
@@ -1260,7 +1245,6 @@ impl<'a> Simulator<'a> {
             peak_events: self.peak_events,
             peak_disk_queue: self.peak_disk_queue,
             faults,
-            tail_partials,
             log_peak: self.complog.as_ref().map_or(0, |w| w.peak_buffered()),
         })
     }
@@ -1338,7 +1322,7 @@ mod tests {
     ) -> usize {
         let fleet = layout.disk_slots();
         let (pump, mut rxs) = spindown_workload::demux(source, 1);
-        let (window_tx, window_rx) = std::sync::mpsc::channel();
+        let fold = Mutex::new(RowFolder::new(cfg.windows.expect("windowed"), 1));
         let sim = std::thread::scope(|scope| {
             scope.spawn(move || pump.run(&[]));
             Simulator::run_drained(ShardJob {
@@ -1353,14 +1337,14 @@ mod tests {
                 },
                 policy: Box::new(TimeoutPolicy::from_config(cfg.threshold, &cfg.disk)),
                 log_tx: None,
-                window_tx: Some(window_tx),
+                fold: Some(&fold),
             })
             .unwrap()
         });
         let peak = sim.peak_open_window_slots();
         let t_end = sim.source_horizon().max(sim.last_event_time());
-        let tail = sim.finish_at(t_end).unwrap().tail_partials.len();
-        assert!(window_rx.iter().count() + tail > 0);
+        sim.finish_at(t_end).unwrap();
+        assert!(!fold.into_inner().unwrap().finish().is_empty());
         peak
     }
 
@@ -1871,6 +1855,14 @@ mod tests {
         })
         .unwrap();
         assert_reports_identical(&via_cfg, &via_policy);
+        // Only the policy the factory builds is checked: a bad
+        // `cfg.threshold` it never reads does not fail the run.
+        let unread = cfg.with_threshold(ThresholdPolicy::Fixed(-1.0));
+        let via_factory = Simulator::replay(&cat, InMemorySource::new(&tr), &a, &unread, 3, |_| {
+            Box::new(crate::policy::TimeoutPolicy::fixed(40.0))
+        })
+        .unwrap();
+        assert_reports_identical(&via_cfg, &via_factory);
     }
 
     #[test]

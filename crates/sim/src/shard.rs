@@ -61,10 +61,11 @@
 //!   both the unsharded writer and the sharded merger — byte-identical
 //!   at every shard count;
 //! - windowed rows: each shard closes windows as its own clock passes
-//!   them and sends each closed window's partial to a folding thread,
-//!   which folds window `w` with [`crate::windows::fold_row`] once every
-//!   shard has sent it — with the per-disk values in global disk order,
-//!   whatever the shard count.
+//!   them (its last ones at `t_end`) and pushes each closed window's
+//!   partial into the run's one mutex-guarded fold, which folds window
+//!   `w` with [`crate::windows::fold_row`] once every shard has pushed
+//!   it — with the per-disk values in global disk order, whatever the
+//!   shard count.
 //!
 //! Merged counters: spin-downs/ups and the fault counters are exact sums,
 //! and served counts are placed per disk; `peak_disk_queue` is the
@@ -75,8 +76,7 @@
 //! `SimReport` doc section cataloguing exact-vs-bound merged fields — for
 //! the max/sum aggregation trade-off).
 
-use std::sync::mpsc::channel;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use spindown_disk::energy::EnergyBreakdown;
 use spindown_workload::shard::demux;
@@ -90,7 +90,7 @@ use crate::fault::FaultCounts;
 use crate::hierarchy::CacheHierarchy;
 use crate::metrics::{Completion, ResponseStats, SimReport};
 use crate::policy::PowerPolicy;
-use crate::windows::{RowFolder, WindowPartial, WindowedReport};
+use crate::windows::{RowFolder, WindowRow, WindowedReport};
 
 /// The shard count a run actually uses: `cfg.shards` clamped to at least 1
 /// and at most the fleet (no empty shards).
@@ -138,9 +138,10 @@ impl ShardPlan {
 /// bounded per-shard batches (the source is read once), shard 0 drains
 /// on the calling thread and every other shard on its own scoped thread,
 /// then all shards finish at the common end time and their parts fold
-/// into the report. Policies are built by `factory` in shard order on
-/// the calling thread, so factory side effects (seed derivation,
-/// logging) are deterministic.
+/// into the report. Every engine borrows the run's one window fold and
+/// pushes each window into it as the window closes. Policies are built
+/// by `factory` in shard order on the calling thread, so factory side
+/// effects (seed derivation, logging) are deterministic.
 pub(crate) fn replay_sharded<'a, S: TraceSource + Send>(
     catalog: &'a FileCatalog,
     source: S,
@@ -175,14 +176,16 @@ pub(crate) fn replay_sharded<'a, S: TraceSource + Send>(
             tx
         }));
     }
-    // Windows: every shard sends each closed window's partial over one
-    // unbounded channel to a folding thread, which folds window `w` once
-    // all shards have sent it. Shards never block on the send, so the
-    // channel cannot deadlock against the bounded demux. Partials wait
-    // there only while some shard's clock lags; while the source feeds
-    // every shard, the demux's bounded buffers bound that lag.
-    let folder = cfg.windows.map(|width| RowFolder::new(width, shards));
-    let (win_tx, win_rx) = channel::<(usize, WindowPartial)>();
+    // Windows: every engine pushes each closed window's partial into the
+    // one fold, which folds window `w` once all shards have pushed it.
+    // The lock is held for a push and the folds it completes, never
+    // across a channel operation, so it cannot deadlock against the
+    // bounded demux. Partials wait in the fold only while some shard's
+    // clock lags; while the source feeds every shard, the demux's bounded
+    // buffers bound that lag.
+    let fold = cfg
+        .windows
+        .map(|width| Mutex::new(RowFolder::new(width, shards)));
     let jobs: Vec<ShardJob> = receivers
         .into_iter()
         .zip(local_maps)
@@ -197,12 +200,9 @@ pub(crate) fn replay_sharded<'a, S: TraceSource + Send>(
             place: plan.placement(s),
             policy: factory(s),
             log_tx,
-            window_tx: folder.is_some().then(|| win_tx.clone()),
+            fold: fold.as_ref(),
         })
         .collect();
-    // Only the shards hold senders, so the fold ends when the last shard
-    // finishes draining (or fails).
-    drop(win_tx);
     let mut cache = cfg.cache_hierarchy.as_ref().map(|h| h.build(1));
     // The reader's probe: the checked lookup leaves an out-of-catalog file
     // untagged, for its engine to reject.
@@ -211,20 +211,12 @@ pub(crate) fn replay_sharded<'a, S: TraceSource + Send>(
         let size = catalog.files().get(r.file.index())?.size_bytes;
         hierarchy.access(r.file, size)
     };
-    let (results, merged_log, folder) = std::thread::scope(|scope| {
+    let (results, merged_log) = std::thread::scope(|scope| {
         scope.spawn(move || pump.run_probed(&route_map, probe));
-        // The merger and the fold terminate once every shard's sender is
-        // dropped — `run_drained` drops them on success and on error (with
-        // the engine), so joining them inside the scope cannot deadlock.
+        // The merger terminates once every shard's sender is dropped —
+        // `run_drained` drops them on success and on error (with the
+        // engine), so joining it inside the scope cannot deadlock.
         let merger = merger_sink.map(|sink| scope.spawn(move || merge_streams(log_rxs, sink)));
-        let fold = folder.map(|mut folder| {
-            scope.spawn(move || {
-                for (s, partial) in win_rx.iter() {
-                    folder.push(s, partial);
-                }
-                folder
-            })
-        });
         let mut jobs = jobs.into_iter();
         let first = jobs.next().expect("at least one shard");
         let others: Vec<_> = jobs
@@ -232,7 +224,7 @@ pub(crate) fn replay_sharded<'a, S: TraceSource + Send>(
             .collect();
         let mut results = vec![Simulator::run_drained(first)];
         results.extend(others.into_iter().map(join));
-        (results, merger.map(join), fold.map(join))
+        (results, merger.map(join))
     });
     let mut sims = Vec::with_capacity(shards);
     let mut failure = None;
@@ -265,13 +257,15 @@ pub(crate) fn replay_sharded<'a, S: TraceSource + Send>(
         }
         Some(Err(e)) => return Err(e.into()),
     };
+    // A panic while folding has already re-raised at its shard's join.
+    let rows = fold.map(|fold| fold.into_inner().expect("no panic in the fold").finish());
     Ok(merge_reports(
         cfg,
         fleet,
         t_end,
         parts,
         log,
-        folder,
+        rows,
         cache.as_ref(),
     ))
 }
@@ -298,16 +292,16 @@ fn unshare(e: SimError) -> SimError {
 
 /// Fold every shard's parts into the fleet report: per-disk values in
 /// ascending global disk order (see the module docs for why this fixes
-/// the float operations at every shard count), counters summed, the tail
-/// windows into the fold, and the cache counters read off the run's one
-/// hierarchy.
+/// the float operations at every shard count), counters summed, the
+/// folded window rows attached, and the cache counters read off the
+/// run's one hierarchy.
 fn merge_reports(
     cfg: &SimConfig,
     fleet: usize,
     t_end: f64,
     parts: Vec<ShardParts>,
     log: Option<(Option<Vec<Completion>>, CompletionLogSummary)>,
-    mut folder: Option<RowFolder>,
+    rows: Option<Vec<WindowRow>>,
     cache: Option<&CacheHierarchy>,
 ) -> SimReport {
     let shards = parts.len();
@@ -317,18 +311,13 @@ fn merge_reports(
     let mut peak_disk_queue = 0usize;
     let mut fault_counts: Option<FaultCounts> = None;
     let mut disks = Vec::with_capacity(shards);
-    for (s, p) in parts.into_iter().enumerate() {
+    for p in parts {
         spin_downs += p.spin_downs;
         spin_ups += p.spin_ups;
         per_shard_event_peaks.push(p.peak_events);
         peak_disk_queue = peak_disk_queue.max(p.peak_disk_queue);
         if let Some(c) = p.faults {
             fault_counts.get_or_insert_default().add(&c);
-        }
-        if let Some(folder) = folder.as_mut() {
-            for partial in p.tail_partials {
-                folder.push(s, partial);
-            }
         }
         disks.push(p.disks.into_iter());
     }
@@ -376,10 +365,10 @@ fn merge_reports(
         peak_disk_queue,
         availability: fault_counts
             .map(|c| c.into_stats(per_disk_downtime_s, degraded, fleet, t_end)),
-        windows: folder.map(|folder| WindowedReport {
-            width_s: cfg.windows.expect("a folder implies windows"),
+        windows: rows.map(|rows| WindowedReport {
+            width_s: cfg.windows.expect("window rows imply windows"),
             faulted: !cfg.faults.is_none(),
-            rows: folder.finish(),
+            rows,
         }),
     }
 }

@@ -21,9 +21,10 @@
 //! in exact mode). [`fold_row`] then interleaves those per-disk values in
 //! ascending *global* disk order (local `i` of shard `s` is global
 //! `i·S + s`) and adds them up. Those are the same float additions, in
-//! the same order, at every shard count: the run folds window `w` once
-//! every shard has sent its partial, so the rows are bit-identical
-//! however many shards sent one.
+//! the same order, at every shard count: each engine pushes its partial
+//! into the run's one fold (a mutex-guarded `RowFolder`), which folds
+//! window `w` once every shard has pushed it, so the rows are
+//! bit-identical however many shards pushed one.
 //!
 //! ## Window arithmetic
 //!
@@ -47,7 +48,7 @@
 //! dense and machine-diffable.
 
 use std::collections::VecDeque;
-use std::sync::mpsc::Sender;
+use std::sync::Mutex;
 
 use crate::metrics::{MetricsMode, ResponseStats, StreamingHistogram};
 use serde::{Deserialize, Serialize};
@@ -414,33 +415,30 @@ pub fn fold_row(width_s: f64, partials: Vec<WindowPartial>) -> WindowRow {
     }
 }
 
-/// An engine's window clock: the next window to close and where closed
-/// windows go — to the folding thread while the engine drains, then into
-/// a held tail for the finish.
+/// An engine's window clock: the next window to close, and the run's one
+/// fold, which takes each window this engine closes.
 #[derive(Debug)]
-pub(crate) struct WindowSeries {
+pub(crate) struct WindowSeries<'a> {
     width_s: f64,
     mode: MetricsMode,
     shard: usize,
     front: usize,
-    tx: Option<Sender<(usize, WindowPartial)>>,
-    held: Vec<WindowPartial>,
+    fold: &'a Mutex<RowFolder>,
 }
 
-impl WindowSeries {
+impl<'a> WindowSeries<'a> {
     pub(crate) fn new(
         width_s: f64,
         mode: MetricsMode,
         shard: usize,
-        tx: Sender<(usize, WindowPartial)>,
+        fold: &'a Mutex<RowFolder>,
     ) -> Self {
         WindowSeries {
             width_s,
             mode,
             shard,
             front: 0,
-            tx: Some(tx),
-            held: Vec::new(),
+            fold,
         }
     }
 
@@ -469,33 +467,19 @@ impl WindowSeries {
         WindowPartial::new(self.front, self.mode)
     }
 
-    /// Route the front window's partial and advance to the next window.
+    /// Push the front window's partial into the fold and advance to the
+    /// next window. The lock covers the push and any fold it completes.
     pub(crate) fn emit(&mut self, partial: WindowPartial) {
-        match &self.tx {
-            // The folding thread outlives every sender; a failed send
-            // means it is already unwinding, which surfaces on join.
-            Some(tx) => {
-                let _ = tx.send((self.shard, partial));
-            }
-            None => self.held.push(partial),
-        }
+        self.fold
+            .lock()
+            .expect("another engine panicked while folding")
+            .push(self.shard, partial);
         self.front += 1;
-    }
-
-    /// Stop sending (the drive is over): later closes are held for the
-    /// finish, and dropping the sender lets the folding thread finish.
-    pub(crate) fn detach(&mut self) {
-        self.tx = None;
-    }
-
-    /// The tail partials closed after [`Self::detach`].
-    pub(crate) fn into_held(self) -> Vec<WindowPartial> {
-        self.held
     }
 }
 
-/// The sharded run's fold: collects each shard's partials in window
-/// order and folds window `w` as soon as every shard has sent it.
+/// The run's fold: collects each shard's partials in window order and
+/// folds window `w` as soon as every shard has pushed it.
 #[derive(Debug)]
 pub(crate) struct RowFolder {
     width_s: f64,

@@ -158,6 +158,17 @@ pub struct ShardReceiver {
 }
 
 impl ShardReceiver {
+    /// Arrival time of the next request without consuming it (`None` at
+    /// the end of the stream) — the engine's one peek, which interleaves
+    /// arrivals with its scheduled events.
+    #[inline]
+    pub fn peek_time(&mut self) -> Result<Option<f64>, TraceIoError> {
+        match self.rx.head() {
+            Some(entry) => Ok(Some(entry.request.time)),
+            None => self.end(),
+        }
+    }
+
     /// The next request together with its ordinal in the whole stream
     /// and the pump's probe answer.
     #[inline]
@@ -183,14 +194,6 @@ impl ShardReceiver {
 }
 
 impl TraceSource for ShardReceiver {
-    #[inline]
-    fn peek_time(&mut self) -> Result<Option<f64>, TraceIoError> {
-        match self.rx.head() {
-            Some(entry) => Ok(Some(entry.request.time)),
-            None => self.end(),
-        }
-    }
-
     #[inline]
     fn next_request(&mut self) -> Result<Option<Request>, TraceIoError> {
         Ok(self.next_tagged()?.map(|(_, r, _)| r))

@@ -21,9 +21,8 @@
 //!   parse. Memory is the reader's buffer plus a carry for a row that
 //!   straddles two buffer fills, regardless of file size.
 //! - [`SyntheticSource`] — a seeded arrivals/popularity generator. Its
-//!   Poisson form produces exactly the request sequence of
-//!   [`Trace::poisson`] with the same arguments, without ever
-//!   materialising it; its non-stationary form follows a [`RateCurve`]
+//!   Poisson form is the stream [`Trace::poisson`] collects, yielded one
+//!   request at a time; its non-stationary form follows a [`RateCurve`]
 //!   (diurnal, flash crowd, tenant ramps) by Lewis–Shedler thinning.
 
 use std::fs::File;
@@ -38,40 +37,19 @@ use crate::catalog::{FileCatalog, FileId};
 use crate::trace::{popularity_cdf, sample_by_cdf, Request, Trace, TraceIoError};
 
 /// A time-ordered stream of requests plus the horizon of the observation
-/// window. The engine peeks the next arrival time to interleave arrivals
-/// with scheduled events, then consumes the request.
+/// window. The replay's reader thread drains it once, request by request.
 ///
 /// Implementations must yield non-decreasing times, all within
 /// `[0, horizon]`; [`CsvTraceSource`] enforces this on malformed input by
 /// returning [`TraceIoError`]s through the `Result` layer.
 pub trait TraceSource {
-    /// Arrival time of the next request without consuming it (`None` when
-    /// the stream is exhausted).
-    fn peek_time(&mut self) -> Result<Option<f64>, TraceIoError>;
-
-    /// Consume and return the next request.
+    /// Consume and return the next request (`None` when the stream is
+    /// exhausted).
     fn next_request(&mut self) -> Result<Option<Request>, TraceIoError>;
 
     /// Observation-window length, seconds (≥ every request time the stream
     /// will yield).
     fn horizon(&self) -> f64;
-}
-
-impl<T: TraceSource + ?Sized> TraceSource for &mut T {
-    #[inline]
-    fn peek_time(&mut self) -> Result<Option<f64>, TraceIoError> {
-        (**self).peek_time()
-    }
-
-    #[inline]
-    fn next_request(&mut self) -> Result<Option<Request>, TraceIoError> {
-        (**self).next_request()
-    }
-
-    #[inline]
-    fn horizon(&self) -> f64 {
-        (**self).horizon()
-    }
 }
 
 /// A [`TraceSource`] cursor over an in-memory [`Trace`] — the streamed
@@ -98,11 +76,6 @@ impl<'a> InMemorySource<'a> {
 
 impl TraceSource for InMemorySource<'_> {
     #[inline]
-    fn peek_time(&mut self) -> Result<Option<f64>, TraceIoError> {
-        Ok(self.requests.get(self.next).map(|r| r.time))
-    }
-
-    #[inline]
     fn next_request(&mut self) -> Result<Option<Request>, TraceIoError> {
         let r = self.requests.get(self.next).copied();
         if r.is_some() {
@@ -118,19 +91,18 @@ impl TraceSource for InMemorySource<'_> {
 }
 
 /// A streaming reader of the `time_s,file_id` CSV format
-/// ([`Trace::write_csv`]) with one parsed row of look-ahead. Rows are
-/// decoded in place from the [`BufRead`] buffer; only a row that straddles
-/// two buffer fills is copied, into a small carry — O(1) memory however
-/// long the file is. A canonical row (`D+[.D+],D+`, optionally ending in
-/// `\r`) whose time is exact by Clinger's fast path (mantissa ≤ 2⁵³, at
-/// most 22 fraction digits) is parsed by a digit loop; every other row —
-/// header, blank, whitespace, `+`, exponents, `nan`, long mantissas —
-/// takes std's parse on the trimmed text, which stays the one `f64`
-/// grammar. A row with more than two fields is malformed. Validates
-/// well-formed rows, finite non-negative times
-/// and non-decreasing order, surfacing problems as [`TraceIoError`] at the
-/// offending row instead of up front; a row that is not UTF-8 is
-/// [`TraceIoError::Malformed`].
+/// ([`Trace::write_csv`]). Rows are decoded in place from the [`BufRead`]
+/// buffer; only a row that straddles two buffer fills is copied, into a
+/// small carry — O(1) memory however long the file is. A canonical row
+/// (`D+[.D+],D+`, optionally ending in `\r`) whose time is exact by
+/// Clinger's fast path (mantissa ≤ 2⁵³, at most 22 fraction digits) is
+/// parsed by a digit loop; every other row — header, blank, whitespace,
+/// `+`, exponents, `nan`, long mantissas — takes std's parse on the
+/// trimmed text, which stays the one `f64` grammar. A row with more than
+/// two fields is malformed. Validates well-formed rows, finite
+/// non-negative times and non-decreasing order, surfacing problems as
+/// [`TraceIoError`] at the offending row instead of up front; a row that
+/// is not UTF-8 is [`TraceIoError::Malformed`].
 ///
 /// The horizon differs from [`Trace::read_csv`] by design: a streaming
 /// replay must fix its horizon before the data has been seen, so a row
@@ -140,12 +112,10 @@ impl TraceSource for InMemorySource<'_> {
 pub struct CsvTraceSource<R> {
     reader: R,
     horizon: f64,
-    pending: Option<Request>,
     last_time: f64,
     lineno: usize,
     /// The start of a row cut off by the end of the reader's buffer.
     carry: Vec<u8>,
-    done: bool,
 }
 
 impl CsvTraceSource<BufReader<File>> {
@@ -203,7 +173,8 @@ fn last_row_time<R: Read + Seek>(r: &mut R) -> Result<f64, TraceIoError> {
             let row = &buf[line_start..end];
             let text = std::str::from_utf8(row).map(str::trim);
             let at = start + line_start as u64;
-            // The same rows `fill` skips: blank lines and a first-line header.
+            // The same rows `decode_row` skips: blank lines and a first-line
+            // header.
             if !matches!(text, Ok(t) if t.is_empty() || (at == 0 && t.starts_with("time"))) {
                 if let Ok(Ok(request)) = text.map(|t| crate::trace::parse_row(t, 0)) {
                     return Ok(request.time);
@@ -234,55 +205,10 @@ impl<R: BufRead> CsvTraceSource<R> {
         Ok(CsvTraceSource {
             reader,
             horizon,
-            pending: None,
             last_time: 0.0,
             lineno: 0,
             carry: Vec::new(),
-            done: false,
         })
-    }
-
-    /// Decode rows until one yields a request (or EOF), buffering it. A
-    /// row is decoded where it lies in the reader's buffer; the bytes of a
-    /// row that runs past the buffer's end collect in `carry` until its
-    /// newline (or EOF) arrives. A row is consumed before its error
-    /// returns, so the next call reads on from the row after it.
-    fn fill(&mut self) -> Result<(), TraceIoError> {
-        while self.pending.is_none() && !self.done {
-            let buf = self.reader.fill_buf()?;
-            let (row_end, used) = match buf.iter().position(|&b| b == b'\n') {
-                Some(nl) => (nl, nl + 1),
-                None if buf.is_empty() => {
-                    // EOF: a last row without a newline is still a row.
-                    self.done = true;
-                    if self.carry.is_empty() {
-                        break;
-                    }
-                    (0, 0)
-                }
-                None => {
-                    let n = buf.len();
-                    self.carry.extend_from_slice(buf);
-                    self.reader.consume(n);
-                    continue;
-                }
-            };
-            let (lineno, horizon, last_time) = (&mut self.lineno, self.horizon, self.last_time);
-            let decoded = if self.carry.is_empty() {
-                decode_row(&buf[..row_end], lineno, horizon, last_time)
-            } else {
-                self.carry.extend_from_slice(&buf[..row_end]);
-                let decoded = decode_row(&self.carry, lineno, horizon, last_time);
-                self.carry.clear();
-                decoded
-            };
-            self.reader.consume(used);
-            if let Some(request) = decoded? {
-                self.last_time = request.time;
-                self.pending = Some(request);
-            }
-        }
-        Ok(())
     }
 }
 
@@ -395,14 +321,41 @@ fn parse_canonical(row: &[u8]) -> Option<Request> {
 }
 
 impl<R: BufRead> TraceSource for CsvTraceSource<R> {
-    fn peek_time(&mut self) -> Result<Option<f64>, TraceIoError> {
-        self.fill()?;
-        Ok(self.pending.map(|r| r.time))
-    }
-
+    /// Decode rows until one yields a request, or `None` at EOF. A row is
+    /// decoded where it lies in the reader's buffer; the bytes of a row
+    /// that runs past the buffer's end collect in `carry` until its
+    /// newline (or EOF) arrives. A row is consumed before its error
+    /// returns, so the next call reads on from the row after it.
     fn next_request(&mut self) -> Result<Option<Request>, TraceIoError> {
-        self.fill()?;
-        Ok(self.pending.take())
+        loop {
+            let buf = self.reader.fill_buf()?;
+            let (row_end, used) = match buf.iter().position(|&b| b == b'\n') {
+                Some(nl) => (nl, nl + 1),
+                None if buf.is_empty() && self.carry.is_empty() => return Ok(None),
+                // EOF: a last row without a newline is still a row.
+                None if buf.is_empty() => (0, 0),
+                None => {
+                    let n = buf.len();
+                    self.carry.extend_from_slice(buf);
+                    self.reader.consume(n);
+                    continue;
+                }
+            };
+            let (lineno, horizon, last_time) = (&mut self.lineno, self.horizon, self.last_time);
+            let decoded = if self.carry.is_empty() {
+                decode_row(&buf[..row_end], lineno, horizon, last_time)
+            } else {
+                self.carry.extend_from_slice(&buf[..row_end]);
+                let decoded = decode_row(&self.carry, lineno, horizon, last_time);
+                self.carry.clear();
+                decoded
+            };
+            self.reader.consume(used);
+            if let Some(request) = decoded? {
+                self.last_time = request.time;
+                return Ok(Some(request));
+            }
+        }
     }
 
     fn horizon(&self) -> f64 {
@@ -410,9 +363,8 @@ impl<R: BufRead> TraceSource for CsvTraceSource<R> {
     }
 }
 
-/// The arrival engine behind a [`SyntheticSource`]: either the original
-/// homogeneous Poisson draw sequence (kept verbatim so [`Trace::poisson`]
-/// bit-identity is preserved) or a [`ThinnedProcess`] riding a
+/// The arrival engine behind a [`SyntheticSource`]: either the
+/// homogeneous Poisson draw sequence or a [`ThinnedProcess`] riding a
 /// [`RateCurve`] for non-stationary workloads.
 enum ArrivalProcess {
     Homogeneous(PoissonProcess),
@@ -440,11 +392,10 @@ impl ArrivalProcess {
 }
 
 /// A seeded arrivals/popularity request generator. With
-/// [`SyntheticSource::poisson`] it produces exactly the request sequence
-/// [`Trace::poisson`]`(catalog, rate, horizon, seed)` materialises (same
-/// arrival process, same per-arrival popularity draws, same seed
-/// derivation), but one request at a time — so a 10⁸-request replay costs
-/// O(files) for the popularity table and O(1) beyond it. With
+/// [`SyntheticSource::poisson`] it yields the requests
+/// [`Trace::poisson`]`(catalog, rate, horizon, seed)` collects, one at a
+/// time — so a 10⁸-request replay costs O(files) for the popularity
+/// table and O(1) beyond it. With
 /// [`SyntheticSource::non_stationary`] the arrivals instead follow a
 /// [`RateCurve`] via Lewis–Shedler thinning, with the same popularity
 /// model and the same streaming cost.
@@ -453,8 +404,6 @@ pub struct SyntheticSource {
     rng: SmallRng,
     cdf: Vec<f64>,
     horizon: f64,
-    pending: Option<Request>,
-    done: bool,
 }
 
 impl SyntheticSource {
@@ -501,35 +450,23 @@ impl SyntheticSource {
             rng: SmallRng::seed_from_u64(seed.wrapping_add(1)),
             cdf: popularity_cdf(catalog),
             horizon,
-            pending: None,
-            done: false,
         }
     }
 
-    fn fill(&mut self) {
-        if self.pending.is_none() && !self.done {
-            match self.process.next_arrival_before(self.horizon) {
-                None => self.done = true,
-                Some(time) => {
-                    self.pending = Some(Request {
-                        time,
-                        file: sample_by_cdf(&self.cdf, &mut self.rng),
-                    });
-                }
-            }
-        }
+    /// The next arrival before the horizon, with its file drawn by
+    /// popularity; `None` once the arrivals pass the horizon.
+    pub(crate) fn draw(&mut self) -> Option<Request> {
+        let time = self.process.next_arrival_before(self.horizon)?;
+        Some(Request {
+            time,
+            file: sample_by_cdf(&self.cdf, &mut self.rng),
+        })
     }
 }
 
 impl TraceSource for SyntheticSource {
-    fn peek_time(&mut self) -> Result<Option<f64>, TraceIoError> {
-        self.fill();
-        Ok(self.pending.map(|r| r.time))
-    }
-
     fn next_request(&mut self) -> Result<Option<Request>, TraceIoError> {
-        self.fill();
-        Ok(self.pending.take())
+        Ok(self.draw())
     }
 
     fn horizon(&self) -> f64 {
@@ -556,24 +493,8 @@ mod tests {
         let trace = Trace::poisson(&catalog, 2.0, 200.0, 11);
         let mut src = InMemorySource::new(&trace);
         assert_eq!(src.horizon(), trace.horizon());
-        assert_eq!(
-            src.peek_time().unwrap(),
-            trace.requests().first().map(|r| r.time)
-        );
         assert_eq!(drain(&mut src), trace.requests());
-        assert_eq!(src.peek_time().unwrap(), None);
         assert_eq!(src.next_request().unwrap(), None);
-    }
-
-    #[test]
-    fn synthetic_source_matches_trace_poisson_bit_for_bit() {
-        let catalog = FileCatalog::paper_table1(100, 0);
-        let (rate, horizon, seed) = (5.0, 500.0, 42);
-        let trace = Trace::poisson(&catalog, rate, horizon, seed);
-        let mut src = SyntheticSource::poisson(&catalog, rate, horizon, seed);
-        let generated = drain(&mut src);
-        assert_eq!(generated.len(), trace.len());
-        assert_eq!(generated, trace.requests());
     }
 
     #[test]
@@ -940,17 +861,5 @@ mod tests {
         for (x, y) in a[..n].iter().zip(&b[..n]) {
             assert_eq!(x.file, y.file);
         }
-    }
-
-    #[test]
-    fn peek_is_idempotent_and_agrees_with_next() {
-        let catalog = FileCatalog::paper_table1(10, 0);
-        let mut src = SyntheticSource::poisson(&catalog, 3.0, 50.0, 9);
-        while let Some(t) = src.peek_time().unwrap() {
-            assert_eq!(src.peek_time().unwrap(), Some(t), "peek consumed");
-            let r = src.next_request().unwrap().expect("peeked");
-            assert_eq!(r.time, t);
-        }
-        assert_eq!(src.next_request().unwrap(), None);
     }
 }

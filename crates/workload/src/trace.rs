@@ -12,9 +12,9 @@ use rand::rngs::SmallRng;
 use rand::{Rng, RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::arrivals::{generate_bursts, BatchConfig, PoissonProcess};
+use crate::arrivals::{generate_bursts, BatchConfig};
 use crate::catalog::{FileCatalog, FileId};
-use crate::source::{CsvTraceSource, TraceSource};
+use crate::source::{CsvTraceSource, SyntheticSource, TraceSource};
 
 /// One read request.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -150,23 +150,11 @@ impl Trace {
     }
 
     /// Poisson trace: arrivals at `rate`/s until `horizon`, each targeting a
-    /// file drawn by catalog popularity. This is the Table 1 workload.
+    /// file drawn by catalog popularity. This is the Table 1 workload, the
+    /// stream of [`SyntheticSource::poisson`] collected.
     pub fn poisson(catalog: &FileCatalog, rate: f64, horizon: f64, seed: u64) -> Self {
-        assert!(!catalog.is_empty(), "cannot generate against empty catalog");
-        let mut process = PoissonProcess::new(rate, seed);
-        let mut rng = SmallRng::seed_from_u64(seed.wrapping_add(1));
-        // Popularity sampling uses the catalog's own p_i (files are already
-        // in popularity order for paper catalogs, but we do not rely on it).
-        let cdf = popularity_cdf(catalog);
-        let requests = process
-            .arrivals_until(horizon)
-            .into_iter()
-            .map(|time| Request {
-                time,
-                file: sample_by_cdf(&cdf, &mut rng),
-            })
-            .collect();
-        Trace::new(requests, horizon)
+        let mut source = SyntheticSource::poisson(catalog, rate, horizon, seed);
+        Trace::new(std::iter::from_fn(|| source.draw()).collect(), horizon)
     }
 
     /// Bursty trace (§3.2): bursts arrive Poisson; each burst requests a run
