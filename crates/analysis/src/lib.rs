@@ -9,10 +9,8 @@
 //! - [`dpm`] — dynamic power management theory (§2 of the paper): offline
 //!   optimal spin-down cost per idle gap, the online fixed-threshold policy
 //!   and its competitive ratio (the classical 2-competitive bound).
-//! - [`regression`] — least-squares fits (log-log Zipf checks of §5.1).
-//! - [`ski_rental`] — exact ski-rental theory: the 2-competitive
-//!   deterministic and e/(e−1)-competitive randomised spin-down policies in
-//!   closed form.
+//! - [`ski_rental`] — ski-rental theory: the sampler for the optimal
+//!   e/(e−1)-competitive randomised spin-down threshold.
 //! - [`online`] — the theory made executable: randomised ski-rental and
 //!   adaptive idle-prediction policies implementing the simulator's
 //!   `PowerPolicy` trait.
@@ -24,7 +22,6 @@ pub mod capacity;
 pub mod dpm;
 pub mod mg1;
 pub mod online;
-pub mod regression;
 pub mod ski_rental;
 
 pub use dpm::{
@@ -33,3 +30,6 @@ pub use dpm::{
 };
 pub use mg1::{mg1_mean_response, mg1_mean_wait, utilisation_for_response};
 pub use online::{AdaptivePolicy, EnvelopeDescentPolicy, LowerEnvelopePolicy, SkiRentalPolicy};
+
+#[cfg(test)]
+mod regression;

@@ -161,11 +161,6 @@ impl AdaptivePolicy {
             self.idle_since.resize(disk + 1, None);
         }
     }
-
-    /// Current prediction for one disk (0 before any observation).
-    pub fn predicted_gap_s(&self, disk: usize) -> f64 {
-        self.predicted.get(disk).copied().unwrap_or(0.0)
-    }
 }
 
 impl PowerPolicy for AdaptivePolicy {
@@ -357,11 +352,6 @@ impl LowerEnvelopePolicy {
         }
         plan
     }
-
-    /// Observed gaps for `disk` (test/inspection helper).
-    pub fn observed_gaps(&self, disk: usize) -> usize {
-        self.gaps.get(disk).map_or(0, VecDeque::len)
-    }
 }
 
 impl PowerPolicy for LowerEnvelopePolicy {
@@ -421,6 +411,20 @@ mod tests {
         let s = spec();
         let ladder = PowerLadder::with_low_rpm(&s);
         s.with_ladder(Some(ladder))
+    }
+
+    impl AdaptivePolicy {
+        /// Current prediction for one disk (0 before any observation).
+        fn predicted_gap_s(&self, disk: usize) -> f64 {
+            self.predicted.get(disk).copied().unwrap_or(0.0)
+        }
+    }
+
+    impl LowerEnvelopePolicy {
+        /// Observed gaps for `disk`.
+        fn observed_gaps(&self, disk: usize) -> usize {
+            self.gaps.get(disk).map_or(0, VecDeque::len)
+        }
     }
 
     #[test]

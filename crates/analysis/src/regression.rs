@@ -1,20 +1,20 @@
-//! Least-squares fits, including the log-log power-law fit used for the
-//! §5.1 Zipf checks.
+//! Least-squares fits, including the log-log power-law fit. Test-only: no
+//! report prints a fit, and these tests check the fits themselves.
 
 /// Result of a simple linear regression `y = intercept + slope·x`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinearFit {
+struct LinearFit {
     /// Slope of the fitted line.
-    pub slope: f64,
+    slope: f64,
     /// Intercept of the fitted line.
-    pub intercept: f64,
+    intercept: f64,
     /// Coefficient of determination in [0, 1].
-    pub r2: f64,
+    r2: f64,
 }
 
 /// Ordinary least squares over `(x, y)` points. `None` with fewer than two
 /// distinct x values.
-pub fn linear_fit(points: &[(f64, f64)]) -> Option<LinearFit> {
+fn linear_fit(points: &[(f64, f64)]) -> Option<LinearFit> {
     if points.len() < 2 {
         return None;
     }
@@ -46,7 +46,7 @@ pub fn linear_fit(points: &[(f64, f64)]) -> Option<LinearFit> {
 
 /// Fit `y = c·x^a` by linear regression in log-log space over points with
 /// positive coordinates; returns `(a, r2)`.
-pub fn power_law_fit(points: &[(f64, f64)]) -> Option<(f64, f64)> {
+fn power_law_fit(points: &[(f64, f64)]) -> Option<(f64, f64)> {
     let logged: Vec<(f64, f64)> = points
         .iter()
         .filter(|&&(x, y)| x > 0.0 && y > 0.0)

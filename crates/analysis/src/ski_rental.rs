@@ -12,85 +12,11 @@
 //!   `f(t) = e^{t/β} / (β(e−1))` on `[0, β]` is **e/(e−1) ≈ 1.582**-
 //!   competitive in expectation, and that is optimal.
 //!
-//! These functions are exact (closed forms, no simulation) and are
-//! property-tested against the classical bounds; `spindown-disk` maps real
-//! drive constants onto `β` via
+//! [`sample_threshold`] draws from that density. The closed-form costs and
+//! ratios above live in this module's tests, which check them against the
+//! classical bounds. `spindown-disk`
+//! maps real drive constants onto `β` via
 //! [`β = E_over / P_idle`](spindown_disk::transition_energy_overhead).
-
-/// Offline optimal cost for a gap of length `g` with buy cost `beta`.
-pub fn offline_cost(beta: f64, g: f64) -> f64 {
-    assert!(beta > 0.0 && g >= 0.0);
-    g.min(beta)
-}
-
-/// Deterministic threshold policy: rent until `tau`, then buy.
-pub fn deterministic_cost(beta: f64, tau: f64, g: f64) -> f64 {
-    assert!(beta > 0.0 && tau >= 0.0 && g >= 0.0);
-    if g <= tau {
-        g
-    } else {
-        tau + beta
-    }
-}
-
-/// Worst-case competitive ratio of the deterministic policy with threshold
-/// `tau` (supremum over all gaps, in closed form).
-pub fn deterministic_competitive_ratio(beta: f64, tau: f64) -> f64 {
-    assert!(beta > 0.0 && tau >= 0.0);
-    // Adversary either stops just after tau (cost tau+beta vs min(tau,beta))
-    // or runs forever (cost tau+beta vs beta). The first dominates.
-    let adversarial = (tau + beta) / tau.min(beta).max(f64::MIN_POSITIVE);
-    // For tau ≥ beta the ratio is (tau+beta)/beta; for tau ≤ beta it is
-    // (tau+beta)/tau; both are captured by `adversarial`. Gaps below tau
-    // are ratio 1.
-    adversarial.max(1.0)
-}
-
-/// Expected cost of the optimal randomised policy (threshold density
-/// `f(t) = e^{t/β}/(β(e−1))` on `[0, β]`) for a gap `g`, in closed form.
-pub fn randomized_expected_cost(beta: f64, g: f64) -> f64 {
-    assert!(beta > 0.0 && g >= 0.0);
-    let e = std::f64::consts::E;
-    let norm = beta * (e - 1.0);
-    if g >= beta {
-        // E[τ] + β: every draw buys before the gap ends.
-        // E[τ] = ∫ t f(t) dt over [0, β] = β(e·0 + ... ) — integrate by parts:
-        // ∫₀^β t e^{t/β} dt = β²(e − e + 1) ... compute directly:
-        // ∫ t e^{t/β} dt = β t e^{t/β} − β² e^{t/β}; at β: β²e − β²e = 0; at 0: −β².
-        // So ∫₀^β t e^{t/β} dt = 0 − (−β²) = β².
-        let expected_tau = beta * beta / norm;
-        expected_tau + beta
-    } else {
-        // τ ≤ g: pay τ + β; τ > g: pay g.
-        // ∫₀^g (t + β) f(t) dt + g·P(τ > g)
-        // ∫₀^g t e^{t/β} dt = β g e^{g/β} − β² e^{g/β} + β²
-        // ∫₀^g β e^{t/β} dt = β² (e^{g/β} − 1)
-        let eg = (g / beta).exp();
-        let int_t = beta * g * eg - beta * beta * eg + beta * beta;
-        let int_b = beta * beta * (eg - 1.0);
-        let p_gt = (beta * (std::f64::consts::E - eg)) / norm; // ∫_g^β f
-        (int_t + int_b) / norm + g * p_gt
-    }
-}
-
-/// Worst-case expected competitive ratio of the randomised policy
-/// (supremum over gaps, found numerically on a fine grid — the theory says
-/// it is constant `e/(e−1)` for `g ≥` a small floor).
-pub fn randomized_competitive_ratio(beta: f64) -> f64 {
-    let mut worst: f64 = 1.0;
-    for i in 1..=10_000 {
-        let g = beta * 2.0 * i as f64 / 10_000.0;
-        let ratio = randomized_expected_cost(beta, g) / offline_cost(beta, g);
-        worst = worst.max(ratio);
-    }
-    worst
-}
-
-/// The optimal competitive ratio `e/(e−1)` for reference.
-pub fn e_over_e_minus_1() -> f64 {
-    let e = std::f64::consts::E;
-    e / (e - 1.0)
-}
 
 /// Inverse-CDF sampler for the optimal randomised threshold density
 /// `f(t) = e^{t/β}/(β(e−1))` on `[0, β]`: maps a uniform `u ∈ [0, 1)` to a
@@ -107,6 +33,81 @@ pub fn sample_threshold(beta: f64, u: f64) -> f64 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Offline optimal cost for a gap of length `g` with buy cost `beta`.
+    fn offline_cost(beta: f64, g: f64) -> f64 {
+        assert!(beta > 0.0 && g >= 0.0);
+        g.min(beta)
+    }
+
+    /// Deterministic threshold policy: rent until `tau`, then buy.
+    fn deterministic_cost(beta: f64, tau: f64, g: f64) -> f64 {
+        assert!(beta > 0.0 && tau >= 0.0 && g >= 0.0);
+        if g <= tau {
+            g
+        } else {
+            tau + beta
+        }
+    }
+
+    /// Worst-case competitive ratio of the deterministic policy with threshold
+    /// `tau` (supremum over all gaps, in closed form).
+    fn deterministic_competitive_ratio(beta: f64, tau: f64) -> f64 {
+        assert!(beta > 0.0 && tau >= 0.0);
+        // Adversary either stops just after tau (cost tau+beta vs min(tau,beta))
+        // or runs forever (cost tau+beta vs beta). The first dominates.
+        let adversarial = (tau + beta) / tau.min(beta).max(f64::MIN_POSITIVE);
+        // For tau ≥ beta the ratio is (tau+beta)/beta; for tau ≤ beta it is
+        // (tau+beta)/tau; both are captured by `adversarial`. Gaps below tau
+        // are ratio 1.
+        adversarial.max(1.0)
+    }
+
+    /// Expected cost of the optimal randomised policy (threshold density
+    /// `f(t) = e^{t/β}/(β(e−1))` on `[0, β]`) for a gap `g`, in closed form.
+    fn randomized_expected_cost(beta: f64, g: f64) -> f64 {
+        assert!(beta > 0.0 && g >= 0.0);
+        let e = std::f64::consts::E;
+        let norm = beta * (e - 1.0);
+        if g >= beta {
+            // E[τ] + β: every draw buys before the gap ends.
+            // E[τ] = ∫ t f(t) dt over [0, β] = β(e·0 + ... ) — integrate by parts:
+            // ∫₀^β t e^{t/β} dt = β²(e − e + 1) ... compute directly:
+            // ∫ t e^{t/β} dt = β t e^{t/β} − β² e^{t/β}; at β: β²e − β²e = 0; at 0: −β².
+            // So ∫₀^β t e^{t/β} dt = 0 − (−β²) = β².
+            let expected_tau = beta * beta / norm;
+            expected_tau + beta
+        } else {
+            // τ ≤ g: pay τ + β; τ > g: pay g.
+            // ∫₀^g (t + β) f(t) dt + g·P(τ > g)
+            // ∫₀^g t e^{t/β} dt = β g e^{g/β} − β² e^{g/β} + β²
+            // ∫₀^g β e^{t/β} dt = β² (e^{g/β} − 1)
+            let eg = (g / beta).exp();
+            let int_t = beta * g * eg - beta * beta * eg + beta * beta;
+            let int_b = beta * beta * (eg - 1.0);
+            let p_gt = (beta * (std::f64::consts::E - eg)) / norm; // ∫_g^β f
+            (int_t + int_b) / norm + g * p_gt
+        }
+    }
+
+    /// Worst-case expected competitive ratio of the randomised policy
+    /// (supremum over gaps, found numerically on a fine grid — the theory says
+    /// it is constant `e/(e−1)` for `g ≥` a small floor).
+    fn randomized_competitive_ratio(beta: f64) -> f64 {
+        let mut worst: f64 = 1.0;
+        for i in 1..=10_000 {
+            let g = beta * 2.0 * i as f64 / 10_000.0;
+            let ratio = randomized_expected_cost(beta, g) / offline_cost(beta, g);
+            worst = worst.max(ratio);
+        }
+        worst
+    }
+
+    /// The optimal competitive ratio `e/(e−1)` for reference.
+    fn e_over_e_minus_1() -> f64 {
+        let e = std::f64::consts::E;
+        e / (e - 1.0)
+    }
 
     #[test]
     fn offline_is_min() {

@@ -406,16 +406,6 @@ impl JointOutcome {
     pub fn winner_cell(&self) -> &JointCell {
         &self.cells[self.winner]
     }
-
-    /// The frontier cells, in index order.
-    pub fn frontier_cells(&self) -> impl Iterator<Item = &JointCell> {
-        self.frontier.iter().map(|&i| &self.cells[i])
-    }
-
-    /// The evaluated cell for a specific candidate, if it was in the grid.
-    pub fn cell_for(&self, candidate: &JointCandidate) -> Option<&JointCell> {
-        self.cells.iter().find(|c| c.candidate == *candidate)
-    }
 }
 
 /// The joint planner: generates candidate quadruples, evaluates each cell
@@ -790,15 +780,14 @@ mod tests {
         }
         // Sleeping policies beat never-spin-down on energy at equal
         // allocation/discipline/ladder.
-        let be = a
-            .cell_for(&JointCandidate::paper_default())
-            .expect("paper default in grid");
-        let never = a
-            .cell_for(&JointCandidate {
-                policy: PolicyChoice::never(),
-                ..JointCandidate::paper_default()
-            })
-            .unwrap();
+        let cell_for =
+            |candidate: JointCandidate| a.cells.iter().find(|c| c.candidate == candidate);
+        let be = cell_for(JointCandidate::paper_default()).expect("paper default in grid");
+        let never = cell_for(JointCandidate {
+            policy: PolicyChoice::never(),
+            ..JointCandidate::paper_default()
+        })
+        .unwrap();
         assert!(be.energy_j <= never.energy_j + 1e-9);
     }
 }

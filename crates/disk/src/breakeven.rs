@@ -90,47 +90,47 @@ pub fn envelope_descent_times(ladder: &PowerLadder) -> Vec<f64> {
         .collect()
 }
 
-/// Net energy saved (joules; negative = wasted) by spinning down for an idle
-/// gap of `gap_s` seconds instead of idling through it.
-///
-/// Models the gap as: spin down (t_down), stay in standby for the remainder,
-/// spin up (t_up) — the spin-up is charged to the gap even if it overruns it,
-/// which matches how a request arriving at the end of the gap experiences the
-/// disk. For gaps shorter than `t_down + t_up` the standby residency is zero.
-pub fn spin_down_gain(spec: &DiskSpec, gap_s: f64) -> f64 {
-    let idle_cost = spec.idle_power_w * gap_s;
-    let transit = spec.spin_down_time_s + spec.spin_up_time_s;
-    let standby_s = (gap_s - transit).max(0.0);
-    let sleep_cost = transition_energy_overhead(spec) + standby_s * spec.standby_power_w;
-    idle_cost - sleep_cost
-}
-
-/// The gap length (seconds) above which [`spin_down_gain`] becomes positive.
-///
-/// This is the quantity an *offline* optimal power manager thresholds on
-/// (see the DPM analysis in `spindown-analysis`).
-/// It differs from [`break_even_threshold`] in that it accounts for the idle
-/// power that would have been drawn during the transition times themselves.
-pub fn offline_break_even_gap(spec: &DiskSpec) -> f64 {
-    // Solve idle_cost == sleep_cost. Two regimes:
-    //  gap ≤ transit:   P_idle · gap = E_over              → gap = E_over / P_idle
-    //  gap > transit:   P_idle · gap = E_over + (gap − transit) · P_standby
-    let e_over = transition_energy_overhead(spec);
-    let transit = spec.spin_down_time_s + spec.spin_up_time_s;
-    let short = e_over / spec.idle_power_w;
-    if short <= transit {
-        short
-    } else {
-        (e_over - transit * spec.standby_power_w) / (spec.idle_power_w - spec.standby_power_w)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn spec() -> DiskSpec {
         DiskSpec::seagate_st3500630as()
+    }
+
+    /// Net energy saved (joules; negative = wasted) by spinning down for an idle
+    /// gap of `gap_s` seconds instead of idling through it.
+    ///
+    /// Models the gap as: spin down (t_down), stay in standby for the remainder,
+    /// spin up (t_up) — the spin-up is charged to the gap even if it overruns it,
+    /// which matches how a request arriving at the end of the gap experiences the
+    /// disk. For gaps shorter than `t_down + t_up` the standby residency is zero.
+    fn spin_down_gain(spec: &DiskSpec, gap_s: f64) -> f64 {
+        let idle_cost = spec.idle_power_w * gap_s;
+        let transit = spec.spin_down_time_s + spec.spin_up_time_s;
+        let standby_s = (gap_s - transit).max(0.0);
+        let sleep_cost = transition_energy_overhead(spec) + standby_s * spec.standby_power_w;
+        idle_cost - sleep_cost
+    }
+
+    /// The gap length (seconds) above which [`spin_down_gain`] becomes positive.
+    ///
+    /// This is the quantity an *offline* optimal power manager thresholds on
+    /// (see the DPM analysis in `spindown-analysis`).
+    /// It differs from [`break_even_threshold`] in that it accounts for the idle
+    /// power that would have been drawn during the transition times themselves.
+    fn offline_break_even_gap(spec: &DiskSpec) -> f64 {
+        // Solve idle_cost == sleep_cost. Two regimes:
+        //  gap ≤ transit:   P_idle · gap = E_over              → gap = E_over / P_idle
+        //  gap > transit:   P_idle · gap = E_over + (gap − transit) · P_standby
+        let e_over = transition_energy_overhead(spec);
+        let transit = spec.spin_down_time_s + spec.spin_up_time_s;
+        let short = e_over / spec.idle_power_w;
+        if short <= transit {
+            short
+        } else {
+            (e_over - transit * spec.standby_power_w) / (spec.idle_power_w - spec.standby_power_w)
+        }
     }
 
     #[test]

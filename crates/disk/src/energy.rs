@@ -16,7 +16,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::power::{power_of, states_of, PowerState};
+use crate::power::{power_of, PowerState};
 use crate::spec::DiskSpec;
 
 /// Slot index of a state in the breakdown tables: operational states
@@ -51,6 +51,13 @@ fn state_of_slot(i: usize) -> PowerState {
     }
 }
 
+/// The sum of `values` folded from `+0.0`. std's `f64` `Sum` starts at
+/// `-0.0`, so an empty breakdown would print `-0`; for any non-empty slice
+/// the two agree bit for bit.
+fn sum(values: &[f64]) -> f64 {
+    values.iter().fold(0.0, |acc, v| acc + v)
+}
+
 /// Per-state time and energy totals for one disk (or an aggregate).
 ///
 /// Grows on demand to cover every ladder level a run visits; states never
@@ -69,19 +76,14 @@ impl EnergyBreakdown {
         self.seconds.get(slot(state)).copied().unwrap_or(0.0)
     }
 
-    /// Joules consumed in `state`.
-    pub fn joules_in(&self, state: PowerState) -> f64 {
-        self.joules.get(slot(state)).copied().unwrap_or(0.0)
-    }
-
     /// Total wall-clock seconds covered.
     pub fn total_seconds(&self) -> f64 {
-        self.seconds.iter().sum()
+        sum(&self.seconds)
     }
 
     /// Total joules consumed.
     pub fn total_joules(&self) -> f64 {
-        self.joules.iter().sum()
+        sum(&self.joules)
     }
 
     /// Mean power over the covered interval, watts. Zero if no time covered.
@@ -113,16 +115,6 @@ impl EnergyBreakdown {
         } else {
             ((self.seconds.len() - 1) / 3) as u8
         }
-    }
-
-    /// Every state of a `levels`-deep ladder with this breakdown's totals,
-    /// including never-visited states (reported as zero) — the full table
-    /// for reports that want one row per ladder state.
-    pub fn per_state_of_ladder(&self, levels: usize) -> Vec<(PowerState, f64, f64)> {
-        states_of(levels)
-            .into_iter()
-            .map(|s| (s, self.seconds_in(s), self.joules_in(s)))
-            .collect()
     }
 
     /// Merge another breakdown into this one (for fleet-level aggregates).
@@ -234,18 +226,36 @@ impl EnergyAccountant {
     }
 }
 
-/// Energy a disk would use staying in a single state for `seconds`.
-pub fn constant_state_energy(spec: &DiskSpec, state: PowerState, seconds: f64) -> f64 {
-    power_of(spec, state) * seconds
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ladder::PowerLadder;
+    use crate::power::tests::states_of;
 
     fn spec() -> DiskSpec {
         DiskSpec::seagate_st3500630as()
+    }
+
+    impl EnergyBreakdown {
+        /// Joules consumed in `state`.
+        fn joules_in(&self, state: PowerState) -> f64 {
+            self.joules.get(slot(state)).copied().unwrap_or(0.0)
+        }
+
+        /// Every state of a `levels`-deep ladder with this breakdown's totals,
+        /// including never-visited states (reported as zero) — the full table
+        /// for reports that want one row per ladder state.
+        fn per_state_of_ladder(&self, levels: usize) -> Vec<(PowerState, f64, f64)> {
+            states_of(levels)
+                .into_iter()
+                .map(|s| (s, self.seconds_in(s), self.joules_in(s)))
+                .collect()
+        }
+    }
+
+    /// Energy a disk would use staying in a single state for `seconds`.
+    fn constant_state_energy(spec: &DiskSpec, state: PowerState, seconds: f64) -> f64 {
+        power_of(spec, state) * seconds
     }
 
     #[test]

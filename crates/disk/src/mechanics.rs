@@ -84,11 +84,6 @@ impl ServiceTimer {
         bytes as f64 / self.transfer_rate_bps
     }
 
-    /// The positioning overhead (seek + rotation) independent of size.
-    pub fn positioning_overhead(&self) -> f64 {
-        self.seek_s + self.rotation_s
-    }
-
     /// Transfer rate in bytes per second.
     pub fn transfer_rate_bps(&self) -> f64 {
         self.transfer_rate_bps
@@ -131,7 +126,7 @@ mod tests {
     #[test]
     fn zero_byte_request_costs_positioning_only() {
         let t = timer();
-        assert!((t.service_time(0) - t.positioning_overhead()).abs() < 1e-15);
+        assert!((t.service_time(0) - (t.seek_s + t.rotation_s)).abs() < 1e-15);
     }
 
     #[test]

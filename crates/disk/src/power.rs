@@ -50,9 +50,7 @@ impl PowerState {
 
     /// The states of the canonical two-state ladder, in the order the
     /// original fixed enum declared them. Kept for two-state table-driven
-    /// tests; ladder-aware code should iterate
-    /// [`states_of`] instead, which covers every
-    /// level of an N-level ladder.
+    /// tests; it does not cover the levels of a deeper ladder.
     pub const ALL: [PowerState; 6] = [
         PowerState::Active,
         PowerState::Seek,
@@ -61,20 +59,6 @@ impl PowerState {
         PowerState::SpinningUp,
         PowerState::SpinningDown,
     ];
-
-    /// Whether the platters are at full rotational speed in this state
-    /// (i.e. the disk could begin servicing a request without waking).
-    pub fn is_spun_up(self) -> bool {
-        matches!(
-            self,
-            PowerState::Active | PowerState::Seek | PowerState::Idle
-        )
-    }
-
-    /// Whether this is a transitional (entry or exit) state.
-    pub fn is_transitional(self) -> bool {
-        matches!(self, PowerState::Waking(_) | PowerState::Descending(_))
-    }
 
     /// The ladder level this state is resident at or transitioning
     /// to/from; `None` for the operational states (`Active`/`Seek`/`Idle`
@@ -103,21 +87,6 @@ impl PowerState {
             PowerState::Descending(l) => format!("enter{l}"),
         }
     }
-}
-
-/// Every state of a `k`-level ladder (levels 0..k−1), operational states
-/// first, then per-level `(Sleeping, Descending, Waking)` triples shallow
-/// to deep — the table-driven iteration order of
-/// [`EnergyBreakdown`](crate::energy::EnergyBreakdown).
-pub fn states_of(levels: usize) -> Vec<PowerState> {
-    let mut v = vec![PowerState::Active, PowerState::Seek, PowerState::Idle];
-    for l in 1..levels {
-        let l = l as u8;
-        v.push(PowerState::Sleeping(l));
-        v.push(PowerState::Descending(l));
-        v.push(PowerState::Waking(l));
-    }
-    v
 }
 
 /// Power draw (watts) of `state` for a drive described by `spec`.
@@ -156,10 +125,41 @@ pub fn power_of(spec: &DiskSpec, state: PowerState) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ladder::PowerLadder;
     use crate::spec::DiskSpec;
+
+    /// Every state of a `k`-level ladder (levels 0..k−1), operational states
+    /// first, then per-level `(Sleeping, Descending, Waking)` triples shallow
+    /// to deep — the table-driven iteration order of
+    /// [`EnergyBreakdown`](crate::energy::EnergyBreakdown).
+    pub(crate) fn states_of(levels: usize) -> Vec<PowerState> {
+        let mut v = vec![PowerState::Active, PowerState::Seek, PowerState::Idle];
+        for l in 1..levels {
+            let l = l as u8;
+            v.push(PowerState::Sleeping(l));
+            v.push(PowerState::Descending(l));
+            v.push(PowerState::Waking(l));
+        }
+        v
+    }
+
+    impl PowerState {
+        /// Whether the platters are at full rotational speed in this state
+        /// (i.e. the disk could begin servicing a request without waking).
+        fn is_spun_up(self) -> bool {
+            matches!(
+                self,
+                PowerState::Active | PowerState::Seek | PowerState::Idle
+            )
+        }
+
+        /// Whether this is a transitional (entry or exit) state.
+        fn is_transitional(self) -> bool {
+            matches!(self, PowerState::Waking(_) | PowerState::Descending(_))
+        }
+    }
 
     #[test]
     fn paper_power_values_match_table2() {

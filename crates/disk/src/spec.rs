@@ -156,11 +156,6 @@ impl DiskSpec {
         }
     }
 
-    /// Start building a custom spec from this one.
-    pub fn to_builder(&self) -> DiskSpecBuilder {
-        DiskSpecBuilder { spec: self.clone() }
-    }
-
     /// The drive's power-state ladder: the explicit one when set,
     /// otherwise the canonical two-state ladder derived from the scalar
     /// fields ([`PowerLadder::two_state`]).

@@ -292,11 +292,6 @@ impl DiskStateMachine {
         self.accountant.finish(now)?;
         Ok(self.accountant.into_breakdown())
     }
-
-    /// Peek at the accumulated breakdown without finishing.
-    pub fn breakdown_so_far(&self) -> &EnergyBreakdown {
-        self.accountant.breakdown()
-    }
 }
 
 #[cfg(test)]
@@ -471,7 +466,7 @@ mod tests {
     fn breakdown_so_far_is_live() {
         let mut m = machine();
         m.transition(10.0, PowerState::Active).unwrap();
-        assert!((m.breakdown_so_far().seconds_in(PowerState::Idle) - 10.0).abs() < 1e-12);
+        assert!((m.accountant.breakdown().seconds_in(PowerState::Idle) - 10.0).abs() < 1e-12);
     }
 
     #[test]
@@ -489,7 +484,7 @@ mod tests {
         assert_eq!(m.spin_ups(), 0);
         assert_eq!(m.spin_downs(), 1);
         // …but its wake-transition time was charged at transition power.
-        assert!(m.breakdown_so_far().seconds_in(PowerState::Waking(1)) > 0.0);
+        assert!(m.accountant.breakdown().seconds_in(PowerState::Waking(1)) > 0.0);
         // A second attempt can succeed.
         let up2 = m.begin_spin_up(up + 5.0).unwrap();
         m.transition(up2, PowerState::Idle).unwrap();

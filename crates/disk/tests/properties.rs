@@ -3,14 +3,35 @@
 //! break-even analysis consistency.
 
 use proptest::prelude::*;
-use spindown_disk::breakeven::{offline_break_even_gap, spin_down_gain};
 use spindown_disk::energy::EnergyAccountant;
 use spindown_disk::ladder::{PowerLadder, PowerLevel};
 use spindown_disk::mechanics::ServiceTimer;
 use spindown_disk::power::{power_of, PowerState};
 use spindown_disk::{
-    break_even_threshold, break_even_threshold_between, DiskSpec, DiskSpecBuilder, DiskStateMachine,
+    break_even_threshold, break_even_threshold_between, transition_energy_overhead, DiskSpec,
+    DiskSpecBuilder, DiskStateMachine,
 };
+
+/// Net energy saved by spinning down for an idle gap of `gap_s` seconds
+/// instead of idling through it (the spin-up is charged to the gap).
+fn spin_down_gain(spec: &DiskSpec, gap_s: f64) -> f64 {
+    let transit = spec.spin_down_time_s + spec.spin_up_time_s;
+    let standby_s = (gap_s - transit).max(0.0);
+    let sleep_cost = transition_energy_overhead(spec) + standby_s * spec.standby_power_w;
+    spec.idle_power_w * gap_s - sleep_cost
+}
+
+/// The gap above which [`spin_down_gain`] becomes positive.
+fn offline_break_even_gap(spec: &DiskSpec) -> f64 {
+    let e_over = transition_energy_overhead(spec);
+    let transit = spec.spin_down_time_s + spec.spin_up_time_s;
+    let short = e_over / spec.idle_power_w;
+    if short <= transit {
+        short
+    } else {
+        (e_over - transit * spec.standby_power_w) / (spec.idle_power_w - spec.standby_power_w)
+    }
+}
 
 fn state_strategy() -> impl Strategy<Value = PowerState> {
     prop_oneof![

@@ -1,10 +1,12 @@
 //! `experiments` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! experiments [--quick] [--out DIR] [--discipline D] [--ladder 2|3]
-//!             [--trace-file FILE] [--horizon S] [--requests N] [--shards S]
-//!             [--cache-tiers SPEC] [--completion-log FILE] [--faults SPEC]
-//!             CMD...
+//! experiments [--quick] [--out DIR] [--discipline fifo|sjf|sjf:SECONDS|elevator]
+//!             [--ladder 2|3] [--trace-file FILE] [--horizon SECONDS]
+//!             [--requests N] [--shards N]
+//!             [--cache-tiers none|POLICY:GB|POLICY:GB+POLICY:GB]
+//!             [--completion-log FILE] [--faults none|SPEC]
+//!             [--window SECONDS] [--workload CURVE] CMD...
 //!   CMD ∈ { table1 table2 fig2 fig3 fig4 fig5 fig6 vsweep bounds sensitivity
 //!           shootout joint replay all }
 //! ```

@@ -8,8 +8,8 @@
 //!   order-preserving parallel map over a slice, work-stealing via an
 //!   atomic cursor.
 //! - [`SweepSpec`]/[`run_sweep`]/[`policy_cache_grid`]/
-//!   [`policy_discipline_grid`]/[`ladder_policy_grid`]/
-//!   [`cache_policy_grid`] — the (policy × discipline × ladder × cache)
+//!   [`policy_discipline_grid`]/[`ladder_policy_grid`] — the
+//!   (policy × discipline × ladder × cache)
 //!   grid runner: each grid point names a [`PolicyChoice`] (fixed
 //!   thresholds are policies too), a queue [`DisciplineChoice`], a
 //!   power-state [`LadderChoice`] and a [`CacheChoice`] hierarchy (the
@@ -180,24 +180,6 @@ pub fn ladder_policy_grid(ladders: &[LadderChoice], policies: &[PolicyChoice]) -
         .collect()
 }
 
-/// The cross product of cache hierarchies and policies (FIFO discipline,
-/// two-state ladder), in row-major (cache-outer) order — the shootout's
-/// cache bracket.
-pub fn cache_policy_grid(tiers: &[CacheChoice], policies: &[PolicyChoice]) -> Vec<SweepSpec> {
-    tiers
-        .iter()
-        .flat_map(|&tiers| {
-            policies.iter().map(move |&policy| SweepSpec {
-                policy,
-                discipline: DisciplineChoice::Fifo,
-                ladder: LadderChoice::TwoState,
-                tiers,
-                metrics: MetricsMode::Histogram,
-            })
-        })
-        .collect()
-}
-
 /// Simulate every grid point against one workload/assignment, in parallel.
 /// `fleet` disks spin regardless of how many the assignment loads.
 ///
@@ -268,6 +250,23 @@ mod tests {
     use spindown_packing::DiskBin;
     use spindown_sim::config::ThresholdPolicy;
     use spindown_workload::MB;
+
+    /// The cross product of cache hierarchies and policies (FIFO discipline,
+    /// two-state ladder), in row-major (cache-outer) order.
+    fn cache_policy_grid(tiers: &[CacheChoice], policies: &[PolicyChoice]) -> Vec<SweepSpec> {
+        tiers
+            .iter()
+            .flat_map(|&tiers| {
+                policies.iter().map(move |&policy| SweepSpec {
+                    policy,
+                    discipline: DisciplineChoice::Fifo,
+                    ladder: LadderChoice::TwoState,
+                    tiers,
+                    metrics: MetricsMode::Histogram,
+                })
+            })
+            .collect()
+    }
 
     #[test]
     fn parallel_map_preserves_order_and_indices() {

@@ -65,12 +65,34 @@ fn run_quick(dir: &str, args: &[&str]) -> (Option<i32>, String, std::time::Durat
         .args(args)
         .output()
         .expect("the experiments binary runs");
-    assert!(!out_dir.join("replay.csv").exists(), "no result on error");
+    if !out.status.success() {
+        assert!(!out_dir.join("replay.csv").exists(), "no result on error");
+    }
     (
         out.status.code(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
         start.elapsed(),
     )
+}
+
+/// An empty replay reports zero energy as `0`, not `-0`.
+#[test]
+fn empty_replay_prints_zero_energy() {
+    let (code, stderr, _) = run_quick(
+        "cli_empty_replay",
+        &["--requests", "1000", "--horizon", "0", "replay"],
+    );
+    assert_eq!(code, Some(0), "{stderr}");
+    let csv = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_empty_replay/replay.csv");
+    let csv = std::fs::read_to_string(csv).expect("replay.csv written");
+    let mut lines = csv.lines();
+    let header: Vec<&str> = lines.next().expect("header").split(',').collect();
+    let row: Vec<&str> = lines.next().expect("one row").split(',').collect();
+    let energy = header
+        .iter()
+        .position(|&h| h == "energy_j")
+        .expect("energy_j column");
+    assert_eq!(row[energy], "0", "{csv}");
 }
 
 #[test]

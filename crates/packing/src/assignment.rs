@@ -113,11 +113,6 @@ impl Assignment {
         self.disks.len()
     }
 
-    /// Total items assigned.
-    pub fn items_assigned(&self) -> usize {
-        self.disks.iter().map(|d| d.items.len()).sum()
-    }
-
     /// Map from item index to disk index.
     ///
     /// # Panics
@@ -170,24 +165,6 @@ impl Assignment {
             }
         }
         Ok(())
-    }
-
-    /// Mean storage fill over used disks (0 when no disks are used).
-    pub fn mean_storage_fill(&self) -> f64 {
-        let used: Vec<&DiskBin> = self.disks.iter().filter(|d| !d.items.is_empty()).collect();
-        if used.is_empty() {
-            return 0.0;
-        }
-        used.iter().map(|d| d.total_s).sum::<f64>() / used.len() as f64
-    }
-
-    /// Mean load fill over used disks (0 when no disks are used).
-    pub fn mean_load_fill(&self) -> f64 {
-        let used: Vec<&DiskBin> = self.disks.iter().filter(|d| !d.items.is_empty()).collect();
-        if used.is_empty() {
-            return 0.0;
-        }
-        used.iter().map(|d| d.total_l).sum::<f64>() / used.len() as f64
     }
 }
 
@@ -244,6 +221,26 @@ impl AssignmentBuilder {
 mod tests {
     use super::*;
     use crate::instance::{Instance, PackItem};
+
+    impl Assignment {
+        /// Mean storage fill over used disks (0 when no disks are used).
+        fn mean_storage_fill(&self) -> f64 {
+            let used: Vec<&DiskBin> = self.disks.iter().filter(|d| !d.items.is_empty()).collect();
+            if used.is_empty() {
+                return 0.0;
+            }
+            used.iter().map(|d| d.total_s).sum::<f64>() / used.len() as f64
+        }
+
+        /// Mean load fill over used disks (0 when no disks are used).
+        fn mean_load_fill(&self) -> f64 {
+            let used: Vec<&DiskBin> = self.disks.iter().filter(|d| !d.items.is_empty()).collect();
+            if used.is_empty() {
+                return 0.0;
+            }
+            used.iter().map(|d| d.total_l).sum::<f64>() / used.len() as f64
+        }
+    }
 
     fn inst() -> Instance {
         Instance::new(vec![

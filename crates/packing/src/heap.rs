@@ -86,20 +86,6 @@ impl<T> KeyedMaxHeap<T> {
         top
     }
 
-    /// Drain in descending key order (consumes the heap).
-    pub fn into_sorted_vec(mut self) -> Vec<HeapEntry<T>> {
-        let mut out = Vec::with_capacity(self.len());
-        while let Some(e) = self.pop() {
-            out.push(e);
-        }
-        out
-    }
-
-    /// Verify the heap invariant (test/debug helper).
-    pub fn check_invariant(&self) -> bool {
-        (1..self.arena.len()).all(|i| !self.arena[i].beats(&self.arena[(i - 1) / 2]))
-    }
-
     fn sift_up(&mut self, mut i: usize) {
         while i > 0 {
             let parent = (i - 1) / 2;
@@ -139,6 +125,18 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{RngExt, SeedableRng};
 
+    impl<T> KeyedMaxHeap<T> {
+        /// Verify the heap invariant.
+        fn check_invariant(&self) -> bool {
+            (1..self.arena.len()).all(|i| !self.arena[i].beats(&self.arena[(i - 1) / 2]))
+        }
+    }
+
+    /// Pop every entry, in descending key order.
+    fn drain<T>(mut h: KeyedMaxHeap<T>) -> Vec<HeapEntry<T>> {
+        std::iter::from_fn(|| h.pop()).collect()
+    }
+
     fn entry(key: f64, tiebreak: u64) -> HeapEntry<u64> {
         HeapEntry {
             key,
@@ -153,7 +151,7 @@ mod tests {
         for (i, k) in [0.3, 0.9, 0.1, 0.5, 0.7].into_iter().enumerate() {
             h.push(entry(k, i as u64));
         }
-        let keys: Vec<f64> = h.into_sorted_vec().into_iter().map(|e| e.key).collect();
+        let keys: Vec<f64> = drain(h).into_iter().map(|e| e.key).collect();
         assert_eq!(keys, vec![0.9, 0.7, 0.5, 0.3, 0.1]);
     }
 
@@ -163,11 +161,7 @@ mod tests {
         h.push(entry(0.5, 2));
         h.push(entry(0.5, 0));
         h.push(entry(0.5, 1));
-        let order: Vec<u64> = h
-            .into_sorted_vec()
-            .into_iter()
-            .map(|e| e.tiebreak)
-            .collect();
+        let order: Vec<u64> = drain(h).into_iter().map(|e| e.tiebreak).collect();
         assert_eq!(order, vec![0, 1, 2]);
     }
 
@@ -181,16 +175,8 @@ mod tests {
         }
         assert!(a.check_invariant());
         assert!(b.check_invariant());
-        let sa: Vec<u64> = a
-            .into_sorted_vec()
-            .into_iter()
-            .map(|e| e.tiebreak)
-            .collect();
-        let sb: Vec<u64> = b
-            .into_sorted_vec()
-            .into_iter()
-            .map(|e| e.tiebreak)
-            .collect();
+        let sa: Vec<u64> = drain(a).into_iter().map(|e| e.tiebreak).collect();
+        let sb: Vec<u64> = drain(b).into_iter().map(|e| e.tiebreak).collect();
         assert_eq!(sa, sb);
     }
 
@@ -217,7 +203,7 @@ mod tests {
         }
         assert!(h.check_invariant());
         // drain remains sorted
-        let keys: Vec<f64> = h.into_sorted_vec().into_iter().map(|e| e.key).collect();
+        let keys: Vec<f64> = drain(h).into_iter().map(|e| e.key).collect();
         for w in keys.windows(2) {
             assert!(w[0] >= w[1]);
         }

@@ -373,8 +373,7 @@ mod tests {
         let a = pack_disks(&inst);
         a.verify(&inst).unwrap();
         // rho = 0.9; every disk trivially fine; main thing: feasibility +
-        // everything assigned exactly once.
-        assert_eq!(a.items_assigned(), 4);
+        // everything assigned exactly once (both checked by `verify`).
     }
 
     #[test]

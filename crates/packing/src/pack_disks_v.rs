@@ -244,7 +244,6 @@ mod tests {
                 let inst = uniform_instance(400, 0.25, seed);
                 let a = pack_disks_v(&inst, v);
                 a.verify(&inst).unwrap();
-                assert_eq!(a.items_assigned(), 400);
             }
         }
     }

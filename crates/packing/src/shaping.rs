@@ -140,7 +140,6 @@ mod tests {
         let inst = mixed_instance(500, 0.3, 11);
         for a in [concentrate(&inst), spread_tail(&inst)] {
             a.verify(&inst).unwrap();
-            assert_eq!(a.items_assigned(), 500);
         }
     }
 

@@ -26,7 +26,6 @@ proptest! {
         let inst = Instance::new(items).unwrap();
         let a = pack_disks(&inst);
         prop_assert!(a.verify(&inst).is_ok());
-        prop_assert_eq!(a.items_assigned(), inst.len());
     }
 
     #[test]
@@ -77,7 +76,6 @@ proptest! {
         let inst = Instance::new(items).unwrap();
         let a = pack_disks_v(&inst, v);
         prop_assert!(a.verify(&inst).is_ok());
-        prop_assert_eq!(a.items_assigned(), inst.len());
     }
 
     #[test]
@@ -111,7 +109,6 @@ proptest! {
             spindown_packing::shaping::spread_tail(&inst),
         ] {
             prop_assert!(a.verify(&inst).is_ok());
-            prop_assert_eq!(a.items_assigned(), inst.len());
         }
     }
 

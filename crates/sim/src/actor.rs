@@ -347,12 +347,6 @@ impl DiskActor {
         self.descent_target
     }
 
-    /// Spin-down (descent step) completed at `t` — the two-state name for
-    /// [`DiskActor::complete_descend`].
-    pub fn complete_spin_down(&mut self, t: f64) -> Result<(), TransitionError> {
-        self.complete_descend(t).map(|_| ())
-    }
-
     /// Begin waking at `t` (must be asleep at some level); returns
     /// completion time — deeper levels take longer to exit.
     pub fn begin_spin_up(&mut self, t: f64) -> Result<f64, TransitionError> {
@@ -439,7 +433,7 @@ mod tests {
         let mut a = actor();
         let down = a.begin_spin_down(100.0).unwrap();
         assert_eq!(down, 110.0);
-        a.complete_spin_down(down).unwrap();
+        a.complete_descend(down).unwrap();
         assert_eq!(a.phase(), Phase::Asleep(1));
         let up = a.begin_spin_up(200.0).unwrap();
         assert_eq!(up, 215.0);
@@ -493,7 +487,7 @@ mod tests {
         a.complete_service(done).unwrap();
         assert_eq!(a.idle_generation, 1);
         let d = a.begin_spin_down(100.0).unwrap();
-        a.complete_spin_down(d).unwrap();
+        a.complete_descend(d).unwrap();
         let u = a.begin_spin_up(300.0).unwrap();
         a.complete_spin_up(u).unwrap();
         assert_eq!(a.idle_generation, 2);
@@ -553,7 +547,7 @@ mod tests {
         at(&mut a, &mut rows, 100.0);
         let d = a.begin_spin_down(100.0).unwrap();
         at(&mut a, &mut rows, d);
-        a.complete_spin_down(d).unwrap();
+        a.complete_descend(d).unwrap();
         at(&mut a, &mut rows, 300.0);
         let u = a.begin_spin_up(300.0).unwrap();
         at(&mut a, &mut rows, u);
@@ -629,7 +623,7 @@ mod tests {
         let spec = DiskSpec::seagate_st3500630as();
         let mut a = DiskActor::with_discipline(spec, DisciplineChoice::ElevatorBatch);
         let d = a.begin_spin_down(0.0).unwrap();
-        a.complete_spin_down(d).unwrap();
+        a.complete_descend(d).unwrap();
         // Three requests pile up against the sleeping disk, positions out
         // of order.
         a.enqueue(0, 72 * MB, 20.0, 9);

@@ -179,13 +179,6 @@ impl SimConfig {
         self
     }
 
-    /// Attach a fault-injection plan. [`FaultPlan::none()`] restores the
-    /// bit-identical no-fault fast path.
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
     /// Collect windowed time-series metrics with the given tumbling
     /// window width (seconds). A run validates the width against its
     /// horizon before simulating anything: a width that is not finite and
@@ -276,7 +269,7 @@ mod tests {
             .with_disk(DiskSpec::archival_5400());
         assert_eq!(cfg.threshold, ThresholdPolicy::Fixed(600.0));
         assert_eq!(
-            cfg.cache_hierarchy.unwrap().total_capacity_bytes(),
+            cfg.cache_hierarchy.unwrap().tiers[0].capacity_bytes,
             16 * 1_000_000_000
         );
         assert_eq!(cfg.disk.model, DiskSpec::archival_5400().model);
@@ -322,11 +315,9 @@ mod tests {
 
     #[test]
     fn faults_default_to_none_and_build() {
-        let cfg = SimConfig::paper_default();
+        let mut cfg = SimConfig::paper_default();
         assert!(cfg.faults.is_none());
-        let plan = FaultPlan::parse("transient:p=1e-4 | wakefail:p=0.02").unwrap();
-        let cfg = cfg.with_faults(plan.clone());
-        assert_eq!(cfg.faults, plan);
+        cfg.faults = FaultPlan::parse("transient:p=1e-4 | wakefail:p=0.02").unwrap();
         assert!(!cfg.faults.is_none());
     }
 

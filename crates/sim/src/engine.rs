@@ -1425,7 +1425,7 @@ mod tests {
         assert_eq!(report.spin_ups, 0);
         // Energy ≈ idle for the whole window per disk (service negligible
         // but strictly above pure idle).
-        let idle_only = report.always_on_idle_joules(9.3);
+        let idle_only = 9.3 * report.sim_time_s * report.disks as f64;
         let e = report.energy.total_joules();
         assert!(e >= idle_only * 0.99 && e < idle_only * 1.05);
     }
@@ -1504,7 +1504,7 @@ mod tests {
         assert_eq!(report.spin_downs, 5);
         assert_eq!(report.spin_ups, 0);
         // standby time dominates
-        assert!(report.fleet_seconds_in(PowerState::Standby) > 4.0 * 400.0);
+        assert!(report.energy.seconds_in(PowerState::Standby) > 4.0 * 400.0);
     }
 
     /// Run `f` on its own thread and fail the test if it takes longer than
@@ -1639,14 +1639,18 @@ mod tests {
         let tr = trace(&[(0.0, 0), (10.0, 0), (20.0, 0)], 100.0);
         let report = Simulator::run(&cat, &tr, &assignment(&[0, 1]), &cfg).unwrap();
         assert_eq!(report.per_disk_served, vec![3, 0]);
-        assert_eq!(report.active_disks(), 1);
+        // Utilisation: the share of the run spent seeking or transferring.
+        let utilisation = |d: usize| {
+            let b = &report.per_disk_energy[d];
+            (b.seconds_in(PowerState::Active) + b.seconds_in(PowerState::Seek)) / report.sim_time_s
+        };
         // disk 0: 3 × (seek + rotation + 1 s transfer) over 100 s ≈ 3%
-        let u0 = report.disk_utilisation(0);
+        let u0 = utilisation(0);
         assert!(
             (u0 - 3.0 * service_time_72mb() / 100.0).abs() < 1e-6,
             "{u0}"
         );
-        assert_eq!(report.disk_utilisation(1), 0.0);
+        assert_eq!(utilisation(1), 0.0);
     }
 
     #[test]
@@ -2009,9 +2013,9 @@ mod tests {
             report.response_quantile(1.0)
         );
         // Energy accounted at every level the descent visited.
-        assert!(report.fleet_seconds_in(PowerState::Sleeping(1)) > 0.0);
-        assert!(report.fleet_seconds_in(PowerState::Sleeping(2)) > 0.0);
-        assert!(report.fleet_seconds_in(PowerState::Descending(2)) > 0.0);
+        assert!(report.energy.seconds_in(PowerState::Sleeping(1)) > 0.0);
+        assert!(report.energy.seconds_in(PowerState::Sleeping(2)) > 0.0);
+        assert!(report.energy.seconds_in(PowerState::Descending(2)) > 0.0);
     }
 
     #[test]
@@ -2034,9 +2038,9 @@ mod tests {
         // One full descent = two completed entry transitions; the
         // zero-length residency at level 1 costs nothing.
         assert_eq!(report.spin_ups, 1);
-        assert!(report.fleet_seconds_in(PowerState::Sleeping(1)) == 0.0);
-        assert!((report.fleet_seconds_in(PowerState::Descending(1)) - 3.0).abs() < 1e-9);
-        assert!((report.fleet_seconds_in(PowerState::Descending(2)) - 10.0).abs() < 1e-9);
+        assert!(report.energy.seconds_in(PowerState::Sleeping(1)) == 0.0);
+        assert!((report.energy.seconds_in(PowerState::Descending(1)) - 3.0).abs() < 1e-9);
+        assert!((report.energy.seconds_in(PowerState::Descending(2)) - 10.0).abs() < 1e-9);
     }
 
     #[test]
@@ -2056,7 +2060,7 @@ mod tests {
             "response {} vs {expected}",
             report.response_quantile(1.0)
         );
-        assert!(report.fleet_seconds_in(PowerState::Sleeping(2)) == 0.0);
+        assert!(report.energy.seconds_in(PowerState::Sleeping(2)) == 0.0);
     }
 
     #[test]

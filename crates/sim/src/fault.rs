@@ -27,7 +27,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use spindown_workload::FaultPlan;
+use spindown_workload::{FailSlowSpec, FaultPlan};
 
 use crate::engine::Placement;
 use crate::idhash::IdMap;
@@ -140,8 +140,8 @@ pub(crate) struct FaultRuntime {
     rngs: Vec<SmallRng>,
     /// Scheduled crash times per local disk, ascending.
     pub crash_times: Vec<Vec<f64>>,
-    /// Fail-slow windows per local disk: `(factor, from_s, to_s)`.
-    failslow: Vec<Vec<(f64, f64, f64)>>,
+    /// Fail-slow windows per local disk.
+    failslow: Vec<Vec<FailSlowSpec>>,
     /// Whether the disk is currently offline.
     pub down: Vec<bool>,
     /// When the current outage started (meaningful while `down`).
@@ -201,7 +201,7 @@ impl FaultRuntime {
         let mut failslow = vec![Vec::new(); fleet];
         for f in &plan.failslow {
             if let Some(d) = place.local(f.disk) {
-                failslow[d].push((f.factor, f.from_s, f.to_s));
+                failslow[d].push(*f);
             }
         }
         FaultRuntime {
@@ -245,8 +245,8 @@ impl FaultRuntime {
     pub fn failslow_factor(&self, d: usize, t: f64) -> Option<f64> {
         self.failslow[d]
             .iter()
-            .find(|&&(_, from, to)| t >= from && t < to)
-            .map(|&(factor, _, _)| factor)
+            .find(|f| f.covers(t))
+            .map(|f| f.factor)
     }
 
     /// Whether admission control sheds an arrival given the disk's

@@ -140,12 +140,6 @@ impl CacheHierarchyConfig {
         Self::single(CacheTierConfig::dram(16 * GB, CachePolicyChoice::Lru))
     }
 
-    /// Total byte budget across tiers (the "cache-GB" side of an equal
-    /// fleet + cache budget comparison).
-    pub fn total_capacity_bytes(&self) -> u64 {
-        self.tiers.iter().map(|t| t.capacity_bytes).sum()
-    }
-
     /// Instantiate the runtime hierarchy with every tier's budget divided
     /// by `share`. The simulator builds with `share = 1`, the whole
     /// configured budget.
@@ -267,17 +261,6 @@ impl CacheChoice {
                 CacheTierConfig::dram(u64::from(dram_gb) * GB, policy),
                 CacheTierConfig::ssd(u64::from(ssd_gb) * GB, policy),
             ])),
-        }
-    }
-
-    /// Total cache budget in GB (the equal-budget axis of the shootout).
-    pub fn total_gb(&self) -> u32 {
-        match *self {
-            CacheChoice::None => 0,
-            CacheChoice::Flat { gb, .. } => gb,
-            CacheChoice::TwoTier {
-                dram_gb, ssd_gb, ..
-            } => dram_gb + ssd_gb,
         }
     }
 
@@ -439,15 +422,15 @@ mod tests {
 
     #[test]
     fn total_gb_is_the_equal_budget_axis() {
-        assert_eq!(CacheChoice::None.total_gb(), 0);
+        assert!(CacheChoice::None.hierarchy().is_none());
         let two = CacheChoice::TwoTier {
             dram_gb: 4,
             ssd_gb: 60,
             policy: CachePolicyChoice::Lru,
         };
-        assert_eq!(two.total_gb(), 64);
+        let tiers = two.hierarchy().unwrap().tiers;
         assert_eq!(
-            two.hierarchy().unwrap().total_capacity_bytes(),
+            tiers.iter().map(|t| t.capacity_bytes).sum::<u64>(),
             64 * GB,
             "hierarchy expansion preserves the budget"
         );

@@ -48,7 +48,7 @@
 //!   disk order into a [`windows::WindowedReport`] row — O(disks)
 //!   resident, bit-identical at any shard count.
 //! - `fault` (internal) — the seeded deterministic fault injector behind
-//!   `SimConfig::with_faults`: fail-stop crashes with timed repair,
+//!   the `SimConfig::faults` plan: fail-stop crashes with timed repair,
 //!   transient I/O retries with capped exponential backoff, wake
 //!   failures, fail-slow windows and watermark load shedding, surfaced as
 //!   [`metrics::AvailabilityStats`] on the report.

@@ -28,7 +28,6 @@
 
 use serde::{Deserialize, Serialize};
 use spindown_disk::energy::EnergyBreakdown;
-use spindown_disk::PowerState;
 
 use crate::cache::CacheStats;
 use crate::complog::CompletionLogSummary;
@@ -452,11 +451,6 @@ impl ResponseStats {
         }
     }
 
-    /// Median.
-    pub fn median(&mut self) -> f64 {
-        self.quantile(0.5)
-    }
-
     /// 95th percentile — the tail metric the queue-discipline work targets.
     pub fn p95(&mut self) -> f64 {
         self.quantile(0.95)
@@ -801,25 +795,6 @@ impl SimReport {
         self.response_quantile(0.95)
     }
 
-    /// 99th percentile of the global response distribution.
-    pub fn response_p99(&self) -> f64 {
-        self.response_quantile(0.99)
-    }
-
-    /// `q`-quantile of one disk's response distribution (cache hits
-    /// included, attributed to the disk holding the file), without
-    /// requiring a mutable report.
-    pub fn per_disk_response_quantile(&self, disk: usize, q: f64) -> f64 {
-        self.per_disk_responses[disk].clone().quantile(q)
-    }
-
-    /// Energy the fleet would have used never leaving the *idle* state —
-    /// the §5.1 normaliser ("spinning N disks without any power-saving
-    /// mechanism"), ignoring the (identical) service energy.
-    pub fn always_on_idle_joules(&self, idle_power_w: f64) -> f64 {
-        idle_power_w * self.sim_time_s * self.disks as f64
-    }
-
     /// Power-saving fraction of this run against a reference energy:
     /// `1 − E_this/E_ref`.
     pub fn saving_vs(&self, reference_joules: f64) -> f64 {
@@ -827,26 +802,6 @@ impl SimReport {
             return 0.0;
         }
         1.0 - self.energy.total_joules() / reference_joules
-    }
-
-    /// Seconds the fleet spent in `state`, summed over disks.
-    pub fn fleet_seconds_in(&self, state: PowerState) -> f64 {
-        self.energy.seconds_in(state)
-    }
-
-    /// Utilisation of one disk: fraction of the run spent seeking or
-    /// transferring. 0 when the run had zero length.
-    pub fn disk_utilisation(&self, disk: usize) -> f64 {
-        if self.sim_time_s <= 0.0 {
-            return 0.0;
-        }
-        let b = &self.per_disk_energy[disk];
-        (b.seconds_in(PowerState::Active) + b.seconds_in(PowerState::Seek)) / self.sim_time_s
-    }
-
-    /// Number of disks that served at least one request.
-    pub fn active_disks(&self) -> usize {
-        self.per_disk_served.iter().filter(|&&c| c > 0).count()
     }
 }
 
@@ -861,7 +816,7 @@ mod tests {
             r.record(v);
         }
         assert_eq!(r.quantile(0.0), 1.0);
-        assert_eq!(r.median(), 3.0);
+        assert_eq!(r.quantile(0.5), 3.0);
         assert_eq!(r.quantile(0.8), 4.0);
         assert_eq!(r.quantile(1.0), 5.0);
         assert_eq!(r.max(), 5.0);
@@ -888,7 +843,7 @@ mod tests {
             assert!(r.is_empty());
             assert_eq!(r.len(), 0);
             assert_eq!(r.mean(), 0.0, "{mode:?}");
-            assert_eq!(r.median(), 0.0, "{mode:?}");
+            assert_eq!(r.quantile(0.5), 0.0, "{mode:?}");
             assert_eq!(r.max(), 0.0, "{mode:?}");
             assert_eq!(r.quantile(0.0), 0.0, "{mode:?}");
             assert_eq!(r.quantile(1.0), 0.0, "{mode:?}");
@@ -903,7 +858,7 @@ mod tests {
             r.record(v);
         }
         assert!((r.fraction_within(10.0) - 0.75).abs() < 1e-12);
-        let _ = r.median();
+        let _ = r.quantile(0.5);
     }
 
     #[test]
@@ -949,7 +904,7 @@ mod tests {
         let mut r = ResponseStats::new();
         r.record(5.0);
         r.record(1.0);
-        assert_eq!(r.median(), 1.0);
+        assert_eq!(r.quantile(0.5), 1.0);
         r.record(0.5);
         assert_eq!(r.quantile(0.0), 0.5, "sort flag must reset on record");
     }

@@ -159,8 +159,8 @@ proptest! {
         let report = Simulator::run(&w.catalog, &w.trace, &w.assignment, &cfg).unwrap();
         prop_assert_eq!(report.spin_downs, 0);
         prop_assert_eq!(report.spin_ups, 0);
-        prop_assert_eq!(report.fleet_seconds_in(PowerState::Standby), 0.0);
-        prop_assert_eq!(report.fleet_seconds_in(PowerState::SpinningUp), 0.0);
+        prop_assert_eq!(report.energy.seconds_in(PowerState::Standby), 0.0);
+        prop_assert_eq!(report.energy.seconds_in(PowerState::SpinningUp), 0.0);
     }
 
     #[test]
@@ -171,10 +171,10 @@ proptest! {
         prop_assert!(report.spin_ups <= report.spin_downs);
         // Transitional residency equals count × fixed transition time.
         let spec = &cfg.disk;
-        let down_s = report.fleet_seconds_in(PowerState::SpinningDown);
+        let down_s = report.energy.seconds_in(PowerState::SpinningDown);
         prop_assert!((down_s - report.spin_downs as f64 * spec.spin_down_time_s).abs() < 1e-6,
             "spin-down residency {down_s} vs {} transitions", report.spin_downs);
-        let up_s = report.fleet_seconds_in(PowerState::SpinningUp);
+        let up_s = report.energy.seconds_in(PowerState::SpinningUp);
         prop_assert!((up_s - report.spin_ups as f64 * spec.spin_up_time_s).abs() < 1e-6);
     }
 

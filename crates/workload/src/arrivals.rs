@@ -98,8 +98,8 @@ pub struct RampStep {
 /// Three shapes cover the classic service-trace patterns: a sinusoidal
 /// diurnal cycle, a flash-crowd spike (linear ramp up, hold, linear
 /// decay), and piecewise-constant tenant ramps. Build with the checked
-/// constructors ([`RateCurve::diurnal`], [`RateCurve::flash_crowd`],
-/// [`RateCurve::ramps`]) or parse a CLI spec with [`RateCurve::parse`].
+/// constructors ([`RateCurve::diurnal`], [`RateCurve::ramps`]) or parse a
+/// CLI spec with [`RateCurve::parse`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum RateCurve {
     /// `base + amplitude · sin(2π (t + phase_s) / period_s)` — the
@@ -163,42 +163,6 @@ impl RateCurve {
             amplitude,
             period_s,
             phase_s: 0.0,
-        }
-    }
-
-    /// Checked flash-crowd spike over a background rate.
-    ///
-    /// # Panics
-    /// If `base` is not positive and finite, `peak < base`, or any
-    /// duration is negative or non-finite.
-    pub fn flash_crowd(
-        base: f64,
-        peak: f64,
-        start_s: f64,
-        ramp_s: f64,
-        hold_s: f64,
-        decay_s: f64,
-    ) -> Self {
-        assert!(base > 0.0 && base.is_finite(), "base rate must be positive");
-        assert!(
-            peak >= base && peak.is_finite(),
-            "peak must be at least the base rate"
-        );
-        for (name, v) in [
-            ("start", start_s),
-            ("ramp", ramp_s),
-            ("hold", hold_s),
-            ("decay", decay_s),
-        ] {
-            assert!(v >= 0.0 && v.is_finite(), "{name} must be non-negative");
-        }
-        RateCurve::FlashCrowd {
-            base,
-            peak,
-            start_s,
-            ramp_s,
-            hold_s,
-            decay_s,
         }
     }
 
@@ -649,7 +613,14 @@ mod tests {
 
     #[test]
     fn flash_crowd_rate_is_piecewise_linear() {
-        let c = RateCurve::flash_crowd(2.0, 20.0, 100.0, 10.0, 30.0, 20.0);
+        let c = RateCurve::FlashCrowd {
+            base: 2.0,
+            peak: 20.0,
+            start_s: 100.0,
+            ramp_s: 10.0,
+            hold_s: 30.0,
+            decay_s: 20.0,
+        };
         assert_eq!(c.rate_at(0.0), 2.0);
         assert!((c.rate_at(105.0) - 11.0).abs() < 1e-9, "mid-ramp");
         assert_eq!(c.rate_at(120.0), 20.0, "plateau");
@@ -740,7 +711,14 @@ mod tests {
         );
         assert_eq!(
             RateCurve::parse("flash:base=2,peak=20,at=100,ramp=10,hold=30,decay=20").unwrap(),
-            RateCurve::flash_crowd(2.0, 20.0, 100.0, 10.0, 30.0, 20.0)
+            RateCurve::FlashCrowd {
+                base: 2.0,
+                peak: 20.0,
+                start_s: 100.0,
+                ramp_s: 10.0,
+                hold_s: 30.0,
+                decay_s: 20.0,
+            }
         );
         assert_eq!(
             RateCurve::parse("ramps:0=2,600=8").unwrap(),

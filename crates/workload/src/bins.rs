@@ -3,8 +3,8 @@
 //! "We classified the 88,631 files into 80 bins by their size … the
 //! distribution of file sizes is closely related to a Zipf distribution
 //! because the proportion decreases almost linearly in the log-log scale."
-//! [`SizeBins`] reproduces that classification and the log-log linearity
-//! check.
+//! [`SizeBins`] reproduces that classification; this module's tests (and
+//! the NERSC generator's) check the log-log linearity.
 
 use serde::{Deserialize, Serialize};
 
@@ -32,11 +32,6 @@ impl SizeBins {
             edges,
             counts: vec![0; bins],
         }
-    }
-
-    /// The paper's configuration: 80 bins.
-    pub fn paper_80(min_bytes: u64, max_bytes: u64) -> Self {
-        Self::new(80, min_bytes, max_bytes)
     }
 
     /// Number of bins.
@@ -70,69 +65,14 @@ impl SizeBins {
         self.counts[b] += 1;
     }
 
-    /// Record many sizes.
-    pub fn record_all(&mut self, sizes: impl IntoIterator<Item = u64>) {
-        for s in sizes {
-            self.record(s);
-        }
-    }
-
     /// Raw per-bin counts.
     pub fn counts(&self) -> &[u64] {
         &self.counts
     }
 
-    /// Per-bin proportions of the total population (0 for an empty bin set).
-    pub fn proportions(&self) -> Vec<f64> {
-        let total: u64 = self.counts.iter().sum();
-        if total == 0 {
-            return vec![0.0; self.counts.len()];
-        }
-        self.counts
-            .iter()
-            .map(|&c| c as f64 / total as f64)
-            .collect()
-    }
-
     /// Geometric midpoint (bytes) of bin `i`.
     pub fn midpoint(&self, i: usize) -> f64 {
         (self.edges[i] * self.edges[i + 1]).sqrt()
-    }
-
-    /// Least-squares fit of `ln(proportion)` against `ln(bin midpoint)` over
-    /// non-empty bins; returns `(slope, r2)`. A clearly negative slope with
-    /// good `r²` is the paper's "decreases almost linearly in the log-log
-    /// scale" observation.
-    pub fn log_log_fit(&self) -> Option<(f64, f64)> {
-        let props = self.proportions();
-        let pts: Vec<(f64, f64)> = props
-            .iter()
-            .enumerate()
-            .filter(|(_, &p)| p > 0.0)
-            .map(|(i, &p)| (self.midpoint(i).ln(), p.ln()))
-            .collect();
-        if pts.len() < 3 {
-            return None;
-        }
-        let n = pts.len() as f64;
-        let sx: f64 = pts.iter().map(|p| p.0).sum();
-        let sy: f64 = pts.iter().map(|p| p.1).sum();
-        let sxx: f64 = pts.iter().map(|p| p.0 * p.0).sum();
-        let sxy: f64 = pts.iter().map(|p| p.0 * p.1).sum();
-        let syy: f64 = pts.iter().map(|p| p.1 * p.1).sum();
-        let denom = n * sxx - sx * sx;
-        if denom.abs() < 1e-12 {
-            return None;
-        }
-        let slope = (n * sxy - sx * sy) / denom;
-        let r_num = n * sxy - sx * sy;
-        let r_den = (denom * (n * syy - sy * sy)).sqrt();
-        let r2 = if r_den > 0.0 {
-            (r_num / r_den).powi(2)
-        } else {
-            0.0
-        };
-        Some((slope, r2))
     }
 }
 
@@ -140,6 +80,56 @@ impl SizeBins {
 mod tests {
     use super::*;
     use crate::{GB, MB};
+
+    impl SizeBins {
+        /// Per-bin proportions of the total population (0 for an empty bin set).
+        pub(crate) fn proportions(&self) -> Vec<f64> {
+            let total: u64 = self.counts.iter().sum();
+            if total == 0 {
+                return vec![0.0; self.counts.len()];
+            }
+            self.counts
+                .iter()
+                .map(|&c| c as f64 / total as f64)
+                .collect()
+        }
+
+        /// Least-squares fit of `ln(proportion)` against `ln(bin midpoint)` over
+        /// non-empty bins; returns `(slope, r2)`. A clearly negative slope with
+        /// good `r²` is the paper's "decreases almost linearly in the log-log
+        /// scale" observation.
+        pub(crate) fn log_log_fit(&self) -> Option<(f64, f64)> {
+            let props = self.proportions();
+            let pts: Vec<(f64, f64)> = props
+                .iter()
+                .enumerate()
+                .filter(|(_, &p)| p > 0.0)
+                .map(|(i, &p)| (self.midpoint(i).ln(), p.ln()))
+                .collect();
+            if pts.len() < 3 {
+                return None;
+            }
+            let n = pts.len() as f64;
+            let sx: f64 = pts.iter().map(|p| p.0).sum();
+            let sy: f64 = pts.iter().map(|p| p.1).sum();
+            let sxx: f64 = pts.iter().map(|p| p.0 * p.0).sum();
+            let sxy: f64 = pts.iter().map(|p| p.0 * p.1).sum();
+            let syy: f64 = pts.iter().map(|p| p.1 * p.1).sum();
+            let denom = n * sxx - sx * sx;
+            if denom.abs() < 1e-12 {
+                return None;
+            }
+            let slope = (n * sxy - sx * sy) / denom;
+            let r_num = n * sxy - sx * sy;
+            let r_den = (denom * (n * syy - sy * sy)).sqrt();
+            let r2 = if r_den > 0.0 {
+                (r_num / r_den).powi(2)
+            } else {
+                0.0
+            };
+            Some((slope, r2))
+        }
+    }
 
     #[test]
     fn edges_are_log_spaced() {
@@ -165,7 +155,9 @@ mod tests {
     #[test]
     fn record_and_proportions() {
         let mut b = SizeBins::new(2, MB, 4 * MB);
-        b.record_all([MB, MB, 3 * MB]);
+        for bytes in [MB, MB, 3 * MB] {
+            b.record(bytes);
+        }
         assert_eq!(b.counts(), &[2, 1]);
         let p = b.proportions();
         assert!((p[0] - 2.0 / 3.0).abs() < 1e-12);
@@ -183,7 +175,7 @@ mod tests {
     fn log_log_fit_detects_power_law() {
         // Population with count ∝ size^-1 per log bin (empty bins at the
         // large end simply drop out of the fit).
-        let mut b = SizeBins::paper_80(MB, 100 * GB);
+        let mut b = SizeBins::new(80, MB, 100 * GB);
         for i in 0..80 {
             let mid = b.midpoint(i);
             let count = (1e9 / mid) as u64;
@@ -198,7 +190,7 @@ mod tests {
 
     #[test]
     fn paper_80_has_80_bins() {
-        assert_eq!(SizeBins::paper_80(MB, GB).len(), 80);
+        assert_eq!(SizeBins::new(80, MB, GB).len(), 80);
     }
 
     #[test]

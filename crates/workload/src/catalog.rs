@@ -107,18 +107,6 @@ impl FileCatalog {
         FileCatalog::from_parts(sizes, pop.probabilities().to_vec())
     }
 
-    /// Like [`Self::paper_table1`] but with the popularity↔size coupling
-    /// broken by a seeded shuffle of the size assignment — the "no
-    /// significant relationship between the file size and its access
-    /// frequency" regime the paper observed in the NERSC logs.
-    pub fn paper_table1_uncorrelated(n: usize, seed: u64) -> Self {
-        let pop = ZipfDistribution::paper_popularity(n);
-        let size_model = RankSizeModel::paper_table1(n);
-        let mut sizes: Vec<u64> = (1..=n).map(|k| size_model.size_of_rank(k)).collect();
-        fisher_yates(&mut sizes, seed);
-        FileCatalog::from_parts(sizes, pop.probabilities().to_vec())
-    }
-
     /// Number of files.
     pub fn len(&self) -> usize {
         self.files.len()
@@ -171,17 +159,6 @@ impl FileCatalog {
             .map(|f| rate * f.popularity * service(f.size_bytes))
             .collect()
     }
-
-    /// Expected service seconds per request: `Σ p_i · service(s_i)`.
-    /// Multiplying by the arrival rate gives the total offered load in
-    /// disk-seconds per second (i.e. the minimum number of perfectly
-    /// utilised disks).
-    pub fn expected_service_time(&self, mut service: impl FnMut(u64) -> f64) -> f64 {
-        self.files
-            .iter()
-            .map(|f| f.popularity * service(f.size_bytes))
-            .sum()
-    }
 }
 
 /// Seeded in-place Fisher–Yates shuffle (self-contained so the crate does
@@ -198,6 +175,31 @@ pub(crate) fn fisher_yates<T>(items: &mut [T], seed: u64) {
 mod tests {
     use super::*;
     use crate::{GB, MB, TB};
+
+    impl FileCatalog {
+        /// Like [`Self::paper_table1`] but with the popularity↔size coupling
+        /// broken by a seeded shuffle of the size assignment — the "no
+        /// significant relationship between the file size and its access
+        /// frequency" regime the paper observed in the NERSC logs.
+        fn paper_table1_uncorrelated(n: usize, seed: u64) -> Self {
+            let pop = ZipfDistribution::paper_popularity(n);
+            let size_model = RankSizeModel::paper_table1(n);
+            let mut sizes: Vec<u64> = (1..=n).map(|k| size_model.size_of_rank(k)).collect();
+            fisher_yates(&mut sizes, seed);
+            FileCatalog::from_parts(sizes, pop.probabilities().to_vec())
+        }
+
+        /// Expected service seconds per request: `Σ p_i · service(s_i)`.
+        /// Multiplying by the arrival rate gives the total offered load in
+        /// disk-seconds per second (i.e. the minimum number of perfectly
+        /// utilised disks).
+        fn expected_service_time(&self, mut service: impl FnMut(u64) -> f64) -> f64 {
+            self.files
+                .iter()
+                .map(|f| f.popularity * service(f.size_bytes))
+                .sum()
+        }
+    }
 
     #[test]
     fn paper_catalog_shape() {

@@ -264,7 +264,7 @@ fn rewrite_as_bursts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::popularity_slope;
+    use crate::trace::tests::popularity_slope;
     use crate::TB;
 
     fn small_cfg() -> NerscConfig {
@@ -316,7 +316,9 @@ mod tests {
         let cfg = small_cfg();
         let w = generate(&cfg, 4);
         let mut bins = SizeBins::new(cfg.size_bins, cfg.min_size_bytes, cfg.max_size_bytes);
-        bins.record_all(w.catalog.iter().map(|f| f.size_bytes));
+        for f in w.catalog.iter() {
+            bins.record(f.size_bytes);
+        }
         let (slope, r2) = bins.log_log_fit().expect("fit");
         assert!(slope < -0.2, "slope {slope} not decreasing");
         assert!(r2 > 0.6, "log-log fit too poor: r2 {r2}");

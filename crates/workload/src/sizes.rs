@@ -69,42 +69,6 @@ impl RankSizeModel {
     }
 }
 
-/// Find, by bisection on β, the model over `n` files with fixed `max_bytes`
-/// whose total footprint is within `tol_bytes` of `target_total` (larger β ⇒
-/// faster decay ⇒ smaller total).
-///
-/// Returns the calibrated model. Useful when reproducing a corpus for which
-/// only the aggregate footprint is published.
-pub fn calibrate_beta_for_total(
-    n: usize,
-    max_bytes: u64,
-    target_total: u64,
-    tol_bytes: u64,
-) -> RankSizeModel {
-    assert!(n >= 1);
-    assert!(
-        target_total >= max_bytes,
-        "target must fit at least the largest file"
-    );
-    let mut lo = 0.0_f64; // total = n * max (largest possible)
-    let mut hi = 8.0_f64; // total ≈ max (fastest practical decay)
-    let model_with = |beta: f64| RankSizeModel { max_bytes, beta, n };
-    // Ensure the target is bracketed; with beta=0 total = n·max ≥ target.
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        let total = model_with(mid).total_bytes();
-        if total.abs_diff(target_total) <= tol_bytes {
-            return model_with(mid);
-        }
-        if total > target_total {
-            lo = mid; // decay too slow, total too big → increase beta
-        } else {
-            hi = mid;
-        }
-    }
-    model_with(0.5 * (lo + hi))
-}
-
 /// Statistics helper: arithmetic mean size of a model, bytes.
 pub fn mean_bytes(model: &RankSizeModel) -> f64 {
     model.total_bytes() as f64 / model.n as f64
@@ -114,6 +78,42 @@ pub fn mean_bytes(model: &RankSizeModel) -> f64 {
 mod tests {
     use super::*;
     use crate::{GB, MB, TB};
+
+    /// Find, by bisection on β, the model over `n` files with fixed `max_bytes`
+    /// whose total footprint is within `tol_bytes` of `target_total` (larger β ⇒
+    /// faster decay ⇒ smaller total).
+    ///
+    /// Returns the calibrated model. Useful when reproducing a corpus for which
+    /// only the aggregate footprint is published.
+    fn calibrate_beta_for_total(
+        n: usize,
+        max_bytes: u64,
+        target_total: u64,
+        tol_bytes: u64,
+    ) -> RankSizeModel {
+        assert!(n >= 1);
+        assert!(
+            target_total >= max_bytes,
+            "target must fit at least the largest file"
+        );
+        let mut lo = 0.0_f64; // total = n * max (largest possible)
+        let mut hi = 8.0_f64; // total ≈ max (fastest practical decay)
+        let model_with = |beta: f64| RankSizeModel { max_bytes, beta, n };
+        // Ensure the target is bracketed; with beta=0 total = n·max ≥ target.
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            let total = model_with(mid).total_bytes();
+            if total.abs_diff(target_total) <= tol_bytes {
+                return model_with(mid);
+            }
+            if total > target_total {
+                lo = mid; // decay too slow, total too big → increase beta
+            } else {
+                hi = mid;
+            }
+        }
+        model_with(0.5 * (lo + hi))
+    }
 
     #[test]
     fn paper_model_reproduces_table1_endpoints() {

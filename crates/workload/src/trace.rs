@@ -220,23 +220,6 @@ impl Trace {
         }
     }
 
-    /// Per-file request counts, indexed by file id, over `n_files` files.
-    pub fn per_file_counts(&self, n_files: usize) -> Vec<u64> {
-        let mut counts = vec![0u64; n_files];
-        for r in &self.requests {
-            counts[r.file.index()] += 1;
-        }
-        counts
-    }
-
-    /// Number of distinct files referenced.
-    pub fn distinct_files(&self) -> usize {
-        let mut ids: Vec<u32> = self.requests.iter().map(|r| r.file.0).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids.len()
-    }
-
     /// Write as CSV: a header line, then `time,file_id` rows.
     pub fn write_csv<W: Write>(&self, mut w: W) -> std::io::Result<()> {
         writeln!(w, "time_s,file_id")?;
@@ -279,36 +262,55 @@ pub(crate) fn sample_by_cdf<R: Rng + ?Sized>(cdf: &[f64], rng: &mut R) -> FileId
     FileId(idx as u32)
 }
 
-/// Empirical popularity skew check used in tests and the NERSC generator:
-/// fits `log(count) = a − b·log(rank)` over files with non-zero counts and
-/// returns the slope `b` (positive for Zipf-like data).
-pub fn popularity_slope(counts: &[u64]) -> f64 {
-    let mut sorted: Vec<u64> = counts.iter().copied().filter(|&c| c > 0).collect();
-    sorted.sort_unstable_by(|a, b| b.cmp(a));
-    let points: Vec<(f64, f64)> = sorted
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| (((i + 1) as f64).ln(), (c as f64).ln()))
-        .collect();
-    if points.len() < 2 {
-        return 0.0;
-    }
-    let n = points.len() as f64;
-    let sx: f64 = points.iter().map(|p| p.0).sum();
-    let sy: f64 = points.iter().map(|p| p.1).sum();
-    let sxx: f64 = points.iter().map(|p| p.0 * p.0).sum();
-    let sxy: f64 = points.iter().map(|p| p.0 * p.1).sum();
-    let denom = n * sxx - sx * sx;
-    if denom.abs() < 1e-12 {
-        return 0.0;
-    }
-    -(n * sxy - sx * sy) / denom
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::MB;
+
+    impl Trace {
+        /// Per-file request counts, indexed by file id, over `n_files` files.
+        pub(crate) fn per_file_counts(&self, n_files: usize) -> Vec<u64> {
+            let mut counts = vec![0u64; n_files];
+            for r in &self.requests {
+                counts[r.file.index()] += 1;
+            }
+            counts
+        }
+
+        /// Number of distinct files referenced.
+        pub(crate) fn distinct_files(&self) -> usize {
+            let mut ids: Vec<u32> = self.requests.iter().map(|r| r.file.0).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            ids.len()
+        }
+    }
+
+    /// Empirical popularity skew check:
+    /// fits `log(count) = a − b·log(rank)` over files with non-zero counts and
+    /// returns the slope `b` (positive for Zipf-like data).
+    pub(crate) fn popularity_slope(counts: &[u64]) -> f64 {
+        let mut sorted: Vec<u64> = counts.iter().copied().filter(|&c| c > 0).collect();
+        sorted.sort_unstable_by(|a, b| b.cmp(a));
+        let points: Vec<(f64, f64)> = sorted
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| (((i + 1) as f64).ln(), (c as f64).ln()))
+            .collect();
+        if points.len() < 2 {
+            return 0.0;
+        }
+        let n = points.len() as f64;
+        let sx: f64 = points.iter().map(|p| p.0).sum();
+        let sy: f64 = points.iter().map(|p| p.1).sum();
+        let sxx: f64 = points.iter().map(|p| p.0 * p.0).sum();
+        let sxy: f64 = points.iter().map(|p| p.0 * p.1).sum();
+        let denom = n * sxx - sx * sx;
+        if denom.abs() < 1e-12 {
+            return 0.0;
+        }
+        -(n * sxy - sx * sy) / denom
+    }
 
     fn small_catalog() -> FileCatalog {
         FileCatalog::paper_table1(100, 0)

@@ -104,7 +104,10 @@ proptest! {
             .collect();
         reqs.sort_by(|a, b| a.time.total_cmp(&b.time));
         let trace = Trace::new(reqs, 100.0);
-        let counts = trace.per_file_counts(20);
+        let mut counts = [0u64; 20];
+        for r in trace.requests() {
+            counts[r.file.index()] += 1;
+        }
         prop_assert_eq!(counts.iter().sum::<u64>() as usize, trace.len());
     }
 
@@ -114,11 +117,10 @@ proptest! {
         bins in 1usize..100
     ) {
         let mut b = SizeBins::new(bins, 1_000, 1_000_000_000_000);
-        b.record_all(sizes.iter().copied());
+        for &bytes in &sizes {
+            b.record(bytes);
+        }
         prop_assert_eq!(b.counts().iter().sum::<u64>() as usize, sizes.len());
-        let props = b.proportions();
-        let total: f64 = props.iter().sum();
-        prop_assert!((total - 1.0).abs() < 1e-9);
     }
 
     #[test]

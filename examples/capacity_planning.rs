@@ -3,7 +3,9 @@
 //! constraints on I/O response times" (§6 of the paper).
 //!
 //! Combines the M/G/1 response model with the packing lower bounds to size
-//! a fleet, then validates the answer with a simulation.
+//! a fleet, then validates the answer with a simulation. `online_%` is the
+//! paper's "percentage of disks that must be maintained on-line": the share
+//! of the sized farm that must spin to carry the load.
 //!
 //! ```text
 //! cargo run --release --example capacity_planning
@@ -29,18 +31,22 @@ fn main() {
     println!("request mixture: E[S] = {es:.2} s, E[S²] = {es2:.1} s²\n");
 
     println!(
-        "{:>12}  {:>9}  {:>9}  {:>8}  {:>9}",
-        "budget_s", "load_cap", "by_load", "by_cap", "disks"
+        "{:>12}  {:>9}  {:>9}  {:>8}  {:>9}  {:>9}",
+        "budget_s", "load_cap", "by_load", "by_cap", "disks", "online_%"
     );
     for budget in [5.0, 8.0, 12.0, 20.0, 40.0] {
         match plan_farm(catalog.total_bytes(), rate, es, es2, budget, planner.disk()) {
             Some(plan) => println!(
-                "{:>12.1}  {:>9.3}  {:>9}  {:>8}  {:>9}",
+                "{:>12.1}  {:>9.3}  {:>9}  {:>8}  {:>9}  {:>9.1}",
                 budget,
                 plan.load_cap,
                 plan.by_load,
                 plan.by_storage,
-                plan.disks()
+                plan.disks(),
+                100.0
+                    * plan
+                        .online_fraction(plan.disks())
+                        .expect("the farm fits itself")
             ),
             None => println!("{budget:>12.1}  unreachable (below bare service time)"),
         }

@@ -1,5 +1,6 @@
 //! Threshold study: how the idleness threshold trades energy against
-//! response time and disk wear on a single workload — plus the §2 theory:
+//! response time and disk wear on a single workload (`standby_%` is the
+//! share of disk-seconds the fleet spent spun down) — plus the §2 theory:
 //! the measured competitive ratio of the online threshold policy against
 //! the offline optimum on the *actual* idle gaps of the simulation.
 //!
@@ -9,7 +10,7 @@
 
 use spindown::analysis::dpm::{competitive_ratio, offline_gap_cost};
 use spindown::core::{Planner, PlannerConfig};
-use spindown::disk::{break_even_threshold, DiskSpec};
+use spindown::disk::{break_even_threshold, DiskSpec, PowerState};
 use spindown::sim::config::{SimConfig, ThresholdPolicy};
 use spindown::sim::engine::Simulator;
 use spindown::workload::{FileCatalog, InMemorySource, Trace};
@@ -25,8 +26,8 @@ fn main() {
     println!("break-even threshold: {be:.1} s\n");
 
     println!(
-        "{:>12}  {:>10}  {:>9}  {:>12}",
-        "threshold_s", "energy_MJ", "resp_s", "spin_cycles"
+        "{:>12}  {:>10}  {:>9}  {:>12}  {:>10}",
+        "threshold_s", "energy_MJ", "resp_s", "spin_cycles", "standby_%"
     );
     for threshold in [5.0, 20.0, be, 120.0, 600.0, f64::INFINITY] {
         let policy = if threshold.is_finite() {
@@ -44,11 +45,12 @@ fn main() {
         )
         .expect("simulate");
         println!(
-            "{:>12.1}  {:>10.2}  {:>9.2}  {:>12}",
+            "{:>12.1}  {:>10.2}  {:>9.2}  {:>12}  {:>10.1}",
             threshold,
             report.energy.total_joules() / 1e6,
             report.responses.mean(),
             report.spin_downs.min(report.spin_ups),
+            100.0 * report.energy.seconds_in(PowerState::Standby) / report.energy.total_seconds(),
         );
     }
 

@@ -59,7 +59,7 @@ fn frontier_points_are_mutually_non_dominated() {
     let trace = burst_replay(&cat, 25.0, 600.0, 0xFACE);
     let out = search(&trace);
     assert!(!out.frontier.is_empty());
-    let frontier: Vec<_> = out.frontier_cells().collect();
+    let frontier: Vec<_> = out.frontier.iter().map(|&i| &out.cells[i]).collect();
     for a in &frontier {
         for b in &frontier {
             assert!(
@@ -94,7 +94,9 @@ fn winner_beats_the_paper_default_on_a_spin_up_heavy_replay() {
         let trace = burst_replay(&cat, gap_s, 1_000.0, seed);
         let out = search(&trace);
         let default = out
-            .cell_for(&JointCandidate::paper_default())
+            .cells
+            .iter()
+            .find(|c| c.candidate == JointCandidate::paper_default())
             .expect("paper default is in the grid");
         let winner = out.winner_cell();
         let s_win = objective.score(winner.energy_j, winner.p95_s);
@@ -144,7 +146,7 @@ proptest! {
             let planner = Planner::new(cfg);
             let plan = planner.plan(&cat, rate).expect("shaped plan feasible");
             prop_assert!(plan.assignment.verify(&plan.instance).is_ok());
-            prop_assert_eq!(plan.assignment.items_assigned(), cat.len());
+            prop_assert_eq!(plan.instance.len(), cat.len());
         }
     }
 }

@@ -136,16 +136,15 @@ fn three_level_ladder_held_at_level_one_collapses_to_two_state() {
     let three = PowerLadder::with_low_rpm(&base);
     let low = three.level(1).clone();
     // The two-state drive whose standby *is* the low-RPM level.
-    let two_spec = base
-        .clone()
-        .to_builder()
-        .standby_power_w(low.power_w)
-        .spin_down_time_s(low.entry_time_s)
-        .spin_down_power_w(low.entry_power_w)
-        .spin_up_time_s(low.exit_time_s)
-        .spin_up_power_w(low.exit_power_w)
-        .build()
-        .expect("low-RPM two-state spec valid");
+    let two_spec = DiskSpec {
+        standby_power_w: low.power_w,
+        spin_down_time_s: low.entry_time_s,
+        spin_down_power_w: low.entry_power_w,
+        spin_up_time_s: low.exit_time_s,
+        spin_up_power_w: low.exit_power_w,
+        ..base.clone()
+    };
+    two_spec.validate().expect("low-RPM two-state spec valid");
     let three_spec = base.with_ladder(Some(three));
 
     let cat = catalog(24);
@@ -197,7 +196,7 @@ fn three_level_report_energy_partitions_exactly() {
     assert_eq!(sum_s, report.energy.total_seconds());
     assert_eq!(sum_j, report.energy.total_joules());
     use spindown::disk::PowerState;
-    assert!(report.fleet_seconds_in(PowerState::Sleeping(2)) > 0.0);
-    assert!(report.fleet_seconds_in(PowerState::Descending(1)) > 0.0);
-    assert!(report.fleet_seconds_in(PowerState::Descending(2)) > 0.0);
+    assert!(report.energy.seconds_in(PowerState::Sleeping(2)) > 0.0);
+    assert!(report.energy.seconds_in(PowerState::Descending(1)) > 0.0);
+    assert!(report.energy.seconds_in(PowerState::Descending(2)) > 0.0);
 }

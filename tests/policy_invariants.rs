@@ -157,8 +157,8 @@ fn every_policy_conserves_on_the_three_state_ladder_too() {
         |_| PolicyChoice::EnvelopeDescent.build(&sim.disk),
     )
     .expect("three-state replay succeeds");
-    assert!(report.fleet_seconds_in(PowerState::Sleeping(1)) > 0.0);
-    assert!(report.fleet_seconds_in(PowerState::Sleeping(2)) > 0.0);
+    assert!(report.energy.seconds_in(PowerState::Sleeping(1)) > 0.0);
+    assert!(report.energy.seconds_in(PowerState::Sleeping(2)) > 0.0);
 }
 
 #[test]
@@ -167,7 +167,7 @@ fn never_policy_is_the_sleepless_baseline() {
     let report = run(&f, PolicyChoice::never());
     assert_eq!(report.spin_downs, 0);
     assert_eq!(report.spin_ups, 0);
-    assert_eq!(report.fleet_seconds_in(PowerState::Standby), 0.0);
+    assert_eq!(report.energy.seconds_in(PowerState::Standby), 0.0);
 }
 
 #[test]

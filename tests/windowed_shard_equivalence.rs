@@ -112,7 +112,14 @@ fn non_stationary_windowed_series_is_shard_invariant() {
     let layout = assignment(64, 16);
     let curves = [
         RateCurve::diurnal(2.0, 1.5, 200.0),
-        RateCurve::flash_crowd(1.0, 10.0, 150.0, 20.0, 60.0, 40.0),
+        RateCurve::FlashCrowd {
+            base: 1.0,
+            peak: 10.0,
+            start_s: 150.0,
+            ramp_s: 20.0,
+            hold_s: 60.0,
+            decay_s: 40.0,
+        },
     ];
     for curve in curves {
         let base = SimConfig::paper_default()
