@@ -113,15 +113,18 @@ impl Assignment {
         self.disks.len()
     }
 
-    /// Map from item index to disk index.
+    /// Map from item index to disk index, `u32::MAX` for an item no disk
+    /// holds.
     ///
     /// # Panics
-    /// If an item is assigned more than once or out of range.
-    pub fn item_to_disk(&self, n_items: usize) -> Vec<usize> {
-        let mut map = vec![usize::MAX; n_items];
-        for (disk, bin) in self.disks.iter().enumerate() {
+    /// If an item is assigned more than once or out of range, or a disk id
+    /// does not fit below `u32::MAX`.
+    pub fn item_to_disk(&self, n_items: usize) -> Vec<u32> {
+        let mut map = vec![u32::MAX; n_items];
+        for (disk, bin) in (0..).zip(&self.disks) {
+            assert!(disk != u32::MAX, "disk ids overflow u32");
             for &item in &bin.items {
-                assert!(map[item] == usize::MAX, "item {item} assigned twice");
+                assert!(map[item] == u32::MAX, "item {item} assigned twice");
                 map[item] = disk;
             }
         }

@@ -268,7 +268,7 @@ mod tests {
         a.verify(&inst).unwrap();
         let map = a.item_to_disk(64);
         // first 4 items land on 4 distinct disks
-        let first_four: std::collections::HashSet<usize> = map[0..4].iter().copied().collect();
+        let first_four: std::collections::HashSet<u32> = map[0..4].iter().copied().collect();
         assert_eq!(first_four.len(), 4, "round-robin not spreading: {map:?}");
     }
 

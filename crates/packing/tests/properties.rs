@@ -140,6 +140,7 @@ proptest! {
         let a = pack_disks(&inst);
         let map = a.item_to_disk(inst.len());
         for (item, &disk) in map.iter().enumerate() {
+            let disk = disk as usize;
             prop_assert!(disk < a.disk_slots(), "item {item} unmapped");
             prop_assert!(a.disks[disk].items.contains(&item));
         }

@@ -22,7 +22,7 @@
 //! LRU and both SLRU segments share one kernel, a slab-backed doubly
 //! linked recency list indexed by file id.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 use spindown_workload::FileId;
@@ -399,8 +399,8 @@ impl CachePolicy for SegmentedLru {
 #[derive(Debug)]
 pub struct LfuCache {
     capacity_bytes: u64,
-    entries: HashMap<FileId, (u64, u64, u64)>, // file -> (size, freq, stamp)
-    by_freq: BTreeMap<(u64, u64), FileId>,     // (freq, stamp) -> file
+    entries: IdMap<FileId, (u64, u64, u64)>, // file -> (size, freq, stamp)
+    by_freq: BTreeMap<(u64, u64), FileId>,   // (freq, stamp) -> file
     next_stamp: u64,
     stats: CacheStats,
 }
@@ -410,7 +410,7 @@ impl LfuCache {
     pub fn new(capacity_bytes: u64) -> Self {
         LfuCache {
             capacity_bytes,
-            entries: HashMap::new(),
+            entries: IdMap::default(),
             by_freq: BTreeMap::new(),
             next_stamp: 0,
             stats: CacheStats::default(),
@@ -438,11 +438,12 @@ impl LfuCache {
 
 impl CachePolicy for LfuCache {
     fn access(&mut self, file: FileId, size_bytes: u64) -> bool {
-        if let Some(&(size, freq, stamp)) = self.entries.get(&file) {
-            self.by_freq.remove(&(freq, stamp));
-            let new_stamp = self.bump();
-            self.by_freq.insert((freq + 1, new_stamp), file);
-            self.entries.insert(file, (size, freq + 1, new_stamp));
+        if let Some((_, freq, stamp)) = self.entries.get_mut(&file) {
+            self.by_freq.remove(&(*freq, *stamp));
+            *freq += 1;
+            *stamp = self.next_stamp;
+            self.next_stamp += 1;
+            self.by_freq.insert((*freq, *stamp), file);
             self.stats.hits += 1;
             return true;
         }

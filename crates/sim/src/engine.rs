@@ -75,9 +75,10 @@
 //! counters, and the driver folds every shard's parts in global disk
 //! order into the one report — see `shard.rs` for the merge rules and
 //! the determinism argument. At one shard the
-//! reader's decode overlaps the engine. The reader also walks the cache,
-//! once for the whole stream, and tags each request with its hit; an
-//! engine holds no cache state. The completion log streams through
+//! reader's decode overlaps the engine. The reader also resolves each
+//! request's local disk and file size, and walks the cache once for the
+//! whole stream, tagging each request with its hit; an engine holds no
+//! per-file table and no cache state. The completion log streams through
 //! per-shard writers k-way merged by `(time, req)`
 //! ([`crate::complog`]). Response statistics in either metrics mode,
 //! energy totals, availability, cache statistics, windows and the
@@ -89,15 +90,16 @@ use spindown_disk::energy::EnergyBreakdown;
 use spindown_disk::state::TransitionError;
 use spindown_packing::Assignment;
 use spindown_workload::batch::BatchSender;
+use spindown_workload::shard::{Routed, UNMAPPED};
 use spindown_workload::trace::{TraceIoError, MAX_TRACE_TIME_S};
 use spindown_workload::{
-    FaultPlan, FileCatalog, FileId, InMemorySource, Request, ShardReceiver, Trace, TraceSource,
+    FaultPlan, FileCatalog, FileId, InMemorySource, ShardReceiver, Trace, TraceSource,
 };
 
 use crate::actor::{DiskActor, Phase};
 use crate::complog::CompletionWriter;
 use crate::config::SimConfig;
-use crate::event::{Event, EventQueue};
+use crate::event::{Event, EventQueue, MAX_DISKS};
 use crate::fault::{DiskFaults, FaultCounts, FaultRuntime, PendingRetry};
 use crate::metrics::{Completion, ResponseStats, SimReport};
 use crate::policy::{DescentStep, PowerPolicy, TimeoutPolicy};
@@ -117,6 +119,14 @@ pub enum SimError {
         required: usize,
         /// Fleet size requested.
         fleet: usize,
+    },
+    /// The fleet is wider than an event can name a disk
+    /// ([`MAX_DISKS`]).
+    FleetTooLarge {
+        /// Fleet size requested.
+        fleet: usize,
+        /// The widest fleet the engine runs.
+        max: usize,
     },
     /// Internal state-machine violation (a bug — should never surface).
     Transition(TransitionError),
@@ -175,6 +185,12 @@ impl std::fmt::Display for SimError {
             SimError::UnmappedFile { file } => write!(f, "file {file} is not mapped to a disk"),
             SimError::FleetTooSmall { required, fleet } => {
                 write!(f, "fleet of {fleet} disks < {required} required")
+            }
+            SimError::FleetTooLarge { fleet, max } => {
+                write!(
+                    f,
+                    "fleet of {fleet} disks > {max}, the most the engine runs"
+                )
             }
             SimError::Transition(e) => write!(f, "disk state machine error: {e}"),
             // The source error alone, so a row reads the same whether the
@@ -337,8 +353,10 @@ struct TimerState {
 
 /// Where an engine's disks sit in the global fleet: local disk `d` is
 /// global disk `d * stride + shard` (`0`/`1` for the whole fleet). The
-/// only statement of that rule: the policy, the fault injector and the
-/// completion log all see global ids through it.
+/// engine's one statement of that rule: the policy, the fault injector
+/// and the completion log all see global ids through it. The reader
+/// applies its inverse once per request
+/// ([`spindown_workload::shard::Route::to_disk`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Placement {
     pub shard: usize,
@@ -360,13 +378,9 @@ impl Placement {
 
 /// One engine's inputs.
 pub(crate) struct ShardJob<'a> {
-    pub catalog: &'a FileCatalog,
     pub cfg: &'a SimConfig,
-    /// This shard's arrivals.
+    /// This shard's arrivals, each routed to a local disk.
     pub source: ShardReceiver,
-    /// File index → local actor index; `usize::MAX` marks files this
-    /// engine does not serve.
-    pub file_to_disk: Vec<usize>,
     /// Disks this engine simulates.
     pub fleet: usize,
     pub place: Placement,
@@ -407,10 +421,8 @@ pub(crate) struct ShardParts {
 /// [`ShardReceiver`]: the reader thread decodes the source into batches
 /// while this engine runs.
 pub struct Simulator<'a> {
-    catalog: &'a FileCatalog,
     /// The streamed arrival cursor.
     source: ShardReceiver,
-    file_to_disk: Vec<usize>,
     actors: Vec<DiskActor>,
     timers: Vec<TimerState>,
     events: EventQueue,
@@ -518,6 +530,12 @@ impl<'a> Simulator<'a> {
         if fleet < required {
             return Err(SimError::FleetTooSmall { required, fleet });
         }
+        if fleet > MAX_DISKS {
+            return Err(SimError::FleetTooLarge {
+                fleet,
+                max: MAX_DISKS,
+            });
+        }
         SimError::check_fault_disks(&cfg.faults, fleet)?;
         crate::shard::replay_sharded(
             catalog,
@@ -537,10 +555,8 @@ impl<'a> Simulator<'a> {
     /// known. The job's senders are dropped once the drive is over.
     pub(crate) fn run_drained(job: ShardJob<'a>) -> Result<Self, SimError> {
         let ShardJob {
-            catalog,
             cfg,
             source,
-            file_to_disk,
             fleet,
             place,
             policy,
@@ -553,9 +569,7 @@ impl<'a> Simulator<'a> {
             SimError::check_windows(width, horizon)?;
         }
         let mut sim = Simulator {
-            catalog,
             source,
-            file_to_disk,
             actors: (0..fleet)
                 .map(|_| DiskActor::with_discipline(cfg.disk.clone(), cfg.discipline))
                 .collect(),
@@ -705,14 +719,13 @@ impl<'a> Simulator<'a> {
                 // The request's ordinal in the whole stream arrives with
                 // it, so every shard count labels requests alike — the
                 // tie-break key the merged completion log sorts on.
-                let (seq, r, hit) = self.source.next_tagged()?.expect("peeked arrival");
-                let req = seq as usize;
+                let arrival = self.source.next_routed()?.expect("peeked arrival");
                 self.arrived += 1;
-                self.last_event_time = self.last_event_time.max(r.time);
-                if r.time >= self.next_close {
-                    self.close_windows(r.time);
+                self.last_event_time = self.last_event_time.max(arrival.time);
+                if arrival.time >= self.next_close {
+                    self.close_windows(arrival.time);
                 }
-                self.on_arrival(r.time, req, r, hit)?;
+                self.on_arrival(arrival)?;
                 continue;
             }
             let Some((t, ev)) = self.events.pop() else {
@@ -787,30 +800,25 @@ impl<'a> Simulator<'a> {
             .unwrap_or(0)
     }
 
-    /// Take one arrival; `hit` is the hit service time the reader's cache
-    /// walk tagged it with, `None` on a miss or without a cache.
-    fn on_arrival(
-        &mut self,
-        t: f64,
-        req: usize,
-        r: Request,
-        hit: Option<f64>,
-    ) -> Result<(), SimError> {
-        let disk = match self.file_to_disk.get(r.file.index()).copied() {
-            Some(d) if d != usize::MAX => d,
-            _ => return Err(SimError::UnmappedFile { file: r.file }),
-        };
+    /// Take one arrival, routed by the reader: its local disk, its size,
+    /// and the hit service time of the reader's cache walk (`None` on a
+    /// miss or without a cache).
+    fn on_arrival(&mut self, arrival: Routed) -> Result<(), SimError> {
+        if arrival.disk == UNMAPPED {
+            return Err(SimError::UnmappedFile { file: arrival.file });
+        }
+        let (t, disk) = (arrival.time, arrival.disk as usize);
+        let req = arrival.seq as usize;
         // A hit returns before the policy or actor hear about the request:
         // served without disk involvement, idle clock untouched. It is
         // recorded against the disk holding the file, like a disk
         // completion, so the global statistics (derived from the per-disk
         // collectors in disk order) are shard-invariant.
-        if let Some(latency) = hit {
+        if let Some(latency) = arrival.hit() {
             self.per_disk_responses[disk].record(latency);
             self.actors[disk].window_completion(t, latency);
             return Ok(());
         }
-        let size = self.catalog.file(r.file).size_bytes;
         // Admission control: past the backlog watermark the request is
         // shed (counted, never queued) so a degraded fleet saturates
         // gracefully instead of queueing unboundedly.
@@ -822,7 +830,7 @@ impl<'a> Simulator<'a> {
             }
         }
         self.policy.request_arrived(self.place.global(disk), t);
-        self.actors[disk].enqueue(req, size, t, r.file.index() as u64);
+        self.actors[disk].enqueue(req, arrival.size, t, arrival.file.index() as u64);
         self.peak_disk_queue = self.peak_disk_queue.max(self.actors[disk].queue_len());
         self.actors[disk].window_queue_observation(t);
         self.kick(t, disk)
@@ -1258,6 +1266,7 @@ mod tests {
     use crate::metrics::MetricsMode;
     use spindown_disk::PowerState;
     use spindown_packing::{Assignment, DiskBin};
+    use spindown_workload::shard::Route;
     use spindown_workload::trace::Request;
     use spindown_workload::MB;
 
@@ -1321,15 +1330,19 @@ mod tests {
         cfg: &SimConfig,
     ) -> usize {
         let fleet = layout.disk_slots();
+        let disks = layout.item_to_disk(cat.len());
         let (pump, mut rxs) = spindown_workload::demux(source, 1);
         let fold = Mutex::new(RowFolder::new(cfg.windows.expect("windowed"), 1));
         let sim = std::thread::scope(|scope| {
-            scope.spawn(move || pump.run(&[]));
+            scope.spawn(|| {
+                pump.run_resolved(|r| Route {
+                    size: cat.file(r.file).size_bytes,
+                    ..Route::of(&disks, 1, r.file)
+                })
+            });
             Simulator::run_drained(ShardJob {
-                catalog: cat,
                 cfg,
                 source: rxs.pop().expect("one shard"),
-                file_to_disk: layout.item_to_disk(cat.len()),
                 fleet,
                 place: Placement {
                     shard: 0,
@@ -1571,6 +1584,58 @@ mod tests {
             assert!(
                 matches!(err, SimError::UnmappedFile { file } if file == FileId(9)),
                 "S={shards}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn unmapped_and_out_of_catalog_files_fail_at_every_route() {
+        // File 3 is in the catalog but on no disk; file 7 is past the
+        // catalog. Either fails the run naming the file, at one shard and
+        // three, with and without the reader's cache walk.
+        for bad in [3, 7] {
+            for shards in [1, 3] {
+                for cached in [false, true] {
+                    let err = within_a_minute(move || {
+                        let cat = catalog(4, MB);
+                        let tr = trace(&[(0.0, 0), (1.0, 1), (2.0, bad), (3.0, 2)], 100.0);
+                        let cache = cached.then(CacheHierarchyConfig::paper_16gb);
+                        let cfg = SimConfig::paper_default()
+                            .with_shards(shards)
+                            .with_cache_hierarchy(cache);
+                        Simulator::run(&cat, &tr, &assignment(&[0, 1, 2]), &cfg).unwrap_err()
+                    });
+                    assert!(
+                        matches!(err, SimError::UnmappedFile { file } if file == FileId(bad)),
+                        "file {bad}, S={shards}, cached={cached}: {err:?}"
+                    );
+                    assert_eq!(
+                        err.to_string(),
+                        format!("file f{bad} is not mapped to a disk")
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_fleet_past_the_event_key_is_a_typed_error() {
+        // Checked before anything is built: no actor is allocated.
+        let cat = catalog(1, MB);
+        let tr = trace(&[(0.0, 0)], 10.0);
+        let cfg = SimConfig::paper_default();
+        for fleet in [MAX_DISKS + 1, usize::MAX] {
+            let err = Simulator::run_from_source(
+                &cat,
+                InMemorySource::new(&tr),
+                &assignment(&[0]),
+                &cfg,
+                fleet,
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, SimError::FleetTooLarge { fleet: f, max } if f == fleet && max == MAX_DISKS),
+                "{err:?}"
             );
         }
     }

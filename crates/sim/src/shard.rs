@@ -17,21 +17,28 @@
 //! [`Placement`]), and the shard count is clamped to the fleet so no
 //! shard is ever empty.
 //!
-//! One shard pays for none of the partitioning: it takes the file map
-//! whole and the reader routes every request to it without a map. What
-//! it keeps is the reader thread, so source decode overlaps the engine.
+//! ## The route table
+//!
+//! [`replay_sharded`] builds one table for the run, each file's global
+//! disk id with `u32::MAX` for a file no disk holds
+//! ([`spindown_packing::Assignment::item_to_disk`]). The reader thread
+//! resolves every request through it and the catalog
+//! ([`spindown_workload::DemuxPump::run_resolved`]): the shard, the local
+//! disk and the file's size travel with the request, so an engine reads
+//! no per-file table and an arrival touches only per-disk state. At one
+//! shard the reader still does these two lookups, and the engine, the
+//! bottleneck thread, does none.
 //!
 //! ## The cache walk
 //!
-//! The driver owns the run's one cache hierarchy, and the reader thread
-//! walks it for every request, in stream order, before routing
-//! ([`spindown_workload::DemuxPump::run_probed`]). Each request reaches
-//! its shard tagged with its hit's service time or as a miss, and the
-//! engine records a hit against the disk that owns the file. The
-//! engines hold no cache state; the driver reads the report's `cache`
-//! and `cache_tiers` off the hierarchy after the join. A file outside
-//! the catalog is never probed: it reaches its engine untagged, which
-//! fails the run with [`SimError::UnmappedFile`].
+//! The run owns one cache hierarchy, and the reader thread walks it for
+//! every mapped request, in stream order, as it resolves the route. Each request reaches its shard tagged with its hit's
+//! service time or as a miss, and the engine records a hit against the
+//! disk that owns the file. The engines hold no cache state; the
+//! report's `cache` and `cache_tiers` are read off the hierarchy after
+//! the join. A file no disk holds, or one outside the catalog, is never
+//! probed: it reaches shard 0 unmapped, which fails the run with
+//! [`SimError::UnmappedFile`].
 //!
 //! ## Why the merged report is bit-identical
 //!
@@ -79,7 +86,7 @@
 use std::sync::{Arc, Mutex};
 
 use spindown_disk::energy::EnergyBreakdown;
-use spindown_workload::shard::demux;
+use spindown_workload::shard::{demux, Route, UNMAPPED};
 use spindown_workload::trace::TraceIoError;
 use spindown_workload::{FileCatalog, Request, TraceSource};
 
@@ -117,27 +124,14 @@ impl ShardPlan {
     fn shard_fleet(&self, s: usize) -> usize {
         (self.fleet - s).div_ceil(self.shards)
     }
-
-    /// Shard `s`'s file → local-actor map: the local index for this
-    /// shard's disks, `usize::MAX` (the engine's unmapped sentinel) for
-    /// everything else.
-    fn local_map(&self, file_to_disk: &[usize], s: usize) -> Vec<usize> {
-        let place = self.placement(s);
-        file_to_disk
-            .iter()
-            .map(|&d| match d {
-                usize::MAX => usize::MAX,
-                d => place.local(d).unwrap_or(usize::MAX),
-            })
-            .collect()
-    }
 }
 
 /// Replay `source` over `shards` shards (one included): one reader thread
-/// walks the cache for every request and demultiplexes the stream into
-/// bounded per-shard batches (the source is read once), shard 0 drains
-/// on the calling thread and every other shard on its own scoped thread,
-/// then all shards finish at the common end time and their parts fold
+/// resolves every request's route through `disks` (file → global disk,
+/// `u32::MAX` unmapped) and the catalog, walks the cache, and
+/// demultiplexes the stream into bounded per-shard batches (the source
+/// is read once), shard 0 drains on the calling thread and every other
+/// shard on its own scoped thread, then all shards finish at the common end time and their parts fold
 /// into the report. Every engine borrows the run's one window fold and
 /// pushes each window into it as the window closes. Policies are built
 /// by `factory` in shard order on the calling thread, so factory side
@@ -145,7 +139,7 @@ impl ShardPlan {
 pub(crate) fn replay_sharded<'a, S: TraceSource + Send>(
     catalog: &'a FileCatalog,
     source: S,
-    file_to_disk: Vec<usize>,
+    disks: Vec<u32>,
     cfg: &'a SimConfig,
     fleet: usize,
     shards: usize,
@@ -153,16 +147,6 @@ pub(crate) fn replay_sharded<'a, S: TraceSource + Send>(
 ) -> Result<SimReport, SimError> {
     let plan = ShardPlan { shards, fleet };
     let (pump, receivers) = demux(source, shards);
-    // The pump routes through the global map. One shard takes the map
-    // whole, and the pump, which then routes everything to it, gets none.
-    let (route_map, local_maps) = if shards == 1 {
-        (Vec::new(), vec![file_to_disk])
-    } else {
-        let local = (0..shards)
-            .map(|s| plan.local_map(&file_to_disk, s))
-            .collect();
-        (file_to_disk, local)
-    };
     // Completion log: the merger thread owns the terminal sink (so e.g.
     // the CSV file is created once, here, not per shard); each shard
     // streams its canonical batches over a bounded channel.
@@ -188,14 +172,11 @@ pub(crate) fn replay_sharded<'a, S: TraceSource + Send>(
         .map(|width| Mutex::new(RowFolder::new(width, shards)));
     let jobs: Vec<ShardJob> = receivers
         .into_iter()
-        .zip(local_maps)
         .zip(log_txs)
         .enumerate()
-        .map(|(s, ((source, file_to_disk), log_tx))| ShardJob {
-            catalog,
+        .map(|(s, (source, log_tx))| ShardJob {
             cfg,
             source,
-            file_to_disk,
             fleet: plan.shard_fleet(s),
             place: plan.placement(s),
             policy: factory(s),
@@ -204,15 +185,27 @@ pub(crate) fn replay_sharded<'a, S: TraceSource + Send>(
         })
         .collect();
     let mut cache = cfg.cache_hierarchy.as_ref().map(|h| h.build(1));
-    // The reader's probe: the checked lookup leaves an out-of-catalog file
-    // untagged, for its engine to reject.
-    let probe = |r: &Request| {
-        let hierarchy = cache.as_mut()?;
-        let size = catalog.files().get(r.file.index())?.size_bytes;
-        hierarchy.access(r.file, size)
+    // The reader's resolver: the checked lookups send an unmapped or
+    // out-of-catalog file to shard 0 unprobed, for its engine to reject.
+    let resolve = |r: &Request| {
+        let f = r.file.index();
+        let (Some(&disk), Some(file)) = (disks.get(f), catalog.files().get(f)) else {
+            return Route::UNMAPPED;
+        };
+        if disk == UNMAPPED {
+            return Route::UNMAPPED;
+        }
+        let hit = cache
+            .as_mut()
+            .and_then(|h| h.access(r.file, file.size_bytes));
+        Route {
+            size: file.size_bytes,
+            hit,
+            ..Route::to_disk(disk, shards)
+        }
     };
     let (results, merged_log) = std::thread::scope(|scope| {
-        scope.spawn(move || pump.run_probed(&route_map, probe));
+        scope.spawn(move || pump.run_resolved(resolve));
         // The merger terminates once every shard's sender is dropped —
         // `run_drained` drops them on success and on error (with the
         // engine), so joining it inside the scope cannot deadlock.
@@ -421,20 +414,16 @@ mod tests {
     }
 
     #[test]
-    fn local_maps_cover_every_mapped_file_once() {
-        let file_to_disk = vec![0usize, 3, 1, 4, 2, usize::MAX, 0];
-        let plan = ShardPlan {
-            shards: 2,
-            fleet: 5,
-        };
-        let maps: Vec<Vec<usize>> = (0..2).map(|s| plan.local_map(&file_to_disk, s)).collect();
-        for (f, &d) in file_to_disk.iter().enumerate() {
-            let owners: Vec<usize> = (0..2).filter(|&s| maps[s][f] != usize::MAX).collect();
-            if d == usize::MAX {
-                assert!(owners.is_empty(), "unmapped file {f} owned");
-            } else {
-                assert_eq!(owners, vec![d % 2], "file {f}");
-                assert_eq!(maps[d % 2][f], d / 2, "file {f} local index");
+    fn the_reader_routes_each_disk_where_its_engine_places_it() {
+        for fleet in [1usize, 5, 16] {
+            for shards in 1..=fleet.min(6) {
+                let plan = ShardPlan { shards, fleet };
+                for d in 0..fleet {
+                    let route = Route::to_disk(d as u32, shards);
+                    let place = plan.placement(route.shard);
+                    assert_eq!(place.global(route.disk as usize), d, "S={shards}");
+                    assert!((route.disk as usize) < plan.shard_fleet(route.shard));
+                }
             }
         }
     }

@@ -12,7 +12,7 @@ use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::sizes::RankSizeModel;
-use crate::zipf::ZipfDistribution;
+use crate::zipf::zipf_pmf;
 
 /// Identifier of a file: its index in the catalog.
 #[derive(
@@ -96,7 +96,6 @@ impl FileCatalog {
     /// variants but unused. File id `i` has popularity rank `i + 1`.
     pub fn paper_table1(n: usize, seed: u64) -> Self {
         let _ = seed;
-        let pop = ZipfDistribution::paper_popularity(n);
         let size_model = RankSizeModel::paper_table1(n);
         let sizes: Vec<u64> = (0..n)
             .map(|i| {
@@ -104,7 +103,7 @@ impl FileCatalog {
                 size_model.size_of_rank(n - i)
             })
             .collect();
-        FileCatalog::from_parts(sizes, pop.probabilities().to_vec())
+        FileCatalog::from_parts(sizes, zipf_pmf(n, crate::paper_popularity_exponent()))
     }
 
     /// Number of files.
@@ -182,11 +181,10 @@ mod tests {
         /// significant relationship between the file size and its access
         /// frequency" regime the paper observed in the NERSC logs.
         fn paper_table1_uncorrelated(n: usize, seed: u64) -> Self {
-            let pop = ZipfDistribution::paper_popularity(n);
             let size_model = RankSizeModel::paper_table1(n);
             let mut sizes: Vec<u64> = (1..=n).map(|k| size_model.size_of_rank(k)).collect();
             fisher_yates(&mut sizes, seed);
-            FileCatalog::from_parts(sizes, pop.probabilities().to_vec())
+            FileCatalog::from_parts(sizes, zipf_pmf(n, crate::paper_popularity_exponent()))
         }
 
         /// Expected service seconds per request: `Σ p_i · service(s_i)`.

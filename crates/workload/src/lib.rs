@@ -43,6 +43,7 @@ pub mod arrivals;
 pub mod batch;
 pub mod bins;
 pub mod catalog;
+mod cdf;
 pub mod fault;
 pub mod nersc;
 pub mod shard;

@@ -1,36 +1,38 @@
 //! Splitting one arrival stream into per-shard streams.
 //!
 //! The sharded replay engine partitions the fleet by disk id: global disk
-//! `d` belongs to shard `d % shards`. After allocation every request's
-//! target disk is a pure function of its file, so the arrival stream
-//! splits the same way. [`demux`] is the one splitter: a single pump
-//! thread drains any [`TraceSource`] — an in-memory trace, a CSV reader,
-//! a generator — exactly once, routing each request by [`route_shard`]
-//! into its shard's current batch, tagged with its ordinal in the whole
-//! stream and with the answer of the pump's probe (the simulator's cache
-//! walk, see [`DemuxPump::run_probed`]). Each shard consumes a
-//! [`ShardReceiver`], which is itself a [`TraceSource`] and hands out
-//! both tags through [`ShardReceiver::next_tagged`]. One shard is the
-//! same driver with the routing skipped: the reader thread decodes while
-//! the engine runs.
+//! `d` belongs to shard `d % shards` and is local disk `d / shards` there.
+//! After allocation every request's target disk is a pure function of its
+//! file, so the arrival stream splits the same way. [`demux`] is the one
+//! splitter: a single pump thread drains any [`TraceSource`] — an
+//! in-memory trace, a CSV reader, a generator — exactly once, and its
+//! resolver ([`DemuxPump::run_resolved`]) gives each request a [`Route`]:
+//! the shard, the local disk, the file's size and the answer of the
+//! simulator's cache walk. The request goes into its shard's current
+//! batch with the route and its ordinal in the whole stream. Each shard
+//! consumes a [`ShardReceiver`], which is itself a [`TraceSource`] and
+//! hands out the routed requests through [`ShardReceiver::next_routed`],
+//! so an engine reads no per-file table. One shard is the same pipeline:
+//! the reader thread decodes and resolves while the engine runs.
 //!
 //! Memory is bounded at every shard count: each shard's batches travel
 //! over a [`batch_channel`], whose pool of at most [`crate::batch::POOL`]
 //! buffers is allocated lazily on the pump thread. A slow shard holds the
 //! reader back instead of growing a queue.
 //!
-//! Requests for unmapped files go to shard 0, which surfaces the same
-//! unmapped-file error the unsharded engine would raise.
+//! Requests for unmapped files go to shard 0 as [`UNMAPPED`], and its
+//! engine raises the unmapped-file error.
 
 use std::sync::{Arc, OnceLock};
 
 use crate::batch::{batch_channel, BatchReceiver, BatchSender};
+use crate::catalog::FileId;
 use crate::source::TraceSource;
 use crate::trace::{Request, TraceIoError};
 
 /// Requests per batch: large enough to amortise a channel hand-off over
 /// many requests, small enough that a shard's buffers stay a few dozen
-/// pages (a batch is 32 bytes a request).
+/// pages (a batch is 40 bytes a request).
 const CHUNK: usize = 1024;
 
 /// The pump's terminal source error, shared with every receiver. The
@@ -38,96 +40,142 @@ const CHUNK: usize = 1024;
 /// the end of its stream sees it.
 type Failure = Arc<OnceLock<Arc<TraceIoError>>>;
 
-/// A routed request: its ordinal in the whole (undemuxed) stream, the
-/// request, and the probe's answer for it (`None` on a miss, or when the
-/// pump ran without a probe).
-pub type Tagged = (u64, Request, Option<f64>);
+/// The disk id of a file no disk holds, in a file → disk table and in a
+/// [`Route`].
+pub const UNMAPPED: u32 = u32::MAX;
 
-/// One batch slot: a [`Tagged`] request with the probe's answer packed as
-/// a NaN-for-`None` float, so a slot stays 32 bytes.
-#[derive(Clone, Copy)]
-struct Entry {
-    seq: u64,
-    request: Request,
-    hit: f64,
+/// Where the reader sends one request, and what the engine there needs
+/// to know of its file.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Route {
+    /// The shard whose engine takes the request.
+    pub shard: usize,
+    /// The target disk's local id in that shard, or [`UNMAPPED`].
+    pub disk: u32,
+    /// The file's size in bytes.
+    pub size: u64,
+    /// The cache hit's service time; `None` on a miss or without a cache.
+    pub hit: Option<f64>,
 }
 
-const _: () = assert!(std::mem::size_of::<Entry>() == 32);
+impl Route {
+    /// A request no disk serves: shard 0 takes it and fails the run.
+    pub const UNMAPPED: Route = Route {
+        shard: 0,
+        disk: UNMAPPED,
+        size: 0,
+        hit: None,
+    };
 
-impl Entry {
+    /// The route to global disk `disk` (not [`UNMAPPED`]) of a fleet split
+    /// over `shards` shards, with no size and no hit.
     #[inline]
-    fn tagged(&self) -> Tagged {
-        let hit = (!self.hit.is_nan()).then_some(self.hit);
-        (self.seq, self.request, hit)
+    pub fn to_disk(disk: u32, shards: usize) -> Route {
+        let (shard, disk) = match shards {
+            1 => (0, disk),
+            _ => ((disk as usize) % shards, disk / shards as u32),
+        };
+        Route {
+            shard,
+            disk,
+            size: 0,
+            hit: None,
+        }
+    }
+
+    /// The route of a request for `file` through `disks`, the file →
+    /// global disk table. Files outside the table, or mapped to
+    /// [`UNMAPPED`], get [`Route::UNMAPPED`].
+    #[inline]
+    pub fn of(disks: &[u32], shards: usize, file: FileId) -> Route {
+        match disks.get(file.index()) {
+            Some(&disk) if disk != UNMAPPED => Route::to_disk(disk, shards),
+            _ => Route::UNMAPPED,
+        }
     }
 }
 
-/// The shard a request for `file` routes to, given the file→disk map and
-/// the shard count: the target disk's `disk % shards`. Files outside the
-/// map (or mapped to [`usize::MAX`], the engine's unmapped sentinel) route
-/// to shard 0 so exactly one shard raises the unmapped-file error the
-/// unsharded engine would.
-#[inline]
-pub fn route_shard(file_to_disk: &[usize], shards: usize, file: usize) -> usize {
-    match file_to_disk.get(file) {
-        Some(&disk) if disk != usize::MAX => disk % shards,
-        _ => 0,
+/// A routed request as its shard reads it: one batch slot, with the hit
+/// packed as a NaN-for-`None` float so a slot stays 40 bytes.
+#[derive(Debug, Clone, Copy)]
+pub struct Routed {
+    /// The request's ordinal in the whole (undemuxed) stream.
+    pub seq: u64,
+    /// Arrival time, seconds.
+    pub time: f64,
+    /// The requested file.
+    pub file: FileId,
+    /// The target disk's local id, or [`UNMAPPED`].
+    pub disk: u32,
+    /// The file's size in bytes.
+    pub size: u64,
+    hit: f64,
+}
+
+const _: () = assert!(std::mem::size_of::<Routed>() == 40);
+
+impl Routed {
+    /// The request itself.
+    #[inline]
+    pub fn request(&self) -> Request {
+        Request {
+            time: self.time,
+            file: self.file,
+        }
+    }
+
+    /// The cache hit's service time; `None` on a miss.
+    #[inline]
+    pub fn hit(&self) -> Option<f64> {
+        (!self.hit.is_nan()).then_some(self.hit)
     }
 }
 
 /// The producer half of [`demux`]: owns the underlying source and the
-/// pump's end of every shard. Run [`DemuxPump::run_probed`] on its own
+/// pump's end of every shard. Run [`DemuxPump::run_resolved`] on its own
 /// thread while the shard engines consume their [`ShardReceiver`]s.
 pub struct DemuxPump<S> {
     source: S,
-    lanes: Vec<BatchSender<Entry>>,
+    lanes: Vec<BatchSender<Routed>>,
     failure: Failure,
 }
 
 impl<S: TraceSource> DemuxPump<S> {
-    /// [`Self::run_probed`] with no probe: every request is tagged as a
-    /// miss.
-    pub fn run(self, file_to_disk: &[usize]) {
-        self.run_probed(file_to_disk, |_| None);
+    /// [`Self::run_resolved`] routing through `disks`, the file → global
+    /// disk table ([`Route::of`]): every request is tagged with its local
+    /// disk, no size and no hit.
+    pub fn run(self, disks: &[u32]) {
+        let shards = self.lanes.len();
+        self.run_resolved(|r| Route::of(disks, shards, r.file));
     }
 
-    /// Drain the source to exhaustion, routing each request to its shard
-    /// through `file_to_disk` (same rule as [`route_shard`]). With one
-    /// shard every request goes to it and the map is never read.
+    /// Drain the source to exhaustion, sending each request to the shard
+    /// `resolve` names, tagged with the rest of its [`Route`].
     ///
-    /// `probe` sees every request once, in stream order, before it is
-    /// sent, and its answer travels with the request to its shard (a NaN
-    /// answer reads back as `None`). The simulator passes its cache walk
-    /// here, so one hierarchy serves the whole stream in arrival order
-    /// whatever the shard count.
+    /// `resolve` sees every request once, in stream order, before it is
+    /// sent. The simulator walks its cache here, so one hierarchy serves
+    /// the whole stream in arrival order whatever the shard count.
     ///
     /// On a source error the pump stops: each consumer reads the batches
     /// already shipped to it, then fails with [`TraceIoError::Shared`]
     /// over the one error. If a consumer hangs up (its engine failed), the
     /// pump stops at that shard's next batch — remaining consumers see end
     /// of stream, and the caller surfaces the consumer's own error.
-    pub fn run_probed(
-        mut self,
-        file_to_disk: &[usize],
-        mut probe: impl FnMut(&Request) -> Option<f64>,
-    ) {
-        let shards = self.lanes.len();
+    pub fn run_resolved(mut self, mut resolve: impl FnMut(&Request) -> Route) {
         let mut seq: u64 = 0;
         loop {
             match self.source.next_request() {
                 Ok(Some(r)) => {
-                    let s = if shards == 1 {
-                        0
-                    } else {
-                        route_shard(file_to_disk, shards, r.file.0 as usize)
-                    };
-                    let hit = probe(&r).unwrap_or(f64::NAN);
-                    let entry = Entry {
+                    let route = resolve(&r);
+                    let entry = Routed {
                         seq,
-                        request: r,
-                        hit,
+                        time: r.time,
+                        file: r.file,
+                        disk: route.disk,
+                        size: route.size,
+                        hit: route.hit.unwrap_or(f64::NAN),
                     };
-                    if !self.lanes[s].push(entry) {
+                    if !self.lanes[route.shard].push(entry) {
                         return;
                     }
                     seq += 1;
@@ -152,7 +200,7 @@ impl<S: TraceSource> DemuxPump<S> {
 /// pump fails, every later call returns [`TraceIoError::Shared`] over the
 /// same underlying failure.
 pub struct ShardReceiver {
-    rx: BatchReceiver<Entry>,
+    rx: BatchReceiver<Routed>,
     failure: Failure,
     horizon: f64,
 }
@@ -164,20 +212,19 @@ impl ShardReceiver {
     #[inline]
     pub fn peek_time(&mut self) -> Result<Option<f64>, TraceIoError> {
         match self.rx.head() {
-            Some(entry) => Ok(Some(entry.request.time)),
+            Some(entry) => Ok(Some(entry.time)),
             None => self.end(),
         }
     }
 
-    /// The next request together with its ordinal in the whole stream
-    /// and the pump's probe answer.
+    /// The next request with its ordinal in the whole stream and its
+    /// route.
     #[inline]
-    pub fn next_tagged(&mut self) -> Result<Option<Tagged>, TraceIoError> {
+    pub fn next_routed(&mut self) -> Result<Option<Routed>, TraceIoError> {
         match self.rx.head() {
-            Some(entry) => {
-                let tagged = entry.tagged();
+            Some(&entry) => {
                 self.rx.advance();
-                Ok(Some(tagged))
+                Ok(Some(entry))
             }
             None => self.end(),
         }
@@ -196,7 +243,7 @@ impl ShardReceiver {
 impl TraceSource for ShardReceiver {
     #[inline]
     fn next_request(&mut self) -> Result<Option<Request>, TraceIoError> {
-        Ok(self.next_tagged()?.map(|(_, r, _)| r))
+        Ok(self.next_routed()?.map(|e| e.request()))
     }
 
     fn horizon(&self) -> f64 {
@@ -205,7 +252,7 @@ impl TraceSource for ShardReceiver {
 }
 
 /// Split `source` into `shards` per-shard streams. Returns the pump (drain
-/// it on its own thread with [`DemuxPump::run_probed`]) and one
+/// it on its own thread with [`DemuxPump::run_resolved`]) and one
 /// [`ShardReceiver`] per shard. The source is read exactly once.
 pub fn demux<S: TraceSource>(source: S, shards: usize) -> (DemuxPump<S>, Vec<ShardReceiver>) {
     assert!(shards > 0, "demux needs at least one shard");
@@ -245,21 +292,31 @@ mod tests {
         out
     }
 
-    fn fixture() -> (Trace, Vec<usize>) {
+    /// A routed request as a comparable tuple: its ordinal, the request,
+    /// its local disk, its size and its hit.
+    type Tagged = (u64, Request, u32, u64, Option<f64>);
+
+    fn tagged(e: &Routed) -> Tagged {
+        (e.seq, e.request(), e.disk, e.size, e.hit())
+    }
+
+    fn fixture() -> (Trace, Vec<u32>) {
         let catalog = FileCatalog::paper_table1(24, 0);
         let trace = Trace::poisson(&catalog, 3.0, 300.0, 7);
         // 24 files round-robined over 5 disks.
-        let file_to_disk: Vec<usize> = (0..24).map(|f| f % 5).collect();
+        let file_to_disk: Vec<u32> = (0..24).map(|f| f % 5).collect();
         (trace, file_to_disk)
     }
 
     /// The requests of `trace` routed to shard `s` of `shards`, in trace
-    /// order, each with its index in the trace and no probe answer.
-    fn routed(trace: &Trace, file_to_disk: &[usize], shards: usize, s: usize) -> Vec<Tagged> {
+    /// order, each with its index in the trace, its local disk, and no
+    /// size or hit.
+    fn routed(trace: &Trace, file_to_disk: &[u32], shards: usize, s: usize) -> Vec<Tagged> {
         (0..)
             .zip(trace.requests())
-            .filter(|(_, r)| route_shard(file_to_disk, shards, r.file.0 as usize) == s)
-            .map(|(i, r)| (i, *r, None))
+            .map(|(i, r)| (i, r, Route::of(file_to_disk, shards, r.file)))
+            .filter(|(_, _, route)| route.shard == s)
+            .map(|(i, r, route)| (i, *r, route.disk, 0, None))
             .collect()
     }
 
@@ -267,7 +324,7 @@ mod tests {
     /// pairing every request with the ordinal its receiver reports.
     fn split<S: TraceSource + Send>(
         source: S,
-        file_to_disk: &[usize],
+        file_to_disk: &[u32],
         shards: usize,
     ) -> Vec<Vec<Tagged>> {
         let (pump, mut rxs) = demux(source, shards);
@@ -276,8 +333,8 @@ mod tests {
             rxs.iter_mut()
                 .map(|rx| {
                     let mut out = Vec::new();
-                    while let Some(tagged) = rx.next_tagged().expect("receiver yields") {
-                        out.push(tagged);
+                    while let Some(e) = rx.next_routed().expect("receiver yields") {
+                        out.push(tagged(&e));
                     }
                     assert!(rx.next_request().expect("clean end").is_none());
                     out
@@ -321,9 +378,10 @@ mod tests {
         for (s, stream) in got.iter().enumerate() {
             let want = routed(&trace, &file_to_disk, shards, s);
             assert_eq!(stream.len(), want.len(), "shard {s} length");
-            for ((sa, a, _), (sb, b, _)) in stream.iter().zip(&want) {
+            for ((sa, a, da, ..), (sb, b, db, ..)) in stream.iter().zip(&want) {
                 assert_eq!(sa, sb, "shard {s} ordinal");
                 assert_eq!(a.file, b.file, "shard {s} order");
+                assert_eq!(da, db, "shard {s} disk");
                 assert!((a.time - b.time).abs() < 1e-5);
             }
         }
@@ -380,12 +438,12 @@ mod tests {
             scope.spawn(move || pump.run(&[0, 1]));
             for (s, rx) in rxs.iter_mut().enumerate() {
                 for k in 0..2 * CHUNK {
-                    let (seq, r, _) = rx.next_tagged().unwrap().expect("a shipped request");
-                    assert_eq!(seq as usize, 2 * k + s, "shard {s}");
-                    assert_eq!(r.file, FileId(s as u32), "shard {s}");
+                    let e = rx.next_routed().unwrap().expect("a shipped request");
+                    assert_eq!(e.seq as usize, 2 * k + s, "shard {s}");
+                    assert_eq!(e.file, FileId(s as u32), "shard {s}");
                 }
                 for _ in 0..2 {
-                    let e = rx.next_tagged().expect_err("the source error");
+                    let e = rx.next_routed().expect_err("the source error");
                     assert!(
                         matches!(
                             &e,
@@ -400,36 +458,47 @@ mod tests {
     }
 
     #[test]
-    fn probe_answers_travel_with_their_requests() {
-        // The probe sees the whole stream in order, once, before routing,
-        // and each answer reaches the shard its request routes to.
+    fn routes_travel_with_their_requests() {
+        // The resolver sees the whole stream in order, once, and each
+        // request reaches the shard it names with its disk, size and hit.
         let (trace, file_to_disk) = fixture();
-        let answer = |r: &Request| {
+        let resolve = |map: &[u32], shards, r: &Request| {
             let f = r.file.0;
-            f.is_multiple_of(3).then_some(f64::from(f) * 0.5)
+            Route {
+                size: u64::from(f) * 10 + 1,
+                hit: f.is_multiple_of(3).then_some(f64::from(f) * 0.5),
+                ..Route::of(map, shards, r.file)
+            }
         };
         for shards in [1, 3] {
-            let mut probed = Vec::new();
+            let mut seen = Vec::new();
             let (pump, mut rxs) = demux(InMemorySource::new(&trace), shards);
             let got: Vec<Vec<Tagged>> = std::thread::scope(|scope| {
-                let (map, probed) = (&file_to_disk, &mut probed);
+                let (map, seen) = (&file_to_disk, &mut seen);
                 scope.spawn(move || {
-                    pump.run_probed(map, |r| {
-                        probed.push(*r);
-                        answer(r)
+                    pump.run_resolved(|r| {
+                        seen.push(*r);
+                        resolve(map, shards, r)
                     })
                 });
                 rxs.iter_mut()
-                    .map(|rx| std::iter::from_fn(|| rx.next_tagged().unwrap()).collect())
+                    .map(|rx| {
+                        std::iter::from_fn(|| rx.next_routed().unwrap())
+                            .map(|e| tagged(&e))
+                            .collect()
+                    })
                     .collect()
             });
-            assert_eq!(probed, trace.requests(), "S={shards}: probed in order");
+            assert_eq!(seen, trace.requests(), "S={shards}: resolved in order");
             for (s, stream) in got.iter().enumerate() {
                 let want: Vec<Tagged> = routed(&trace, &file_to_disk, shards, s)
                     .into_iter()
-                    .map(|(i, r, _)| (i, r, answer(&r)))
+                    .map(|(i, r, disk, ..)| {
+                        let route = resolve(&file_to_disk, shards, &r);
+                        (i, r, disk, route.size, route.hit)
+                    })
                     .collect();
-                assert!(want.iter().any(|t| t.2.is_some()), "S={shards}: some hits");
+                assert!(want.iter().any(|t| t.4.is_some()), "S={shards}: some hits");
                 assert_eq!(*stream, want, "S={shards} shard {s}");
             }
         }
@@ -437,9 +506,22 @@ mod tests {
 
     #[test]
     fn unmapped_files_route_to_shard_zero() {
-        assert_eq!(route_shard(&[4, usize::MAX], 3, 0), 1);
-        assert_eq!(route_shard(&[4, usize::MAX], 3, 1), 0, "MAX sentinel");
-        assert_eq!(route_shard(&[4, usize::MAX], 3, 9), 0, "out of range");
+        let disks = [4, UNMAPPED];
+        assert_eq!(Route::of(&disks, 3, FileId(0)), Route::to_disk(4, 3));
+        assert_eq!(
+            (Route::to_disk(4, 3).shard, Route::to_disk(4, 3).disk),
+            (1, 1)
+        );
+        assert_eq!(
+            (Route::to_disk(4, 1).shard, Route::to_disk(4, 1).disk),
+            (0, 4)
+        );
+        assert_eq!(Route::of(&disks, 3, FileId(1)), Route::UNMAPPED, "sentinel");
+        assert_eq!(
+            Route::of(&disks, 3, FileId(9)),
+            Route::UNMAPPED,
+            "out of range"
+        );
         let trace = Trace::new(
             vec![Request {
                 time: 1.0,
@@ -451,13 +533,14 @@ mod tests {
         for (s, stream) in got.iter().enumerate() {
             assert_eq!(stream.len(), usize::from(s == 0), "shard {s}");
         }
+        assert_eq!(got[0][0].2, UNMAPPED);
     }
 
     #[test]
     fn single_shard_view_is_the_whole_trace() {
         let (trace, file_to_disk) = fixture();
         let got = split(InMemorySource::new(&trace), &file_to_disk, 1);
-        let whole: Vec<Request> = got[0].iter().map(|&(_, r, _)| r).collect();
+        let whole: Vec<Request> = got[0].iter().map(|t| t.1).collect();
         assert_eq!(whole, drain(&mut InMemorySource::new(&trace)));
         assert_eq!(got[0], routed(&trace, &file_to_disk, 1, 0));
     }
@@ -470,7 +553,7 @@ mod tests {
         let (done, finished) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let catalog = FileCatalog::paper_table1(24, 0);
-            let file_to_disk: Vec<usize> = (0..24).map(|f| f % 5).collect();
+            let file_to_disk: Vec<u32> = (0..24).map(|f| f % 5).collect();
             for shards in [1, 2] {
                 let source = SyntheticSource::poisson(&catalog, 1000.0, 1000.0, 11);
                 let (pump, rxs) = demux(source, shards);

@@ -34,7 +34,8 @@ use rand::SeedableRng;
 
 use crate::arrivals::{PoissonProcess, RateCurve, ThinnedProcess};
 use crate::catalog::{FileCatalog, FileId};
-use crate::trace::{popularity_cdf, sample_by_cdf, Request, Trace, TraceIoError};
+use crate::cdf::CdfTable;
+use crate::trace::{Request, Trace, TraceIoError};
 
 /// A time-ordered stream of requests plus the horizon of the observation
 /// window. The replay's reader thread drains it once, request by request.
@@ -402,7 +403,7 @@ impl ArrivalProcess {
 pub struct SyntheticSource {
     process: ArrivalProcess,
     rng: SmallRng,
-    cdf: Vec<f64>,
+    popularity: CdfTable,
     horizon: f64,
 }
 
@@ -448,7 +449,7 @@ impl SyntheticSource {
         SyntheticSource {
             process,
             rng: SmallRng::seed_from_u64(seed.wrapping_add(1)),
-            cdf: popularity_cdf(catalog),
+            popularity: CdfTable::from_weights(catalog.iter().map(|f| f.popularity)),
             horizon,
         }
     }
@@ -459,7 +460,7 @@ impl SyntheticSource {
         let time = self.process.next_arrival_before(self.horizon)?;
         Some(Request {
             time,
-            file: sample_by_cdf(&self.cdf, &mut self.rng),
+            file: FileId(self.popularity.sample(&mut self.rng) as u32),
         })
     }
 }

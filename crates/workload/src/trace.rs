@@ -9,11 +9,12 @@
 use std::io::{BufRead, Write};
 
 use rand::rngs::SmallRng;
-use rand::{Rng, RngExt, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::arrivals::{generate_bursts, BatchConfig};
 use crate::catalog::{FileCatalog, FileId};
+use crate::cdf::CdfTable;
 use crate::source::{CsvTraceSource, SyntheticSource, TraceSource};
 
 /// One read request.
@@ -164,7 +165,7 @@ impl Trace {
         assert!(!catalog.is_empty(), "cannot generate against empty catalog");
         let bursts = generate_bursts(cfg, horizon, seed);
         let mut rng = SmallRng::seed_from_u64(seed.wrapping_add(2));
-        let cdf = popularity_cdf(catalog);
+        let popularity = CdfTable::from_weights(catalog.iter().map(|f| f.popularity));
         // Order file ids by size so a burst can walk adjacent sizes.
         let mut by_size: Vec<FileId> = catalog.iter().map(|f| f.id).collect();
         by_size.sort_by_key(|id| catalog.file(*id).size_bytes);
@@ -174,8 +175,7 @@ impl Trace {
         }
         let mut requests = Vec::new();
         for burst in bursts {
-            let anchor = sample_by_cdf(&cdf, &mut rng);
-            let start_rank = rank_of[anchor.index()];
+            let start_rank = rank_of[popularity.sample(&mut rng)];
             for k in 0..burst.count {
                 let rank = (start_rank + k).min(by_size.len() - 1);
                 let time = burst.start + k as f64 * cfg.intra_batch_gap_s;
@@ -239,27 +239,6 @@ impl Trace {
         let last = requests.last().map_or(0.0, |r| r.time);
         Ok(Trace::new(requests, horizon.unwrap_or(last).max(last)))
     }
-}
-
-pub(crate) fn popularity_cdf(catalog: &FileCatalog) -> Vec<f64> {
-    let mut acc = 0.0;
-    let mut cdf: Vec<f64> = catalog
-        .iter()
-        .map(|f| {
-            acc += f.popularity;
-            acc
-        })
-        .collect();
-    if let Some(last) = cdf.last_mut() {
-        *last = 1.0;
-    }
-    cdf
-}
-
-pub(crate) fn sample_by_cdf<R: Rng + ?Sized>(cdf: &[f64], rng: &mut R) -> FileId {
-    let u: f64 = rng.random();
-    let idx = cdf.partition_point(|&c| c < u).min(cdf.len() - 1);
-    FileId(idx as u32)
 }
 
 #[cfg(test)]

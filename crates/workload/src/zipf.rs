@@ -5,10 +5,12 @@
 //! `H_n^{(a)} = Σ_{k=1..n} k^{−a}` is the generalised harmonic number. (The
 //! table's `c = 1 − H` is a typo; probabilities must sum to 1.)
 //!
-//! Sampling is inverse-CDF with binary search: `O(log n)` per draw after an
-//! `O(n)` table build — plenty for the trace sizes involved here.
+//! Sampling is inverse-CDF through a guide table (`O(1)` expected per draw
+//! after an `O(n)` table build).
 
-use rand::{Rng, RngExt};
+use rand::Rng;
+
+use crate::cdf::CdfTable;
 
 /// Generalised harmonic number `H_n^{(a)} = Σ_{k=1..n} k^{−a}`.
 ///
@@ -21,13 +23,28 @@ pub fn generalized_harmonic(n: usize, a: f64) -> f64 {
     sum
 }
 
+/// The probabilities `p_i ∝ i^{−exponent}` of ranks `i = 1..=n`, indexed
+/// by rank − 1: a [`ZipfDistribution`]'s pmf without its sampling table.
+///
+/// # Panics
+/// If `n == 0` or the exponent is not finite / negative.
+pub fn zipf_pmf(n: usize, exponent: f64) -> Vec<f64> {
+    assert!(n >= 1, "Zipf needs at least one rank");
+    assert!(
+        exponent.is_finite() && exponent >= 0.0,
+        "exponent must be finite and non-negative"
+    );
+    let h = generalized_harmonic(n, exponent);
+    (1..=n).map(|i| (i as f64).powf(-exponent) / h).collect()
+}
+
 /// A Zipf-like distribution with probability `p_i ∝ i^{−exponent}` over
 /// ranks `i = 1..=n` (rank 1 is the most probable).
 #[derive(Debug, Clone)]
 pub struct ZipfDistribution {
     exponent: f64,
     pmf: Vec<f64>,
-    cdf: Vec<f64>,
+    cdf: CdfTable,
 }
 
 impl ZipfDistribution {
@@ -37,23 +54,8 @@ impl ZipfDistribution {
     /// # Panics
     /// If `n == 0` or the exponent is not finite / negative.
     pub fn new(n: usize, exponent: f64) -> Self {
-        assert!(n >= 1, "Zipf needs at least one rank");
-        assert!(
-            exponent.is_finite() && exponent >= 0.0,
-            "exponent must be finite and non-negative"
-        );
-        let h = generalized_harmonic(n, exponent);
-        let mut pmf = Vec::with_capacity(n);
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for i in 1..=n {
-            let p = (i as f64).powf(-exponent) / h;
-            pmf.push(p);
-            acc += p;
-            cdf.push(acc);
-        }
-        // Guard against floating error so sampling never falls off the end.
-        *cdf.last_mut().expect("n >= 1") = 1.0;
+        let pmf = zipf_pmf(n, exponent);
+        let cdf = CdfTable::from_weights(pmf.iter().copied());
         ZipfDistribution { exponent, pmf, cdf }
     }
 
@@ -87,24 +89,15 @@ impl ZipfDistribution {
         self.pmf[rank - 1]
     }
 
-    /// All probabilities, indexed by rank−1.
-    pub fn probabilities(&self) -> &[f64] {
-        &self.pmf
-    }
-
     /// Draw a rank (1-based) using the supplied RNG.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.random();
-        self.quantile(u)
+        self.cdf.sample(rng) + 1
     }
 
     /// The rank whose CDF first reaches `u ∈ [0, 1]` (inverse CDF).
     pub fn quantile(&self, u: f64) -> usize {
         debug_assert!((0.0..=1.0).contains(&u));
-        // partition_point returns the count of ranks with cdf < u, i.e. the
-        // 0-based index of the first rank with cdf >= u.
-        let idx = self.cdf.partition_point(|&c| c < u);
-        idx.min(self.cdf.len() - 1) + 1
+        self.cdf.index(u) + 1
     }
 }
 
@@ -126,7 +119,7 @@ mod tests {
         for n in [1usize, 2, 10, 1000] {
             for a in [0.0, 0.44, 1.0, 2.0] {
                 let z = ZipfDistribution::new(n, a);
-                let sum: f64 = z.probabilities().iter().sum();
+                let sum: f64 = (1..=n).map(|r| z.pmf(r)).sum();
                 assert!((sum - 1.0).abs() < 1e-9, "n={n} a={a} sum={sum}");
             }
         }

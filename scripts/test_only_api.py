@@ -5,7 +5,8 @@ The rule: a `pub fn` or `pub(crate) fn` in non-test code is listed when its
 name appears nowhere else in non-test code. Non-test code is what
 `scripts/loc.py` counts (tracked `.rs` files outside `tests/`,
 `crates/*/tests/`, `crates/bench/`, `crates/shims/` and `perfbench/`, up to
-the first `#[cfg(test)] mod`). A name also counts as used when it appears
+the first `#[cfg(test)]` inline `mod`, less the files a `#[cfg(test)]
+mod name;` declares). A name also counts as used when it appears
 anywhere in `crates/bench/` or `perfbench/`, or in the code of either
 README (its fenced blocks and backtick spans). Comments are stripped
 before counting (`//` in Rust, doc comments included, and `#` lines in a
@@ -28,7 +29,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from loc import is_counted, non_test_lines
+from loc import non_test_split
 
 ALWAYS_USERS = ("crates/bench/", "perfbench/")
 READMES = ("README.md", "perfbench/README.md")
@@ -63,6 +64,7 @@ def main() -> None:
         text=True,
     ).stdout.split()
 
+    split = non_test_split(root, files)
     uses = Counter()
     definitions = []
     for path in sorted(set(files)):
@@ -79,16 +81,15 @@ def main() -> None:
             continue
         if path.startswith(ALWAYS_USERS):
             lines = full.read_text(encoding="utf-8").splitlines()
-        elif is_counted(path):
-            text = full.read_text(encoding="utf-8")
-            lines = text.splitlines()[: non_test_lines(text)]
+        elif path in split:
+            lines = full.read_text(encoding="utf-8").splitlines()[: split[path]]
         else:
             continue
         for number, line in enumerate(lines, start=1):
             code = strip_comments(line)
             uses.update(WORD.findall(code))
             m = PUB_FN.match(code)
-            if m and is_counted(path):
+            if m and path in split:
                 definitions.append((path, number, m.group(1)))
 
     # Each definition names its function once; any further occurrence is a use.
