@@ -11,6 +11,9 @@
 //!   independent of request count, quantiles within a documented relative
 //!   error bound ([`StreamingHistogram::RELATIVE_ERROR_BOUND`], 1/256 ≈
 //!   0.4 %). Mean, max, min and count stay exact (tracked as scalars).
+//!   Only the octaves from the smallest sample's to the largest's are
+//!   stored, 128 buckets each (at most 9 089 buckets): a collector of
+//!   millisecond-to-minute response times holds 16 octaves.
 //!   This is what lets a sweep grid or a multi-billion-request replay run
 //!   without holding one response vector per cell.
 //!
@@ -65,12 +68,26 @@ const MAX_BUCKETS: usize = 1 + OCTAVES * SUB;
 /// [`Self::RELATIVE_ERROR_BOUND`] while recording in O(1) and holding
 /// O(buckets) memory regardless of how many samples stream through.
 ///
+/// Only whole octaves are stored, from the octave of the smallest sample
+/// recorded to the octave of the largest (the dense store of DDSketch):
+/// the array starts at bucket `base` and grows at either end an octave at
+/// a time, so a histogram of response times between 1 ms and 1000 s holds
+/// 20 octaves, not the 40 from the 2⁻³⁰ floor up. The zero bucket is a
+/// scalar beside the array, so a 0 s sample does not stretch it down.
+/// [`Self::clear`] keeps the array and its `base` for the next samples.
+///
 /// Count, sum (hence mean), min and max are tracked exactly as scalars;
 /// only quantiles and [`Self::fraction_within`] are bucket-approximate.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct StreamingHistogram {
-    /// Bucket counts, grown on demand up to [`MAX_BUCKETS`].
+    /// Counts of buckets `base..base + counts.len()`: whole octaves, so
+    /// `base` is an octave's first bucket and the length a multiple of
+    /// 128 (empty until the first nonzero-bucket sample).
     counts: Vec<u64>,
+    /// Bucket index of `counts[0]`.
+    base: usize,
+    /// Samples in the zero bucket (0 and sub-nanosecond dust).
+    zero: u64,
     count: u64,
     sum: f64,
     min: f64,
@@ -119,10 +136,12 @@ impl StreamingHistogram {
     pub fn record(&mut self, v: f64) {
         debug_assert!(v.is_finite() && v >= 0.0, "bad sample {v}");
         let idx = Self::bucket_index(v);
-        if idx >= self.counts.len() {
-            self.counts.resize(idx + 1, 0);
+        // The zero bucket (index 0) is below any `base`, so it wraps past
+        // the stored length and takes the cold path too.
+        match self.counts.get_mut(idx.wrapping_sub(self.base)) {
+            Some(c) => *c += 1,
+            None => self.record_outside(idx),
         }
-        self.counts[idx] += 1;
         if self.count == 0 {
             self.min = v;
             self.max = v;
@@ -132,6 +151,41 @@ impl StreamingHistogram {
         }
         self.count += 1;
         self.sum += v;
+    }
+
+    /// Count a sample whose bucket is not stored: the zero bucket, or one
+    /// the array grows to cover.
+    #[cold]
+    #[inline(never)]
+    fn record_outside(&mut self, idx: usize) {
+        if idx == 0 {
+            self.zero += 1;
+        } else {
+            self.cover(idx, idx);
+            self.counts[idx - self.base] += 1;
+        }
+    }
+
+    /// Grow the stored range by whole octaves to cover buckets `lo..=hi`
+    /// (both above the zero bucket), in one exact-size allocation.
+    fn cover(&mut self, lo: usize, hi: usize) {
+        let octave_start = |i: usize| 1 + (i - 1) / SUB * SUB;
+        let (lo, end) = (octave_start(lo), octave_start(hi) + SUB);
+        let (old_lo, old_end) = if self.counts.is_empty() {
+            (lo, lo)
+        } else {
+            (self.base, self.base + self.counts.len())
+        };
+        let (new_lo, new_end) = (lo.min(old_lo), end.max(old_end));
+        if (new_lo, new_end) == (old_lo, old_end) {
+            return;
+        }
+        let mut grown = Vec::with_capacity(new_end - new_lo);
+        grown.resize(old_lo - new_lo, 0);
+        grown.extend_from_slice(&self.counts);
+        grown.resize(new_end - new_lo, 0);
+        self.counts = grown;
+        self.base = new_lo;
     }
 
     /// Samples recorded.
@@ -171,13 +225,15 @@ impl StreamingHistogram {
         }
     }
 
-    /// Allocated bucket count — the O(buckets) memory term (≤
-    /// [`Self::max_buckets`]).
+    /// Stored bucket count — the O(buckets) memory term: 128 per octave
+    /// from the smallest sample's to the largest's, over every sample held
+    /// since creation ([`Self::clear`] keeps the array). The zero bucket is
+    /// a scalar and not counted. At most [`Self::max_buckets`].
     pub fn buckets(&self) -> usize {
         self.counts.len()
     }
 
-    /// Hard cap on the bucket array length, independent of sample count.
+    /// Hard cap on the bucket count, independent of sample count.
     pub const fn max_buckets() -> usize {
         MAX_BUCKETS
     }
@@ -197,7 +253,7 @@ impl StreamingHistogram {
         }
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
+        for (i, c) in self.occupied() {
             seen += c;
             if seen >= rank {
                 return Self::bucket_mid(i).clamp(self.min, self.max);
@@ -219,12 +275,12 @@ impl StreamingHistogram {
         if bound < self.min {
             return 0.0;
         }
-        let mut ok = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c > 0 && Self::bucket_mid(i) <= bound {
-                ok += c;
-            }
-        }
+        // Bucket midpoints rise with the index: stop at the first above.
+        let ok: u64 = self
+            .occupied()
+            .take_while(|&(i, _)| Self::bucket_mid(i) <= bound)
+            .map(|(_, c)| c)
+            .sum();
         ok as f64 / self.count as f64
     }
 
@@ -241,18 +297,39 @@ impl StreamingHistogram {
         self.sum = sum;
     }
 
-    /// The bucket range holding every sample, `None` when empty: the
-    /// buckets of the exactly-tracked min and max (the bucket index is
-    /// monotone in the value).
-    fn occupied(&self) -> Option<std::ops::RangeInclusive<usize>> {
-        (self.count > 0).then(|| Self::bucket_index(self.min)..=Self::bucket_index(self.max))
+    /// The buckets above the zero bucket that can hold samples, as the
+    /// first one's index and their positions in `counts`; `None` when
+    /// there are none. They run from the bucket of the exactly-tracked
+    /// min to that of the max (the bucket index is monotone in the
+    /// value), or from the first counted bucket when the min is in the
+    /// zero bucket.
+    fn spread(&self) -> Option<(usize, std::ops::Range<usize>)> {
+        let hi = Self::bucket_index(self.max);
+        if self.count == 0 || hi == 0 {
+            return None;
+        }
+        let lo = match Self::bucket_index(self.min) {
+            0 => self.base + self.counts.iter().position(|&c| c > 0)?,
+            lo => lo,
+        };
+        Some((lo, lo - self.base..hi + 1 - self.base))
     }
 
-    /// Empty the histogram, keeping the zeroed bucket array for reuse.
-    pub(crate) fn clear(&mut self) {
-        if let Some(range) = self.occupied() {
-            self.counts[range].fill(0);
+    /// `(bucket index, count)` of every bucket that can hold samples, the
+    /// zero bucket first, in ascending bucket order.
+    fn occupied(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let (lo, stored) = self.spread().unwrap_or((1, 0..0));
+        let stored = self.counts[stored].iter().copied();
+        std::iter::once((0, self.zero)).chain((lo..).zip(stored))
+    }
+
+    /// Empty the histogram, keeping the zeroed bucket array and its `base`
+    /// for reuse.
+    pub fn clear(&mut self) {
+        if let Some((_, stored)) = self.spread() {
+            self.counts[stored].fill(0);
         }
+        self.zero = 0;
         self.count = 0;
         self.sum = 0.0;
         self.min = 0.0;
@@ -262,20 +339,20 @@ impl StreamingHistogram {
     /// Merge another histogram into this one (bucket-wise over the other's
     /// occupied range; all histograms share one static bucket layout).
     pub fn merge(&mut self, other: &StreamingHistogram) {
-        let Some(range) = other.occupied() else {
+        if other.count == 0 {
             return;
-        };
-        if self.counts.len() <= *range.end() {
-            self.counts.resize(range.end() + 1, 0);
         }
-        // Only the occupied range can hold counts: a sparse window
-        // histogram merges in O(its spread), not O(its top bucket).
-        for (a, &b) in self.counts[range.clone()]
-            .iter_mut()
-            .zip(&other.counts[range])
-        {
-            *a += b;
+        if let Some((lo, stored)) = other.spread() {
+            let src = &other.counts[stored];
+            self.cover(lo, lo + src.len() - 1);
+            let at = lo - self.base;
+            // Only the occupied range can hold counts: a sparse window
+            // histogram merges in O(its spread), not O(its stored range).
+            for (a, &b) in self.counts[at..at + src.len()].iter_mut().zip(src) {
+                *a += b;
+            }
         }
+        self.zero += other.zero;
         if self.count == 0 {
             self.min = other.min;
             self.max = other.max;
@@ -290,15 +367,14 @@ impl StreamingHistogram {
 
 impl PartialEq for StreamingHistogram {
     fn eq(&self, other: &Self) -> bool {
-        // Bucket vectors may differ by trailing zeros (growth is lazy).
-        let trim = |c: &[u64]| {
-            let end = c.iter().rposition(|&x| x > 0).map_or(0, |p| p + 1);
-            c[..end].to_vec()
-        };
+        // Stored ranges may differ (growth and `clear` history): only the
+        // buckets that can hold samples are compared.
         self.count == other.count
             && self.sum == other.sum
-            && (self.count == 0 || (self.min == other.min && self.max == other.max))
-            && trim(&self.counts) == trim(&other.counts)
+            && (self.count == 0
+                || (self.min == other.min
+                    && self.max == other.max
+                    && self.occupied().eq(other.occupied())))
     }
 }
 

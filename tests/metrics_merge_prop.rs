@@ -20,6 +20,15 @@ fn dyadic() -> impl Strategy<Value = f64> {
     (0u32..1 << 20).prop_map(|k| k as f64 / 64.0)
 }
 
+/// Dyadic sample `m·2^(e−20)` (m < 2¹⁰, e < 30), a quarter of them exact
+/// zeros: sums of a few hundred stay exact, and the values spread over
+/// enough octaves that clears and merges leave stored ranges that differ.
+fn wide_dyadic() -> impl Strategy<Value = f64> {
+    let scaled =
+        || (0u32..30, 0u32..1 << 10).prop_map(|(e, m)| m as f64 * 2f64.powi(e as i32 - 20));
+    prop_oneof![scaled(), scaled(), scaled(), Just(0.0)]
+}
+
 fn hist_of(samples: &[f64]) -> StreamingHistogram {
     let mut h = StreamingHistogram::new();
     for &s in samples {
@@ -116,6 +125,43 @@ proptest! {
         prop_assert_eq!(&right, &h);
         prop_assert_eq!(left.min(), h.min());
         prop_assert_eq!(left.max(), h.max());
+    }
+
+    // Clears and merges leave each histogram's stored range wider than
+    // its samples need; equality sees only the samples. After any history
+    // every histogram equals a fresh bulk recording of what it holds.
+    #[test]
+    fn history_never_shows_in_equality(
+        ops in prop::collection::vec((0usize..3, 0usize..3, 0u32..8, wide_dyadic()), 0..300),
+    ) {
+        let mut hists: Vec<StreamingHistogram> = (0..3).map(|_| StreamingHistogram::new()).collect();
+        let mut held: Vec<Vec<f64>> = vec![Vec::new(); 3];
+        for (i, j, kind, v) in ops {
+            match kind {
+                0 if i != j => {
+                    let src = hists[j].clone();
+                    hists[i].merge(&src);
+                    let more = held[j].clone();
+                    held[i].extend(more);
+                }
+                1 => {
+                    hists[i].clear();
+                    held[i].clear();
+                }
+                _ => {
+                    hists[i].record(v);
+                    held[i].push(v);
+                }
+            }
+        }
+        for (h, samples) in hists.iter().zip(&held) {
+            let bulk = hist_of(samples);
+            prop_assert_eq!(h, &bulk);
+            prop_assert!(h.buckets() >= bulk.buckets());
+            for q in [0.0, 0.25, 0.5, 0.95, 1.0] {
+                prop_assert_eq!(h.quantile(q), bulk.quantile(q));
+            }
+        }
     }
 
     // ResponseStats in both modes: partition merge ≡ bulk. Exact mode

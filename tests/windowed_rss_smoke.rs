@@ -1,7 +1,7 @@
 //! Bounded-memory smoke for windowed replays (the `--ignored` CI lane,
 //! `cargo test -q -- --ignored`): a 10M-request diurnal replay in 60 s
 //! windows — about 4 200 windows on the 100-disk quick fleet — must peak
-//! within 32 MB of the same replay with windows off, at one and at two
+//! within 8 MB of the same replay with windows off, at one and at two
 //! shards. Closed windows are folded and dropped as the clock passes
 //! them, so only the open windows stay resident.
 //!
@@ -21,7 +21,7 @@ use spindown::experiments::Scale;
 /// (`WINDOW` = `off` or seconds).
 const PROBE: &str = "windowed-rss-probe:";
 /// Allowed peak-RSS growth from turning windows on.
-const MARGIN_KB: u64 = 32 * 1024;
+const MARGIN_KB: u64 = 8 * 1024;
 
 fn vmhwm_kb() -> u64 {
     let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
