@@ -14,12 +14,12 @@
 //! Prints each artefact as an aligned table and writes `DIR/<id>.csv`
 //! (default `results/`). `--quick` runs proportionally shrunken instances.
 //! `--discipline` selects the queue discipline (`fifo`, `sjf`,
-//! `sjf:SECONDS`, `elevator`) the shootout's allocator and policy rows run
-//! under; its discipline rows always compare the whole family. `--ladder`
-//! selects the power-state ladder (`2` = the paper's Idle ⇄ Standby
-//! two-state machine, `3` = idle / low-RPM / standby) those same rows and
-//! the `replay` command run on; the shootout's ladder bracket always
-//! compares both.
+//! `sjf:SECONDS`, `elevator`) the shootout's allocator and policy rows and
+//! the `replay` command run under; the shootout's discipline rows always
+//! compare the whole family. `--ladder` selects the power-state ladder
+//! (`2` = the paper's Idle ⇄ Standby two-state machine, `3` = idle /
+//! low-RPM / standby) those same rows and the `replay` command run on; the
+//! shootout's ladder bracket always compares both.
 //!
 //! `replay` streams a trace through the engine without materialising it:
 //! `--trace-file FILE` reads a `time_s,file_id` CSV line by line
@@ -317,7 +317,8 @@ fn main() -> ExitCode {
             }
             "joint" => vec![joint_exp::joint(scale)],
             "replay" => {
-                match replay::replay(
+                match replay::replay_under(
+                    discipline,
                     scale,
                     trace_file.as_deref(),
                     horizon,

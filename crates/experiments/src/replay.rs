@@ -26,7 +26,8 @@
 use std::path::Path;
 
 use spindown_core::{
-    CacheChoice, FaultChoice, LadderChoice, MetricsMode, Planner, PlannerConfig, RateCurve,
+    CacheChoice, DisciplineChoice, FaultChoice, LadderChoice, MetricsMode, Planner, PlannerConfig,
+    RateCurve,
 };
 use spindown_sim::engine::Simulator;
 use spindown_sim::metrics::SimReport;
@@ -69,8 +70,44 @@ const SYNTHETIC_RATE: f64 = 4.0;
 /// walks the one cache in stream order ahead of routing; per-shard logs
 /// k-way merge), and so do windows (each closed window folds in global
 /// disk order).
+///
+/// Every disk queues in arrival order (FIFO, the paper's service model);
+/// [`replay_under`] takes the discipline.
 #[allow(clippy::too_many_arguments)]
 pub fn replay(
+    scale: Scale,
+    trace_file: Option<&Path>,
+    horizon: Option<f64>,
+    requests: u64,
+    ladder: LadderChoice,
+    shards: usize,
+    cache: CacheChoice,
+    faults: FaultChoice,
+    completion_log: Option<&Path>,
+    window: Option<f64>,
+    workload: Option<&RateCurve>,
+) -> Result<Vec<Figure>, Box<dyn std::error::Error>> {
+    replay_under(
+        DisciplineChoice::Fifo,
+        scale,
+        trace_file,
+        horizon,
+        requests,
+        ladder,
+        shards,
+        cache,
+        faults,
+        completion_log,
+        window,
+        workload,
+    )
+}
+
+/// [`replay`] with every disk's queue run under `discipline` — the
+/// `--discipline` flag of `experiments replay`.
+#[allow(clippy::too_many_arguments)]
+pub fn replay_under(
+    discipline: DisciplineChoice,
     scale: Scale,
     trace_file: Option<&Path>,
     horizon: Option<f64>,
@@ -102,6 +139,7 @@ pub fn replay(
     cfg.sim = cfg
         .sim
         .with_metrics(MetricsMode::Histogram)
+        .with_discipline(discipline)
         .with_shards(shards)
         .with_cache_hierarchy(cache.hierarchy());
     if let Some(w) = window {
@@ -197,8 +235,9 @@ pub fn replay(
     fig.notes.push(source_note);
     fig.notes.push(format!(
         "fleet {fleet} disks, Pack_Disks allocation, break-even threshold, \
-         {} ladder, {} shard(s); p95/p99 within relative error {:.4} \
+         {} queues, {} ladder, {} shard(s); p95/p99 within relative error {:.4} \
          (streaming histogram)",
+        discipline.label(),
         ladder.label(),
         shards.max(1),
         report.responses.quantile_error_bound()
@@ -725,6 +764,53 @@ mod tests {
             c[0] > c[1] && c[2] > c[3],
             "diurnal lobes must show up in the series: {c:?}"
         );
+    }
+
+    /// `replay_under` runs the discipline it is given: on an overloaded
+    /// curve the backlog is deep, so shortest-job-first serves the same
+    /// requests with a lower mean response than FIFO, and FIFO is
+    /// `replay`'s own answer.
+    #[test]
+    fn replay_under_runs_the_given_discipline() {
+        let curve = RateCurve::diurnal(40.0, 30.0, 86_400.0);
+        let run = |discipline| {
+            replay_under(
+                discipline,
+                Scale::Quick,
+                None,
+                Some(600.0),
+                0,
+                LadderChoice::TwoState,
+                1,
+                CacheChoice::None,
+                FaultChoice::None,
+                None,
+                None,
+                Some(&curve),
+            )
+            .expect("replay runs")
+            .remove(0)
+        };
+        let (fifo_fig, sjf_fig) = (run(DisciplineChoice::Fifo), run(DisciplineChoice::sjf()));
+        assert!(sjf_fig.notes.iter().any(|n| n.contains("sjf_a30s queues")));
+        let (fifo, sjf) = (&fifo_fig.rows[0], &sjf_fig.rows[0]);
+        assert_eq!(fifo[0], sjf[0], "same requests served");
+        assert!(sjf[1] < fifo[1], "sjf mean {} vs fifo {}", sjf[1], fifo[1]);
+        let plain = replay(
+            Scale::Quick,
+            None,
+            Some(600.0),
+            0,
+            LadderChoice::TwoState,
+            1,
+            CacheChoice::None,
+            FaultChoice::None,
+            None,
+            None,
+            Some(&curve),
+        )
+        .expect("replay runs");
+        assert_eq!(&plain[0].rows[0], fifo);
     }
 
     #[test]

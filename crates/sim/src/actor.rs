@@ -60,7 +60,7 @@ pub struct DiskActor {
     current_bytes: u64,
     /// Platter-position proxy of the in-flight request (see
     /// `current_bytes`).
-    current_pos: u64,
+    current_pos: u32,
     /// The level the in-flight descent is heading for (meaningful only
     /// while `phase` is `Descending(_)`).
     descent_target: u8,
@@ -228,8 +228,8 @@ impl DiskActor {
 
     /// Add a pending request: trace index, size, arrival time and
     /// platter-position proxy (file index).
-    pub fn enqueue(&mut self, req: usize, bytes: u64, arrival_s: f64, pos: u64) {
-        self.queue.push(req, bytes, arrival_s, pos);
+    pub fn enqueue(&mut self, req: usize, bytes: u64, arrival_s: f64, pos: u32) {
+        self.queue.push(req, bytes, arrival_s, pos.into());
     }
 
     /// Pop the next request per the discipline and begin serving it at `t`;
@@ -242,7 +242,7 @@ impl DiskActor {
         let done = self.start_service(t, entry.req, entry.bytes, amortised)?;
         self.current_arrival = Some(entry.arrival_s);
         self.current_bytes = entry.bytes;
-        self.current_pos = entry.pos;
+        self.current_pos = entry.pos();
         Ok(Some(done))
     }
 
@@ -261,7 +261,7 @@ impl DiskActor {
 
     /// Platter-position proxy of the in-flight request (meaningful while
     /// `Busy`, for the engine's fault retry path).
-    pub fn current_pos(&self) -> u64 {
+    pub fn current_pos(&self) -> u32 {
         self.current_pos
     }
 

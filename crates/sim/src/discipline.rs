@@ -100,7 +100,18 @@ impl DisciplineChoice {
     }
 }
 
-/// One pending request as the queue sees it.
+/// One pending request as the queue sees it: 32 bytes, the unit of the
+/// simulated backlog's memory.
+///
+/// The file's position and the push sequence number share one `u64`
+/// (`pos << 32 | seq`). `pos` is the catalog index, which [`FileId`]
+/// already holds in 32 bits; [`RequestQueue`] renumbers its live entries
+/// before `seq` would pass `u32::MAX`, so 32 bits never wrap. One field,
+/// not two `u32`s, so a push writes it in one store: an arrival at an idle
+/// disk pops its own entry at once, and with two 4-byte stores that
+/// push + pop measured ~6 ns slower.
+///
+/// [`FileId`]: spindown_workload::FileId
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueueEntry {
     /// Index into the trace.
@@ -109,12 +120,25 @@ pub struct QueueEntry {
     pub bytes: u64,
     /// Arrival time at this queue, seconds (drives SJF aging).
     pub arrival_s: f64,
+    /// `pos << 32 | seq`, so its order is the elevator order: position,
+    /// then push order.
+    pos_seq: u64,
+}
+
+impl QueueEntry {
     /// Platter-position proxy (file index) — the elevator sort key.
-    pub pos: u64,
+    pub fn pos(&self) -> u32 {
+        (self.pos_seq >> 32) as u32
+    }
+
     /// Push sequence number; the FIFO key and the deterministic tie-break
     /// everywhere else.
-    seq: u64,
+    fn seq(&self) -> u32 {
+        self.pos_seq as u32
+    }
 }
+
+const _: () = assert!(std::mem::size_of::<QueueEntry>() == 32);
 
 /// A popped request plus how it should be served.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -134,7 +158,7 @@ struct BySize(QueueEntry);
 
 impl PartialEq for BySize {
     fn eq(&self, other: &Self) -> bool {
-        (self.0.bytes, self.0.seq) == (other.0.bytes, other.0.seq)
+        (self.0.bytes, self.0.seq()) == (other.0.bytes, other.0.seq())
     }
 }
 
@@ -148,7 +172,7 @@ impl PartialOrd for BySize {
 
 impl Ord for BySize {
     fn cmp(&self, other: &Self) -> Ordering {
-        (self.0.bytes, self.0.seq).cmp(&(other.0.bytes, other.0.seq))
+        (self.0.bytes, self.0.seq()).cmp(&(other.0.bytes, other.0.seq()))
     }
 }
 
@@ -193,6 +217,15 @@ const SJF_HEAP_THRESHOLD: usize = 32;
 /// where one path dominates (e.g. every pop aging out, which would
 /// otherwise grow the heap by one stale copy per request); heap mode
 /// disengages (and clears all bookkeeping) when the queue drains empty.
+///
+/// Memory: each pending request is one 32-byte [`QueueEntry`] in the
+/// arrival deque. A full deque grows by its length while shorter than 64
+/// entries (at least 4) and by an eighth of its length (at least 64) after
+/// that, so its capacity stays within ⅛ + 64 entries of the deepest backlog
+/// this disk has held, not up to twice it. Push sequence numbers are 32
+/// bits: before one would pass `u32::MAX` the queue renumbers its live
+/// entries `0..len` in deque order (compacting heap mode first), which
+/// keeps their relative order and so every discipline's pop order.
 #[derive(Debug)]
 pub struct RequestQueue {
     discipline: DisciplineChoice,
@@ -201,13 +234,13 @@ pub struct RequestQueue {
     size_heap: BinaryHeap<Reverse<BySize>>,
     /// SJF heap mode only: seqs served through the heap whose deque copy
     /// is stale and must be skipped when it reaches the front.
-    served: IdSet<u64>,
+    served: IdSet<u32>,
     /// True once the queue has grown past [`SJF_HEAP_THRESHOLD`] and the
     /// heap structures are engaged; reset when the queue drains empty.
     heap_active: bool,
     /// Live (pending, unserved) entry count.
     live: usize,
-    next_seq: u64,
+    next_seq: u32,
     /// Entries at the front still belonging to the current wake batch.
     batch_remaining: usize,
     /// True until the first member of the current wake batch is popped.
@@ -246,16 +279,25 @@ impl RequestQueue {
     }
 
     /// Append a request (requests always enter in arrival order).
+    ///
+    /// # Panics
+    /// If `pos` does not fit in a `u32` (a catalog index always does).
     pub fn push(&mut self, req: usize, bytes: u64, arrival_s: f64, pos: u64) {
+        let pos = u32::try_from(pos).expect("queue position past u32");
+        if self.next_seq == u32::MAX {
+            self.renumber();
+        }
         let seq = self.next_seq;
         self.next_seq += 1;
         let entry = QueueEntry {
             req,
             bytes,
             arrival_s,
-            pos,
-            seq,
+            pos_seq: u64::from(pos) << 32 | u64::from(seq),
         };
+        if self.entries.len() == self.entries.capacity() {
+            self.grow();
+        }
         self.entries.push_back(entry);
         if matches!(self.discipline, DisciplineChoice::ShortestJobFirst { .. }) {
             if self.heap_active {
@@ -265,12 +307,48 @@ impl RequestQueue {
                 // from the deque (all live — shallow mode keeps no stale
                 // copies). O(n) once per deep episode.
                 self.heap_active = true;
-                let entries = &self.entries;
-                self.size_heap
-                    .extend(entries.iter().map(|&e| Reverse(BySize(e))));
+                self.rebuild_heap();
             }
         }
         self.live += 1;
+    }
+
+    /// Make room in a full deque: by its length while under 64 entries (at
+    /// least 4), then by an eighth of it (at least 64), so capacity tracks
+    /// this disk's peak backlog within ⅛ + 64 entries.
+    #[cold]
+    fn grow(&mut self) {
+        let len = self.entries.len();
+        let more = if len < 64 {
+            len.max(4)
+        } else {
+            (len / 8).max(64)
+        };
+        self.entries.reserve_exact(more);
+    }
+
+    /// Give the live entries the sequence numbers `0..len` in deque order,
+    /// so numbering restarts without reordering anything: the deque holds
+    /// ascending seqs outside an elevator batch, and a frozen batch pops
+    /// by position regardless. Heap mode compacts first, so no stale copy
+    /// keeps an old number, and re-keys its heap after.
+    #[cold]
+    fn renumber(&mut self) {
+        if self.heap_active {
+            self.compact();
+        }
+        let len = self.entries.len();
+        assert!(
+            len < u32::MAX as usize,
+            "{len} pending requests on one disk"
+        );
+        for (seq, e) in (0u32..).zip(&mut self.entries) {
+            e.pos_seq = e.pos_seq >> 32 << 32 | u64::from(seq);
+        }
+        self.next_seq = len as u32;
+        if self.heap_active {
+            self.rebuild_heap();
+        }
     }
 
     /// Freeze everything currently pending into one elevator batch, sorted
@@ -281,9 +359,7 @@ impl RequestQueue {
             return;
         }
         debug_assert_eq!(self.batch_remaining, 0, "wake with a batch in flight");
-        self.entries
-            .make_contiguous()
-            .sort_by_key(|e| (e.pos, e.seq));
+        self.entries.make_contiguous().sort_by_key(|e| e.pos_seq);
         self.batch_remaining = self.entries.len();
         self.batch_first_pending = true;
     }
@@ -315,7 +391,7 @@ impl RequestQueue {
                         .entries
                         .iter()
                         .enumerate()
-                        .min_by_key(|(_, e)| (e.bytes, e.seq))
+                        .min_by_key(|(_, e)| (e.bytes, e.seq()))
                         .expect("non-empty");
                     self.entries.remove(idx).expect("index in range")
                 };
@@ -330,7 +406,7 @@ impl RequestQueue {
                 // branch.
                 if !self.served.is_empty() {
                     while let Some(front) = self.entries.front() {
-                        if self.served.remove(&front.seq) {
+                        if self.served.remove(&front.seq()) {
                             self.entries.pop_front();
                         } else {
                             break;
@@ -350,14 +426,14 @@ impl RequestQueue {
                 } else {
                     // Size order: pop the heap, skipping stale copies of
                     // aging-served entries (seq below the live front).
-                    let front_seq = oldest.seq;
+                    let front_seq = oldest.seq();
                     loop {
                         let Reverse(BySize(entry)) =
                             self.size_heap.pop().expect("live entry implies heap entry");
-                        if entry.seq < front_seq {
+                        if entry.seq() < front_seq {
                             continue; // aging-served long ago
                         }
-                        self.served.insert(entry.seq);
+                        self.served.insert(entry.seq());
                         break entry;
                     }
                 };
@@ -392,10 +468,14 @@ impl RequestQueue {
     /// the total order on `(bytes, seq)`, not its internal shape.
     fn compact(&mut self) {
         let served = &self.served;
-        self.entries.retain(|e| !served.contains(&e.seq));
+        self.entries.retain(|e| !served.contains(&e.seq()));
         self.served.clear();
-        // Rebuild in place: clear + extend reuse both buffers, so steady
-        // compaction churn costs no allocations.
+        self.rebuild_heap();
+    }
+
+    /// Refill the SJF heap from the deque. Clear + extend reuse the heap's
+    /// buffer, so steady compaction churn costs no allocations.
+    fn rebuild_heap(&mut self) {
         self.size_heap.clear();
         let entries = &self.entries;
         self.size_heap
@@ -572,6 +652,147 @@ mod tests {
         q.push(0, 10, 0.0, 3);
         q.freeze_wake_batch();
         assert_eq!(drain(&mut q, 0.0), vec![(0, false)]);
+    }
+
+    enum Op {
+        Push { bytes: u64, at: f64, pos: u64 },
+        Pop(f64),
+        Freeze,
+    }
+
+    /// Runs `ops` on a fresh queue whose push numbering starts at
+    /// `first_seq`. Returns every pop with its seq blanked (the two
+    /// numberings differ by design), plus, when a push had to renumber,
+    /// the queue's `(heap_active, served.len(), batch_remaining)` just
+    /// before it did.
+    fn run_ops(
+        discipline: DisciplineChoice,
+        first_seq: u32,
+        ops: &[Op],
+    ) -> (Vec<Popped>, Option<(bool, usize, usize)>) {
+        let mut q = RequestQueue::new(discipline);
+        q.next_seq = first_seq;
+        let (mut pops, mut at_limit, mut req) = (Vec::new(), None, 0);
+        for op in ops {
+            match *op {
+                Op::Push { bytes, at, pos } => {
+                    if q.next_seq == u32::MAX {
+                        at_limit = Some((q.heap_active, q.served.len(), q.batch_remaining));
+                    }
+                    q.push(req, bytes, at, pos);
+                    req += 1;
+                }
+                Op::Pop(now) => {
+                    let p = q.pop(now).expect("schedule pops only pending requests");
+                    pops.push(Popped {
+                        entry: QueueEntry {
+                            pos_seq: p.entry.pos_seq >> 32 << 32,
+                            ..p.entry
+                        },
+                        ..p
+                    });
+                }
+                Op::Freeze => q.freeze_wake_batch(),
+            }
+        }
+        assert!(q.is_empty(), "schedule drains the queue");
+        (pops, at_limit)
+    }
+
+    /// Pushes `n` requests at times `t0, t0 + 1, …` with scattered sizes
+    /// and positions (positions repeat, so elevator ties fall to seq).
+    fn pushes(n: usize, t0: f64) -> impl Iterator<Item = Op> {
+        (0..n).map(move |i| Op::Push {
+            bytes: (i as u64 * 7919) % 101 + 1,
+            at: t0 + i as f64,
+            pos: (i as u64 * 13) % 5,
+        })
+    }
+
+    /// Renumbering at the `u32` limit is invisible: each discipline pops
+    /// exactly what a queue numbered from 0 pops, with the limit crossed
+    /// in the state that stresses its bookkeeping.
+    #[test]
+    fn renumbering_at_the_seq_limit_keeps_pop_order() {
+        let pops = |n: usize, now: f64| (0..n).map(move |_| Op::Pop(now));
+        let cases: Vec<(DisciplineChoice, u32, Vec<Op>)> = vec![
+            (
+                DisciplineChoice::Fifo,
+                u32::MAX - 6,
+                pushes(10, 0.0)
+                    .chain(pops(3, 10.0))
+                    .chain(pushes(10, 10.0))
+                    .chain(pops(17, 20.0))
+                    .collect(),
+            ),
+            (
+                // 40 pending engages heap mode; five size-order pops leave
+                // heap-served copies in `served`, one pop at t = 101 ages
+                // out the oldest; the limit falls inside the next pushes,
+                // then 20 size-order pops and an aging drain follow.
+                DisciplineChoice::ShortestJobFirst {
+                    aging_bound_s: 100.0,
+                },
+                u32::MAX - 45,
+                pushes(40, 0.0)
+                    .chain(pops(5, 40.0))
+                    .chain(pops(1, 101.0))
+                    .chain(pushes(20, 60.0))
+                    .chain(pops(20, 101.0))
+                    .chain(pops(34, 500.0))
+                    .collect(),
+            ),
+            (
+                // A frozen wake batch of 10 is 3 pops in when the limit
+                // falls; the next batch mixes entries numbered before and
+                // after it, with tied positions.
+                DisciplineChoice::ElevatorBatch,
+                u32::MAX - 13,
+                pushes(10, 0.0)
+                    .chain([Op::Freeze])
+                    .chain(pops(3, 10.0))
+                    .chain(pushes(10, 10.0))
+                    .chain(pops(7, 20.0))
+                    .chain(pushes(5, 20.0))
+                    .chain([Op::Freeze])
+                    .chain(pops(15, 30.0))
+                    .collect(),
+            ),
+        ];
+        for (discipline, first_seq, ops) in cases {
+            let (want, none) = run_ops(discipline, 0, &ops);
+            assert_eq!(
+                none, None,
+                "{discipline:?}: numbering from 0 never renumbers"
+            );
+            let (got, at_limit) = run_ops(discipline, first_seq, &ops);
+            let (heap_active, served, batch) = at_limit.expect("the limit is crossed");
+            match discipline {
+                DisciplineChoice::ShortestJobFirst { .. } => {
+                    assert!(heap_active && served > 0, "{served} heap-served pending")
+                }
+                DisciplineChoice::ElevatorBatch => assert!(batch > 0, "a batch in flight"),
+                DisciplineChoice::Fifo => {}
+            }
+            assert_eq!(got, want, "{discipline:?}");
+        }
+    }
+
+    /// A deep backlog leaves the deque within ⅛ + 64 entries of its peak,
+    /// not up to twice it, and still pops in push order.
+    #[test]
+    fn deque_capacity_stays_within_an_eighth_of_the_peak() {
+        const N: usize = 100_000;
+        let mut q = RequestQueue::new(DisciplineChoice::Fifo);
+        for i in 0..N {
+            q.push(i, 1, i as f64, 0);
+        }
+        let cap = q.entries.capacity();
+        assert!(cap <= N + N / 8 + 64, "capacity {cap} for {N} pending");
+        for i in 0..N {
+            assert_eq!(q.pop(N as f64).unwrap().entry.req, i);
+        }
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -830,7 +830,7 @@ impl<'a> Simulator<'a> {
             }
         }
         self.policy.request_arrived(self.place.global(disk), t);
-        self.actors[disk].enqueue(req, arrival.size, t, arrival.file.index() as u64);
+        self.actors[disk].enqueue(req, arrival.size, t, arrival.file.0);
         self.peak_disk_queue = self.peak_disk_queue.max(self.actors[disk].queue_len());
         self.actors[disk].window_queue_observation(t);
         self.kick(t, disk)
@@ -1019,7 +1019,7 @@ impl<'a> Simulator<'a> {
         req: usize,
         arrival: f64,
         bytes: u64,
-        pos: u64,
+        pos: u32,
     ) -> bool {
         let f = self
             .fault

@@ -50,7 +50,7 @@ pub(crate) struct PendingRetry {
     /// The *original* arrival stamp — response time spans every retry.
     pub arrival: f64,
     /// Platter-position proxy (file index).
-    pub pos: u64,
+    pub pos: u32,
 }
 
 /// A shard's fault counters: the integer half of [`AvailabilityStats`].
