@@ -1,7 +1,6 @@
 //! Head-to-head comparison of two allocation policies under identical
 //! workloads — the measurement behind Figures 2 and 3.
 
-use serde::{Deserialize, Serialize};
 use spindown_sim::engine::{SimError, Simulator};
 use spindown_sim::metrics::SimReport;
 use spindown_workload::{FileCatalog, InMemorySource, Trace};
@@ -10,7 +9,7 @@ use crate::planner::{Plan, Planner};
 
 /// Result of comparing a candidate plan against a reference plan on the
 /// same catalog, trace and fleet.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Comparison {
     /// The candidate's simulation report (e.g. `Pack_Disks`).
     pub candidate: SimReport,

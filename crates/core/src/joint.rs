@@ -31,7 +31,6 @@
 //! `experiments` crate fans the same cells across threads with its sweep
 //! machinery (`experiments::sweep::run_joint`).
 
-use serde::{Deserialize, Serialize};
 use spindown_disk::{DiskSpec, LadderChoice};
 use spindown_packing::Allocator;
 use spindown_sim::discipline::DisciplineChoice;
@@ -46,7 +45,7 @@ use crate::policy::PolicyChoice;
 /// Scalarisation of the (energy, p95) trade-off: the winner minimises
 /// `energy_j^energy_weight · p95_s^p95_weight`. The default (1, 1) is the
 /// energy×p95 product; raising a weight leans the winner toward that axis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JointObjective {
     /// Exponent on total energy (joules). Must be ≥ 0.
     pub energy_weight: f64,
@@ -87,7 +86,7 @@ impl Default for JointObjective {
 /// holds up best when disks crash, wakes fail and I/O flakes — the planner
 /// pays for availability through the same (energy, p95) objective, since
 /// retries and cold restarts inflate both.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum FaultChoice {
     /// Fault-free replay — the legacy bit-identical fast path.
     #[default]
@@ -134,7 +133,7 @@ impl FaultChoice {
 }
 
 /// One quintuple of the joint search space.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JointCandidate {
     /// The allocation strategy.
     pub allocator: Allocator,
@@ -184,7 +183,7 @@ impl JointCandidate {
 
 /// Configuration of the joint search: the shared base planner config (one
 /// drive spec, one load constraint) and the grid along each dimension.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JointConfig {
     /// Base planner configuration. Its `sim.disk` is the single drive
     /// model every candidate plans and evaluates against; its allocator,
@@ -203,7 +202,6 @@ pub struct JointConfig {
     pub caches: Vec<CacheChoice>,
     /// The fault regime every cell replays under (not crossed: faults are
     /// the environment, not a knob). Defaults to fault-free.
-    #[serde(default)]
     pub fault: FaultChoice,
     /// Scalarisation picking the winner among non-dominated cells.
     pub objective: JointObjective,
@@ -281,7 +279,7 @@ impl Default for JointConfig {
 }
 
 /// One evaluated cell of the joint grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JointCell {
     /// The quadruple this cell ran.
     pub candidate: JointCandidate,
@@ -295,7 +293,6 @@ pub struct JointCell {
     pub p95_s: f64,
     /// Fleet availability fraction when the grid ran under a fault regime
     /// (`None` on fault-free runs).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub availability: Option<f64>,
 }
 
@@ -359,7 +356,7 @@ pub fn pareto_frontier(cells: &[JointCell]) -> Vec<usize> {
 
 /// The outcome of a joint search: every evaluated cell, the Pareto
 /// frontier over (energy, p95), and the scalarised winner.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JointOutcome {
     /// Every evaluated cell, in candidate order.
     pub cells: Vec<JointCell>,

@@ -1,6 +1,5 @@
 //! Planning: catalog + rate + constraints → allocation.
 
-use serde::{Deserialize, Serialize};
 use spindown_disk::mechanics::ServiceTimer;
 use spindown_disk::DiskSpec;
 use spindown_packing::{Allocator, Assignment, Instance, InstanceError};
@@ -13,7 +12,7 @@ use spindown_workload::{FileCatalog, InMemorySource, Trace};
 use crate::policy::PolicyChoice;
 
 /// How file service time is modelled when computing loads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServiceModel {
     /// `µ_i = s_i / transfer_rate` — the paper's load definition
     /// (`l_i = r_i · s_i`, §4).
@@ -32,7 +31,7 @@ pub enum ServiceModel {
 /// independent `DiskSpec` for the packing side, which let a caller plan
 /// against one drive and silently evaluate against another; use
 /// [`PlannerConfig::with_disk`] (or set `sim.disk` directly) to swap drives.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlannerConfig {
     /// The load constraint `L` as a fraction of the disk's service capacity
     /// (the paper sweeps 0.5–0.8).

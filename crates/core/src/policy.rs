@@ -1,4 +1,4 @@
-//! Policy selection: a closed, serialisable description of *which* spin-down
+//! Policy selection: a closed, `Copy` description of *which* spin-down
 //! policy to run, and the factory that builds the live [`PowerPolicy`] for a
 //! drive.
 //!
@@ -8,7 +8,6 @@
 //! experiment sweeps pass around instead: `Copy`, comparable, and buildable
 //! into a fresh policy instance any number of times.
 
-use serde::{Deserialize, Serialize};
 use spindown_analysis::online::{
     AdaptivePolicy, EnvelopeDescentPolicy, LowerEnvelopePolicy, SkiRentalPolicy,
 };
@@ -17,7 +16,7 @@ use spindown_sim::config::ThresholdPolicy;
 use spindown_sim::policy::{PowerPolicy, TimeoutPolicy};
 
 /// Which spin-down policy a simulation should run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PolicyChoice {
     /// The paper's fixed-threshold family (Fixed / BreakEven / Never).
     Threshold(ThresholdPolicy),

@@ -14,8 +14,6 @@
 //! energy — per-state totals always sum exactly to the run total, however
 //! deep the ladder ([`EnergyBreakdown::per_state`] iterates every slot).
 
-use serde::{Deserialize, Serialize};
-
 use crate::power::{power_of, PowerState};
 use crate::spec::DiskSpec;
 
@@ -62,7 +60,7 @@ fn sum(values: &[f64]) -> f64 {
 ///
 /// Grows on demand to cover every ladder level a run visits; states never
 /// visited report zero.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EnergyBreakdown {
     /// Seconds spent in each state, indexed by [`slot`].
     seconds: Vec<f64>,

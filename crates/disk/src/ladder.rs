@@ -30,12 +30,10 @@
 //! exactly what makes per-level break-even thresholds monotone (deeper
 //! levels ⇒ longer break-even; see `breakeven` and its property tests).
 
-use serde::{Deserialize, Serialize};
-
 use crate::spec::DiskSpec;
 
 /// One rung of the power-state ladder.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerLevel {
     /// Short stable name (`"idle"`, `"lowrpm"`, `"standby"`, …) used in
     /// reports and energy tables.
@@ -165,7 +163,7 @@ impl std::error::Error for LadderError {}
 pub const MAX_LEVELS: usize = 16;
 
 /// An ordered, validated list of power levels; index 0 is full-speed idle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerLadder {
     levels: Vec<PowerLevel>,
 }
@@ -346,9 +344,9 @@ impl PowerLadder {
     }
 }
 
-/// A `Copy`, serialisable handle naming a ladder preset — the sweep-grid
+/// A `Copy` handle naming a ladder preset — the sweep-grid
 /// dimension (`SweepSpec.ladder`) and the `experiments --ladder` CLI value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LadderChoice {
     /// The canonical two-state Idle ⇄ Standby ladder (the paper's model;
     /// leaves [`DiskSpec::ladder`] unset, so runs are bit-identical to the

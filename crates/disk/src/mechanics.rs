@@ -7,14 +7,12 @@
 //! transfer component dominates). Partial reads are modelled by scaling the
 //! byte count.
 
-use serde::{Deserialize, Serialize};
-
 use crate::spec::DiskSpec;
 
 /// What kind of request is being serviced. The paper focuses on reads;
 /// writes are modelled with the same mechanics (and the same active power),
 /// matching its "write to a spinning disk" policy discussion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RequestKind {
     /// Read the bytes of a file.
     Read,
@@ -23,7 +21,7 @@ pub enum RequestKind {
 }
 
 /// Breakdown of one request's service time, in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceBreakdown {
     /// Head positioning time.
     pub seek_s: f64,
@@ -44,7 +42,7 @@ impl ServiceBreakdown {
 ///
 /// Stateless and cheap to copy; wraps a [`DiskSpec`] reference-free so it can
 /// be embedded in simulator actors.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceTimer {
     seek_s: f64,
     rotation_s: f64,

@@ -1,8 +1,6 @@
 //! Disk power states (Figure 1 of the paper, generalised to the N-level
 //! power-state ladder) and their power draws.
 
-use serde::{Deserialize, Serialize};
-
 use crate::spec::DiskSpec;
 
 /// The power states a drive can be in.
@@ -21,7 +19,7 @@ use crate::spec::DiskSpec;
 /// [`PowerState::SpinningUp`] is `Waking(1)`. They compare, match and
 /// print exactly as the old enum variants did, so two-state code reads
 /// unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PowerState {
     /// Transferring data (read or write).
     Active,

@@ -4,8 +4,6 @@
 //! the paper. A couple of additional presets are provided for sensitivity
 //! studies (a fast enterprise-class drive and an archival low-RPM drive).
 
-use serde::{Deserialize, Serialize};
-
 use crate::ladder::{LadderError, PowerLadder};
 use crate::GB;
 
@@ -52,7 +50,7 @@ impl std::error::Error for SpecError {}
 ///
 /// Field values for the default spec come from Table 2 of the paper
 /// (Seagate ST3500630AS, 7200 rpm SATA).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiskSpec {
     /// Human-readable model name.
     pub model: String,

@@ -40,12 +40,10 @@ pub mod sweep;
 pub mod tables;
 pub mod vsweep;
 
-use serde::{Deserialize, Serialize};
-
 /// Experiment scale: `Paper` reproduces the published parameters; `Quick`
 /// is a proportionally shrunken instance for CI and benches (same shapes,
 /// seconds instead of minutes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Full published parameters (n = 40 000 files, 100 disks, 30-day
     /// NERSC trace).
@@ -123,7 +121,7 @@ impl Scale {
 }
 
 /// Column-oriented experiment output: `columns[0]` is the x-axis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Figure {
     /// Stable identifier (`fig2`, `table1`, …).
     pub id: String,

@@ -13,6 +13,11 @@
 //!
 //! Prints each artefact as an aligned table and writes `DIR/<id>.csv`
 //! (default `results/`). `--quick` runs proportionally shrunken instances.
+//! The whole command line is checked before the first command runs: an
+//! unknown command or option, or a replay-only flag (`--trace-file`,
+//! `--horizon`, `--requests`, `--shards`, `--cache-tiers`,
+//! `--completion-log`, `--window`, `--workload`) without `replay`, exits 1
+//! with nothing written. `all` runs every command but `replay`.
 //! `--discipline` selects the queue discipline (`fifo`, `sjf`,
 //! `sjf:SECONDS`, `elevator`) the shootout's allocator and policy rows and
 //! the `replay` command run under; the shootout's discipline rows always
@@ -72,6 +77,34 @@ use spindown_experiments::{
 use spindown_sim::SimError;
 use spindown_workload::trace::MAX_TRACE_TIME_S;
 
+/// The commands `all` runs, in order; `replay` is the only other one.
+const ALL: [&str; 12] = [
+    "table1",
+    "table2",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "vsweep",
+    "bounds",
+    "sensitivity",
+    "shootout",
+    "joint",
+];
+
+/// Flags that only the `replay` command reads.
+const REPLAY_ONLY: [&str; 8] = [
+    "--trace-file",
+    "--horizon",
+    "--requests",
+    "--shards",
+    "--cache-tiers",
+    "--completion-log",
+    "--window",
+    "--workload",
+];
+
 fn usage() -> &'static str {
     "usage: experiments [--quick] [--out DIR] [--discipline fifo|sjf|sjf:SECONDS|elevator]\n\
      \u{20}                  [--ladder 2|3] [--trace-file FILE] [--horizon SECONDS]\n\
@@ -102,8 +135,12 @@ fn main() -> ExitCode {
     let mut window: Option<f64> = None;
     let mut workload: Option<RateCurve> = None;
     let mut cmds: Vec<String> = Vec::new();
+    let mut replay_flag: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        if replay_flag.is_none() && REPLAY_ONLY.contains(&arg.as_str()) {
+            replay_flag = Some(arg.clone());
+        }
         match arg.as_str() {
             "--quick" => scale = Scale::Quick,
             "--out" => match args.next() {
@@ -230,6 +267,10 @@ fn main() -> ExitCode {
             // `--joint` is accepted as an alias for the `joint` command so
             // the joint bracket composes with other flags naturally.
             "--joint" => cmds.push("joint".to_owned()),
+            other if other.starts_with('-') => {
+                eprintln!("unknown option {other:?}\n{}", usage());
+                return ExitCode::FAILURE;
+            }
             other => cmds.push(other.to_owned()),
         }
     }
@@ -237,24 +278,29 @@ fn main() -> ExitCode {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     }
-    if cmds.iter().any(|c| c == "all") {
-        cmds = [
-            "table1",
-            "table2",
-            "fig2",
-            "fig3",
-            "fig4",
-            "fig5",
-            "fig6",
-            "vsweep",
-            "bounds",
-            "sensitivity",
-            "shootout",
-            "joint",
-        ]
+    // Check the whole command line before the first command runs, so a
+    // typo never leaves some of the CSVs written.
+    if let Some(other) = cmds
         .iter()
-        .map(|s| s.to_string())
-        .collect();
+        .find(|c| !matches!(c.as_str(), "all" | "replay") && !ALL.contains(&c.as_str()))
+    {
+        eprintln!("unknown command {other:?}\n{}", usage());
+        return ExitCode::FAILURE;
+    }
+    let runs_replay = cmds.iter().any(|c| c == "replay");
+    if let Some(flag) = replay_flag.filter(|_| !runs_replay) {
+        eprintln!(
+            "{flag} is read only by the replay command, which this command line \
+             does not run (all does not include replay)\n{}",
+            usage()
+        );
+        return ExitCode::FAILURE;
+    }
+    if cmds.iter().any(|c| c == "all") {
+        cmds = ALL.iter().map(|s| s.to_string()).collect();
+        if runs_replay {
+            cmds.push("replay".to_owned());
+        }
     }
 
     // fig2/fig3 and fig5/fig6 share their sweeps; compute lazily and reuse.
@@ -338,10 +384,7 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            other => {
-                eprintln!("unknown command {other:?}\n{}", usage());
-                return ExitCode::FAILURE;
-            }
+            other => unreachable!("command {other:?} was checked before the first run"),
         };
         for figure in &figures {
             println!("{}", render_table(figure));

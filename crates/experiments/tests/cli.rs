@@ -183,3 +183,53 @@ fn replay_of_a_piped_trace_needs_an_explicit_horizon() {
     assert_eq!(code, Some(0), "stderr: {stderr}");
     assert_eq!(requests.as_deref(), Some("200"));
 }
+
+/// Run `experiments --quick --out DIR ARGS…`, expect exit 1 before any
+/// command runs, and return stderr.
+fn rejected_up_front(dir: &str, args: &[&str]) -> String {
+    let out_dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(dir);
+    let _ = std::fs::remove_dir_all(&out_dir);
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["--quick", "--out"])
+        .arg(&out_dir)
+        .args(args)
+        .output()
+        .expect("the experiments binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "no command ran: {stderr}");
+    assert!(!out_dir.exists(), "no CSV written: {stderr}");
+    stderr
+}
+
+#[test]
+fn a_bad_argument_anywhere_stops_every_command() {
+    let stderr = rejected_up_front("cli_unknown_option", &["table2", "--shard", "2"]);
+    assert!(stderr.contains("unknown option \"--shard\""), "{stderr}");
+    let stderr = rejected_up_front("cli_unknown_command", &["table2", "tabel3"]);
+    assert!(stderr.contains("unknown command \"tabel3\""), "{stderr}");
+}
+
+#[test]
+fn replay_only_flags_need_the_replay_command() {
+    let out_dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_replay_only");
+    let log = out_dir.join("c.csv");
+    let stderr = rejected_up_front(
+        "cli_replay_only",
+        &[
+            "--completion-log",
+            log.to_str().unwrap(),
+            "--window",
+            "10",
+            "table2",
+        ],
+    );
+    assert!(
+        stderr.contains("--completion-log"),
+        "names the flag: {stderr}"
+    );
+    assert!(stderr.contains("replay"), "{stderr}");
+    // `all` runs every command but `replay`.
+    let stderr = rejected_up_front("cli_replay_only_all", &["--shards", "2", "all"]);
+    assert!(stderr.contains("--shards"), "names the flag: {stderr}");
+}

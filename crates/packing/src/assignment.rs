@@ -1,11 +1,9 @@
 //! Packing results: which item went to which disk, with verification.
 
-use serde::{Deserialize, Serialize};
-
 use crate::instance::Instance;
 
 /// One disk's contents and totals.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DiskBin {
     /// Indices (into the instance) of the items on this disk, in the order
     /// they were packed.
@@ -95,7 +93,7 @@ impl std::fmt::Display for FeasibilityError {
 impl std::error::Error for FeasibilityError {}
 
 /// A complete allocation of items to disks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Assignment {
     /// The disks, in the order they were opened. May contain empty disks
     /// (random placement over a fixed fleet keeps them).

@@ -1,9 +1,7 @@
 //! Packing instances: normalised `(s, l)` items plus the skew bound ρ.
 
-use serde::{Deserialize, Serialize};
-
 /// One item to pack: normalised size and load, both in `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PackItem {
     /// Normalised storage requirement `s_i = size_i / S`.
     pub s: f64,
@@ -68,7 +66,7 @@ impl std::fmt::Display for InstanceError {
 impl std::error::Error for InstanceError {}
 
 /// A validated 2DVPP instance (both capacities normalised to 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Instance {
     items: Vec<PackItem>,
     rho: f64,

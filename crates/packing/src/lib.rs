@@ -43,7 +43,7 @@ pub use pack_disks::pack_disks;
 pub use pack_disks_v::pack_disks_v;
 
 /// Which allocator to run — used by the simulator and experiment configs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Allocator {
     /// The paper's `Pack_Disks` (§3.1).
     PackDisks,

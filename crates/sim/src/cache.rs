@@ -24,7 +24,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use spindown_workload::FileId;
 
 use crate::idhash::IdMap;
@@ -57,7 +56,7 @@ pub trait CachePolicy: std::fmt::Debug + Send {
 }
 
 /// Running cache statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CacheStats {
     /// Requests served from cache.
     pub hits: u64,

@@ -34,7 +34,6 @@
 use std::fs::File;
 use std::io::{BufWriter, Write};
 
-use serde::{Deserialize, Serialize};
 use spindown_workload::batch::{batch_channel, BatchReceiver, BatchSender};
 
 use crate::decimal;
@@ -57,7 +56,7 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
 }
 
 /// How (and whether) the per-request completion log is materialised.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum CompletionLogMode {
     /// No log (the default): zero cost on the completion path.
     #[default]
@@ -80,7 +79,7 @@ pub enum CompletionLogMode {
 /// Counters over the canonical completion stream. Two runs produced
 /// byte-identical logs iff `records`, `bytes` and `fnv1a` all match
 /// (FNV-1a 64 over the concatenated canonical lines).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompletionLogSummary {
     /// Completions logged.
     pub records: u64,

@@ -1,6 +1,5 @@
 //! Simulation configuration.
 
-use serde::{Deserialize, Serialize};
 use spindown_disk::{break_even_threshold, DiskSpec, PowerLadder};
 use spindown_workload::FaultPlan;
 
@@ -10,7 +9,7 @@ use crate::hierarchy::CacheHierarchyConfig;
 use crate::metrics::MetricsMode;
 
 /// When (if ever) an idle disk spins down.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ThresholdPolicy {
     /// Spin down after a fixed idle period (seconds).
     Fixed(f64),
@@ -38,7 +37,7 @@ impl ThresholdPolicy {
 }
 
 /// Full simulator configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// The drive model used for every disk in the fleet.
     pub disk: DiskSpec,
@@ -67,7 +66,6 @@ pub struct SimConfig {
     /// and digest modes stream, O(buffer) resident at any request count,
     /// and merge bit-identically across shard counts (see
     /// [`crate::complog`]).
-    #[serde(default)]
     pub completion_log: CompletionLogMode,
     /// Number of replay shards: the fleet is partitioned by disk id
     /// (`disk % shards`), each shard runs its own event loop fed by one
@@ -83,7 +81,6 @@ pub struct SimConfig {
     /// [`FaultPlan`]). The default, [`FaultPlan::none()`], leaves the
     /// engine on a fast path that is bit-identical to the pre-fault
     /// engine.
-    #[serde(default)]
     pub faults: FaultPlan,
     /// Tumbling-window width in seconds for the windowed time-series
     /// metrics (see [`crate::windows`]). `None` — the default — keeps the
@@ -91,7 +88,6 @@ pub struct SimConfig {
     /// attaches a [`crate::windows::WindowedReport`] to the report,
     /// bit-identical at any shard count. The width must be finite and
     /// positive.
-    #[serde(default)]
     pub windows: Option<f64>,
 }
 

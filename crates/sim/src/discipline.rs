@@ -26,8 +26,6 @@
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
 
-use serde::{Deserialize, Serialize};
-
 use crate::idhash::IdSet;
 
 /// Fraction of the average seek paid by requests served inside an elevator
@@ -36,7 +34,7 @@ use crate::idhash::IdSet;
 pub const ELEVATOR_SEEK_FACTOR: f64 = 0.1;
 
 /// Which queue discipline each disk runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum DisciplineChoice {
     /// Strict arrival order — the paper's §4 service model and the default.
     #[default]

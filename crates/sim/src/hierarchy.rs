@@ -23,13 +23,12 @@
 //! count, eviction pressure included, and the shards just record the
 //! tagged hits against the disks that own the files.
 
-use serde::{Deserialize, Serialize};
 use spindown_workload::FileId;
 
 use crate::cache::{CachePolicy, CacheStats, LfuCache, LruCache, SegmentedLru};
 
 /// Which replacement policy a tier runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CachePolicyChoice {
     /// Plain byte-budget LRU — the paper's §5.1 policy and the default.
     #[default]
@@ -85,7 +84,7 @@ impl CachePolicyChoice {
 
 /// One tier of the hierarchy: a byte budget served at a bandwidth under a
 /// replacement policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheTierConfig {
     /// Byte budget of the tier.
     pub capacity_bytes: u64,
@@ -117,7 +116,7 @@ impl CacheTierConfig {
 }
 
 /// Ordered cache tiers, shallowest first: one shared front cache.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CacheHierarchyConfig {
     /// Tiers, probed in order; index 0 is the fastest/closest.
     pub tiers: Vec<CacheTierConfig>,
@@ -220,7 +219,7 @@ impl CacheHierarchy {
 /// (cache × allocation × policy × discipline × ladder) and the
 /// `--cache-tiers` CLI value. `hierarchy()` expands it to the full
 /// [`CacheHierarchyConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum CacheChoice {
     /// No cache — the paper's base series and the default grid leg.
     #[default]

@@ -29,14 +29,13 @@
 //!   (an empty workload vacuously meets any deadline).
 //! - [`ResponseStats::quantile`] panics for `q` outside `[0, 1]`.
 
-use serde::{Deserialize, Serialize};
 use spindown_disk::energy::EnergyBreakdown;
 
 use crate::cache::CacheStats;
 use crate::complog::CompletionLogSummary;
 
 /// How response-time samples are aggregated (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MetricsMode {
     /// Keep every sample; nearest-rank quantiles are bit-meaningful.
     /// O(requests) memory. The default (the paper's evaluation mode).
@@ -78,7 +77,7 @@ const MAX_BUCKETS: usize = 1 + OCTAVES * SUB;
 ///
 /// Count, sum (hence mean), min and max are tracked exactly as scalars;
 /// only quantiles and [`Self::fraction_within`] are bucket-approximate.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StreamingHistogram {
     /// Counts of buckets `base..base + counts.len()`: whole octaves, so
     /// `base` is an octave's first bucket and the length a multiple of
@@ -379,7 +378,7 @@ impl PartialEq for StreamingHistogram {
 }
 
 /// Collects response times and summarises them, in either metrics mode.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum Agg {
     /// Every sample, with a cached-sort flag for quantiles.
     Exact { samples: Vec<f64>, sorted: bool },
@@ -389,7 +388,7 @@ enum Agg {
 
 /// Collects response times and summarises them (see the module docs for
 /// the two modes and the shared edge-case contract).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResponseStats {
     agg: Agg,
 }
@@ -632,7 +631,7 @@ impl ResponseStats {
 /// request is eventually served, shed at admission, or dropped after its
 /// retry budget is exhausted — or is still queued/backed-off when the
 /// horizon closes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AvailabilityStats {
     /// Requests that arrived (mapped to a simulated disk), including
     /// cache hits.
@@ -698,7 +697,7 @@ impl AvailabilityStats {
 
 /// One served request, for the optional completion log
 /// (`SimConfig::with_completion_log`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Completion {
     /// Index into the trace.
     pub req: usize,
@@ -739,7 +738,7 @@ pub struct Completion {
 ///   [`Self::peak_event_queue_sum`]).
 /// - **Bound, not exact:** `CompletionLogSummary::peak_buffered` sums the
 ///   writers' and merger's peaks, which need not coincide in time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimReport {
     /// Wall-clock span of the simulation (≥ trace horizon), seconds.
     pub sim_time_s: f64,
@@ -768,7 +767,6 @@ pub struct SimReport {
     /// Counters and FNV-1a digest over the canonical completion stream,
     /// present whenever `SimConfig::completion_log` is not `Off`. Two
     /// runs wrote byte-identical logs iff these summaries match.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub completion_log: Option<CompletionLogSummary>,
     /// Total completed spin-down transitions across the fleet.
     pub spin_downs: u64,
@@ -811,16 +809,12 @@ pub struct SimReport {
     /// exactly.
     pub peak_disk_queue: usize,
     /// Availability accounting, present iff the run had a fault plan
-    /// (`SimConfig::faults`). `None` on every no-fault run, so legacy
-    /// reports — including the golden fixture — are byte-identical.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    /// (`SimConfig::faults`); `None` on every no-fault run.
     pub availability: Option<AvailabilityStats>,
     /// Windowed time-series metrics (see [`crate::windows`]), present iff
-    /// `SimConfig::windows` set a tumbling window width. `None` on every
-    /// windows-off run, so legacy reports — including the golden fixture
-    /// — are byte-identical. The derived rows (and the per-disk
+    /// `SimConfig::windows` set a tumbling window width; `None` on every
+    /// windows-off run. The derived rows (and the per-disk
     /// collectors they fold) are bit-identical at every shard count.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub windows: Option<crate::windows::WindowedReport>,
 }
 

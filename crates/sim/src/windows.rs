@@ -51,7 +51,6 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use crate::metrics::{MetricsMode, ResponseStats, StreamingHistogram};
-use serde::{Deserialize, Serialize};
 
 /// Largest window count a run may ask for, `floor(horizon / width) + 1`.
 /// The rows themselves stay resident (88 bytes each), so 2²⁰ windows is
@@ -520,7 +519,7 @@ impl RowFolder {
 /// One fleet-level window of the series. All quantities follow the
 /// empty-window contract: a window with `completions == 0` reports zeros
 /// (never NaN) for the response columns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowRow {
     /// Window start instant (inclusive), `w * width`.
     pub start_s: f64,
@@ -550,7 +549,7 @@ pub struct WindowRow {
 
 /// The windowed series attached to a [`crate::metrics::SimReport`] when
 /// `SimConfig::windows` is set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowedReport {
     /// Tumbling window width in seconds.
     pub width_s: f64,

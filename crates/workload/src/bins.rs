@@ -6,10 +6,8 @@
 //! [`SizeBins`] reproduces that classification; this module's tests (and
 //! the NERSC generator's) check the log-log linearity.
 
-use serde::{Deserialize, Serialize};
-
 /// A set of logarithmically spaced size bins over `[min_bytes, max_bytes]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SizeBins {
     edges: Vec<f64>, // len = bins + 1, ascending, log-spaced
     counts: Vec<u64>,

@@ -9,15 +9,12 @@
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::sizes::RankSizeModel;
 use crate::zipf::zipf_pmf;
 
 /// Identifier of a file: its index in the catalog.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct FileId(pub u32);
 
 impl FileId {
@@ -34,7 +31,7 @@ impl std::fmt::Display for FileId {
 }
 
 /// One file's static description.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FileSpec {
     /// The file's id (== its catalog index).
     pub id: FileId,
@@ -45,7 +42,7 @@ pub struct FileSpec {
 }
 
 /// A population of files.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FileCatalog {
     files: Vec<FileSpec>,
 }

@@ -27,10 +27,8 @@
 //! slow-down factors below 1 and empty fail-slow windows, so a plan that
 //! constructs is always physically meaningful.
 
-use serde::{Deserialize, Serialize};
-
 /// One scheduled fail-stop crash: disk `disk` goes offline at `at_s`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrashSpec {
     /// Global disk id that crashes.
     pub disk: usize,
@@ -40,7 +38,7 @@ pub struct CrashSpec {
 
 /// One fail-slow window: disk `disk` serves `factor`× slower while the
 /// dispatch time falls in `[from_s, to_s)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FailSlowSpec {
     /// Global disk id that degrades.
     pub disk: usize,
@@ -78,7 +76,7 @@ impl FailSlowSpec {
 /// over one replay, plus the recovery/retry knobs. [`FaultPlan::none`] is
 /// the empty plan the engine treats as "faults compiled out" — the no-fault
 /// event loop is bit-identical to an engine without the subsystem.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Scheduled fail-stop crashes (disk offline until repaired).
     pub crashes: Vec<CrashSpec>,

@@ -28,7 +28,7 @@
 //! - [`arrivals`] — Poisson and batched arrival processes, plus
 //!   non-stationary rate curves ([`arrivals::RateCurve`]: diurnal cycles,
 //!   flash crowds, tenant ramps) sampled by Lewis–Shedler thinning.
-//! - [`trace`] — request traces, generation, serde I/O and statistics.
+//! - [`trace`] — request traces, generation, CSV I/O and statistics.
 //! - [`source`] — streaming request sources ([`source::TraceSource`]):
 //!   in-memory cursor, buffered CSV reader and seeded synthetic generator,
 //!   so replays need not materialise O(requests) memory.

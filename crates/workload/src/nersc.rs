@@ -21,7 +21,6 @@
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::arrivals::BatchConfig;
 use crate::bins::SizeBins;
@@ -31,7 +30,7 @@ use crate::zipf::ZipfDistribution;
 use crate::{GB, MB};
 
 /// Configuration of the synthetic NERSC workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NerscConfig {
     /// Number of distinct files (paper: 88 631).
     pub n_files: usize,

@@ -13,10 +13,8 @@
 //! with the text: "the distribution of their sizes follows inverse Zipf-like
 //! distribution".
 
-use serde::{Deserialize, Serialize};
-
 /// A deterministic rank→size power law (see module docs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankSizeModel {
     /// Size of the largest file (size-rank 1), bytes.
     pub max_bytes: u64,

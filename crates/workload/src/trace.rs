@@ -1,4 +1,4 @@
-//! Request traces: generation, statistics and serialisation.
+//! Request traces: generation, statistics and CSV I/O.
 //!
 //! A [`Trace`] is a time-ordered list of file requests plus the horizon of
 //! the observation window — exactly what the paper's dispatcher consumes.
@@ -10,7 +10,6 @@ use std::io::{BufRead, Write};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::arrivals::{generate_bursts, BatchConfig};
 use crate::catalog::{FileCatalog, FileId};
@@ -18,7 +17,7 @@ use crate::cdf::CdfTable;
 use crate::source::{CsvTraceSource, SyntheticSource, TraceSource};
 
 /// One read request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Request {
     /// Arrival time, seconds from trace start.
     pub time: f64,
@@ -27,7 +26,7 @@ pub struct Request {
 }
 
 /// A time-ordered request trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trace {
     requests: Vec<Request>,
     horizon: f64,
