@@ -26,10 +26,6 @@ pub struct SweepPoint {
     pub response_ratio: f64,
     /// Disks Pack_Disks loaded.
     pub pack_disks_used: usize,
-    /// Pack_Disks mean response (seconds).
-    pub pack_response_s: f64,
-    /// Random placement mean response (seconds).
-    pub random_response_s: f64,
 }
 
 /// Run the full (R × L) sweep in parallel.
@@ -81,8 +77,6 @@ fn run_point(
         power_saving: cmp.power_saving(),
         response_ratio: cmp.response_ratio().unwrap_or(f64::NAN),
         pack_disks_used: pack.disks_used(),
-        pack_response_s: cmp.candidate.responses.mean(),
-        random_response_s: cmp.reference.responses.mean(),
     }
 }
 

@@ -119,6 +119,27 @@ fn replay_rejects_an_impossible_window_count_up_front() {
     assert!(took.as_secs() < 30, "rejected up front, took {took:?}");
 }
 
+/// A retry budget that does not fit in 32 bits is an error naming its
+/// clause, not a budget wrapped to `N mod 2^32` (here 0).
+#[test]
+fn replay_rejects_a_retry_budget_past_u32() {
+    let clause = "retries=4294967296";
+    let (code, stderr, took) = run_quick(
+        "cli_retry_budget",
+        &[
+            "--requests",
+            "1000",
+            "--faults",
+            &format!("transient:p=0.3 | {clause}"),
+            "replay",
+        ],
+    );
+    assert_eq!(code, Some(1), "stderr: {stderr}");
+    let naming: Vec<&str> = stderr.lines().filter(|l| l.contains(clause)).collect();
+    assert_eq!(naming.len(), 1, "one line names the clause: {stderr}");
+    assert!(took.as_secs() < 30, "rejected at parse time, took {took:?}");
+}
+
 #[test]
 fn replay_rejects_a_horizon_past_the_trace_time_bound() {
     let (code, stderr, took) = run_quick(

@@ -21,12 +21,16 @@
 //!
 //! LRU and both SLRU segments share one kernel, a slab-backed doubly
 //! linked recency list indexed by file id.
+//!
+//! Every policy finds a file's state through a table indexed by its
+//! [`FileId`], not a hash map: file ids are dense catalog indices. A table
+//! grows only when a file is admitted, to the largest id admitted so far,
+//! so it never outgrows the catalog; looking up an id past its end reads
+//! "absent" and allocates nothing.
 
 use std::collections::BTreeMap;
 
 use spindown_workload::FileId;
-
-use crate::idhash::IdMap;
 
 /// A byte-budget whole-file replacement policy: one cache tier's brain.
 ///
@@ -82,7 +86,8 @@ impl CacheStats {
     }
 }
 
-/// Slot index meaning "no node": the list's ends and the free list's tail.
+/// Slot index meaning "no node": the list's ends, the free list's tail and
+/// an absent file's entry in the slot table.
 const NIL: u32 = u32::MAX;
 
 /// One resident file in a [`RecencyList`] slab slot. While the slot is on
@@ -101,13 +106,16 @@ struct Node {
 ///
 /// Nodes live in a `Vec` slab threaded into a doubly linked list (head =
 /// most recent, tail = least recent); freed slots are recycled through an
-/// intrusive free list, and an [`IdMap`] maps each file to its slot. The
+/// intrusive free list. The slot table `index[file]` holds each resident
+/// file's slot and `NIL` for every other id up to the largest admitted;
+/// at 4 bytes per id it stays within 160 KB on the 40k-file catalog. The
 /// list orders entries by their last touch, which is all LRU eviction
 /// needs.
 #[derive(Debug)]
 struct RecencyList {
     nodes: Vec<Node>,
-    index: IdMap<FileId, u32>,
+    index: Vec<u32>,
+    len: usize,
     head: u32,
     tail: u32,
     free: u32,
@@ -118,7 +126,8 @@ impl RecencyList {
     fn new() -> Self {
         RecencyList {
             nodes: Vec::new(),
-            index: IdMap::default(),
+            index: Vec::new(),
+            len: 0,
             head: NIL,
             tail: NIL,
             free: NIL,
@@ -126,17 +135,25 @@ impl RecencyList {
         }
     }
 
+    /// The slot of a resident `file`.
+    fn slot(&self, file: FileId) -> Option<u32> {
+        self.index
+            .get(file.0 as usize)
+            .copied()
+            .filter(|&slot| slot != NIL)
+    }
+
     fn contains(&self, file: FileId) -> bool {
-        self.index.contains_key(&file)
+        self.slot(file).is_some()
     }
 
     fn len(&self) -> usize {
-        self.index.len()
+        self.len
     }
 
     /// If `file` is resident, make it the most recent and return its size.
     fn touch(&mut self, file: FileId) -> Option<u64> {
-        let slot = *self.index.get(&file)?;
+        let slot = self.slot(file)?;
         if slot != self.head {
             self.unlink(slot);
             self.link_front(slot);
@@ -162,7 +179,12 @@ impl RecencyList {
             slot
         };
         self.link_front(slot);
-        self.index.insert(file, slot);
+        let i = file.0 as usize;
+        if i >= self.index.len() {
+            self.index.resize(i + 1, NIL);
+        }
+        self.index[i] = slot;
+        self.len += 1;
         self.resident += size;
     }
 
@@ -176,7 +198,9 @@ impl RecencyList {
 
     /// Remove a resident `file`, returning its size.
     fn remove(&mut self, file: FileId) -> u64 {
-        let slot = self.index.remove(&file).expect("entry resident");
+        let slot = std::mem::replace(&mut self.index[file.0 as usize], NIL);
+        assert_ne!(slot, NIL, "entry resident");
+        self.len -= 1;
         self.unlink(slot);
         let node = &mut self.nodes[slot as usize];
         node.next = self.free;
@@ -393,13 +417,15 @@ impl CachePolicy for SegmentedLru {
 /// lowest access frequency, breaking ties toward the least recent. The
 /// eviction index is a `BTreeMap` keyed `(frequency, stamp)`, so every
 /// access is `O(log n)`. Frequency state lives only on resident entries —
-/// a re-admitted file restarts at frequency 1 (no ghost history), keeping
-/// memory bounded by residency.
+/// a re-admitted file restarts at frequency 1 (no ghost history). The
+/// per-file table holds `(frequency, stamp)` indexed by file id, with
+/// frequency 0 for a file not resident; the size rides in the eviction
+/// index, which only eviction reads.
 #[derive(Debug)]
 pub struct LfuCache {
     capacity_bytes: u64,
-    entries: IdMap<FileId, (u64, u64, u64)>, // file -> (size, freq, stamp)
-    by_freq: BTreeMap<(u64, u64), FileId>,   // (freq, stamp) -> file
+    entries: Vec<(u64, u64)>,                     // file -> (freq, stamp)
+    by_freq: BTreeMap<(u64, u64), (FileId, u64)>, // (freq, stamp) -> (file, size)
     next_stamp: u64,
     stats: CacheStats,
 }
@@ -409,7 +435,7 @@ impl LfuCache {
     pub fn new(capacity_bytes: u64) -> Self {
         LfuCache {
             capacity_bytes,
-            entries: IdMap::default(),
+            entries: Vec::new(),
             by_freq: BTreeMap::new(),
             next_stamp: 0,
             stats: CacheStats::default(),
@@ -423,13 +449,11 @@ impl LfuCache {
     }
 
     fn evict_lfu(&mut self) {
-        let (&key, &file) = self
+        let (_, (file, size)) = self
             .by_freq
-            .iter()
-            .next()
+            .pop_first()
             .expect("eviction requested from empty cache");
-        self.by_freq.remove(&key);
-        let (size, _, _) = self.entries.remove(&file).expect("index consistent");
+        self.entries[file.0 as usize] = (0, 0);
         self.stats.resident_bytes -= size;
         self.stats.evicted_bytes += size;
     }
@@ -437,12 +461,19 @@ impl LfuCache {
 
 impl CachePolicy for LfuCache {
     fn access(&mut self, file: FileId, size_bytes: u64) -> bool {
-        if let Some((_, freq, stamp)) = self.entries.get_mut(&file) {
-            self.by_freq.remove(&(*freq, *stamp));
+        if let Some((freq, stamp)) = self
+            .entries
+            .get_mut(file.0 as usize)
+            .filter(|(freq, _)| *freq > 0)
+        {
+            let value = self
+                .by_freq
+                .remove(&(*freq, *stamp))
+                .expect("index consistent");
             *freq += 1;
             *stamp = self.next_stamp;
             self.next_stamp += 1;
-            self.by_freq.insert((*freq, *stamp), file);
+            self.by_freq.insert((*freq, *stamp), value);
             self.stats.hits += 1;
             return true;
         }
@@ -455,18 +486,24 @@ impl CachePolicy for LfuCache {
             self.evict_lfu();
         }
         let stamp = self.bump();
-        self.entries.insert(file, (size_bytes, 1, stamp));
-        self.by_freq.insert((1, stamp), file);
+        let i = file.0 as usize;
+        if i >= self.entries.len() {
+            self.entries.resize(i + 1, (0, 0));
+        }
+        self.entries[i] = (1, stamp);
+        self.by_freq.insert((1, stamp), (file, size_bytes));
         self.stats.resident_bytes += size_bytes;
         false
     }
 
     fn contains(&self, file: FileId) -> bool {
-        self.entries.contains_key(&file)
+        self.entries
+            .get(file.0 as usize)
+            .is_some_and(|&(freq, _)| freq > 0)
     }
 
     fn len(&self) -> usize {
-        self.entries.len()
+        self.by_freq.len()
     }
 
     fn stats(&self) -> CacheStats {
@@ -600,6 +637,46 @@ mod tests {
         // …but a 50-byte file fits probation fine.
         assert!(!c.access(f(2), 50));
         assert_eq!(c.stats().resident_bytes, 50);
+    }
+
+    /// A probe or an oversize miss on an id far past every admitted file
+    /// reads "absent" without growing any slot table, and every policy
+    /// keeps answering for its residents.
+    #[test]
+    fn far_ids_leave_the_slot_tables_alone() {
+        let far = f(u32::MAX - 1);
+        let mut lru = LruCache::new(100);
+        let mut slru = SegmentedLru::new(100, 50);
+        let mut lfu = LfuCache::new(100);
+        for c in [&mut lru as &mut dyn CachePolicy, &mut slru, &mut lfu] {
+            c.access(f(3), 40);
+            c.access(f(3), 40);
+            c.access(f(1), 40);
+        }
+        let tables = |lru: &LruCache, slru: &SegmentedLru, lfu: &LfuCache| {
+            [
+                lru.list.index.len(),
+                slru.probation.index.len(),
+                slru.protected.index.len(),
+                lfu.entries.len(),
+            ]
+        };
+        let before = tables(&lru, &slru, &lfu);
+        for c in [&mut lru as &mut dyn CachePolicy, &mut slru, &mut lfu] {
+            assert!(!c.contains(far));
+            assert!(!c.access(far, 200), "oversize miss");
+            assert_eq!(c.stats().oversize_rejections, 1);
+        }
+        assert_eq!(tables(&lru, &slru, &lfu), before);
+        for c in [&mut lru as &mut dyn CachePolicy, &mut slru, &mut lfu] {
+            assert!(c.contains(f(1)) && c.contains(f(3)) && !c.contains(f(2)));
+            assert_eq!(c.len(), 2);
+            assert!(c.access(f(1), 40), "resident file hits");
+            assert!(!c.access(f(2), 40), "absent file misses");
+            // LRU and LFU evict 3 (least recent; older at frequency 2),
+            // SLRU demotes 3 from protected and evicts it from probation.
+            assert!(!c.contains(f(3)) && c.contains(f(1)) && c.contains(f(2)));
+        }
     }
 
     // ── SegmentedLru ─────────────────────────────────────────────────

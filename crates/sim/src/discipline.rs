@@ -23,10 +23,8 @@
 //!   batch member after the first pays only [`ELEVATOR_SEEK_FACTOR`] of the
 //!   average seek, amortising head positioning across the pass.
 
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-
-use crate::idhash::IdSet;
 
 /// Fraction of the average seek paid by requests served inside an elevator
 /// batch after the first: consecutive stops of one sweep are near-sequential
@@ -148,37 +146,26 @@ pub struct Popped {
     pub amortised: bool,
 }
 
-/// Orders heap members by the SJF key `(bytes, seq)` — smallest request
-/// first, push order breaking ties — exactly the `min_by_key` the linear
-/// scan used, so the heap pops in the identical sequence.
-#[derive(Debug, Clone, Copy)]
-struct BySize(QueueEntry);
-
-impl PartialEq for BySize {
-    fn eq(&self, other: &Self) -> bool {
-        (self.0.bytes, self.0.seq()) == (other.0.bytes, other.0.seq())
-    }
-}
-
-impl Eq for BySize {}
-
-impl PartialOrd for BySize {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for BySize {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.0.bytes, self.0.seq()).cmp(&(other.0.bytes, other.0.seq()))
-    }
-}
+/// `QueueEntry::req` of an entry already served through the SJF heap: it
+/// stays in the deque, in place, until it reaches the front.
+const TOMBSTONE: usize = usize::MAX;
 
 /// Queue depth at which shortest-job-first switches from the linear
 /// min-scan (whose per-pop cost at this depth is below the heap's constant
-/// bookkeeping) to the indexed binary heap. Once engaged, the heap stays
-/// active until the queue drains empty, so the mode never thrashes.
+/// bookkeeping) to the binary heap. Once engaged, the heap stays active
+/// until the queue drains empty, so the mode never thrashes.
 const SJF_HEAP_THRESHOLD: usize = 32;
+
+/// How far a full buffer of `len` grows: by its length while under 64
+/// (at least 4), then by an eighth of it (at least 64), so capacity tracks
+/// the peak within ⅛ + 64 slots instead of up to twice it.
+fn growth(len: usize) -> usize {
+    if len < 64 {
+        len.max(4)
+    } else {
+        (len / 8).max(64)
+    }
+}
 
 /// The per-disk pending-request queue, reordered by a [`DisciplineChoice`].
 ///
@@ -190,51 +177,57 @@ const SJF_HEAP_THRESHOLD: usize = 32;
 /// Under shortest-job-first the queue is adaptive. Shallow queues (≤
 /// `SJF_HEAP_THRESHOLD` = 32) run the original linear `min_by_key` scan —
 /// cheapest at the depths a healthy disk sees. The first push beyond the
-/// threshold engages *heap mode*: every entry then lives in two structures
-/// — the arrival-order deque (the aging probe) and a binary min-heap keyed
-/// by `(bytes, seq)` — and a pop serves from one structure while lazily
-/// invalidating the copy in the other, making both the size-ordered pop
-/// and the aging escape O(log n) amortised instead of the linear scan +
+/// threshold engages *heap mode*: the deque keeps the one copy of each
+/// entry, and a binary min-heap holds 16-byte `(bytes, seq)` keys, making
+/// the size-ordered pop O(log n) amortised instead of the linear scan +
 /// O(n) `remove(idx)` that made deep pile-ups quadratic. Both modes pop in
 /// the identical `(bytes, seq)` order (property-tested against the linear
 /// reference), so the switch is invisible to the simulation.
 ///
-/// Heap-mode lazy deletion exploits two invariants to stay off the hot
-/// path:
+/// Heap mode finds an entry from its key without a map, because the deque
+/// holds contiguous seqs: `entries[i]` has seq `front_seq + i`. Engaging
+/// heap mode renumbers the entries to make that true (shallow pops remove
+/// from the middle), nothing then leaves the deque except at the front,
+/// and each push takes the next seq. A pop serves one of two ways:
 ///
-/// - The deque always holds entries in ascending `seq`, and the aging
-///   escape always serves the (purged) deque *front* — so every
-///   aging-served seq is below the current front's seq forever after, and
-///   the heap detects those stale copies with one integer compare, no
-///   bookkeeping on the aging path at all.
-/// - Only heap-served entries need remembering (their deque copy sits
-///   interior until it surfaces at the front), in the `served` seq set —
-///   touched once on serve and once on purge.
+/// - The aging escape serves the deque front. An entry that has waited
+///   past the bound can only leave this way — every pop until then is an
+///   aging pop of it or of an older entry — so the heap is only filled
+///   when a size-ordered pop needs it: that pop first adds the keys of
+///   every entry pushed since the last one. A backlog that stays past the
+///   bound (every pop aging out) builds no heap at all. A key whose entry
+///   aged out is stale, recognised by `seq < front_seq`: the deque front
+///   only moves forward, and once it passes every heaped seq the heap is
+///   cleared at once.
+/// - A size-ordered pop takes the heap's top key and serves the entry at
+///   `seq − front_seq`, leaving a *tombstone* in place (`req` set to
+///   `usize::MAX`; the entry stays 32 bytes). Tombstones leave the deque
+///   when they reach the front.
 ///
-/// Amortised compaction keeps both structures O(pending) even on schedules
-/// where one path dominates (e.g. every pop aging out, which would
-/// otherwise grow the heap by one stale copy per request); heap mode
-/// disengages (and clears all bookkeeping) when the queue drains empty.
+/// Amortised compaction keeps both structures O(pending) on schedules that
+/// mix the two: once either stale population outgrows the live one it
+/// drops the tombstones, renumbers and empties the heap. Heap mode
+/// disengages (and drops all stale state) when the queue drains empty.
 ///
 /// Memory: each pending request is one 32-byte [`QueueEntry`] in the
-/// arrival deque. A full deque grows by its length while shorter than 64
-/// entries (at least 4) and by an eighth of its length (at least 64) after
-/// that, so its capacity stays within ⅛ + 64 entries of the deepest backlog
-/// this disk has held, not up to twice it. Push sequence numbers are 32
-/// bits: before one would pass `u32::MAX` the queue renumbers its live
-/// entries `0..len` in deque order (compacting heap mode first), which
-/// keeps their relative order and so every discipline's pop order.
+/// arrival deque, plus, in heap mode, at most one 16-byte heap key. Both
+/// buffers grow by their length while shorter than 64 entries (at least 4)
+/// and by an eighth of their length (at least 64) after that, so each
+/// capacity stays within ⅛ + 64 of the deepest it has been, not up to
+/// twice it. Push sequence numbers are 32 bits: before one would pass
+/// `u32::MAX` the queue renumbers its live entries `0..len` in deque order,
+/// which keeps their relative order and so every discipline's pop order.
 #[derive(Debug)]
 pub struct RequestQueue {
     discipline: DisciplineChoice,
     entries: VecDeque<QueueEntry>,
     /// SJF heap mode only: min-heap over `(bytes, seq)`. Empty otherwise.
-    size_heap: BinaryHeap<Reverse<BySize>>,
-    /// SJF heap mode only: seqs served through the heap whose deque copy
-    /// is stale and must be skipped when it reaches the front.
-    served: IdSet<u32>,
+    size_heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// SJF heap mode only: every entry below this seq has had its key
+    /// added to the heap, no entry from it on has.
+    heaped_upto: u32,
     /// True once the queue has grown past [`SJF_HEAP_THRESHOLD`] and the
-    /// heap structures are engaged; reset when the queue drains empty.
+    /// heap is engaged; reset when the queue drains empty.
     heap_active: bool,
     /// Live (pending, unserved) entry count.
     live: usize,
@@ -252,7 +245,7 @@ impl RequestQueue {
             discipline,
             entries: VecDeque::new(),
             size_heap: BinaryHeap::new(),
-            served: IdSet::default(),
+            heaped_upto: 0,
             heap_active: false,
             live: 0,
             next_seq: 0,
@@ -280,73 +273,94 @@ impl RequestQueue {
     ///
     /// # Panics
     /// If `pos` does not fit in a `u32` (a catalog index always does).
+    #[inline]
     pub fn push(&mut self, req: usize, bytes: u64, arrival_s: f64, pos: u64) {
+        debug_assert_ne!(req, TOMBSTONE, "request index reserved for tombstones");
         let pos = u32::try_from(pos).expect("queue position past u32");
         if self.next_seq == u32::MAX {
-            self.renumber();
+            self.restart_numbering();
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        let entry = QueueEntry {
+        if self.entries.len() == self.entries.capacity() {
+            self.grow();
+        }
+        self.entries.push_back(QueueEntry {
             req,
             bytes,
             arrival_s,
             pos_seq: u64::from(pos) << 32 | u64::from(seq),
-        };
-        if self.entries.len() == self.entries.capacity() {
-            self.grow();
-        }
-        self.entries.push_back(entry);
-        if matches!(self.discipline, DisciplineChoice::ShortestJobFirst { .. }) {
-            if self.heap_active {
-                self.size_heap.push(Reverse(BySize(entry)));
-            } else if self.entries.len() > SJF_HEAP_THRESHOLD {
-                // The queue got deep: engage heap mode, seeding the heap
-                // from the deque (all live — shallow mode keeps no stale
-                // copies). O(n) once per deep episode.
-                self.heap_active = true;
-                self.rebuild_heap();
-            }
+        });
+        if !self.heap_active
+            && matches!(self.discipline, DisciplineChoice::ShortestJobFirst { .. })
+            && self.entries.len() > SJF_HEAP_THRESHOLD
+        {
+            // The queue got deep: engage heap mode. O(n) once per deep
+            // episode.
+            self.heap_active = true;
+            self.renumber(self.next_seq);
         }
         self.live += 1;
     }
 
-    /// Make room in a full deque: by its length while under 64 entries (at
-    /// least 4), then by an eighth of it (at least 64), so capacity tracks
-    /// this disk's peak backlog within ⅛ + 64 entries.
+    /// Make room in a full deque by the [`growth`] rule.
     #[cold]
     fn grow(&mut self) {
-        let len = self.entries.len();
-        let more = if len < 64 {
-            len.max(4)
-        } else {
-            (len / 8).max(64)
-        };
-        self.entries.reserve_exact(more);
+        self.entries.reserve_exact(growth(self.entries.len()));
     }
 
-    /// Give the live entries the sequence numbers `0..len` in deque order,
-    /// so numbering restarts without reordering anything: the deque holds
-    /// ascending seqs outside an elevator batch, and a frozen batch pops
-    /// by position regardless. Heap mode compacts first, so no stale copy
-    /// keeps an old number, and re-keys its heap after.
+    /// Number the live entries from 0 again, before the next push would
+    /// take seq `u32::MAX`.
     #[cold]
-    fn renumber(&mut self) {
-        if self.heap_active {
-            self.compact();
-        }
-        let len = self.entries.len();
+    fn restart_numbering(&mut self) {
         assert!(
-            len < u32::MAX as usize,
-            "{len} pending requests on one disk"
+            self.live < u32::MAX as usize,
+            "{} pending requests on one disk",
+            self.live
         );
-        for (seq, e) in (0u32..).zip(&mut self.entries) {
+        self.renumber(self.live as u32);
+    }
+
+    /// Give the entries contiguous sequence numbers ending just below
+    /// `next_seq`, in deque order, without reordering anything: the deque
+    /// holds ascending seqs outside an elevator batch, and a frozen batch
+    /// pops by position regardless. Heap mode drops its tombstones first
+    /// and empties its heap, so no stale key survives; the next
+    /// size-ordered pop heaps every entry afresh.
+    #[cold]
+    fn renumber(&mut self, next_seq: u32) {
+        if self.heap_active {
+            self.entries.retain(|e| e.req != TOMBSTONE);
+            self.size_heap.clear();
+        }
+        let first = next_seq - self.entries.len() as u32;
+        for (seq, e) in (first..).zip(&mut self.entries) {
             e.pos_seq = e.pos_seq >> 32 << 32 | u64::from(seq);
         }
-        self.next_seq = len as u32;
-        if self.heap_active {
-            self.rebuild_heap();
+        self.next_seq = next_seq;
+        self.heaped_upto = first;
+    }
+
+    /// Add the keys of the entries pushed since the last size-ordered pop,
+    /// given the live front's seq. Clears the heap first if the aging
+    /// escape has served past every key in it.
+    fn heap_new_entries(&mut self, front_seq: u32) {
+        if self.heaped_upto <= front_seq {
+            self.size_heap.clear();
+            self.heaped_upto = front_seq;
         }
+        let start = (self.heaped_upto - front_seq) as usize;
+        let more = self.entries.len() - start;
+        if self.size_heap.capacity() - self.size_heap.len() < more {
+            self.size_heap
+                .reserve_exact(more.max(growth(self.size_heap.len())));
+        }
+        let keys = self
+            .entries
+            .range(start..)
+            .map(|e| Reverse((e.bytes, e.seq())));
+        self.size_heap.extend(keys);
+        self.heaped_upto = self.next_seq;
     }
 
     /// Freeze everything currently pending into one elevator batch, sorted
@@ -364,6 +378,7 @@ impl RequestQueue {
 
     /// Pop the next request to serve at time `now` under the discipline.
     /// O(1) for FIFO/elevator, O(log n) amortised for SJF.
+    #[inline]
     pub fn pop(&mut self, now: f64) -> Option<Popped> {
         if self.batch_remaining > 0 {
             let entry = self.entries.pop_front().expect("batch implies entries");
@@ -379,78 +394,8 @@ impl RequestQueue {
                 self.live -= 1;
                 entry
             }
-            DisciplineChoice::ShortestJobFirst { aging_bound_s } if !self.heap_active => {
-                // Shallow queue: the original linear scan, verbatim.
-                let oldest = self.entries.front()?;
-                let entry = if now - oldest.arrival_s >= aging_bound_s {
-                    self.entries.pop_front().expect("front probed")
-                } else {
-                    let (idx, _) = self
-                        .entries
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, e)| (e.bytes, e.seq()))
-                        .expect("non-empty");
-                    self.entries.remove(idx).expect("index in range")
-                };
-                self.live -= 1;
-                entry
-            }
             DisciplineChoice::ShortestJobFirst { aging_bound_s } => {
-                // Heap mode. Purge entries already served through the heap
-                // so the deque front is the oldest *pending* request — the
-                // same aging probe the linear scan uses. While the served
-                // set is empty (no heap pops outstanding) this is one
-                // branch.
-                if !self.served.is_empty() {
-                    while let Some(front) = self.entries.front() {
-                        if self.served.remove(&front.seq()) {
-                            self.entries.pop_front();
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                let Some(oldest) = self.entries.front() else {
-                    debug_assert_eq!(self.live, 0);
-                    self.deactivate_heap();
-                    return None;
-                };
-                let entry = if now - oldest.arrival_s >= aging_bound_s {
-                    // Aging escape: serve the oldest. No bookkeeping — its
-                    // heap copy is recognised as stale by having a seq
-                    // below whatever the deque front is from now on.
-                    self.entries.pop_front().expect("front probed")
-                } else {
-                    // Size order: pop the heap, skipping stale copies of
-                    // aging-served entries (seq below the live front).
-                    let front_seq = oldest.seq();
-                    loop {
-                        let Reverse(BySize(entry)) =
-                            self.size_heap.pop().expect("live entry implies heap entry");
-                        if entry.seq() < front_seq {
-                            continue; // aging-served long ago
-                        }
-                        self.served.insert(entry.seq());
-                        break entry;
-                    }
-                };
-                self.live -= 1;
-                if self.live == 0 {
-                    // Deep episode over: drop every stale copy at once and
-                    // fall back to the shallow scan.
-                    self.deactivate_heap();
-                } else if self.served.len() > self.live + 64
-                    || self.size_heap.len() > 2 * self.live + 64
-                {
-                    // Lazy deletion leaves one stale copy per served entry
-                    // (heap-served → deque + served set; aging-served →
-                    // heap); compact once either stale population outgrows
-                    // the live one so everything stays O(pending), not
-                    // O(popped).
-                    self.compact();
-                }
-                entry
+                self.pop_sjf(now, aging_bound_s)?
             }
         };
         Some(Popped {
@@ -459,36 +404,83 @@ impl RequestQueue {
         })
     }
 
-    /// Rebuild both SJF structures from the live entries and forget the
-    /// stale copies. O(pending); amortised O(1) per pop because a pop adds
-    /// at most one stale copy and compaction only fires once a stale count
-    /// exceeds the live count. Pop order is unaffected: the heap's order is
-    /// the total order on `(bytes, seq)`, not its internal shape.
-    fn compact(&mut self) {
-        let served = &self.served;
-        self.entries.retain(|e| !served.contains(&e.seq()));
-        self.served.clear();
-        self.rebuild_heap();
-    }
-
-    /// Refill the SJF heap from the deque. Clear + extend reuse the heap's
-    /// buffer, so steady compaction churn costs no allocations.
-    fn rebuild_heap(&mut self) {
-        self.size_heap.clear();
-        let entries = &self.entries;
-        self.size_heap
-            .extend(entries.iter().map(|&e| Reverse(BySize(e))));
+    /// The shortest-job-first pop: the linear scan while shallow, the heap
+    /// while deep.
+    fn pop_sjf(&mut self, now: f64, aging_bound_s: f64) -> Option<QueueEntry> {
+        if !self.heap_active {
+            // Shallow queue: the original linear scan, verbatim.
+            let oldest = self.entries.front()?;
+            let entry = if now - oldest.arrival_s >= aging_bound_s {
+                self.entries.pop_front().expect("front probed")
+            } else {
+                let (idx, _) = self
+                    .entries
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, e)| (e.bytes, e.seq()))
+                    .expect("non-empty");
+                self.entries.remove(idx).expect("index in range")
+            };
+            self.live -= 1;
+            return Some(entry);
+        }
+        // Heap mode. Purge tombstones so the deque front is the oldest
+        // *pending* request — the same aging probe the linear scan uses.
+        while self.entries.front().is_some_and(|e| e.req == TOMBSTONE) {
+            self.entries.pop_front();
+        }
+        let Some(oldest) = self.entries.front() else {
+            debug_assert_eq!(self.live, 0);
+            self.deactivate_heap();
+            return None;
+        };
+        let entry = if now - oldest.arrival_s >= aging_bound_s {
+            // Aging escape: serve the oldest. Its heap key, if it has one,
+            // becomes stale by having a seq below the deque front's.
+            self.entries.pop_front().expect("front probed")
+        } else {
+            // Size order: heap what is new, then pop the heap, skipping
+            // stale keys of aging-served entries (seq below the live
+            // front).
+            let front_seq = oldest.seq();
+            self.heap_new_entries(front_seq);
+            loop {
+                let Reverse((_, seq)) = self.size_heap.pop().expect("live entry implies heap key");
+                if seq < front_seq {
+                    continue; // aging-served long ago
+                }
+                let slot = &mut self.entries[(seq - front_seq) as usize];
+                debug_assert_eq!(slot.seq(), seq, "deque seqs are contiguous");
+                let entry = *slot;
+                slot.req = TOMBSTONE;
+                break entry;
+            }
+        };
+        self.live -= 1;
+        if self.live == 0 {
+            // Deep episode over: drop every stale entry and key at once
+            // and fall back to the shallow scan.
+            self.deactivate_heap();
+        } else if self.entries.len() > 2 * self.live + 64
+            || self.size_heap.len() > 2 * self.live + 64
+        {
+            // Lazy deletion leaves one stale copy per served entry
+            // (heap-served → deque tombstone; aging-served → heap key);
+            // compact once either stale population outgrows the live one
+            // so everything stays O(pending), not O(popped).
+            self.renumber(self.next_seq);
+        }
+        Some(entry)
     }
 
     /// Leave heap mode: the queue drained empty, so whatever remains in
-    /// the deque/heap/set is stale bookkeeping — drop it all and return to
-    /// the shallow linear scan.
+    /// the deque and heap is stale — drop it all and return to the
+    /// shallow linear scan.
     fn deactivate_heap(&mut self) {
         debug_assert_eq!(self.live, 0);
         self.heap_active = false;
         self.entries.clear();
         self.size_heap.clear();
-        self.served.clear();
     }
 }
 
@@ -560,11 +552,10 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// Every pop via the aging escape leaves a stale heap copy; the
-    /// compaction must keep the structures bounded by the pending count
-    /// even when *all* pops age out (the worst case for lazy deletion).
-    /// The queue is held above the heap-mode threshold throughout so the
-    /// lazy-deletion machinery (not the shallow scan) is what's tested.
+    /// The structures stay bounded by the pending count even when *all*
+    /// pops age out (they then build no heap at all). The queue is held
+    /// above the heap-mode threshold throughout so heap mode (not the
+    /// shallow scan) is what's tested.
     #[test]
     fn sjf_structures_stay_bounded_under_pure_aging_pops() {
         let mut q = RequestQueue::new(DisciplineChoice::ShortestJobFirst { aging_bound_s: 0.0 });
@@ -584,15 +575,86 @@ mod tests {
             assert_eq!(q.len(), depth, "lockstep push/pop holds depth");
             assert!(popped.entry.req < 1_000_000 || popped.entry.req <= 1_000_000 + i);
             assert!(
-                q.size_heap.len() <= 8 * depth
-                    && q.entries.len() <= 8 * depth
-                    && q.served.len() <= 8 * depth,
-                "stale copies accumulate: heap {}, deque {}, served {}",
+                q.size_heap.len() <= 8 * depth && q.entries.len() <= 8 * depth,
+                "stale copies accumulate: heap {}, deque {}",
                 q.size_heap.len(),
-                q.entries.len(),
-                q.served.len()
+                q.entries.len()
             );
         }
+    }
+
+    /// An aged-out entry's key stays in the heap while newer entries keep
+    /// it in use: here every other pop ages out the oldest (its key goes
+    /// stale) and the rest pop the newest by size (its deque entry becomes
+    /// a tombstone). Compaction keeps both stale populations bounded by
+    /// the pending count, and no request is served twice.
+    #[test]
+    fn sjf_stale_keys_and_tombstones_stay_bounded_when_pops_mix() {
+        let mut q = RequestQueue::new(DisciplineChoice::ShortestJobFirst {
+            aging_bound_s: 1.0e6,
+        });
+        for i in 0..SJF_HEAP_THRESHOLD + 8 {
+            q.push(i, u64::MAX - i as u64, 0.0, 0);
+        }
+        let depth = q.len();
+        let mut served = std::collections::HashSet::new();
+        for i in 0..10_000usize {
+            q.push(1_000 + i, 1_000_000 - i as u64, 0.0, 0);
+            let now = if i % 2 == 0 { 0.0 } else { 1.0e12 };
+            let req = q.pop(now).unwrap().entry.req;
+            if i % 2 == 0 {
+                assert_eq!(req, 1_000 + i, "the newest is the smallest");
+            }
+            assert!(served.insert(req), "request {req} served twice");
+            assert_eq!(q.len(), depth);
+            assert!(
+                q.size_heap.len() <= 2 * depth + 64 && q.entries.len() <= 2 * depth + 64,
+                "stale state accumulates: heap {}, deque {}",
+                q.size_heap.len(),
+                q.entries.len()
+            );
+        }
+    }
+
+    /// A shallow pop by size removes from the middle of the deque; the
+    /// heap mode engaged afterwards still finds each entry from its key.
+    #[test]
+    fn sjf_heap_mode_engages_after_shallow_pops_leave_gaps() {
+        let mut q = RequestQueue::new(DisciplineChoice::ShortestJobFirst {
+            aging_bound_s: 1.0e9,
+        });
+        for i in 0..SJF_HEAP_THRESHOLD {
+            q.push(i, if i == 10 { 1 } else { 100 }, 0.0, 0);
+        }
+        assert_eq!(q.pop(0.0).unwrap().entry.req, 10);
+        q.push(40, 60, 0.0, 0);
+        q.push(41, 50, 0.0, 0);
+        assert!(q.heap_active, "the second push crosses the threshold");
+        let order: Vec<usize> = drain(&mut q, 0.0).into_iter().map(|(r, _)| r).collect();
+        let rest = (0..SJF_HEAP_THRESHOLD).filter(|&i| i != 10);
+        assert_eq!(order, [41, 40].into_iter().chain(rest).collect::<Vec<_>>());
+    }
+
+    /// Once the aging escape has served past every heaped key, the next
+    /// size-ordered pop drops them all at once instead of carrying them.
+    #[test]
+    fn sjf_heap_is_cleared_once_aging_passes_every_key() {
+        let mut q = RequestQueue::new(DisciplineChoice::ShortestJobFirst {
+            aging_bound_s: 10.0,
+        });
+        for i in 0..40 {
+            q.push(i, 100 - i as u64, 0.0, 0);
+        }
+        assert_eq!(q.pop(0.0).unwrap().entry.req, 39, "heaps all 40");
+        // Smaller than every stale key, so popping them cannot purge those.
+        for i in 40..80 {
+            q.push(i, i as u64 - 39, 15.0, 0);
+        }
+        for i in 0..39 {
+            assert_eq!(q.pop(20.0).unwrap().entry.req, i, "aging escape");
+        }
+        assert_eq!(q.pop(20.0).unwrap().entry.req, 40, "size order again");
+        assert_eq!(q.size_heap.len(), q.len(), "no stale key left");
     }
 
     /// Deep queues engage heap mode past the threshold and return to the
@@ -614,7 +676,7 @@ mod tests {
         }
         assert!(q.is_empty());
         assert!(!q.heap_active, "drain leaves heap mode");
-        assert!(q.size_heap.is_empty() && q.served.is_empty() && q.entries.is_empty());
+        assert!(q.size_heap.is_empty() && q.entries.is_empty());
         // The queue keeps working (shallow again) after the episode.
         q.push(99, 1, 0.0, 0);
         assert_eq!(q.pop(0.5).unwrap().entry.req, 99);
@@ -661,8 +723,8 @@ mod tests {
     /// Runs `ops` on a fresh queue whose push numbering starts at
     /// `first_seq`. Returns every pop with its seq blanked (the two
     /// numberings differ by design), plus, when a push had to renumber,
-    /// the queue's `(heap_active, served.len(), batch_remaining)` just
-    /// before it did.
+    /// the queue's `(heap_active, tombstones, batch_remaining)` just before
+    /// it did.
     fn run_ops(
         discipline: DisciplineChoice,
         first_seq: u32,
@@ -675,7 +737,8 @@ mod tests {
             match *op {
                 Op::Push { bytes, at, pos } => {
                     if q.next_seq == u32::MAX {
-                        at_limit = Some((q.heap_active, q.served.len(), q.batch_remaining));
+                        let tombstones = q.entries.len() - q.live;
+                        at_limit = Some((q.heap_active, tombstones, q.batch_remaining));
                     }
                     q.push(req, bytes, at, pos);
                     req += 1;
@@ -725,7 +788,7 @@ mod tests {
             ),
             (
                 // 40 pending engages heap mode; five size-order pops leave
-                // heap-served copies in `served`, one pop at t = 101 ages
+                // heap-served tombstones in the deque, one pop at t = 101 ages
                 // out the oldest; the limit falls inside the next pushes,
                 // then 20 size-order pops and an aging drain follow.
                 DisciplineChoice::ShortestJobFirst {
@@ -764,10 +827,10 @@ mod tests {
                 "{discipline:?}: numbering from 0 never renumbers"
             );
             let (got, at_limit) = run_ops(discipline, first_seq, &ops);
-            let (heap_active, served, batch) = at_limit.expect("the limit is crossed");
+            let (heap_active, tombstones, batch) = at_limit.expect("the limit is crossed");
             match discipline {
                 DisciplineChoice::ShortestJobFirst { .. } => {
-                    assert!(heap_active && served > 0, "{served} heap-served pending")
+                    assert!(heap_active && tombstones > 0, "{tombstones} tombstones")
                 }
                 DisciplineChoice::ElevatorBatch => assert!(batch > 0, "a batch in flight"),
                 DisciplineChoice::Fifo => {}
@@ -776,21 +839,47 @@ mod tests {
         }
     }
 
-    /// A deep backlog leaves the deque within ⅛ + 64 entries of its peak,
-    /// not up to twice it, and still pops in push order.
+    /// A deep backlog leaves the deque, and under SJF the heap, within
+    /// ⅛ + 64 slots of its peak, not up to twice it, and still pops in
+    /// push order (equal sizes tie by seq, and the SJF bound never fires).
     #[test]
     fn deque_capacity_stays_within_an_eighth_of_the_peak() {
         const N: usize = 100_000;
-        let mut q = RequestQueue::new(DisciplineChoice::Fifo);
-        for i in 0..N {
-            q.push(i, 1, i as f64, 0);
+        let sjf = DisciplineChoice::ShortestJobFirst {
+            aging_bound_s: f64::INFINITY,
+        };
+        for discipline in [DisciplineChoice::Fifo, sjf] {
+            let mut q = RequestQueue::new(discipline);
+            let (mut next, mut peak) = (0, 0);
+            // One pop per four pushes, so under SJF the heap grows a few
+            // keys at a time, as the deque does.
+            for i in 0..N {
+                q.push(i, 1, i as f64, 0);
+                if i % 4 == 3 {
+                    assert_eq!(q.pop(N as f64).unwrap().entry.req, next);
+                    next += 1;
+                }
+                peak = peak.max(q.len());
+            }
+            let bound = peak + peak / 8 + 64;
+            let cap = q.entries.capacity();
+            assert!(
+                cap <= bound,
+                "{discipline:?}: capacity {cap} for {peak} pending"
+            );
+            let heap = q.size_heap.capacity();
+            if discipline == DisciplineChoice::Fifo {
+                assert_eq!(heap, 0, "FIFO keeps no heap");
+            } else {
+                assert!(q.size_heap.len() + 4 >= peak, "every pending entry heaped");
+                assert!(heap <= bound, "heap capacity {heap} for {peak} pending");
+            }
+            while let Some(p) = q.pop(N as f64) {
+                assert_eq!(p.entry.req, next, "{discipline:?}");
+                next += 1;
+            }
+            assert_eq!(next, N);
         }
-        let cap = q.entries.capacity();
-        assert!(cap <= N + N / 8 + 64, "capacity {cap} for {N} pending");
-        for i in 0..N {
-            assert_eq!(q.pop(N as f64).unwrap().entry.req, i);
-        }
-        assert!(q.is_empty());
     }
 
     #[test]

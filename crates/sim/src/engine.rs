@@ -1026,17 +1026,16 @@ impl<'a> Simulator<'a> {
             .as_mut()
             .expect("fault hook without a fault plan");
         if !f.draw_transient(disk) {
-            if f.is_degraded(disk, req, arrival) {
+            if f.complete(disk, req, arrival) {
                 f.degraded[disk].record(t - arrival);
             }
-            f.attempts[disk].remove(&req);
             return true;
         }
-        let attempts = f.attempts[disk].entry(req).or_insert(0);
+        let attempts = f.attempts.entry(req).or_insert(0);
         *attempts += 1;
         let n = *attempts;
         if n > f.plan().retry_budget {
-            f.attempts[disk].remove(&req);
+            f.attempts.remove(&req);
             f.counts.failed += 1;
             self.actors[disk].window_failed(t);
         } else {

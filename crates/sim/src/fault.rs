@@ -25,12 +25,13 @@
 //! `Option` check, so the no-fault replay executes the identical sequence
 //! of floating-point operations it did before fault injection existed.
 
+use std::collections::BTreeMap;
+
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use spindown_workload::{FailSlowSpec, FaultPlan};
 
 use crate::engine::Placement;
-use crate::idhash::IdMap;
 use crate::metrics::{AvailabilityStats, MetricsMode, ResponseStats};
 
 /// Per-disk seed spread: the same golden-ratio multiplier the stochastic
@@ -161,8 +162,13 @@ pub(crate) struct FaultRuntime {
     /// Whether the in-flight service was stretched by a fail-slow window.
     pub current_scaled: Vec<bool>,
     /// Transient-retry attempts per in-flight request, keyed by trace
-    /// index (entries are dropped on completion or budget exhaustion).
-    pub attempts: Vec<IdMap<usize, u32>>,
+    /// index, which is unique within an engine (entries are dropped on
+    /// completion or budget exhaustion). An ordered map, so a lookup
+    /// hashes nothing: a retried request waits out the whole backlog, so
+    /// on an overloaded fleet a few are nearly always in flight and most
+    /// completions search a map of a handful of keys. With none in
+    /// flight a completion pays one branch.
+    pub attempts: BTreeMap<usize, u32>,
     /// Requests waiting out a transient backoff, per disk.
     pub pending_retries: Vec<Vec<PendingRetry>>,
     /// Degraded-mode response collectors, one per local disk; the driver
@@ -218,7 +224,7 @@ impl FaultRuntime {
             wake_hold_until: vec![0.0; fleet],
             last_repair: vec![0.0; fleet],
             current_scaled: vec![false; fleet],
-            attempts: vec![IdMap::default(); fleet],
+            attempts: BTreeMap::new(),
             pending_retries: vec![Vec::new(); fleet],
             degraded: vec![ResponseStats::with_mode(mode); fleet],
             counts: FaultCounts::default(),
@@ -255,13 +261,13 @@ impl FaultRuntime {
         self.plan.shed_watermark > 0 && queue_len >= self.plan.shed_watermark
     }
 
-    /// Classify a completion as degraded: it was retried, stretched by a
+    /// Settle a completion on disk `d`: forget the request's retry count
+    /// and classify it as degraded — it was retried, stretched by a
     /// fail-slow window, or arrived before the disk's last repair
     /// completed (i.e. waited through an outage).
-    pub fn is_degraded(&self, d: usize, req: usize, arrival: f64) -> bool {
-        self.current_scaled[d]
-            || arrival < self.last_repair[d]
-            || self.attempts[d].contains_key(&req)
+    pub fn complete(&mut self, d: usize, req: usize, arrival: f64) -> bool {
+        let retried = !self.attempts.is_empty() && self.attempts.remove(&req).is_some();
+        retried || self.current_scaled[d] || arrival < self.last_repair[d]
     }
 
     /// Requests still queued nowhere visible to the actors: transient

@@ -52,9 +52,6 @@
 //!   transient I/O retries with capped exponential backoff, wake
 //!   failures, fail-slow windows and watermark load shedding, surfaced as
 //!   [`metrics::AvailabilityStats`] on the report.
-//! - `idhash` (internal) — the one multiplicative hasher for the dense
-//!   integer keys of the hot paths (queue sequence numbers, cache file
-//!   indices, fault retry ledgers).
 //! - [`engine`] — the [`engine::Simulator`] main loop: arrivals stream
 //!   from a [`TraceSource`](spindown_workload::TraceSource) cursor, so the
 //!   event queue peaks at O(disks). [`engine::Simulator::replay`] is its
@@ -124,7 +121,6 @@ pub mod engine;
 pub mod event;
 mod fault;
 pub mod hierarchy;
-mod idhash;
 pub mod metrics;
 pub mod policy;
 mod shard;

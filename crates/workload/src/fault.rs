@@ -24,8 +24,11 @@
 //! | `seed=N` | base seed of the per-disk fault RNG streams |
 //!
 //! The parser rejects non-finite numbers, probabilities outside `[0, 1]`,
-//! slow-down factors below 1 and empty fail-slow windows, so a plan that
-//! constructs is always physically meaningful.
+//! slow-down factors below 1, empty fail-slow windows and retry budgets
+//! past `u32::MAX`, so a plan that constructs is always physically
+//! meaningful.
+
+#![warn(clippy::cast_possible_truncation)]
 
 /// One scheduled fail-stop crash: disk `disk` goes offline at `at_s`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -178,7 +181,8 @@ impl FaultPlan {
             } else if let Some(s) = clause.strip_prefix("mttr=") {
                 plan.mttr_s = parse_time(s, clause)?;
             } else if let Some(n) = clause.strip_prefix("retries=") {
-                plan.retry_budget = parse_usize(n, clause)? as u32;
+                plan.retry_budget = u32::try_from(parse_usize(n, clause)?)
+                    .map_err(|_| format!("retry budget past {} in {clause:?}", u32::MAX))?;
             } else if let Some(s) = clause.strip_prefix("backoff=") {
                 let base = parse_time(s, clause)?;
                 if base <= 0.0 {
@@ -396,6 +400,7 @@ mod tests {
             "backoff=0",              // non-positive backoff
             "explode:p=1",            // unknown clause
             "retries=-1",             // negative count
+            "retries=4294967296",     // past u32
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "accepted {bad:?}");
         }
